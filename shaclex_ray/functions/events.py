@@ -39,6 +39,16 @@ import ray.data
 HOUR_US = 3_600_000_000
 GAP_US_DEFAULT = 30 * 60 * 1_000_000  # 30-minute session gap
 
+WINDOW_AGG_SCHEMA = pa.schema(
+    [
+        ("window_start", pa.timestamp("us")),
+        ("event_type", pa.string()),
+        ("n_events", pa.int64()),
+        ("sum_value", pa.float64()),
+        ("avg_value", pa.float64()),
+    ]
+)
+
 
 def _read_events(sf_dir: str, columns):
     """Pruned events read under the engine's event policy: a row with a
@@ -112,6 +122,12 @@ def events_window_agg(sf_dir: str):
         [("cents_sum", "sum"), ("one_sum", "sum")],
         ["sum(cents_sum)", "sum(one_sum)"],
     )
+    # windows × types rows at most — materializing is cheap, and it
+    # closes the all-empty hole: Ray DROPS empty blocks, so a fully-empty
+    # agg would never run finalize and would leak the internal columns
+    agg = agg.materialize()
+    if agg.count() == 0:
+        return ray.data.from_arrow(WINDOW_AGG_SCHEMA.empty_table())
 
     def finalize(batch: pa.Table) -> pa.Table:
         cents = batch.column("sum(cents_sum)").to_numpy(zero_copy_only=False)

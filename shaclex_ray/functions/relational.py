@@ -46,14 +46,19 @@ def _cents(col) -> np.ndarray:
     return np.floor(x * 100.0 + 0.5).astype(np.int64)
 
 
-def _i64(col, fill: int = -1) -> np.ndarray:
+# the null-key sentinel: int64 min, a key no real row carries (a genuine
+# -1 key is legal data and must still join its partner)
+NULL_KEY = np.iinfo(np.int64).min
+
+
+def _i64(col, fill: int = NULL_KEY) -> np.ndarray:
     """Null-deterministic int64 view of an Arrow (chunked) array: nulls
-    become ``fill`` (a key no real row carries, so a filled key joins
+    become ``fill`` (dropped from every build side, so a filled key joins
     nothing — SQL null-key semantics) instead of riding the
     platform-defined NaN→int cast that ``to_numpy().astype`` would do."""
-    return (
-        pc.fill_null(col, fill).to_numpy(zero_copy_only=False).astype(np.int64)
-    )
+    # widen first: int64 min does not fit a narrower key column's type
+    col = pc.cast(col, pa.int64())
+    return pc.fill_null(col, fill).to_numpy(zero_copy_only=False)
 
 
 def _sorted_probe(ks: np.ndarray, key: np.ndarray):
@@ -197,9 +202,9 @@ def top_orders(
             "c_custkey"
         )
     )
-    # a null c_custkey joins nothing: drop its -1 sentinel from the build
+    # a null c_custkey joins nothing: drop its sentinel from the build
     # side so a filled probe key can never accidentally match it
-    keys_ref = ray.put(np.sort(keys[keys != -1]))
+    keys_ref = ray.put(np.sort(keys[keys != NULL_KEY]))
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         ship = batch.column("l_shipdate").to_numpy(zero_copy_only=False)
@@ -269,18 +274,15 @@ def top_orders(
                 }
             )
         )
-        ok = tbl.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
+        ok = _i64(tbl.column("l_orderkey"))
         order = np.argsort(ok)
+        order = order[ok[order] != NULL_KEY]  # a null o_orderkey joins nothing
         odate = tbl.column("o_orderdate").take(pa.array(order))
         lookup_ref = ray.put((ok[order], odate))
 
         def attach(batch: pa.Table) -> pa.Table:
             ks, dates = ray.get(lookup_ref)
-            key = (
-                batch.column("l_orderkey")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
+            key = _i64(batch.column("l_orderkey"))
             idx, hit = _sorted_probe(ks, key)
             batch = batch.filter(pa.array(hit))
             return batch.append_column(
@@ -390,14 +392,14 @@ def regional_volume(
     rkey = _i64(
         reg.filter(pc.equal(reg.column("r_name"), region)).column("r_regionkey")
     )
-    rkey = rkey[rkey != -1]  # a null r_regionkey region matches no nation
+    rkey = rkey[rkey != NULL_KEY]  # a null r_regionkey region matches no nation
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     in_reg = np.isin(_i64(nat.column("n_regionkey")), rkey)
     nkeys = _i64(nat.column("n_nationkey"))
     nname = np.asarray(nat.column("n_name").to_pylist(), dtype=object)
-    # a null n_nationkey nation is unjoinable — drop it before building
-    # the direct-indexed lookups (its -1 sentinel must not become a slot)
-    valid_n = nkeys != -1
+    # the direct-indexed lookups have no slot for a negative key (the null
+    # sentinel included); the probes' ``known`` guard misses those too
+    valid_n = nkeys >= 0
     nkeys, in_reg, nname = nkeys[valid_n], in_reg[valid_n], nname[valid_n]
     # dense nationkeys -> direct-indexed lookup tables (empty nation table
     # → 1-slot all-false lookups: every probe misses, the answer is empty)
@@ -411,7 +413,7 @@ def regional_volume(
     )
     skeys = _i64(sup.column("s_suppkey"))
     snat = _i64(sup.column("s_nationkey"))
-    valid_s = skeys != -1  # null s_suppkey suppliers join nothing
+    valid_s = skeys != NULL_KEY  # null s_suppkey suppliers join nothing
     skeys, snat = skeys[valid_s], snat[valid_s]
     sorder = np.argsort(skeys)
     cust = pq.read_table(
@@ -419,7 +421,7 @@ def regional_volume(
     )
     ckeys = _i64(cust.column("c_custkey"))
     cnat = _i64(cust.column("c_nationkey"))
-    valid_c = ckeys != -1  # null c_custkey customers join nothing
+    valid_c = ckeys != NULL_KEY  # null c_custkey customers join nothing
     ckeys, cnat = ckeys[valid_c], cnat[valid_c]
     corder = np.argsort(ckeys)
     dims_ref = ray.put(
@@ -500,11 +502,10 @@ def regional_volume(
                 }
             )
         )
-        ok = tbl.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
+        ok = _i64(tbl.column("l_orderkey"))
         order = np.argsort(ok)
-        cn_sorted = (
-            tbl.column("c_nation").to_numpy(zero_copy_only=False).astype(np.int64)[order]
-        )
+        order = order[ok[order] != NULL_KEY]  # a null o_orderkey joins nothing
+        cn_sorted = _i64(tbl.column("c_nation"))[order]
         onat_ref = ray.put((ok[order], cn_sorted))
 
         def attach(batch: pa.Table) -> pa.Table:

@@ -1,9 +1,16 @@
 """The flagship end-to-end KG-construction pipeline (north star):
 
   read interleaved documents → extract triples (lineage-carrying) →
-  entity-link + canonicalize → exact dedup → materialize triple table →
+  entity-link → canonicalize + exact dedup → materialize triple table →
   validate in-pipeline against SHACL shapes (distributed BSP fixpoint) →
   typing + validation-report tables
+
+Canonicalize + dedup is one file-granular hash exchange
+(``dedup_triples_fast_from_parquet``) with two rewrite regimes, chosen in
+one place — ``read_links``, from the link table's row count against
+``LINK_BCAST_MAX_ROWS``: a broadcast rewrite fused into the exchange's
+split tasks, or a hash-join rewrite staged as parquet and fed to the same
+exchange (``canonical_triples``).
 
 Stage outputs checkpoint to partitioned parquet with manifests
 (state/checkpoint.py), so a failed run resumes from the last finished
@@ -14,36 +21,42 @@ re-expressed as streaming Dataset stages.
 
 from __future__ import annotations
 
-import pyarrow as pa
+import glob
+import hashlib
+import math
+import os
+import shutil
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+import ray
 import ray.data as rd
 
 from shaclex_ray.rdfio import parse_turtle
 from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.sources.documents import read_documents
-from shaclex_ray.stages.dedup import dedup_triples, dedup_triples_fast
+from shaclex_ray.stages import dedup
 from shaclex_ray.stages.extract import extract_triples
-from shaclex_ray.stages.link import build_entity_links, canonicalize_triples
+from shaclex_ray.stages.link import (
+    build_entity_links,
+    canonicalize_triples,
+    entity_triples,
+)
 from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema
+from shaclex_ray.terms import TRIPLES_SCHEMA
 from shaclex_ray.validate.dist import distributed_validate
 
-# canonical stage-output schemas — written as an empty part when a stage
+# canonical link-table schema — written as an empty part when linking
 # produces zero rows, so pruned read-backs never hit a file-less directory
-TRIPLES_SCHEMA = pa.schema(
-    [
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj_kind", pa.string()),
-        ("obj_lex", pa.string()),
-        ("obj_dt", pa.string()),
-        ("obj_lang", pa.string()),
-        ("doc_id", pa.string()),
-        ("span_idx", pa.int32()),
-    ]
-)
 LINKS_SCHEMA = pa.schema(
     [("mention", pa.string()), ("canonical_iri", pa.string())]
 )
+
+# the broadcast-vs-join canonicalization switch (``read_links``): a link
+# table under this many rows ships to every dedup split task; a larger one
+# stays a Dataset and is hash-joined onto the triples
+LINK_BCAST_MAX_ROWS = 5_000_000
 
 # SHACL shapes for the constructed KG — parsed with our own Turtle parser.
 # DocumentShape's ex:mentions sh:class ex:Entity forces a cross-bucket
@@ -75,24 +88,38 @@ def kg_schema() -> dict:
     return compile_shacl(parse_turtle(KG_SHAPES_TTL))
 
 
-def build_triples(sf_dir: str):
-    """documents → canonical deduped triple Dataset (no checkpointing —
-    the streaming composition used by queries()/tests). Broadcast-size
-    link tables take the fused canonicalize+dedup exchange (same rows,
-    pinned by tests/test_dedup_kernel.py)."""
-    docs = read_documents(sf_dir)
-    raw = extract_triples(docs).materialize()
-    links = build_entity_links(raw)
-    if isinstance(links, pa.Table):
-        from shaclex_ray.stages.link import entity_triples
+def _parquet_rows(path: str) -> int:
+    return sum(
+        pq.ParquetFile(f).metadata.num_rows
+        for f in glob.glob(f"{path}/*.parquet")
+    )
 
-        t1, t2 = entity_triples(links)
-        dd = dedup_triples_fast(
-            raw, canonicalize_with=links, extra_tables=[t1, t2]
+
+def canonical_triples(raw_dir: str, links, nbuckets: int, staging_dir: str):
+    """Canonicalize + dedup the raw triples under ``raw_dir``: the one
+    dedup exchange (``dedup_triples_fast_from_parquet``) in the regime
+    ``read_links`` chose.
+
+    - ``links`` a ``pa.Table`` (broadcast): the rewrite fuses into the
+      exchange's split tasks, which read the raw shards directly —
+      neither the raw input nor the rewritten table stages through the
+      object store; the entity metadata triples join as an extra table.
+    - ``links`` a Dataset (join): ``canonicalize_triples`` hash-joins it
+      onto the triples; the rewritten triples (entity metadata included)
+      are staged as parquet in ``staging_dir`` and fed to the same
+      exchange. The caller removes ``staging_dir`` once the result is
+      consumed."""
+    if isinstance(links, pa.Table):
+        return dedup.dedup_triples_fast_from_parquet(
+            raw_dir,
+            nbuckets=nbuckets,
+            canonicalize_with=links,
+            extra_tables=[entity_triples(links)],
         )
-        return dd, links
-    cano = canonicalize_triples(raw, links)
-    return dedup_triples(cano), links
+    shutil.rmtree(staging_dir, ignore_errors=True)
+    canonicalize_triples(rd.read_parquet(raw_dir), links).write_parquet(staging_dir)
+    ensure_parquet_schema(staging_dir, TRIPLES_SCHEMA)
+    return dedup.dedup_triples_fast_from_parquet(staging_dir, nbuckets=nbuckets)
 
 
 def run_kg_pipeline(
@@ -107,17 +134,13 @@ def run_kg_pipeline(
     ``nbuckets`` defaults to the cluster CPU count — partition count grows
     with the cluster, as it would across real node counts."""
     if nbuckets is None:
-        import ray as _ray
-
-        nbuckets = max(8, int(_ray.cluster_resources().get("CPU", 8)))
+        nbuckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
     runner = StageRunner(out_dir, resume=resume)
     # digest covers inputs AND code/shape revision, so stale checkpoints
     # from an older engine version are never resumed
-    import hashlib as _hl
-
     import shaclex_ray as _pkg
 
-    rev = _hl.md5((_pkg.__version__ + KG_SHAPES_TTL).encode()).hexdigest()[:12]
+    rev = hashlib.md5((_pkg.__version__ + KG_SHAPES_TTL).encode()).hexdigest()[:12]
     digest = f"{sf_dir}|nb={nbuckets}|rev={rev}"
 
     # extract is PARTITION-checkpointed: one restartable task per input
@@ -127,13 +150,11 @@ def run_kg_pipeline(
     # boundary, not the stage boundary. (Non-parquet inputs — the Lance
     # lane — take the stage-granular streaming produce instead: Lance
     # fragments don't slice like parquet row groups.)
-    import os as _os0
-
-    if _os0.path.exists(f"{sf_dir}/documents.parquet"):
+    if os.path.exists(f"{sf_dir}/documents.parquet"):
         from shaclex_ray.sources.documents import document_partitions
         from shaclex_ray.stages.extract import extract_partition
 
-        raw = runner.run_partitioned(
+        runner.run_partitioned(
             "triples_raw",
             digest,
             document_partitions(sf_dir),
@@ -144,17 +165,10 @@ def run_kg_pipeline(
     else:
 
         def produce_raw(path):
-            import glob as _glob
-
-            import pyarrow.parquet as _pq
-
             extract_triples(read_documents(sf_dir)).write_parquet(path)
-            return sum(
-                _pq.ParquetFile(f).metadata.num_rows
-                for f in _glob.glob(f"{path}/*.parquet")
-            )
+            return _parquet_rows(path)
 
-        raw = runner.run(
+        runner.run(
             "triples_raw",
             digest,
             produce_raw,
@@ -163,17 +177,13 @@ def run_kg_pipeline(
         )
 
     def produce_links(path):
-        import os as _os3
-
-        _os3.makedirs(f"{path}/shards", exist_ok=True)
+        os.makedirs(f"{path}/shards", exist_ok=True)
         # mention harvesting touches only (pred, obj_lex): prune at the read
         raw_pruned = rd.read_parquet(
             f"{out_dir}/triples_raw", columns=["pred", "obj_lex"]
         )
         links = build_entity_links(raw_pruned)
         if isinstance(links, pa.Table):
-            import pyarrow.parquet as pq
-
             pq.write_table(links, f"{path}/shards/links.parquet")
             return links.num_rows
         # distributed regime: the links Dataset checkpoints as parquet
@@ -186,50 +196,27 @@ def run_kg_pipeline(
         return n
 
     def read_links(path):
-        """Size-adaptive read-back: small link tables load driver-side for
-        the broadcast rewrite; big ones stay a lazy shard Dataset feeding
-        the join rewrite."""
-        import os as _os2
-
-        import pyarrow.parquet as pq
-
+        """The one broadcast-vs-join choice: a link table under
+        LINK_BCAST_MAX_ROWS loads driver-side (sorted by mention) for the
+        fused broadcast rewrite; a bigger one stays a lazy shard Dataset
+        for the join rewrite."""
         shard_dir = f"{path}/shards"
-        n = sum(
-            pq.ParquetFile(f"{shard_dir}/{f}").metadata.num_rows
-            for f in _os2.listdir(shard_dir)
-            if f.endswith(".parquet")
-        )
-        if n < int(_os.environ.get("SHACLEX_LINK_BCAST_THRESHOLD", "5000000")):
+        if _parquet_rows(shard_dir) < LINK_BCAST_MAX_ROWS:
             tbl = pq.read_table(shard_dir)
-            order = pa.compute.sort_indices(tbl.column("mention"))
-            return tbl.take(order)
+            return tbl.take(pa.compute.sort_indices(tbl.column("mention")))
         return rd.read_parquet(shard_dir)
-
-    import os as _os
 
     links = runner.run("entity_links", digest, produce_links, read_links)
 
     def produce_canonical(path):
-        bcast_max = int(_os.environ.get("SHACLEX_LINK_BCAST_THRESHOLD", "5000000"))
-        if isinstance(links, pa.Table) and links.num_rows < bcast_max:
-            # broadcast regime: canonicalization FUSES into the dedup
-            # exchange's map side, and the split tasks read the raw-triples
-            # checkpoint shards DIRECTLY — neither the raw input nor the
-            # rewritten table stages through the object store
-            from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
-            from shaclex_ray.stages.link import entity_triples
-
-            t1, t2 = entity_triples(links)
-            dd = dedup_triples_fast_from_parquet(
-                f"{out_dir}/triples_raw",
-                nbuckets=nbuckets,
-                canonicalize_with=links,
-                extra_tables=[t1, t2],
-            ).materialize()
-        else:
-            cano = canonicalize_triples(raw, links)
-            dd = dedup_triples_fast(cano, nbuckets=nbuckets).materialize()
+        """Canonicalize + dedup in the regime ``read_links`` chose; the
+        join regime stages its rewritten triples beside the checkpoint."""
+        staging_dir = f"{path}.rewritten"
+        dd = canonical_triples(
+            f"{out_dir}/triples_raw", links, nbuckets, staging_dir
+        ).materialize()
         dd.write_parquet(path)
+        shutil.rmtree(staging_dir, ignore_errors=True)
         return dd.count()
 
     triples = runner.run(
@@ -248,16 +235,8 @@ def run_kg_pipeline(
             # size the actor fleet to the DATA: a 100k-triple corpus must
             # not pay 32 actor spawns (cluster-sized nbuckets stays the
             # cap so big corpora use the whole cluster)
-            import glob as _glob
-            import math as _math
-
-            import pyarrow.parquet as _pq
-
-            canon_rows = sum(
-                _pq.ParquetFile(f).metadata.num_rows
-                for f in _glob.glob(f"{out_dir}/triples_canonical/*.parquet")
-            )
-            nb = max(1, min(nbuckets, _math.ceil(canon_rows / 100_000)))
+            canon_rows = _parquet_rows(f"{out_dir}/triples_canonical")
+            nb = max(1, min(nbuckets, math.ceil(canon_rows / 100_000)))
             # targets derive in-bucket (focus="shacl-targets"): the split
             # scan is the ONLY pass over the triples; bucket actors write
             # their own typing/report shards — the full tables never
@@ -271,8 +250,6 @@ def run_kg_pipeline(
             return sum(v for k, v in stats.items() if k != "violations")
 
         def read_validation(path):
-            import pyarrow.parquet as pq
-
             return (
                 pq.read_table(f"{path}/typing"),
                 pq.read_table(f"{path}/report"),

@@ -1,13 +1,18 @@
 """Exact triple deduplication (SURVEY.md G10): RDF graphs are sets.
 
-Two-phase, skew-proof (north-star: "salted hash shuffles + per-partition
-triple-dedup sort-merge"):
+One explicit hash exchange, rows moving exactly once (north-star:
+"salted hash shuffles + per-partition triple-dedup sort-merge"):
 
-  1. batch-local dedup inside ``map_batches`` (combiner — removes the bulk
-     of duplicates before any network traffic; duplicates are overwhelmingly
-     intra-document, hence intra-batch)
-  2. hash-bucket the triple identity key into ``nbuckets`` coarse partitions
-     and dedup each bucket vectorized in one ``map_groups`` call.
+  1. split tasks: map-side combine (duplicates are overwhelmingly
+     intra-document, hence intra-group) and a single-sort hash partition
+     into ``nbuckets``
+  2. bucket tasks: vectorized distinct of each bucket's partials.
+
+Two entry points run the same split and bucket kernels:
+``dedup_triples_fast_from_parquet`` (triples from a parquet directory,
+least (doc_id, span_idx) witness kept, optional fused broadcast
+canonicalization) and ``distinct_rows_fast`` (any Dataset, full-row
+distinct).
 
 Bucketing by a *hash of the full identity tuple* (not by ``subj``) means a
 hub subject with 10^7 arcs spreads over all buckets — the salt is the
@@ -34,9 +39,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from shaclex_ray.terms import TRIPLE_ID_COLS
+from shaclex_ray.terms import TRIPLE_ID_COLS, TRIPLES_SCHEMA
 
-DEFAULT_NBUCKETS = 64
+# lineage columns of a triple: the least (doc_id, span_idx) row survives
+WITNESS_COLS = ["doc_id", "span_idx"]
 
 try:  # polars is baked into the runtime; keep a pandas fallback anyway
     import polars as _pl
@@ -57,10 +63,6 @@ def _row_hash(tbl: pa.Table, cols: list[str] | None = None) -> np.ndarray:
     ]
     key = pc.binary_join_element_wise(*arrs, "\x1f")
     return pd.util.hash_array(key.to_numpy(zero_copy_only=False))
-
-
-def _bucket_array(tbl: pa.Table, nbuckets: int) -> np.ndarray:
-    return (_row_hash(tbl) % np.uint64(nbuckets)).astype(np.int64)
 
 
 def _adjacent_identity_neq(tbl: pa.Table, id_cols: list[str]) -> np.ndarray:
@@ -180,90 +182,97 @@ def _keep_rows(
     return order[keep_mask]
 
 
-def _dedup_table(tbl: pa.Table) -> pa.Table:
-    """Distinct on TRIPLE_ID_COLS keeping the least (doc_id, span_idx)
-    witness — integer hash sort + exact treatment of the dup fraction."""
-    if tbl.num_rows <= 1:
-        return tbl
-    h = _row_hash(tbl)
-    order = np.argsort(h, kind="stable")
-    kept = _keep_rows(tbl, order, h, TRIPLE_ID_COLS, ["doc_id", "span_idx"])
-    return tbl.take(pa.array(kept))
-
-
-def dedup_triples(triples_ds, nbuckets: int = DEFAULT_NBUCKETS):
-    """Distinct triples (on TRIPLE_ID_COLS), streaming, skew-resistant.
-
-    Dataset-API variant (one groupby sort-shuffle). See
-    ``dedup_triples_fast`` for the explicit single-pass hash exchange used
-    by the pipeline at bench scale."""
-
-    def bucket_fn(batch: pa.Table) -> pa.Table:
-        batch = _dedup_table(batch)  # map-side combine
-        return batch.append_column(
-            "bucket", pa.array(_bucket_array(batch, nbuckets))
-        )
-
-    def group_fn(group: pa.Table) -> pa.Table:
-        return _dedup_table(group.drop_columns(["bucket"]))
-
-    return (
-        triples_ds.map_batches(bucket_fn, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(group_fn, batch_format="pyarrow")
-    )
 
 
 # ---------------------------------------------------------------------------
-# explicit hash exchange (the north-star "salted hash shuffles +
-# per-partition triple-dedup sort-merge" with rows moving exactly once)
+# the explicit hash exchange: split tasks (map-side combine + single-sort
+# partition) → bucket tasks (per-bucket vectorized distinct). One kernel
+# pair serves both entry points below; witness columns select the triple
+# case.
 
-def _dedup_split_impl(nbuckets: int, link_tbl, *tbls: pa.Table):
-    from shaclex_ray.terms import TRIPLES_SCHEMA
+def _distinct_split_impl(
+    nbuckets: int,
+    cols: list[str],
+    witness_cols: list[str] | None,
+    schema: pa.Schema,
+    link_tbl: pa.Table | None,
+    *tbls: pa.Table,
+):
+    """Map side: distinct on ``cols`` (least ``witness_cols`` row kept, or
+    any one of identical rows when None), partitioned by the same hash.
 
-    # zero-row blocks from upstream map_groups can carry an EMPTY schema —
-    # filter them (and synthesize a typed empty table if nothing remains)
+    ``schema`` types the partials of a group whose blocks are all empty
+    (a strided group can hold only degenerate zero-column blocks).
+    ``link_tbl``: broadcast link table — the mention→canonical rewrite
+    runs fused here, so the rewritten table never materializes as an
+    intermediate Dataset in the object store."""
     real = [t for t in tbls if t.num_rows > 0]
     if not real:
-        real = [TRIPLES_SCHEMA.empty_table()]
+        empty = schema.empty_table()
+        return empty if nbuckets == 1 else tuple(empty for _ in range(nbuckets))
     if link_tbl is not None:
-        # fused canonicalization (broadcast regime): rewrite mention IRIs
-        # per block INSIDE the exchange's map side — the rewritten table
-        # never materializes as an intermediate Dataset in the object store
         from shaclex_ray.stages.link import Canonicalizer
 
         cz = Canonicalizer(link_tbl)
-        real = [cz(t) if t.num_rows else t for t in real]
+        real = [cz(t) for t in real]
     # concat_tables is ZERO-COPY (chunked views); everything downstream
     # (polars hash, takes) handles chunked columns — never flatten the
     # full group into a fresh copy
     base = pa.concat_tables(real)
-    h = _row_hash(base)
+    h = _row_hash(base, cols)
     b = (h % np.uint64(nbuckets)).astype(np.int64)
     # ONE integer lexsort orders rows (bucket, hash): partition bounds and
     # the adjacency the dedup needs come from the same pass. Equal hashes
     # imply equal buckets, so hash runs never straddle a bucket boundary.
     order = np.lexsort((h, b))
-    # map-side combine: surviving rows gathered in ONE take (the sorted
-    # full table is never materialized)
-    kept = _keep_rows(base, order, h, TRIPLE_ID_COLS, ["doc_id", "span_idx"])
+    # surviving rows gathered in ONE take (the sorted full table is never
+    # materialized)
+    kept = _keep_rows(base, order, h, cols, witness_cols)
     out = base.take(pa.array(kept))
     if nbuckets == 1:
         return out  # num_returns=1: the single return IS the table
     return _partition_slices(out, b[kept], nbuckets)
 
 
-def _dedup_bucket_impl(*parts: pa.Table) -> pa.Table:
-    return _dedup_table(pa.concat_tables(list(parts)))
+def _distinct_bucket_impl(
+    cols: list[str], witness_cols: list[str] | None, *parts: pa.Table
+) -> pa.Table:
+    """Reduce side: the same distinct over one bucket's partials."""
+    base = pa.concat_tables(list(parts))
+    if base.num_rows <= 1:
+        return base
+    h = _row_hash(base, cols)
+    order = np.argsort(h, kind="stable")
+    kept = _keep_rows(base, order, h, cols, witness_cols)
+    return base.take(pa.array(kept))
 
 
-def _dedup_split_files_impl(nbuckets: int, link_tbl, files: list[str]):
-    """Split variant reading its parquet shards DIRECTLY from storage —
+def _reduce(split_refs: list, nbuckets: int, cols, witness_cols):
+    """Bucket ``b`` merges the ``b``-th partial of every split task; the
+    result wraps back into a Dataset via from_arrow_refs (zero-copy)."""
+    import ray
+    import ray.data as rd
+
+    if nbuckets == 1:
+        split_refs = [[r] for r in split_refs]
+    bucket_task = ray.remote(_distinct_bucket_impl)
+    return rd.from_arrow_refs(
+        [
+            bucket_task.remote(cols, witness_cols, *[grp[b] for grp in split_refs])
+            for b in range(nbuckets)
+        ]
+    )
+
+
+def _split_files_impl(nbuckets: int, link_tbl, files: list[str]):
+    """Triple split task reading its parquet shards DIRECTLY from storage —
     the exchange input never stages through the object store."""
     import pyarrow.parquet as pq
 
     tbls = [pq.read_table(f) for f in files]
-    return _dedup_split_impl(nbuckets, link_tbl, *tbls)
+    return _distinct_split_impl(
+        nbuckets, TRIPLE_ID_COLS, WITNESS_COLS, TRIPLES_SCHEMA, link_tbl, *tbls
+    )
 
 
 def dedup_triples_fast_from_parquet(
@@ -272,21 +281,29 @@ def dedup_triples_fast_from_parquet(
     canonicalize_with: pa.Table | None = None,
     extra_tables: list[pa.Table] | None = None,
 ):
-    """File-granular fused exchange over a parquet checkpoint directory:
-    each split task reads its own shard files (storage → task heap, no
-    object-store staging), optionally applies the broadcast
-    canonicalization, and partitions in one pass. The 100-TB shape: input
-    bytes move exactly once, from storage into the exchange."""
+    """Distinct triples of a parquet directory (the KG pipeline's single
+    dedup entry point), keeping the least (doc_id, span_idx) witness.
+
+    File-granular: each split task reads its own shard files (storage →
+    task heap, no object-store staging) and partitions in one pass — input
+    bytes move exactly once, from storage into the exchange. It serves
+    both canonicalization regimes: ``canonicalize_with`` (broadcast) fuses
+    the rewrite into the split tasks; the join regime hands over a
+    directory of already-rewritten triples. ``extra_tables``: small side
+    tables (entity metadata triples, already canonical) that join the same
+    exchange through one extra split task, so witness selection across
+    rewritten and extra rows is that of one dedup over their union."""
     import glob as _glob
+    import math as _math
+    import os as _os
+
+    import pyarrow.parquet as _pq
 
     import ray
-    import ray.data as rd
 
     files = sorted(_glob.glob(f"{path}/*.parquet"))
     if not files:
         raise FileNotFoundError(f"no parquet shards under {path}")
-    split_task = ray.remote(_dedup_split_files_impl)
-    bucket_task = ray.remote(_dedup_bucket_impl)
     link_ref = (
         ray.put(canonicalize_with) if canonicalize_with is not None else None
     )
@@ -294,14 +311,7 @@ def dedup_triples_fast_from_parquet(
     # task heap (~2M rows ≈ 300MB + working copies) regardless of input
     # volume — at 10-100x the corpus, cpu-count-sized groups balloon to
     # gigabytes each and the concurrent peak thrashes the node
-    import math as _math
-    import os as _os
-
-    import pyarrow.parquet as _pq
-
-    total_rows = sum(
-        _pq.ParquetFile(f).metadata.num_rows for f in files
-    )
+    total_rows = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
     target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
     if nbuckets is None:
         # the REDUCE side is volume-bounded too: per-bucket rows ≈
@@ -316,128 +326,31 @@ def dedup_triples_fast_from_parquet(
             min(1024, _math.ceil(total_rows / (2 * target))),
         )
     ngroups = max(1, min(len(files), _math.ceil(total_rows / target)))
-    groups = [files[g::ngroups] for g in range(ngroups)]
+    split_task = ray.remote(_split_files_impl).options(num_returns=nbuckets)
     split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, link_ref, grp)
-        for grp in groups
+        split_task.remote(nbuckets, link_ref, files[g::ngroups])
+        for g in range(ngroups)
     ]
     if extra_tables:
-        extra_refs = [ray.put(t) for t in extra_tables]
         split_refs.append(
-            ray.remote(_dedup_split_impl)
+            ray.remote(_distinct_split_impl)
             .options(num_returns=nbuckets)
-            .remote(nbuckets, None, *extra_refs)
-        )
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(*[grp[b] for grp in split_refs]) for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out_refs)
-
-
-def dedup_triples_fast(
-    triples_ds,
-    nbuckets: int | None = None,
-    canonicalize_with: pa.Table | None = None,
-    extra_tables: list[pa.Table] | None = None,
-):
-    """Explicit one-move hash exchange: blocks → map-side combine +
-    single-sort partition → per-bucket sort-merge dedup; result wraps back
-    into a Dataset via from_arrow_refs (zero-copy).
-
-    ``canonicalize_with``: small (broadcast) link table — the mention→
-    canonical rewrite runs fused inside the split tasks, so the rewritten
-    table never materializes between canonicalization and dedup (one full
-    object-store round-trip saved). ``extra_tables``: small side tables
-    (entity metadata triples) that join the exchange so witness selection
-    across rewritten+extra rows is identical to the unfused pipeline."""
-    import ray
-    import ray.data as rd
-
-    split_task = ray.remote(_dedup_split_impl)
-    bucket_task = ray.remote(_dedup_bucket_impl)
-
-    link_ref = (
-        ray.put(canonicalize_with) if canonicalize_with is not None else None
-    )
-    mat = triples_ds.materialize()
-    refs = mat.to_arrow_refs()
-    total_rows = mat.count()
-    if nbuckets is None:
-        # size the exchange to the data (see distinct_rows_fast)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, total_rows // 200_000 + 1))
-    import math as _math
-    import os as _os2
-
-    target = int(_os2.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(
-        1, min(len(refs), max(nbuckets, _math.ceil(total_rows / target)))
-    )
-    groups = [list(refs[g::ngroups]) for g in range(ngroups)]
-    extra_refs = [ray.put(t) for t in (extra_tables or [])]
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, link_ref, *grp)
-        for grp in groups
-    ]
-    if extra_refs:
-        # extras bypass the rewrite (they are already canonical) but join
-        # the same exchange via one extra split task
-        split_refs.append(
-            split_task.options(num_returns=nbuckets).remote(
-                nbuckets, None, *extra_refs
+            .remote(
+                nbuckets, TRIPLE_ID_COLS, WITNESS_COLS, TRIPLES_SCHEMA, None,
+                *[ray.put(t) for t in extra_tables],
             )
         )
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(*[grp[b] for grp in split_refs]) for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out_refs)
-
-
-# ---------------------------------------------------------------------------
-# generic exact distinct-rows: the same one-move hash exchange for ANY
-# Arrow-schema Dataset. Replaces groupby().map_groups distincts, whose
-# sort-based shuffle + one-Python-call-per-group costs seconds of fixed
-# overhead even on tiny intermediates.
-
-def _distinct_split_impl(
-    nbuckets: int, cols: list[str], schema: pa.Schema, *tbls: pa.Table
-):
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        # a strided split group can be ALL degenerate zero-column empty
-        # blocks; the driver-supplied dataset schema is the authority, so
-        # the empty partial always concats cleanly with real partials
-        empty = schema.empty_table()
-        return empty if nbuckets == 1 else tuple(empty for _ in range(nbuckets))
-    base = pa.concat_tables(real)
-    h = _row_hash(base, cols)
-    b = (h % np.uint64(nbuckets)).astype(np.int64)
-    order = np.lexsort((h, b))
-    kept = _keep_rows(base, order, h, id_cols=cols, witness_cols=None)
-    out = base.take(pa.array(kept))
-    if nbuckets == 1:
-        return out
-    return _partition_slices(out, b[kept], nbuckets)
-
-
-def _distinct_bucket_impl(cols: list[str], *parts: pa.Table):
-    base = pa.concat_tables(list(parts))
-    if base.num_rows <= 1:
-        return base
-    h = _row_hash(base, cols)
-    order = np.argsort(h, kind="stable")
-    kept = _keep_rows(base, order, h, id_cols=cols, witness_cols=None)
-    return base.take(pa.array(kept))
+    return _reduce(split_refs, nbuckets, TRIPLE_ID_COLS, WITNESS_COLS)
 
 
 def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
-    """Exact DISTINCT over all columns of a Dataset: blocks → map-side
-    combine + single-pass hash partition → per-bucket vectorized distinct.
-    One data move, no sort-based shuffle, no per-group Python calls."""
+    """Exact DISTINCT over all columns of a Dataset: the same exchange
+    with no witness — one data move, no sort-based shuffle, no per-group
+    Python calls (a groupby().map_groups distinct costs seconds of fixed
+    overhead even on tiny intermediates)."""
+    import math as _math
+    import os as _os
+
     import ray
     import ray.data as rd
 
@@ -458,28 +371,17 @@ def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
         # ~0-row slices costs seconds of dispatch for nothing)
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         nbuckets = max(1, min(ncpu, mat.count() // 200_000 + 1))
-    split_task = ray.remote(_distinct_split_impl)
-    bucket_task = ray.remote(_distinct_bucket_impl)
-    import math as _math
-    import os as _os3
-
-    target = int(_os3.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
+    target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
     ngroups = max(
         1,
         min(len(refs), max(nbuckets, _math.ceil(mat.count() / target))),
     )
-    groups = [refs[g::ngroups] for g in range(ngroups)]
+    # the driver-supplied dataset schema is the authority for all-empty
+    # split groups, so their partials always concat with real ones
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
+    split_task = ray.remote(_distinct_split_impl).options(num_returns=nbuckets)
     split_refs = [
-        split_task.options(num_returns=nbuckets).remote(
-            nbuckets, cols, pa_schema, *grp
-        )
-        for grp in groups
+        split_task.remote(nbuckets, cols, None, pa_schema, None, *refs[g::ngroups])
+        for g in range(ngroups)
     ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(cols, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    return _reduce(split_refs, nbuckets, cols, None)

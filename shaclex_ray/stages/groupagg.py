@@ -102,7 +102,7 @@ def _split_distinct_impl(
     row-hash) gives both the dedup adjacency and the partition bounds:
     equal row hashes imply equal keys imply equal key-buckets, so hash
     runs never straddle a bucket boundary (same argument as
-    dedup._dedup_split_impl)."""
+    dedup._distinct_split_impl)."""
     cols = list(keys) + [dcol]
     real = [t for t in tbls if t.num_rows > 0]
     if not real:

@@ -10,9 +10,15 @@ Stages:
      propagation (groupby-min + edge joins per round — the driver never
      holds the edge list; at web scale distinct surface forms are
      billions). Both produce identical rows (tests pin the equality).
-  4. canonicalization: the mention→canonical map is broadcast once via
-     ``ray.put`` and each triple batch rewrites subj/obj IRIs with a
-     vectorized index_in/take substitution (no per-batch re-shipping)
+  4. canonicalization, two regimes, chosen in one place (``read_links``
+     in pipelines/kg.py, from the link table's row count):
+     - broadcast: the link table ships once via ``ray.put`` and the
+       ``Canonicalizer`` kernel rewrites subj/obj IRIs fused inside the
+       dedup exchange's split tasks (vectorized index_in/take);
+     - join: ``canonicalize_triples`` hash-joins a link Dataset onto the
+       triples; its output is staged as parquet and fed to the same
+       exchange.
+     Both give identical rows (tests pin the equality).
 
 Determinism: canonical IRI is a pure function of the normalized surface;
 the component representative is the lexicographic minimum (same rule in
@@ -35,6 +41,7 @@ from shaclex_ray.stages.extract import (
     RDF_TYPE,
     XSD_STRING,
 )
+from shaclex_ray.terms import TRIPLES_SCHEMA
 
 
 def normalize_mention(surface: str) -> str:
@@ -153,7 +160,7 @@ def connected_components(edges_ds, max_iters: int = 12):
 
     def _fix_schema(cols):
         """Ray joins emit empty partitions with a degenerate schema (same
-        workaround as canonicalize_triples_join) — restore the canonical
+        workaround as canonicalize_triples) — restore the canonical
         column set so the next join/map sees stable fields."""
         target = pa.schema([(c, pa.string()) for c in cols])
 
@@ -238,7 +245,7 @@ def build_entity_links(triples_ds, distributed: bool | None = None):
     **Dataset** end-to-end — the driver never holds the edge list OR the
     link table. Both regimes produce identical rows (lexicographic-min
     representative — tests pin the equality), so the switch is purely
-    physical; downstream (``canonicalize_triples``) accepts either."""
+    physical; the pipeline checkpoints either as parquet shards."""
     import os as _os
 
     edges_m = _edges_ds(triples_ds).materialize()
@@ -274,11 +281,12 @@ def build_entity_links(triples_ds, distributed: bool | None = None):
 
 
 class Canonicalizer:
-    """Actor-pool batch rewriter: the link map is deserialized once per
-    actor (__init__), not once per batch (SURVEY.md A5)."""
+    """Broadcast rewrite kernel: mention IRIs in ``subj`` and iri-kind
+    ``obj_lex`` become their canonical entity IRIs through a vectorized
+    index_in/take substitution. The dedup split tasks build one per task
+    from the broadcast link table (the fused regime)."""
 
-    def __init__(self, link_ref):
-        link_tbl: pa.Table = ray.get(link_ref) if isinstance(link_ref, ray.ObjectRef) else link_ref
+    def __init__(self, link_tbl: pa.Table):
         self.keys = link_tbl.column("mention").combine_chunks()
         self.vals = link_tbl.column("canonical_iri").combine_chunks()
 
@@ -300,83 +308,50 @@ class Canonicalizer:
 
 
 def entity_triples(link_tbl: pa.Table) -> pa.Table:
-    """Canonical-entity metadata triples derived from the link table."""
-    import pyarrow.compute as _pc
-
-    canon = _pc.unique(link_tbl.column("canonical_iri").combine_chunks())
-    canon = canon.take(_pc.array_sort_indices(canon))
-    surfaces = _pc.utf8_replace_slice(canon, 0, len(ENT_NS), "")
+    """Canonical-entity metadata triples (``rdf:type ex:Entity`` and
+    ``ex:surface``) for the distinct canonical IRIs of a link table, all
+    type triples first, each half in canonical-IRI order."""
+    canon = pc.unique(link_tbl.column("canonical_iri").combine_chunks())
+    canon = canon.take(pc.array_sort_indices(canon))
     n = len(canon)
+    surfaces = pc.utf8_replace_slice(canon, 0, len(ENT_NS), "")
+    const = lambda v, m: pa.array([v] * m, pa.string())  # noqa: E731
     return pa.table(
         {
-            "subj": canon,
-            "pred": pa.array([RDF_TYPE] * n, pa.string()),
-            "obj_kind": pa.array(["iri"] * n, pa.string()),
-            "obj_lex": pa.array([C_ENTITY] * n, pa.string()),
-            "obj_dt": pa.array([""] * n, pa.string()),
-            "obj_lang": pa.array([""] * n, pa.string()),
-            "doc_id": pa.array([""] * n, pa.string()),
-            "span_idx": pa.array([-1] * n, pa.int32()),
-        }
-    ), pa.table(
-        {
-            "subj": canon,
-            "pred": pa.array([P_SURFACE] * n, pa.string()),
-            "obj_kind": pa.array(["literal"] * n, pa.string()),
-            "obj_lex": surfaces,
-            "obj_dt": pa.array([XSD_STRING] * n, pa.string()),
-            "obj_lang": pa.array([""] * n, pa.string()),
-            "doc_id": pa.array([""] * n, pa.string()),
-            "span_idx": pa.array([-1] * n, pa.int32()),
+            "subj": pa.concat_arrays([canon, canon]),
+            "pred": pa.concat_arrays([const(RDF_TYPE, n), const(P_SURFACE, n)]),
+            "obj_kind": pa.concat_arrays([const("iri", n), const("literal", n)]),
+            "obj_lex": pa.concat_arrays([const(C_ENTITY, n), surfaces]),
+            "obj_dt": pa.concat_arrays([const("", n), const(XSD_STRING, n)]),
+            "obj_lang": const("", 2 * n),
+            "doc_id": const("", 2 * n),
+            "span_idx": pa.array([-1] * (2 * n), pa.int32()),
         }
     )
 
 
 def entity_triples_ds(links_ds):
-    """Dataset variant of ``entity_triples``: canonical-entity metadata
-    triples derived from a links *Dataset* — distinct canonicals come from
-    the one-move hash-distinct exchange (vectorized, no per-key Python),
-    and the two metadata triples per entity are emitted in one Arrow
-    pass per batch. The full link table never touches the driver."""
+    """``entity_triples`` over a links *Dataset*: distinct canonicals come
+    from the one-move hash-distinct exchange, then ``entity_triples``
+    runs per batch. The full link table never touches the driver."""
     from shaclex_ray.stages.dedup import distinct_rows_fast
 
-    def emit_batch(batch: pa.Table) -> pa.Table:
-        canon = batch.column("canonical_iri").combine_chunks()
-        n = len(canon)
-        surfaces = pc.utf8_replace_slice(canon, 0, len(ENT_NS), "")
-        const = lambda v, m: pa.array([v] * m, pa.string())  # noqa: E731
-        return pa.table(
-            {
-                "subj": pa.concat_arrays([canon, canon]),
-                "pred": pa.concat_arrays([const(RDF_TYPE, n), const(P_SURFACE, n)]),
-                "obj_kind": pa.concat_arrays([const("iri", n), const("literal", n)]),
-                "obj_lex": pa.concat_arrays([const(C_ENTITY, n), surfaces]),
-                "obj_dt": pa.concat_arrays([const("", n), const(XSD_STRING, n)]),
-                "obj_lang": const("", 2 * n),
-                "doc_id": const("", 2 * n),
-                "span_idx": pa.array([-1] * (2 * n), pa.int32()),
-            }
-        )
-
     distinct = distinct_rows_fast(links_ds.select_columns(["canonical_iri"]))
-    return distinct.map_batches(emit_batch, batch_format="pyarrow")
+    return distinct.map_batches(entity_triples, batch_format="pyarrow")
 
 
-def canonicalize_triples_join(triples_ds, links_ds, num_partitions: int | None = None):
-    """Scale-path canonicalization: hash-JOIN the link table onto the
-    triples (subj side, then iri-object side) instead of broadcasting it —
-    for link tables too big to ship to every task (billions of distinct
-    mentions). Same rewrite semantics as the broadcast ``Canonicalizer``
-    (tests pin the equality)."""
-    import ray.data as rd
-
-    if isinstance(links_ds, pa.Table):
-        links_ds = rd.from_arrow(links_ds)
+def canonicalize_triples(triples_ds, links_ds, num_partitions: int | None = None):
+    """Join-regime canonicalization, for link tables too big to broadcast
+    (billions of distinct mentions): hash-JOIN the link Dataset onto the
+    triples (subj side, then iri-object side) and append the entity
+    metadata triples. Rewrites exactly like the broadcast ``Canonicalizer``
+    (tests pin the equality); the result still needs the dedup exchange."""
+    links_m = links_ds.materialize()  # three consumers: two joins + metadata
     if num_partitions is None:
         num_partitions = max(2, min(16, int(ray.cluster_resources().get("CPU", 4)) // 2))
 
     j1 = triples_ds.join(
-        links_ds,
+        links_m,
         "left_outer",
         num_partitions=num_partitions,
         on=("subj",),
@@ -399,7 +374,7 @@ def canonicalize_triples_join(triples_ds, links_ds, num_partitions: int | None =
     j1 = j1.map_batches(apply_subj, batch_format="pyarrow")
 
     j2 = j1.join(
-        links_ds,
+        links_m,
         "left_outer",
         num_partitions=num_partitions,
         on=("obj_lex",),
@@ -419,65 +394,13 @@ def canonicalize_triples_join(triples_ds, links_ds, num_partitions: int | None =
             )
             batch = batch.drop_columns(["canonical_iri"])
         # a degenerate empty join partition may lack the joined column
-        # entirely — fall through to the schema-restore below either way
-        # joins reorder columns and type empty blocks as null — restore the
-        # canonical triple schema so downstream concat/union is exact
-        cols = [
-            c
-            for c in [
-                "subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang",
-                "doc_id", "span_idx",
-            ]
-            if c in batch.column_names
-        ]
-        batch = batch.select(cols)
-        target = pa.schema(
-            [
-                (c, pa.int32() if c == "span_idx" else pa.string())
-                for c in cols
-            ]
+        # entirely; either way, joins reorder columns and type empty
+        # blocks as null — restore the canonical triple schema so
+        # downstream concat/union is exact
+        cols = [c for c in TRIPLES_SCHEMA.names if c in batch.column_names]
+        return batch.select(cols).cast(
+            pa.schema([TRIPLES_SCHEMA.field(c) for c in cols])
         )
-        return batch.cast(target)
 
-    return j2.map_batches(apply_obj, batch_format="pyarrow")
-
-
-def canonicalize_triples(triples_ds, link_tbl, concurrency=None):
-    """Rewrite mention IRIs to canonical entity IRIs and append entity
-    metadata triples. Size-adaptive: ``link_tbl`` may be a pa.Table
-    (broadcast regime) or a Ray Dataset (the distributed regime's output —
-    rewrites via hash join, entity triples via groupby; nothing
-    driver-side). A driver Table over SHACLEX_LINK_BCAST_THRESHOLD rows
-    (default 5M) also takes the join path."""
-    import os as _os
-
-    if not isinstance(link_tbl, pa.Table):
-        # Dataset end-to-end: join-based rewrite + groupby-derived entity
-        # metadata — the link table never materializes on the driver.
-        # materialize() pins the blocks in the object store so the three
-        # consumers (two join sides + entity metadata) don't re-execute
-        # the component merge.
-        links_m = link_tbl.materialize()
-        rewritten = canonicalize_triples_join(triples_ds, links_m)
-        return rewritten.union(entity_triples_ds(links_m))
-    if link_tbl.num_rows >= int(
-        _os.environ.get("SHACLEX_LINK_BCAST_THRESHOLD", "5000000")
-    ):
-        import ray.data as _rd
-
-        rewritten = canonicalize_triples_join(triples_ds, link_tbl)
-        t1, t2 = entity_triples(link_tbl)
-        return rewritten.union(_rd.from_arrow(pa.concat_tables([t1, t2])))
-    link_ref = ray.put(link_tbl)
-    rewritten = triples_ds.map_batches(
-        Canonicalizer,
-        fn_constructor_args=(link_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency
-        or (1, max(2, int(ray.cluster_resources().get("CPU", 4)))),
-    )
-    t1, t2 = entity_triples(link_tbl)
-    import ray.data as rd
-
-    extra = rd.from_arrow(pa.concat_tables([t1, t2]))
-    return rewritten.union(extra)
+    rewritten = j2.map_batches(apply_obj, batch_format="pyarrow")
+    return rewritten.union(entity_triples_ds(links_m))

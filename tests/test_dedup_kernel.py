@@ -5,6 +5,7 @@ the one-move exchange and a pandas reference distinct."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from shaclex_ray.stages.dedup import _keep_rows, _row_hash
 from shaclex_ray.terms import TRIPLE_ID_COLS
@@ -90,10 +91,10 @@ def test_keep_rows_no_witness_full_row_distinct():
     )
 
 
-def test_dedup_fast_matches_pandas_reference(ray_session):
-    import ray.data as rd
+def test_dedup_fast_matches_pandas_reference(ray_session, tmp_path):
+    import pyarrow.parquet as pq
 
-    from shaclex_ray.stages.dedup import dedup_triples_fast
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
 
     rng = np.random.default_rng(0)
     rows = [
@@ -102,8 +103,11 @@ def test_dedup_fast_matches_pandas_reference(ray_session):
         for _ in range(4000)
     ]
     tbl = _triples_table(rows)
+    # several shards, so the split side combines across files
+    for i in range(4):
+        pq.write_table(tbl.slice(i * 1000, 1000), tmp_path / f"part-{i}.parquet")
     out = (
-        dedup_triples_fast(rd.from_arrow(tbl), nbuckets=4)
+        dedup_triples_fast_from_parquet(str(tmp_path), nbuckets=4)
         .to_pandas()
         .sort_values(TRIPLE_ID_COLS, ignore_index=True)
     )
@@ -116,69 +120,123 @@ def test_dedup_fast_matches_pandas_reference(ray_session):
     pd.testing.assert_frame_equal(out, ref)
 
 
-def test_fused_canonical_dedup_equals_unfused(ray_session):
-    """The fused canonicalize+dedup exchange (pipelines/kg.py broadcast
-    regime) produces the exact table of the unfused compose."""
-    import ray.data as rd
-
+def _raw_and_links(tmp_path):
     from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.dedup import dedup_triples_fast
     from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import (
-        build_entity_links,
-        canonicalize_triples,
-        entity_triples,
-    )
+    from shaclex_ray.stages.link import build_entity_links
 
     raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    links = build_entity_links(raw)
-    assert isinstance(links, pa.Table)
+    raw_dir = str(tmp_path / "raw")
+    raw.write_parquet(raw_dir)
+    links = build_entity_links(raw, distributed=False)
+    assert isinstance(links, pa.Table) and links.num_rows > 0
+    return raw_dir, links
 
-    cano = canonicalize_triples(raw, links)
-    unfused = dedup_triples_fast(cano, nbuckets=4).to_pandas()
 
-    t1, t2 = entity_triples(links)
-    fused = dedup_triples_fast(
-        raw, nbuckets=4, canonicalize_with=links, extra_tables=[t1, t2]
+def _fused(raw_dir, links):
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
+    from shaclex_ray.stages.link import entity_triples
+
+    return dedup_triples_fast_from_parquet(
+        raw_dir, nbuckets=4,
+        canonicalize_with=links, extra_tables=[entity_triples(links)],
     ).to_pandas()
 
-    cols = list(unfused.columns)
-    unfused = unfused.sort_values(cols, ignore_index=True)
-    fused = fused.sort_values(cols, ignore_index=True)[cols]
-    pd.testing.assert_frame_equal(fused, unfused)
+
+def _assert_same_rows(got, ref):
+    cols = list(ref.columns)
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols, ignore_index=True)[cols],
+        ref.sort_values(cols, ignore_index=True),
+    )
+
+
+def test_fused_canonical_dedup_equals_unfused(ray_session, tmp_path):
+    """The fused canonicalize+dedup exchange (rewrite inside the split
+    tasks, entity metadata as an extra table) produces the exact table of
+    the unfused compose: rewrite every raw triple in-process, append the
+    metadata, stage as parquet shards, then run the plain exchange."""
+    import pyarrow.parquet as pq
+
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
+    from shaclex_ray.stages.link import Canonicalizer, entity_triples
+
+    raw_dir, links = _raw_and_links(tmp_path)
+    fused = _fused(raw_dir, links)
+
+    cano = pa.concat_tables(
+        [Canonicalizer(links)(pq.read_table(raw_dir)), entity_triples(links)]
+    )
+    staged = tmp_path / "cano"
+    staged.mkdir()
+    half = cano.num_rows // 2
+    pq.write_table(cano.slice(0, half), staged / "part-0.parquet")
+    pq.write_table(cano.slice(half), staged / "part-1.parquet")
+    unfused = dedup_triples_fast_from_parquet(str(staged), nbuckets=4).to_pandas()
+    _assert_same_rows(fused, unfused)
 
 
 def test_fused_from_parquet_equals_unfused(ray_session, tmp_path):
+    """The fused exchange over the raw parquet shards equals the unfused
+    join-regime compose over the SAME link table: ``canonicalize_triples``
+    hash-joins the links onto the triples, the result is staged as parquet
+    and deduplicated by the plain exchange."""
     import ray.data as rd
 
+    from shaclex_ray.pipelines.kg import canonical_triples
+
+    raw_dir, links = _raw_and_links(tmp_path)
+    fused = _fused(raw_dir, links)
+
+    unfused = canonical_triples(
+        raw_dir, rd.from_arrow(links), 4, str(tmp_path / "staged")
+    ).to_pandas()
+    _assert_same_rows(fused, unfused)
+
+
+@pytest.mark.parametrize("regime", ["broadcast", "join"])
+def test_canonical_regimes_match_reference(ray_session, tmp_path, regime):
+    """Both canonicalization regimes of the KG pipeline's canonical stage
+    — the broadcast rewrite fused into the dedup split tasks, and the join
+    rewrite (links from the distributed component merge) staged as
+    parquet — give exactly the table of an in-process reference: the
+    broadcast kernel applied to every raw triple, the entity metadata
+    appended, and the least (doc_id, span_idx) witness kept per identity."""
+    import pyarrow.parquet as pq
+
+    from shaclex_ray.pipelines.kg import canonical_triples
     from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.dedup import (
-        dedup_triples_fast,
-        dedup_triples_fast_from_parquet,
-    )
     from shaclex_ray.stages.extract import extract_triples
     from shaclex_ray.stages.link import (
+        Canonicalizer,
         build_entity_links,
-        canonicalize_triples,
         entity_triples,
     )
 
     raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    raw.write_parquet(str(tmp_path / "raw"))
-    links = build_entity_links(raw)
-    cano = canonicalize_triples(raw, links)
-    unfused = dedup_triples_fast(cano, nbuckets=4).to_pandas()
+    raw_dir = str(tmp_path / "raw")
+    raw.write_parquet(raw_dir)
+    links_tbl = build_entity_links(raw, distributed=False)
+    assert isinstance(links_tbl, pa.Table) and links_tbl.num_rows > 0
+    links = (
+        links_tbl if regime == "broadcast"
+        else build_entity_links(raw, distributed=True)
+    )
+    staging = tmp_path / "staged"
+    got = canonical_triples(raw_dir, links, 4, str(staging)).to_pandas()
+    assert staging.exists() == (regime == "join")
 
-    t1, t2 = entity_triples(links)
-    fused = dedup_triples_fast_from_parquet(
-        str(tmp_path / "raw"), nbuckets=4,
-        canonicalize_with=links, extra_tables=[t1, t2],
-    ).to_pandas()
-
-    cols = list(unfused.columns)
+    rewritten = Canonicalizer(links_tbl)(pq.read_table(raw_dir))
+    ref = (
+        pa.concat_tables([rewritten, entity_triples(links_tbl)])
+        .to_pandas()
+        .sort_values(TRIPLE_ID_COLS + ["doc_id", "span_idx"])
+        .drop_duplicates(subset=TRIPLE_ID_COLS, keep="first")
+    )
+    cols = list(ref.columns)
     pd.testing.assert_frame_equal(
-        fused.sort_values(cols, ignore_index=True)[cols],
-        unfused.sort_values(cols, ignore_index=True),
+        got[cols].sort_values(cols, ignore_index=True),
+        ref.sort_values(cols, ignore_index=True),
     )
 
 

@@ -136,10 +136,10 @@ def test_literal_focus_inverse_tc(ray_session):
         assert focus_rows.column("val")[0].as_py() == "conforms", nb
 
 
-def test_dedup_nbuckets_1(ray_session):
-    import ray.data as rd
+def test_dedup_nbuckets_1(ray_session, tmp_path):
+    import pyarrow.parquet as pq
 
-    from shaclex_ray.stages.dedup import dedup_triples_fast
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
     from shaclex_ray.terms import iri, triples_to_table
 
     tbl = triples_to_table(
@@ -148,7 +148,8 @@ def test_dedup_nbuckets_1(ray_session):
             (iri("http://ex.org/a"), "http://ex.org/p", iri("http://ex.org/b")),
         ]
     )
-    out = dedup_triples_fast(rd.from_arrow(tbl), nbuckets=1)
+    pq.write_table(tbl, tmp_path / "part-0.parquet")
+    out = dedup_triples_fast_from_parquet(str(tmp_path), nbuckets=1)
     assert out.count() == 1
 
 
@@ -250,17 +251,17 @@ def test_bucket_graph_arrow_index_and_spill(tmp_path):
     assert sorted(g2.arcs_out("Ihttp://e/s3")) == sorted(arcs)
 
 
-def test_flat_shacl_vectorized_parity(ray_session):
+def test_flat_shacl_vectorized_parity(ray_session, tmp_path):
     """The vectorized flat-SHACL bucket pass produces the exact typing AND
     report rows of the per-focus Python path (schema flag '_no_flat'
     forces the fallback)."""
     import ray.data as rd
 
-    from shaclex_ray.pipelines.kg import build_triples, kg_schema
+    from shaclex_ray.pipelines.kg import kg_schema, run_kg_pipeline
     from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
 
-    triples, _links = build_triples("/root/testdata/sf0.001")
-    tm = triples.materialize()
+    out = run_kg_pipeline("/root/testdata/sf0.001", str(tmp_path), validate=False)
+    tm = out["triples"].materialize()
 
     def run(no_flat):
         schema = kg_schema()

@@ -129,3 +129,30 @@ def test_json_stats(ray_session, tiny_events):
     assert int(df.n_events.sum()) == 9
     assert (df.n_k == df.n_events).all()
     assert (df.avg_k == 7.0).all()
+
+
+def test_window_agg_empty_keeps_published_schema(ray_session, tmp_path):
+    """An events table with no rows yields the published columns and
+    types, not the exchange's internal ones (hour_idx, sum(cents_sum))."""
+    from shaclex_ray.functions.events import events_window_agg
+
+    schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("ts", pa.timestamp("us")),
+            ("user_id", pa.int64()),
+            ("event_type", pa.string()),
+            ("value", pa.float64()),
+            ("props", pa.string()),
+        ]
+    )
+    pq.write_table(schema.empty_table(), tmp_path / "events.parquet")
+    out = events_window_agg(str(tmp_path))
+    assert out.count() == 0
+    got = out.schema()
+    assert list(got.names) == [
+        "window_start", "event_type", "n_events", "sum_value", "avg_value"
+    ]
+    assert list(got.types) == [
+        pa.timestamp("us"), pa.string(), pa.int64(), pa.float64(), pa.float64()
+    ]

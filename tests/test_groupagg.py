@@ -245,7 +245,7 @@ def test_split_impls_survive_zero_column_empty_blocks():
     parts = _split_topk_impl(2, "k", [("v", "descending")], 3, schema, deg)
     assert all(p.schema == schema for p in parts)
 
-    parts = _distinct_split_impl(2, ["k", "v"], schema, deg)
+    parts = _distinct_split_impl(2, ["k", "v"], None, schema, None, deg)
     assert all(p.schema == schema for p in parts)
 
 

@@ -56,11 +56,11 @@ def test_result_serialization():
     assert len(parse_turtle(nt)) >= 6  # well-formed N-Triples
 
 
-def test_rdfs_entailment(ray_session):
+def test_rdfs_entailment(ray_session, tmp_path):
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
-    from shaclex_ray.stages.dedup import dedup_triples
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
     from shaclex_ray.stages.inference import rdfs_entailment
     from shaclex_ray.terms import RDF_TYPE, triples_to_table
 
@@ -74,7 +74,9 @@ def test_rdfs_entailment(ray_session):
     ex:rex a ex:Dog .
     """
     ds = rd.from_arrow(triples_to_table(parse_turtle(data)))
-    out = dedup_triples(rdfs_entailment(ds), nbuckets=4)
+    rdfs_entailment(ds).write_parquet(str(tmp_path))
+    out = dedup_triples_fast_from_parquet(str(tmp_path), nbuckets=4)
+    assert out.count() == len({tuple(r.values()) for r in out.take_all()})
     got = {
         (r["subj"], r["pred"], r["obj_lex"])
         for r in out.take_all()
@@ -120,59 +122,37 @@ def test_entity_links_distributed_equals_unionfind(ray_session):
 
 
 def test_canonicalize_dataset_links_end_to_end(ray_session):
-    """Feeding canonicalize_triples a links *Dataset* (the distributed
-    regime's output) produces exactly the broadcast path's triples,
-    including the entity metadata triples from entity_triples_ds."""
+    """The join-regime rewrite (``canonicalize_triples`` fed the links
+    *Dataset* of the distributed component merge) produces, row for row
+    and before any dedup, what the broadcast ``Canonicalizer`` kernel
+    produces from the in-memory link table, plus the entity metadata
+    triples from ``entity_triples_ds``."""
+    import pyarrow as pa
+
     from shaclex_ray.sources.documents import read_documents
     from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import build_entity_links, canonicalize_triples
+    from shaclex_ray.stages.link import (
+        Canonicalizer,
+        build_entity_links,
+        canonicalize_triples,
+        entity_triples,
+    )
     from shaclex_ray.terms import TRIPLE_ID_COLS
 
     raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
     links_tbl = build_entity_links(raw, distributed=False)
     links_ds = build_entity_links(raw, distributed=True)
 
-    def norm(ds):
-        df = ds.to_pandas()[TRIPLE_ID_COLS]
-        return df.sort_values(TRIPLE_ID_COLS, ignore_index=True)
+    def norm(df):
+        return df[TRIPLE_ID_COLS].sort_values(TRIPLE_ID_COLS, ignore_index=True)
 
-    bc = norm(canonicalize_triples(raw, links_tbl))
-    dd = norm(canonicalize_triples(raw, links_ds))
-    assert bc.equals(dd)
-
-
-def test_canonicalize_join_equals_broadcast(ray_session):
-    """The join-based canonicalizer (scale path) rewrites exactly like the
-    broadcast Canonicalizer actor pool."""
-    from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import (
-        build_entity_links,
-        canonicalize_triples,
-        canonicalize_triples_join,
+    cz = Canonicalizer(links_tbl)
+    bc = norm(
+        pa.concat_tables(
+            [cz(t) for t in raw.iter_batches(batch_format="pyarrow")]
+            + [entity_triples(links_tbl)]
+        ).to_pandas()
     )
-    from shaclex_ray.terms import TRIPLE_ID_COLS
-
-    raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    links = build_entity_links(raw)
-
-    def norm(ds):
-        import pandas as pd
-
-        df = ds.to_pandas()[TRIPLE_ID_COLS]
-        return df.sort_values(TRIPLE_ID_COLS, ignore_index=True)
-
-    bc = norm(canonicalize_triples(raw, links))
-    jn = norm(canonicalize_triples_join(raw, links))
-    # broadcast path also appends entity metadata triples; join path only
-    # rewrites — compare on the rewritten subset
-    import pandas as pd
-
-    merged = bc.merge(jn, how="outer", indicator=True)
-    only_bc = merged[merged["_merge"] == "left_only"]
-    only_jn = merged[merged["_merge"] == "right_only"]
-    assert len(only_jn) == 0, only_jn.head()
-    # the broadcast-only rows are exactly the appended entity metadata
-    assert (only_bc["pred"].isin(
-        ["http://www.w3.org/1999/02/22-rdf-syntax-ns#type", "http://ex.org/surface"]
-    )).all()
+    dd = norm(canonicalize_triples(raw, links_ds).to_pandas())
+    assert len(bc) > links_tbl.num_rows
+    assert bc.equals(dd)

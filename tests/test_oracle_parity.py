@@ -137,3 +137,12 @@ def test_rows_only_queries_run(qo):
             continue
         df = _to_pandas(fn(SF))
         assert df is not None and len(df.columns) > 0
+
+
+def test_every_oracle_within_first_50_queries():
+    """Correctness reports keep the first 50 queries() entries: every
+    oracle-twinned query must sit among them."""
+    import __ray_entry__ as e
+
+    first = list(e.queries())[:50]
+    assert [k for k in e.oracle_sql() if k not in first] == []
