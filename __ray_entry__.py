@@ -237,27 +237,27 @@ def _q_kg_validation_mincount(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    out = _pipeline(sf_dir)
-    rep = out["report"]
-    mask = pc.equal(rep.column("component"),
-                    "http://www.w3.org/ns/shacl#MinCountConstraintComponent")
-    focus = pc.filter(rep.column("focus_node").combine_chunks(), mask)
-    # term key "I<iri>" -> plain IRI for SQL comparability
-    return pa.table({"focus_iri": pc.utf8_replace_slice(focus, 0, 1, "")})
+    def project(rep: pa.Table) -> pa.Table:
+        mask = pc.equal(rep.column("component"),
+                        "http://www.w3.org/ns/shacl#MinCountConstraintComponent")
+        focus = pc.filter(rep.column("focus_node"), mask)
+        # term key "I<iri>" -> plain IRI for SQL comparability
+        return pa.table({"focus_iri": pc.utf8_replace_slice(focus, 0, 1, "")})
+
+    return _pipeline(sf_dir)["report"].map_batches(project, batch_format="pyarrow")
 
 
 def _q_kg_typing_counts(sf_dir: str):
-    import polars as pl
+    import pyarrow.compute as pc
 
-    out = _pipeline(sf_dir)
-    t = pl.from_arrow(out["typing"])
-    t = t.filter(pl.col("is_focus"))
-    agg = (
-        t.group_by(["shape", "val"])
-        .agg(pl.len().cast(pl.Int64).alias("n"))
-        .sort(["shape", "val"])
+    from shaclex_ray.stages.groupagg import grouped_aggregate_fast
+
+    focus = _pipeline(sf_dir)["typing"].map_batches(
+        lambda t: t.filter(pc.field("is_focus")), batch_format="pyarrow"
     )
-    return agg.to_arrow()
+    return grouped_aggregate_fast(
+        focus, ["shape", "val"], [("shape", "count")], ["n"]
+    ).sort(["shape", "val"])
 
 
 def _q_text_token_stats(sf_dir: str):

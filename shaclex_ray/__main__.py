@@ -264,7 +264,7 @@ def main(argv=None):
             {
                 "triples": out["triples"].count(),
                 "links": out["links"].num_rows,
-                "violations": out["report"].num_rows if "report" in out else None,
+                "violations": out["report"].count() if "report" in out else None,
             }
         )
     elif args.cmd == "curate":

@@ -82,6 +82,24 @@ def _normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / np.where(n == 0.0, 1.0, n), zero
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of every row of ``a`` against every row of ``b``, computed
+    dot-then-divide (dot / (|a|·|b|)) and clamped to [-1, 1]: the
+    association order and clamp of DuckDB's list_cosine_similarity, so
+    exact-dot inputs (integer-grid or mutually parallel embeddings) tie
+    bitwise where the SQL twins tie. Normalize-then-dot rounds each
+    component first and drifts by an ulp, flipping top-k cuts. A pair
+    with a zero-norm side scores -1 (the policy of ``_normalize_rows``)."""
+    an = np.linalg.norm(a, axis=1)
+    bn = np.linalg.norm(b, axis=1)
+    az, bz = an == 0.0, bn == 0.0
+    denom = np.where(az, 1.0, an)[:, None] * np.where(bz, 1.0, bn)[None, :]
+    sims = np.clip((a @ b.T) / denom, -1.0, 1.0)
+    sims[az, :] = -1.0
+    sims[:, bz] = -1.0
+    return sims
+
+
 def _partial_topk(qids, ids, sims, k, out_q, out_v, out_s):
     """Per-query top-k within one batch, selected by (-cos, vec_id) so the
     final merge over partials equals the global top-k exactly."""
@@ -94,23 +112,18 @@ def _partial_topk(qids, ids, sims, k, out_q, out_v, out_s):
 
 
 class BruteForceTopK:
-    """Actor-pool stage: normalized query matrix prepared once per actor;
-    emits k best per (query, batch) — the scale-safe partial reduce."""
+    """Actor-pool stage: query matrix prepared once per actor; emits k
+    best per (query, batch) — the scale-safe partial reduce."""
 
     def __init__(self, queries_ref, k: int):
         q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
         self.qids, qm = q
-        self.qm, self.qzero = _normalize_rows(np.asarray(qm, np.float64))
+        self.qm = np.asarray(qm, np.float64)
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, emb = _to_matrix(batch, self.qm.shape[1])
-        emb, ezero = _normalize_rows(emb)
-        sims = self.qm @ emb.T  # (nq, nb)
-        if self.qzero.any():
-            sims[self.qzero, :] = -1.0
-        if ezero.any():
-            sims[:, ezero] = -1.0
+        sims = _cosine(self.qm, emb)  # (nq, nb)
         # exclude self-matches before selection
         for qi, qid in enumerate(self.qids):
             self_mask = ids == qid
@@ -283,14 +296,13 @@ class LshBucketTopK:
         q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
         self.qids, qm = q
         self.planes = lsh_planes(dim, nbits, seed)
-        self.qsig = _signature(np.asarray(qm, dtype=np.float64), self.planes)
-        self.qm, self.qzero = _normalize_rows(np.asarray(qm, np.float64))
+        self.qm = np.asarray(qm, np.float64)
+        self.qsig = _signature(self.qm, self.planes)
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, emb = _to_matrix(batch, self.planes.shape[1])
         sig = _signature(emb, self.planes)
-        emb, ezero = _normalize_rows(emb)
         out_q: list = []
         out_v: list = []
         out_s: list = []
@@ -298,14 +310,8 @@ class LshBucketTopK:
             mask = (sig == self.qsig[qi]) & (ids != qid)
             if not mask.any():
                 continue
-            cand_ids = ids[mask]
-            sims = (self.qm[qi] @ emb[mask].T)[None, :]
-            if self.qzero[qi]:
-                sims[:] = -1.0
-            ez = ezero[mask]
-            if ez.any():
-                sims[0, ez] = -1.0
-            _partial_topk([qid], cand_ids, sims, self.k, out_q, out_v, out_s)
+            sims = _cosine(self.qm[qi : qi + 1], emb[mask])
+            _partial_topk([qid], ids[mask], sims, self.k, out_q, out_v, out_s)
         return pa.table(
             {
                 "query_id": pa.array(out_q, pa.int64()),
@@ -521,26 +527,19 @@ def ivf_topk(
     swaps in the k-means-refined centroids — identical shapes throughout."""
     cm = _codebook(sf_dir, nlist, codebook)
     qids, qm = _load_queries(sf_dir, n_queries)
-    qmn, qzero = _normalize_rows(np.asarray(qm, np.float64))
-    qsims = qmn @ cm.T  # (nq, nlist)
-    if qzero.any():
-        qsims[qzero, :] = -1.0
-    czero = ~cm.any(axis=1)
-    if czero.any():
-        qsims[:, czero] = -1.0
+    qm = np.asarray(qm, np.float64)
     # nprobe nearest lists per query, ties to the smaller list id
-    probe = np.argsort(-qsims, axis=1, kind="stable")[:, :nprobe]
+    probe = np.argsort(-_cosine(qm, cm), axis=1, kind="stable")[:, :nprobe]
     probe_sets = [set(int(x) for x in row) for row in probe]
 
-    state = (qids, qmn, probe_sets)
+    state = (qids, qm, probe_sets)
 
     def score(batch: pa.Table) -> pa.Table:
-        ids, emb = _to_matrix(batch, qmn.shape[1])
+        ids, emb = _to_matrix(batch, qm.shape[1])
         if "list_id" in batch.column_names:
             lids = batch.column("list_id").to_numpy(zero_copy_only=False).astype(np.int64)
         else:
             lids = _ivf_assign(emb, cm)
-        embn, ezero = _normalize_rows(emb)
         out_q: list = []
         out_v: list = []
         out_s: list = []
@@ -549,12 +548,7 @@ def ivf_topk(
             mask = np.isin(lids, list(s_probe[qi])) & (ids != qid)
             if not mask.any():
                 continue
-            sims = (s_qm[qi] @ embn[mask].T)[None, :]
-            if qzero[qi]:
-                sims[:] = -1.0
-            ez = ezero[mask]
-            if ez.any():
-                sims[0, ez] = -1.0
+            sims = _cosine(s_qm[qi : qi + 1], emb[mask])
             _partial_topk([qid], ids[mask], sims, k, out_q, out_v, out_s)
         return pa.table(
             {
@@ -631,23 +625,15 @@ def lsh_topk(
 # ------------------------------------------------------- kNN label spread
 class KnnLabelVote:
     """Actor-pool stage for pseudo-labeling: the (fixed-size, human-curated)
-    seed set — normalized matrix + labels — is prepared once per actor;
-    each batch does one matmul against it and votes vectorized. The corpus
-    side never shuffles: this is the broadcast-small-side shape, sized by
-    the seed set, not the corpus."""
+    seed set — raw matrix + labels — is prepared once per actor; each
+    batch does one ``_cosine`` matmul against it and votes vectorized. The
+    corpus side never shuffles: this is the broadcast-small-side shape,
+    sized by the seed set, not the corpus."""
 
     def __init__(self, seeds, k: int):
         seeds = ray.get(seeds) if isinstance(seeds, ray.ObjectRef) else seeds
         self.seed_ids, sm, self.seed_labels = seeds
-        # raw matrix + norms, NOT pre-normalized rows: cosine is computed
-        # dot-then-divide (dot / (|a|·|b|)), the same association order as
-        # the scalar spec and DuckDB's list_cosine_similarity. For
-        # exact-dot inputs (integer-grid embeddings) that form ties
-        # BITWISE where the spec ties; normalize-then-dot rounds each
-        # component first and drifts by an ulp, flipping top-k cuts
         self.sm = np.asarray(sm, np.float64)
-        self.snorm = np.linalg.norm(self.sm, axis=1)
-        self.szero = self.snorm == 0.0
         self.labels_u = np.unique(self.seed_labels)
         self.k = k
 
@@ -663,16 +649,7 @@ class KnnLabelVote:
                     "n_votes": pa.array([], pa.int64()),
                 }
             )
-        enorm = np.linalg.norm(emb, axis=1)
-        ezero = enorm == 0.0
-        denom = np.where(ezero, 1.0, enorm)[:, None] * np.where(
-            self.szero, 1.0, self.snorm
-        )[None, :]
-        sims = (emb @ self.sm.T) / denom  # (nb, n_seed)
-        if ezero.any():
-            sims[ezero, :] = -1.0
-        if self.szero.any():
-            sims[:, self.szero] = -1.0
+        sims = _cosine(emb, self.sm)  # (nb, n_seed)
         # top-k by (-cos, seed_id): seeds are stored id-ascending, and a
         # stable sort keeps that order among cos ties
         order = np.argsort(-sims, axis=1, kind="stable")[:, : self.k]

@@ -232,16 +232,17 @@ def run_kg_pipeline(
 
         def produce_validation(path):
             schema = kg_schema()
-            # size the actor fleet to the DATA: a 100k-triple corpus must
-            # not pay 32 actor spawns (cluster-sized nbuckets stays the
-            # cap so big corpora use the whole cluster)
+            # size the buckets to the DATA: up to 100k triples validate as
+            # one task on a pooled worker (no actor spawn); above that
+            # one actor per bucket, capped at the cluster-sized nbuckets
+            # so big corpora use the whole cluster
             canon_rows = _parquet_rows(f"{out_dir}/triples_canonical")
             nb = max(1, min(nbuckets, math.ceil(canon_rows / 100_000)))
             # targets derive in-bucket (focus="shacl-targets"): the split
-            # scan is the ONLY pass over the triples; bucket actors write
+            # scan is the ONLY pass over the triples; the buckets write
             # their own typing/report shards — the full tables never
             # concat on the driver
-            typing_ds, _report_ds = distributed_validate(
+            distributed_validate(
                 triples, "shacl", schema, "shacl-targets",
                 nbuckets=nb, output_dir=path,
                 parquet_path=f"{out_dir}/triples_canonical",
@@ -251,8 +252,8 @@ def run_kg_pipeline(
 
         def read_validation(path):
             return (
-                pq.read_table(f"{path}/typing"),
-                pq.read_table(f"{path}/report"),
+                rd.read_parquet(f"{path}/typing"),
+                rd.read_parquet(f"{path}/report"),
             )
 
         typing, report = runner.run(

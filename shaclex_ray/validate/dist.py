@@ -7,11 +7,11 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
   * ONE explicit hash shuffle routes every triple to the bucket of its
     subject (plus, optionally, a reversed copy to its object's bucket for
     incoming arcs), so each focus node's neighborhood is co-located (J3)
-  * each bucket is a **persistent actor** (SURVEY.md A2: the one stateful
-    stage the Dataset API can't express — partitioned state reused across
-    fixpoint rounds): it builds its neighborhood index once and then
-    evaluates (node, shape) pairs with the in-memory, conformance-verified
-    validator semantics
+  * each bucket is a **persistent** ``_Bucket`` (SURVEY.md A2: the one
+    stateful stage the Dataset API can't express — partitioned state
+    reused across fixpoint rounds): it builds its neighborhood index once
+    and then evaluates (node, shape) pairs with the in-memory,
+    conformance-verified validator semantics
   * a pair whose evaluation needs the conformance of a *remote* node
     (value-shape recursion J5 / sh:class of a value node) reports a
     dependency; the child's decided conformance is routed back as an
@@ -21,10 +21,21 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
     close coinductively (assume conforms — the greatest-fixpoint reading,
     ValidateND.scala:51-54)
 
+Two transports, one driver loop (``_bsp``, written against a call/get
+pair), chosen in ``distributed_validate`` from ``nbuckets``:
+
+  * ``nbuckets > 1``: one ``BucketWorker`` actor per bucket (the
+    ``_Bucket`` class as a Ray actor), fed by one split-task exchange and
+    called through actor handles
+  * ``nbuckets == 1``: the whole fixpoint — file read, split, load, focus
+    derivation, rounds, cycle-break, output — runs as ONE Ray task on a
+    pooled, already-warm worker that calls its ``_Bucket`` in-process: no
+    actor spawn, which at a small corpus was half the validation time
+
 Driver-side state is O(|focus pairs| + |distinct dependencies|); arcs (the
-100-TB side) are partitioned once and live in the bucket actors (sized via
+100-TB side) are partitioned once and live in the buckets (sized via
 ``nbuckets`` so a bucket fits a worker's heap; at larger scale the same
-actors would page buckets from the partitioned parquet checkpoints).
+buckets would page from the partitioned parquet checkpoints).
 
 Supported distributed: full ShEx semantics (reversed arc copies are
 enabled automatically when the schema has inverse constraints); SHACL
@@ -392,8 +403,7 @@ class _DistShacl(ShaclValidator):
 # ---------------------------------------------------------------------------
 # the one-time shuffle: split triple blocks into per-bucket sub-tables
 
-@ray.remote
-def _split_block_files(nbuckets: int, include_inverse: bool, files: list):
+def _split_files_plain(nbuckets: int, include_inverse: bool, files: list):
     """Split variant reading parquet shards DIRECTLY from storage (arc
     columns only) — the exchange input never stages through the object
     store."""
@@ -421,8 +431,11 @@ def _split_block_plain(nbuckets: int, include_inverse: bool, *tbls: pa.Table):
     base = pa.concat_tables([t.select(cols) for t in real]).combine_chunks()
     n = base.num_rows
 
-    def partition(tbl: pa.Table, buckets: np.ndarray) -> list[pa.Table]:
+    def partition(tbl: pa.Table, keys) -> list[pa.Table]:
         """Single-sort partition: argsort once, emit zero-copy slices."""
+        if nbuckets == 1:
+            return [tbl]
+        buckets = stable_bucket_array(keys, nbuckets)
         order = np.argsort(buckets, kind="stable")
         sorted_tbl = tbl.take(pa.array(order))
         sorted_b = buckets[order]
@@ -433,8 +446,7 @@ def _split_block_plain(nbuckets: int, include_inverse: bool, *tbls: pa.Table):
         ]
 
     fwd = base.append_column("rev", pa.array(np.zeros(n, dtype=bool)))
-    fwd_b = stable_bucket_array(base.column("subj"), nbuckets)
-    fwd_parts = partition(fwd, fwd_b)
+    fwd_parts = partition(fwd, base.column("subj"))
     if not include_inverse:
         if nbuckets == 1:
             return fwd_parts[0]  # num_returns=1: return the table itself
@@ -462,7 +474,7 @@ def _split_block_plain(nbuckets: int, include_inverse: bool, *tbls: pa.Table):
         pc.if_else(pc.equal(okind, "iri"), olex, lit),
     )
     rev = rev.append_column("rev", pa.array(np.ones(rev.num_rows, dtype=bool)))
-    rev_parts = partition(rev, stable_bucket_array(ostr, nbuckets))
+    rev_parts = partition(rev, ostr)
     if nbuckets == 1:
         return pa.concat_tables([fwd_parts[0], rev_parts[0]])
     return tuple(
@@ -701,6 +713,7 @@ _NODEKIND_ALLOWED = {
 
 
 _split_block = ray.remote(_split_block_plain)
+_split_block_files = ray.remote(_split_files_plain)
 
 
 def flat_shacl_profile(schema: dict) -> dict[str, list]:
@@ -1402,13 +1415,14 @@ def flat_eval_kernel(
     return viol, blocked, reports, pending_class
 
 
-@ray.remote
-class BucketWorker:
+class _Bucket:
     """Persistent per-bucket evaluator: the neighborhood index AND the
     bucket's pending worklist live here across rounds (schema compiled once
-    per actor — SURVEY.md A1/A2). The driver only routes the (small)
+    per bucket — SURVEY.md A1/A2). The driver only routes the (small)
     cross-bucket dependency traffic, so its per-round work is
-    O(#dependencies + #buckets), independent of focus-pair count."""
+    O(#dependencies + #buckets), independent of focus-pair count. A plain
+    class: the fleet runs it as the ``BucketWorker`` actor, the
+    single-bucket regime as an object inside one task."""
 
     def __init__(
         self, schema_ref, engine: str, nbuckets: int, bucket_id: int,
@@ -1458,10 +1472,12 @@ class BucketWorker:
         # cyclic GC so the round kernels' allocations don't pay repeated
         # gen2 scans over static objects. (Measured: modest — the dominant
         # round cost was transient page-fault volume in the flat kernels,
-        # fixed by the column-at-a-time takes in flat_eval_kernel.)
+        # fixed by the column-at-a-time takes in flat_eval_kernel.) No
+        # gc.collect() first: a full collection of a warm worker's heap
+        # costs ~0.1 s, the whole floor of a small validation. The
+        # single-bucket task runs on a pooled worker and unfreezes on exit.
         import gc
 
-        gc.collect()
         gc.freeze()
         return n
 
@@ -2041,8 +2057,9 @@ class BucketWorker:
         return self.bucket_id
 
     def cleanup(self) -> None:
-        """Remove the spill directory (called by the driver before kill —
-        ray.kill skips destructors)."""
+        """Remove the spill directory (the fleet calls it before kill —
+        ray.kill skips destructors; the single-bucket task in a
+        ``finally``)."""
         import shutil
 
         shutil.rmtree(self._spill_dir, ignore_errors=True)
@@ -2117,6 +2134,9 @@ class BucketWorker:
         return stats
 
 
+BucketWorker = ray.remote(_Bucket)
+
+
 def _reports_to_table(reports: list) -> pa.Table:
     return pa.table(
         {
@@ -2167,6 +2187,340 @@ def _submit_focus_dataset(focus_ds, workers, nbuckets: int) -> None:
     focus_ds.map_batches(route, batch_format="pyarrow").sum("n")
 
 
+def _marker():
+    """``mark(label)`` prints the seconds since the previous mark when
+    SHACLEX_DIST_DEBUG is set."""
+    import os as _os
+    import time as _time
+
+    dbg = _os.environ.get("SHACLEX_DIST_DEBUG")
+    t0 = _time.perf_counter()
+
+    def mark(label):
+        nonlocal t0
+        if dbg:
+            print(f"[dist] {label}: {_time.perf_counter() - t0:.2f}s", flush=True)
+        t0 = _time.perf_counter()
+
+    return mark
+
+
+def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
+         output_dir, mark):
+    """The BSP driver loop, written once for both transports.
+
+    ``call(b, method, *args)`` invokes bucket ``b``'s method: an actor
+    call returning a ref in the fleet, a plain method call in the
+    single-bucket task. ``get`` resolves a list of what ``call`` returned
+    (``ray.get``, or the identity). ``load_refs`` are the buckets' issued
+    ``load`` calls; ``focus_tasks`` is None when the focus pairs were
+    already submitted. Returns ``(result, dep_state)``: the summed shard
+    stats when ``output_dir`` is given, else the (typing, report) tables.
+    """
+
+    def every(method, *args):
+        return get([call(b, method, *args) for b in range(nbuckets)])
+
+    def submit(tbl: pa.Table, is_focus: bool) -> list:
+        return get(
+            [
+                call(b, "submit", sub, is_focus)
+                for b, sub in _route_tasks(tbl, nbuckets).items()
+            ]
+        )
+
+    # initial focus submission (vectorized routing; worklists live in the
+    # buckets). In the fleet, submit calls queue behind load in each
+    # actor's mailbox, so the focus-resolution scan OVERLAPS the bucket
+    # index builds.
+    if isinstance(focus_tasks, str) and focus_tasks == "shacl-targets":
+        # in-bucket target derivation: every bucket already holds all
+        # outgoing arcs of its subjects, so subject-side targets resolve
+        # where they live — no second scan of the input Dataset. Only the
+        # (tiny) rdfs:subClassOf rows and targetObjectsOf pairs cross the
+        # driver.
+        get(load_refs)
+        mark("load")
+        sub_tbl = pa.concat_tables(every("subclass_rows"))
+        children: dict[str, set[str]] = {}
+        for child, parent in zip(
+            sub_tbl.column("child").to_pylist(), sub_tbl.column("parent").to_pylist()
+        ):
+            children.setdefault(parent, set()).add(child)
+        spec, node_pairs = _build_target_spec(schema, children)
+        remote_parts = every("derive_targets", spec, schema["subclass_closure"])
+        extra = pa.table(
+            {
+                "node": pa.array([p[0] for p in node_pairs], pa.string()),
+                "shape": pa.array([p[1] for p in node_pairs], pa.string()),
+            }
+        )
+        submit(pa.concat_tables([extra] + remote_parts), True)
+        mark("targets+submit")
+    elif isinstance(focus_tasks, tuple) and focus_tasks[0] == "shex-patterns":
+        # in-bucket shapemap pattern resolution: subject-side matches
+        # enqueue where they live; only object-side matches (plus the
+        # concrete node-selector pairs) cross the driver. No second scan
+        # of the input Dataset.
+        _, passocs, concrete = focus_tasks
+        get(load_refs)
+        mark("load")
+        remote_parts = every("derive_focus", passocs)
+        submit(pa.concat_tables([concrete] + remote_parts), True)
+        mark("focus+submit")
+    else:
+        if focus_tasks is not None:
+            submit(focus_tasks, True)
+        get(load_refs)
+        mark("load+submit")
+
+    # ---- driver loop: only dependency traffic crosses the driver
+    need_by: dict[tuple[str, str], set[int]] = {}
+    answered_vals: dict[tuple[str, str], str] = {}
+    forwarded: set[tuple[tuple[str, str], int]] = set()
+
+    # Productive rounds never count against the cap (a deep shape-reference
+    # chain legitimately needs depth-many rounds); only consecutive
+    # non-productive rounds do. Pairs still pending when the loop exits are
+    # marked val='unknown' — never silently dropped (a truncated validation
+    # must not read as a clean pass).
+    rounds = 0
+    stalls = 0
+    just_broke = False
+    while rounds < 100_000:  # safety valve; real exits are below
+        rounds += 1
+        results = every("run_round")
+        total_decided = sum(r[0] for r in results)
+        total_pending = sum(r[1] for r in results)
+        new_child_tasks: list[tuple[str, str]] = []
+        progress = total_decided > 0
+        for b, (_nd, _np, deps, answered) in enumerate(results):
+            for nk, sk, val in answered:
+                answered_vals[(nk, sk)] = val
+            for child in deps:
+                if b not in need_by.setdefault(child, set()):
+                    need_by[child].add(b)
+                    progress = True
+                if child not in answered_vals:
+                    new_child_tasks.append(child)
+        # route newly-requested child pairs to their buckets; a request for
+        # an already-decided pair returns its answer immediately
+        if new_child_tasks:
+            uniq = sorted(set(new_child_tasks))
+            tbl = pa.table(
+                {
+                    "node": pa.array([c[0] for c in uniq], pa.string()),
+                    "shape": pa.array([c[1] for c in uniq], pa.string()),
+                }
+            )
+            for already in submit(tbl, False):
+                for nk, sk, val in already:
+                    answered_vals[(nk, sk)] = val
+        # forward decided answers to the buckets waiting on them
+        fwd: dict[int, list] = {}
+        done_children: list = []
+        for child, buckets in need_by.items():
+            val = answered_vals.get(child)
+            if val is None:
+                continue
+            for b in buckets:
+                if (child, b) not in forwarded:
+                    forwarded.add((child, b))
+                    # hop answers carry their value-list payload verbatim;
+                    # everything else reduces to a conformance boolean
+                    payload = (
+                        val
+                        if child[1].startswith(("hop:", "vshape:"))
+                        else (val == "conforms")
+                    )
+                    fwd.setdefault(b, []).append((child[0], child[1], payload))
+                    progress = True
+            done_children.append(child)  # every requester now forwarded
+        for b, asms in fwd.items():
+            call(b, "add_assumptions", asms)
+        # evict fully-forwarded deps: driver state stays O(in-flight deps),
+        # not O(all deps ever). A LATE request for an evicted child is
+        # answered straight from its bucket's typing on submit(), so
+        # nothing is lost by forgetting it here.
+        for child in done_children:
+            for b in need_by.pop(child):
+                forwarded.discard((child, b))
+            answered_vals.pop(child, None)
+
+        mark(f"round{rounds} decided={total_decided} pending={total_pending}")
+        if total_pending == 0 and not new_child_tasks:
+            break
+        if progress:
+            stalls = 0
+            just_broke = False
+            continue
+        stalls += 1
+        unresolved = sorted(c for c in need_by if c not in answered_vals)
+        if unresolved and not just_broke:
+            # cross-bucket cycle: close coinductively (assume conforms).
+            # Repeated breaks are allowed as long as each one unblocks
+            # progress — a break that moves nothing ends the loop.
+            every("assume_deps", unresolved)
+            just_broke = True
+            continue
+        if just_broke or not unresolved or stalls >= max(2, max_rounds):
+            break
+
+    # observable driver-state bound (tests assert these stay at the
+    # in-flight level, not the all-deps-ever level)
+    dep_state = {
+        "need_by": len(need_by),
+        "answered_vals": len(answered_vals),
+        "forwarded": len(forwarded),
+    }
+
+    # anything still pending is UNDECIDED — surface it, don't drop it
+    n_unknown = sum(every("mark_pending_unknown"))
+    if n_unknown:
+        mark(f"WARNING: {n_unknown} pairs left unknown")
+
+    if output_dir is not None:
+        # bucket-side sink: each bucket writes its own shard; only
+        # per-bucket summary counts reach the driver
+        stats: dict[str, int] = {}
+        for s in every("write_shard", output_dir):
+            for k, v in s.items():
+                stats[k] = stats.get(k, 0) + v
+        mark("write_shards")
+        return stats, dep_state
+
+    collected = every("collect")
+    typing_tbl = pa.concat_tables([c[0] for c in collected])
+    reports: list[dict] = []
+    for c in collected:
+        reports.extend(c[1])
+    return (typing_tbl, _reports_to_table(reports)), dep_state
+
+
+def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
+               files, block_refs, total_rows, focus_tasks, max_rounds,
+               output_dir, mark):
+    """``nbuckets > 1``: one ``BucketWorker`` actor per bucket, fed by
+    one split-task exchange, driven through actor handles."""
+    import math as _math
+    import os as _os
+
+    schema_ref = ray.put(schema)
+    # spawn the actor fleet before the split: worker-process startup (the
+    # dominant fixed cost at high bucket counts) overlaps the split below.
+    # default actor semantics: num_cpus=1 for placement, 0 reserved while
+    # alive — a large fleet never deadlocks a small cluster
+    workers = [
+        BucketWorker.remote(schema_ref, engine, nbuckets, b, spill_rows)
+        for b in range(nbuckets)
+    ]
+    try:
+        warmups = [w.ping.remote() for w in workers]
+
+        # ---- one-time shuffle: block groups -> per-bucket parts -> actors
+        target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
+        if files is not None:
+            # file-granular exchange: split tasks read their parquet shards
+            # directly (storage → task heap, no object-store staging).
+            # bound rows per split group (not groups per cpu): task heap
+            # must hold a group + working copies at ANY corpus scale
+            ngroups = max(1, min(len(files), _math.ceil(total_rows / target)))
+            split_refs = [
+                _split_block_files.options(num_returns=nbuckets).remote(
+                    nbuckets, include_inverse, files[g::ngroups]
+                )
+                for g in range(ngroups)
+            ]
+        else:
+            # split-group count follows data volume both ways: a small
+            # corpus must not fan out nbuckets x nbuckets near-empty
+            # objects, and a huge one must not exceed SHACLEX_SPLIT_ROWS
+            # rows per group (task heap holds a group + working copies)
+            ngroups = max(
+                1,
+                min(
+                    len(block_refs),
+                    max(
+                        min(nbuckets, _math.ceil(total_rows / 200_000)),
+                        _math.ceil(total_rows / target),
+                    ),
+                ),
+            )
+            split_refs = [
+                _split_block.options(num_returns=nbuckets).remote(
+                    nbuckets, include_inverse, *block_refs[g::ngroups]
+                )
+                for g in range(ngroups)
+            ]
+        ray.wait(
+            [r for blk in split_refs for r in blk],
+            num_returns=ngroups * nbuckets,
+            fetch_local=False,
+        )
+        mark("split")
+        ray.get(warmups)
+        mark("warmup")
+        load_refs = [
+            workers[b].load.remote(*[blk[b] for blk in split_refs])
+            for b in range(nbuckets)
+        ]
+        if not isinstance(focus_tasks, (str, tuple, pa.Table)):
+            # Ray Dataset: streamed task→actor, no driver materialization
+            _submit_focus_dataset(focus_tasks, workers, nbuckets)
+            focus_tasks = None
+        out = _bsp(
+            lambda b, method, *args: getattr(workers[b], method).remote(*args),
+            ray.get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
+            output_dir, mark,
+        )
+        ray.get([w.cleanup.remote() for w in workers])
+        return out
+    finally:
+        for w in workers:
+            ray.kill(w)
+
+
+def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
+                       focus_tasks, max_rounds, output_dir, n_arc_blocks,
+                       *blocks):
+    """``nbuckets == 1``: the whole fixpoint in this process, one
+    ``_Bucket`` driven by the same loop as the fleet through plain method
+    calls. ``blocks`` holds the input's triple blocks (``n_arc_blocks`` of
+    them, when ``files`` is None) followed by, when ``focus_tasks`` is
+    None, the blocks of a focus Dataset.
+
+    Runs as one Ray task on a pooled worker that later tasks reuse, so it
+    always unfreezes the GC (``load`` froze it) and removes the bucket's
+    spill directory."""
+    import gc
+
+    mark = _marker()
+    bucket = _Bucket(schema, engine, 1, 0, spill_rows)
+    try:
+        if files is not None:
+            arcs = _split_files_plain(1, include_inverse, files)
+        else:
+            arcs = _split_block_plain(1, include_inverse, *blocks[:n_arc_blocks])
+        mark("read+split")
+        load_refs = [bucket.load(arcs)]
+        del arcs  # the index owns the arcs now; free the split's copy
+        if focus_tasks is None:
+            for blk in blocks[n_arc_blocks:]:
+                if blk.num_rows:
+                    bucket.submit(blk, True)
+        return _bsp(
+            lambda _b, method, *args: getattr(bucket, method)(*args),
+            lambda results: results, 1, schema, focus_tasks, load_refs,
+            max_rounds, output_dir, mark,
+        )
+    finally:
+        bucket.cleanup()
+        gc.unfreeze()
+
+
+_single_bucket_task = ray.remote(_run_single_bucket)
+
+
 def distributed_validate(
     triples_ds,
     engine: str,
@@ -2182,26 +2536,24 @@ def distributed_validate(
     """Run the BSP typing fixpoint.
 
     ``focus_tasks``: pa.Table(node: term key, shape: shape key) for small
-    shapemaps, or a Ray Dataset of the same schema (streamed task→actor,
-    never driver-materialized).
+    shapemaps, or a Ray Dataset of the same schema (never
+    driver-materialized), or ``"shacl-targets"`` / a ``("shex-patterns",
+    assocs, concrete)`` tuple for in-bucket focus derivation.
     Returns (typing, report) as pyarrow Tables — unless ``output_dir`` is
-    given, in which case each bucket actor writes its own parquet shard
-    under ``{output_dir}/typing`` and ``{output_dir}/report`` and the
-    return value is (typing_ds, report_ds) lazily read back plus the
-    summary stats are attached to ``distributed_validate.last_stats``.
+    given, in which case each bucket writes its own parquet shard under
+    ``{output_dir}/typing`` and ``{output_dir}/report`` and the return
+    value is (typing_ds, report_ds) lazily read back plus the summary
+    stats are attached to ``distributed_validate.last_stats``.
+
+    Two transports share one driver loop (``_bsp``), chosen here from
+    ``nbuckets`` (given, or sized from the input rows): at
+    ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
+    derivation, rounds, output — runs as ONE task on a pooled worker
+    (no actor spawn); above it, one ``BucketWorker`` actor per bucket.
     """
     import os as _os
-    import time as _time
 
-    dbg = _os.environ.get("SHACLEX_DIST_DEBUG")
-    t0 = _time.perf_counter()
-
-    def _mark(label):
-        nonlocal t0
-        if dbg:
-            print(f"[dist] {label}: {_time.perf_counter() - t0:.2f}s", flush=True)
-        t0 = _time.perf_counter()
-
+    mark = _marker()
     if engine == "shex":
         # EXTERNAL shapes with an attached resolver schema merge in here on
         # the driver: the extern definition replaces the ShapeExternal under
@@ -2245,16 +2597,16 @@ def distributed_validate(
     has_inv = schema_has_inverse(engine, schema)
     schema["_has_inverse"] = has_inv
     include_inverse = include_inverse or has_inv
-    schema_ref = ray.put(schema)
 
     # size the input FIRST (parquet metadata / materialized block count —
     # cheap), so an auto fleet (nbuckets=None) scales with data volume:
-    # a 100k-triple corpus pays 1 actor spawn, a 100-TB one the whole
+    # a 100k-triple corpus runs as one task, a 100-TB one on the whole
     # cluster. SHACLEX_BUCKET_ROWS is the per-bucket row target (the cap
     # is the cluster CPU count — on a real multi-node cluster that is
     # node_count x cpus, so the fleet grows with the cluster).
     import math as _math
 
+    files = block_refs = None
     if parquet_path is not None:
         import glob as _glob
 
@@ -2273,288 +2625,40 @@ def distributed_validate(
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         nbuckets = max(1, min(ncpu, _math.ceil(total_rows / bucket_rows)))
     distributed_validate.last_nbuckets = nbuckets
-    _mark("materialize")
+    mark("materialize")
 
-    # spawn the actor fleet before the split: worker-process startup (the
-    # dominant fixed cost at high bucket counts) overlaps the split below.
-    # default actor semantics: num_cpus=1 for placement, 0 reserved while
-    # alive — a large fleet never deadlocks a small cluster
-    _actor_cls = BucketWorker
-    if _os.environ.get("SHACLEX_FRESH_WORKERS"):
-        # debug: a distinct runtime_env forces dedicated (fresh) worker
-        # processes instead of reusing idle ones from earlier stages
-        _actor_cls = BucketWorker.options(
-            runtime_env={"env_vars": {"SHACLEX_FRESH": "1"}}
-        )
-    workers = [
-        _actor_cls.remote(schema_ref, engine, nbuckets, b, spill_rows)
-        for b in range(nbuckets)
-    ]
-    warmups = [w.ping.remote() for w in workers]
-
-    # ---- one-time shuffle: block groups -> per-bucket parts -> actors
-    target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    if parquet_path is not None:
-        # file-granular exchange: split tasks read their parquet shards
-        # directly (storage → task heap, no object-store staging).
-        # bound rows per split group (not groups per cpu): task heap must
-        # hold a group + working copies at ANY corpus scale
-        ngroups = max(1, min(len(files), _math.ceil(total_rows / target)))
-        fgroups = [files[g::ngroups] for g in range(ngroups)]
-        split_refs = [
-            _split_block_files.options(num_returns=nbuckets).remote(
-                nbuckets, include_inverse, grp
-            )
-            for grp in fgroups
-        ]
-    else:
-        # split-group count follows data volume both ways: a small corpus
-        # must not fan out nbuckets x nbuckets near-empty objects, and a
-        # huge one must not exceed SHACLEX_SPLIT_ROWS rows per group (task
-        # heap holds a group + working copies)
-        ngroups = max(
-            1,
-            min(
-                len(block_refs),
-                max(
-                    min(nbuckets, _math.ceil(total_rows / 200_000)),
-                    _math.ceil(total_rows / target),
-                ),
-            ),
-        )
-        groups = [block_refs[g::ngroups] for g in range(ngroups)]
-        split_refs = [
-            _split_block.options(num_returns=nbuckets).remote(
-                nbuckets, include_inverse, *grp
-            )
-            for grp in groups
-        ]
+    # the one regime choice
     if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    ray.wait(
-        [r for blk in split_refs for r in blk],
-        num_returns=ngroups * nbuckets,
-        fetch_local=False,
+        focus_refs = []
+        if not isinstance(focus_tasks, (str, tuple, pa.Table)):
+            # a focus Dataset materializes BEFORE the task starts: its
+            # blocks become task arguments (never concatenated here), and
+            # no Ray Data task waits for a CPU the validation task holds
+            focus_refs = focus_tasks.materialize().to_arrow_refs()
+            focus_tasks = None
+        arc_refs = block_refs or []
+        out, dep_state = ray.get(
+            _single_bucket_task.remote(
+                schema, engine, include_inverse, spill_rows, files,
+                focus_tasks, max_rounds, output_dir, len(arc_refs),
+                *arc_refs, *focus_refs,
+            )
+        )
+    else:
+        out, dep_state = _run_fleet(
+            schema, engine, nbuckets, include_inverse, spill_rows, files,
+            block_refs, total_rows, focus_tasks, max_rounds, output_dir, mark,
+        )
+    distributed_validate.last_dep_state = dep_state
+    if output_dir is None:
+        return out
+    distributed_validate.last_stats = out
+    import ray.data as rd
+
+    return (
+        rd.read_parquet(f"{output_dir}/typing"),
+        rd.read_parquet(f"{output_dir}/report"),
     )
-    _mark("split")
-    ray.get(warmups)
-    _mark("warmup")
-    load_refs = [
-        workers[b].load.remote(*[blk[b] for blk in split_refs])
-        for b in range(nbuckets)
-    ]
-
-    # initial focus submission (vectorized routing; worklists live in
-    # actors). Submit calls queue behind load in each actor's mailbox, so
-    # the focus-resolution scan OVERLAPS the bucket index builds.
-    if isinstance(focus_tasks, str) and focus_tasks == "shacl-targets":
-        # in-bucket target derivation: every bucket already holds all
-        # outgoing arcs of its subjects, so subject-side targets resolve
-        # where they live — no second scan of the input Dataset. Only the
-        # (tiny) rdfs:subClassOf rows and targetObjectsOf pairs cross the
-        # driver.
-        ray.get(load_refs)
-        _mark("load")
-        sub_tbl = pa.concat_tables(
-            ray.get([w.subclass_rows.remote() for w in workers])
-        )
-        children: dict[str, set[str]] = {}
-        for child, parent in zip(
-            sub_tbl.column("child").to_pylist(), sub_tbl.column("parent").to_pylist()
-        ):
-            children.setdefault(parent, set()).add(child)
-        spec, node_pairs = _build_target_spec(schema, children)
-        closure = schema["subclass_closure"]
-        remote_parts = ray.get(
-            [w.derive_targets.remote(spec, closure) for w in workers]
-        )
-        extra = pa.table(
-            {
-                "node": pa.array([p[0] for p in node_pairs], pa.string()),
-                "shape": pa.array([p[1] for p in node_pairs], pa.string()),
-            }
-        )
-        routed = pa.concat_tables([extra] + remote_parts)
-        if routed.num_rows:
-            ray.get(
-                [
-                    workers[b].submit.remote(tbl, True)
-                    for b, tbl in _route_tasks(routed, nbuckets).items()
-                ]
-            )
-        _mark("targets+submit")
-    elif isinstance(focus_tasks, tuple) and focus_tasks[0] == "shex-patterns":
-        # in-bucket shapemap pattern resolution: subject-side matches
-        # enqueue where they live; only object-side matches (plus the
-        # concrete node-selector pairs) cross the driver. No second scan
-        # of the input Dataset.
-        _, passocs, concrete = focus_tasks
-        ray.get(load_refs)
-        _mark("load")
-        remote_parts = ray.get([w.derive_focus.remote(passocs) for w in workers])
-        routed = pa.concat_tables([concrete] + remote_parts)
-        if routed.num_rows:
-            ray.get(
-                [
-                    workers[b].submit.remote(tbl, True)
-                    for b, tbl in _route_tasks(routed, nbuckets).items()
-                ]
-            )
-        _mark("focus+submit")
-    elif isinstance(focus_tasks, pa.Table):
-        ray.get(
-            [
-                workers[b].submit.remote(tbl, True)
-                for b, tbl in _route_tasks(focus_tasks, nbuckets).items()
-            ]
-        )
-        ray.get(load_refs)
-        _mark("load+submit")
-    else:  # Ray Dataset: streamed task→actor, no driver materialization
-        _submit_focus_dataset(focus_tasks, workers, nbuckets)
-        ray.get(load_refs)
-        _mark("load+submit")
-
-    # ---- driver loop: only dependency traffic crosses the driver
-    need_by: dict[tuple[str, str], set[int]] = {}
-    answered_vals: dict[tuple[str, str], str] = {}
-    forwarded: set[tuple[tuple[str, str], int]] = set()
-
-    # Productive rounds never count against the cap (a deep shape-reference
-    # chain legitimately needs depth-many rounds); only consecutive
-    # non-productive rounds do. Pairs still pending when the loop exits are
-    # marked val='unknown' — never silently dropped (a truncated validation
-    # must not read as a clean pass).
-    rounds = 0
-    stalls = 0
-    just_broke = False
-    while rounds < 100_000:  # safety valve; real exits are below
-        rounds += 1
-        results = ray.get([w.run_round.remote() for w in workers])
-        total_decided = sum(r[0] for r in results)
-        total_pending = sum(r[1] for r in results)
-        new_child_tasks: list[tuple[str, str]] = []
-        progress = total_decided > 0
-        for b, (_nd, _np, deps, answered) in enumerate(results):
-            for nk, sk, val in answered:
-                answered_vals[(nk, sk)] = val
-            for child in deps:
-                if b not in need_by.setdefault(child, set()):
-                    need_by[child].add(b)
-                    progress = True
-                if child not in answered_vals:
-                    new_child_tasks.append(child)
-        # route newly-requested child pairs to their buckets; a request for
-        # an already-decided pair returns its answer immediately
-        if new_child_tasks:
-            uniq = sorted(set(new_child_tasks))
-            tbl = pa.table(
-                {
-                    "node": pa.array([c[0] for c in uniq], pa.string()),
-                    "shape": pa.array([c[1] for c in uniq], pa.string()),
-                }
-            )
-            sub_refs = [
-                workers[b].submit.remote(sub, False)
-                for b, sub in _route_tasks(tbl, nbuckets).items()
-            ]
-            for already in ray.get(sub_refs):
-                for nk, sk, val in already:
-                    answered_vals[(nk, sk)] = val
-        # forward decided answers to the buckets waiting on them
-        fwd: dict[int, list] = {}
-        done_children: list = []
-        for child, buckets in need_by.items():
-            val = answered_vals.get(child)
-            if val is None:
-                continue
-            for b in buckets:
-                if (child, b) not in forwarded:
-                    forwarded.add((child, b))
-                    # hop answers carry their value-list payload verbatim;
-                    # everything else reduces to a conformance boolean
-                    payload = (
-                        val
-                        if child[1].startswith(("hop:", "vshape:"))
-                        else (val == "conforms")
-                    )
-                    fwd.setdefault(b, []).append((child[0], child[1], payload))
-                    progress = True
-            done_children.append(child)  # every requester now forwarded
-        for b, asms in fwd.items():
-            workers[b].add_assumptions.remote(asms)
-        # evict fully-forwarded deps: driver state stays O(in-flight deps),
-        # not O(all deps ever). A LATE request for an evicted child is
-        # answered straight from its bucket's typing on submit(), so
-        # nothing is lost by forgetting it here.
-        for child in done_children:
-            for b in need_by.pop(child):
-                forwarded.discard((child, b))
-            answered_vals.pop(child, None)
-
-        _mark(f"round{rounds} decided={total_decided} pending={total_pending}")
-        if total_pending == 0 and not new_child_tasks:
-            break
-        if progress:
-            stalls = 0
-            just_broke = False
-            continue
-        stalls += 1
-        unresolved = sorted(c for c in need_by if c not in answered_vals)
-        if unresolved and not just_broke:
-            # cross-bucket cycle: close coinductively (assume conforms).
-            # Repeated breaks are allowed as long as each one unblocks
-            # progress — a break that moves nothing ends the loop.
-            ray.get([w.assume_deps.remote(unresolved) for w in workers])
-            just_broke = True
-            continue
-        if just_broke or not unresolved or stalls >= max(2, max_rounds):
-            break
-
-    # observable driver-state bound (tests assert these stay at the
-    # in-flight level, not the all-deps-ever level)
-    distributed_validate.last_dep_state = {
-        "need_by": len(need_by),
-        "answered_vals": len(answered_vals),
-        "forwarded": len(forwarded),
-    }
-
-    # anything still pending is UNDECIDED — surface it, don't drop it
-    n_unknown = sum(ray.get([w.mark_pending_unknown.remote() for w in workers]))
-    if n_unknown and dbg:
-        print(f"[dist] WARNING: {n_unknown} pairs left unknown", flush=True)
-
-    if output_dir is not None:
-        # actor-side sink: each bucket writes its own shard; only per-bucket
-        # summary counts reach the driver
-        stats_list = ray.get([w.write_shard.remote(output_dir) for w in workers])
-        ray.get([w.cleanup.remote() for w in workers])
-        for w in workers:
-            ray.kill(w)
-        stats: dict[str, int] = {}
-        for s in stats_list:
-            for k, v in s.items():
-                stats[k] = stats.get(k, 0) + v
-        distributed_validate.last_stats = stats
-        _mark("write_shards")
-        import ray.data as rd
-
-        return (
-            rd.read_parquet(f"{output_dir}/typing"),
-            rd.read_parquet(f"{output_dir}/report"),
-        )
-
-    collected = ray.get([w.collect.remote() for w in workers])
-    ray.get([w.cleanup.remote() for w in workers])
-    for w in workers:
-        ray.kill(w)
-
-    typing_tbl = pa.concat_tables([c[0] for c in collected])
-    reports: list[dict] = []
-    for c in collected:
-        reports.extend(c[1])
-    return typing_tbl, _reports_to_table(reports)
-
 
 
 # ---------------------------------------------------------------------------

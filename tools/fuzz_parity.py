@@ -12,12 +12,12 @@ Usage:  python tools/fuzz_parity.py --seeds 5 [--base /root/testdata/sf0.001]
 Deliberately never generated (documented contract boundaries):
   * duplicate PRIMARY KEYS — per-doc operators legitimately differ from
     SQL row semantics there (see BASELINE.md);
-  * mutually-PARALLEL degenerate embeddings (two constant huge/tiny
-    vectors share a direction, so their cosines tie EXACTLY and the
-    rank order between any two implementations is rounding-defined —
-    the huge/tiny poisons below therefore get random directions; the
-    single-instance constant-vector cases are pinned by the fixed
-    dirty-parity corpus)."""
+  * mutually-PARALLEL degenerate embeddings with arbitrary float
+    components (two huge/tiny vectors sharing a direction tie only up
+    to the summation order of their norms — the huge/tiny poisons below
+    therefore get random directions; the single-instance constant-vector
+    cases are pinned by the fixed dirty-parity corpus, and exact ties on
+    parallel integer-valued vectors by tests/test_ann_ties.py)."""
 
 from __future__ import annotations
 
