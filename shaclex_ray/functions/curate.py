@@ -27,6 +27,8 @@ import ray
 
 from shaclex_ray.functions.dedup import _batch_gram_hashes
 from shaclex_ray.functions.md5batch import md5_u64_batch
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 
 # ---------------------------------------------------------------------------
 # split assignment
@@ -81,22 +83,12 @@ def split_assign_sql(train: int = 90, valid: int = 5) -> str:
 # benchmark decontamination
 
 
-def _decon_h_split(nbuckets: int, *tbls: pa.Table):
-    """Bench-side exchange map task: concat per-batch-distinct gram-hash
-    tables, re-dedup locally (combiner), partition by ``h % nbuckets``."""
-    hs = [
-        t.column("h").to_numpy(zero_copy_only=False) for t in tbls if t.num_rows
-    ]
-    h = np.unique(np.concatenate(hs)) if hs else np.array([], np.uint64)
-    if nbuckets == 1:
-        return pa.table({"h": pa.array(h, pa.uint64())})
-    b = (h % np.uint64(nbuckets)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    h, b = h[order], b[order]
-    bounds = np.searchsorted(b, np.arange(nbuckets + 1))
-    return tuple(
-        pa.table({"h": pa.array(h[bounds[i] : bounds[i + 1]], pa.uint64())})
-        for i in range(nbuckets)
+def _decon_h_split(tbl: pa.Table, nbuckets: int):
+    """Bench-side split: re-dedup the per-batch-distinct gram hashes of
+    the group (combiner), partition by ``h % nbuckets``."""
+    h = np.unique(tbl.column("h").to_numpy())
+    return partition(
+        pa.table({"h": pa.array(h, pa.uint64())}), h % np.uint64(nbuckets), nbuckets
     )
 
 
@@ -140,123 +132,70 @@ def _bloom_test(bloom: np.ndarray, h: np.ndarray, m_bits: int) -> np.ndarray:
     return keep
 
 
-def _decon_train_split(nbuckets: int, shingle: int, bench_mod: int,
-                       bloom: np.ndarray | None, m_bits: int, *tbls):
-    """Train-side exchange map task over raw (doc_id, text) blocks:
-    compute gram hashes, Bloom-prefilter against the (broadcast) bench
-    bitmap so definite non-hits never enter the exchange, combine
-    occurrences per (doc_id, h) map-side, partition the combined rows by
-    ``h % nbuckets``. Returns nbuckets (doc_id, h, cnt) partitions PLUS
-    one trailing per-doc (doc_id, n_grams) table (each doc lives in
-    exactly one split group, so the per-group n_grams rows are globally
-    exact). The Bloom filter only drops guaranteed non-members — the
-    per-bucket exact probe confirms survivors — so the output is
-    row-identical with or without it."""
-    did_l, h_l, cnt_l = [], [], []
-    gid_l, ng_l = [], []
-    for t in tbls:
-        if isinstance(t, str):  # file-granular input: read it here, once
-            import pyarrow.parquet as _pq
-
-            t = _pq.read_table(t, columns=["doc_id", "text"])
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(ids % bench_mod != 0))
-        if t.num_rows == 0:
-            continue
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        h, starts = _batch_gram_hashes(t.column("text"), shingle)
-        gid_l.append(ids)
-        ng_l.append(np.diff(starts))
-        didx = np.repeat(np.arange(t.num_rows), np.diff(starts))
-        if bloom is not None and len(h):
-            keep = _bloom_test(bloom, h, m_bits)
-            h, didx = h[keep], didx[keep]
-            if len(h) == 0:
-                continue
-        order = np.lexsort((h, didx))
-        hd, dd = h[order], didx[order]
-        new = np.ones(len(hd), bool)
-        new[1:] = (hd[1:] != hd[:-1]) | (dd[1:] != dd[:-1])
-        seg = np.flatnonzero(new)
-        did_l.append(ids[dd[seg]])
-        h_l.append(hd[seg])
-        cnt_l.append(np.diff(np.append(seg, len(hd))))
-    # did_l (gram occurrences) and gid_l (per-doc totals) fill at different
-    # rates: a doc whose every gram is Bloom-filtered out still owns an
-    # n_grams row, so the two families concatenate independently
-    if did_l:
-        did = np.concatenate(did_l)
-        hh = np.concatenate(h_l)
-        cnt = np.concatenate(cnt_l)
-    else:
-        did = np.array([], np.int64)
-        hh = np.array([], np.uint64)
-        cnt = np.array([], np.int64)
-    if gid_l:
-        gid = np.concatenate(gid_l)
-        ng = np.concatenate(ng_l)
-    else:
-        gid = np.array([], np.int64)
-        ng = np.array([], np.int64)
-    ngrams_tbl = pa.table(
+def _decon_train_split(tbl: pa.Table, nbuckets: int, shingle: int,
+                       bench_mod: int, bloom: np.ndarray | None, m_bits: int):
+    """Train-side split over raw (doc_id, text) rows: compute gram
+    hashes, Bloom-prefilter against the (broadcast) bench bitmap so
+    definite non-hits never enter the exchange, combine occurrences per
+    (doc_id, h) map-side. Emits (doc_id, h, cnt, n_grams) rows of two
+    kinds: gram rows (cnt >= 1, n_grams 0) partitioned by ``h %
+    nbuckets``, and one per-doc row (cnt 0, h 0, the doc's gram count)
+    routed by ``doc_id % nbuckets`` — each doc lives in exactly one split
+    group, so the per-doc rows are globally exact, and a doc whose every
+    gram the Bloom filter dropped still owns one. The Bloom filter only
+    drops guaranteed non-members — the per-bucket exact probe confirms
+    survivors — so the output is row-identical with or without it."""
+    ids = tbl.column("doc_id").to_numpy()
+    t = tbl.filter(pa.array(ids % bench_mod != 0))
+    ids = t.column("doc_id").to_numpy()
+    h, starts = _batch_gram_hashes(t.column("text"), shingle)
+    n_grams = np.diff(starts)
+    didx = np.repeat(np.arange(t.num_rows), n_grams)
+    if bloom is not None and len(h):
+        keep = _bloom_test(bloom, h, m_bits)
+        h, didx = h[keep], didx[keep]
+    order = np.lexsort((h, didx))
+    hd, dd = h[order], didx[order]
+    new = np.ones(len(hd), bool)
+    new[1:] = (hd[1:] != hd[:-1]) | (dd[1:] != dd[:-1])
+    seg = np.flatnonzero(new)
+    cnt = np.diff(np.append(seg, len(hd)))
+    ndoc = len(ids)
+    rows = pa.table(
         {
-            "doc_id": pa.array(gid, pa.int64()),
-            "n_grams": pa.array(ng, pa.int64()),
+            "doc_id": pa.array(np.concatenate([ids[dd[seg]], ids]), pa.int64()),
+            "h": pa.array(np.concatenate([hd[seg], np.zeros(ndoc, np.uint64)])),
+            "cnt": pa.array(np.concatenate([cnt, np.zeros(ndoc, np.int64)])),
+            "n_grams": pa.array(
+                np.concatenate([np.zeros(len(seg), np.int64), n_grams]), pa.int64()
+            ),
         }
     )
-    b = (hh % np.uint64(nbuckets)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    did, hh, cnt, b = did[order], hh[order], cnt[order], b[order]
-    bounds = np.searchsorted(b, np.arange(nbuckets + 1))
-    parts = tuple(
-        pa.table(
-            {
-                "doc_id": pa.array(did[bounds[i] : bounds[i + 1]], pa.int64()),
-                "h": pa.array(hh[bounds[i] : bounds[i + 1]], pa.uint64()),
-                "cnt": pa.array(cnt[bounds[i] : bounds[i + 1]], pa.int64()),
-            }
-        )
-        for i in range(nbuckets)
+    b = np.concatenate(
+        [(hd[seg] % np.uint64(nbuckets)).astype(np.int64), ids % nbuckets]
     )
-    return parts + (ngrams_tbl,)
+    return partition(rows, b, nbuckets)
 
 
-def _decon_bucket(nbench: int, *parts: pa.Table):
+def _decon_bucket(nbench: int, *parts: pa.Table) -> pa.Table:
     """Per-bucket probe: distinct bench hashes in this bucket vs the
-    bucket's (doc_id, h, cnt) train rows; emits per-doc PARTIAL hit sums
-    (summed across buckets by the caller's grouped aggregate)."""
-    bh = [
-        p.column("h").to_numpy(zero_copy_only=False)
-        for p in parts[:nbench]
-        if p.num_rows
-    ]
-    bench = np.unique(np.concatenate(bh)) if bh else np.array([], np.uint64)
-    train = pa.concat_tables([p for p in parts[nbench:]])
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_grams": pa.array([], pa.int64()),
-            "n_hits": pa.array([], pa.int64()),
-        }
-    )
-    if train.num_rows == 0 or len(bench) == 0:
-        return empty
+    bucket's train gram rows. Emits (doc_id, n_grams, n_hits) rows — the
+    per-doc rows and the hit gram rows — that the caller's grouped
+    aggregate sums per doc."""
     from shaclex_ray.functions.relational import _sorted_probe
 
-    h = train.column("h").to_numpy(zero_copy_only=False)
-    _, hit = _sorted_probe(bench, h)
-    if not hit.any():
-        return empty
-    sub = train.filter(pa.array(hit))
-    agg = sub.group_by(["doc_id"], use_threads=False).aggregate([("cnt", "sum")])
-    n = agg.num_rows
+    bench = np.unique(np.concatenate([p.column("h").to_numpy() for p in parts[:nbench]]))
+    train = pa.concat_tables(parts[nbench:])
+    cnt = train.column("cnt").to_numpy()
+    _, hit = _sorted_probe(bench, train.column("h").to_numpy())
+    # a per-doc row (cnt 0) whose h happens to hit adds 0 hits
     return pa.table(
         {
-            "doc_id": agg.column("doc_id"),
-            "n_grams": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "n_hits": pc.cast(agg.column("cnt_sum"), pa.int64()),
+            "doc_id": train.column("doc_id"),
+            "n_grams": train.column("n_grams"),
+            "n_hits": pa.array(np.where(hit, cnt, 0), pa.int64()),
         }
-    )
+    ).filter(pa.array(hit | (cnt == 0)))
 
 
 def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
@@ -338,49 +277,26 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     return train.map_batches(probe, batch_format="pyarrow")
 
 
+# gram rows per train doc the join regime sizes its split groups with
+# (a doc yields about one gram per token)
+DECON_GRAMS_PER_DOC = 64
+
+
 def _decontaminate_join(path: str, bench_h, n_bench: int, shingle: int, bench_mod: int):
     """Distributed regime: hash exchange of bench grams and train
     (doc_id, h, cnt) partials on gram hash, per-bucket probe, docs-sized
     grouped sum of (n_grams, n_hits). Row-identical to the broadcast
     regime (hit-ness per gram hash is partition-invariant)."""
     import math as _math
-    import os as _os
 
-    import ray.data as _rd
-
+    from shaclex_ray.sources.documents import parquet_files, parquet_num_rows
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     nbuckets = max(1, min(ncpu, n_bench // 500_000 + 1))
-
     bench_refs = bench_h.to_arrow_refs()
-    # file-granular train input: split tasks read the parquet shards
-    # directly (column-pruned) — input bytes move storage→task exactly
-    # once, never staged via plasma (the repo's standard exchange shape)
-    import glob as _glob
-
-    train_files = (
-        sorted(_glob.glob(f"{path}/**/*.parquet", recursive=True))
-        if _os.path.isdir(path)
-        else [path]
-    )
-    from shaclex_ray.sources.documents import parquet_num_rows
-
-    ndocs = parquet_num_rows(path)
-
-    h_split = ray.remote(_decon_h_split)
-    t_split = ray.remote(_decon_train_split)
-    bucket = ray.remote(_decon_bucket)
     bloom_part = ray.remote(_decon_bloom_part)
     bloom_or = ray.remote(_decon_bloom_or)
-
-    # volume-bound the split groups: gram rows per doc are ~token count,
-    # so target far fewer DOC rows per group than SHACLEX_SPLIT_ROWS
-    target = max(1, int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000")) // 64)
-    ngroups_b = max(1, min(len(bench_refs), max(nbuckets, _math.ceil(n_bench / target))))
-    ngroups_t = max(1, min(len(train_files), max(nbuckets, _math.ceil(ndocs / target))))
-    bgroups = [bench_refs[g::ngroups_b] for g in range(ngroups_b)]
-    tgroups = [train_files[g::ngroups_t] for g in range(ngroups_t)]
 
     # Bloom prefilter for the train exchange: a fixed-size bitmap built
     # ON WORKERS (partial bitmaps per bench group, tree-ORed), broadcast
@@ -389,43 +305,29 @@ def _decontaminate_join(path: str, bench_h, n_bench: int, shingle: int, bench_mo
     # 256 MiB (FP rate degrades gracefully for even larger bench sets,
     # correctness is unaffected — the bucket probe is exact).
     m_bits = 1 << max(10, min(31, int(_math.ceil(_math.log2(max(1, n_bench) * 16)))))
-    bparts = [bloom_part.remote(m_bits, *grp) for grp in bgroups]
+    ngroups = exchange.group_count(n_bench, nbuckets, len(bench_refs))
+    bparts = [
+        bloom_part.remote(m_bits, *bench_refs[g::ngroups]) for g in range(ngroups)
+    ]
     while len(bparts) > 8:  # tree-OR in chunks to bound single-task fan-in
         bparts = [bloom_or.remote(*bparts[i:i + 8]) for i in range(0, len(bparts), 8)]
     bloom_ref = bloom_or.remote(*bparts) if len(bparts) > 1 else bparts[0]
 
-    bsplit = [
-        h_split.options(num_returns=nbuckets).remote(nbuckets, *grp)
-        for grp in bgroups
-    ]
-    tsplit = [
-        t_split.options(num_returns=nbuckets + 1).remote(
-            nbuckets, shingle, bench_mod, bloom_ref, m_bits, *grp
-        )
-        for grp in tgroups
-    ]
-    if nbuckets == 1:
-        bsplit = [[r] for r in bsplit]
-    ngram_refs = [grp[nbuckets] for grp in tsplit]
-    hit_refs = [
-        bucket.remote(
-            len(bsplit),
-            *[g[b] for g in bsplit],
-            *[g[b] for g in tsplit],
-        )
-        for b in range(nbuckets)
-    ]
-
-    def pad_ngrams(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "n_hits", pa.array(np.zeros(batch.num_rows, np.int64), pa.int64())
-        )
-
-    union = _rd.from_arrow_refs(ngram_refs).map_batches(
-        pad_ngrams, batch_format="pyarrow"
-    ).union(_rd.from_arrow_refs(hit_refs))
+    bsplit = exchange.split(
+        _decon_h_split, (), bench_refs, n_bench, nbuckets,
+        pa.schema([("h", pa.uint64())]),
+    )
+    # file-granular train input: split tasks read the parquet shards
+    # directly (column-pruned) — input bytes move storage→task exactly
+    # once, never staged via plasma
+    tsplit = exchange.split(
+        _decon_train_split, (shingle, bench_mod, bloom_ref, m_bits),
+        parquet_files(path), DECON_GRAMS_PER_DOC * parquet_num_rows(path),
+        nbuckets, pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
+        ["doc_id", "text"],
+    )
     return grouped_aggregate_fast(
-        union,
+        exchange.reduce(bsplit + tsplit, _decon_bucket, (len(bsplit),)),
         ["doc_id"],
         [("n_grams", "sum"), ("n_hits", "sum")],
         ["n_grams", "n_hits"],
@@ -734,23 +636,28 @@ def _sample_partial(tbl: pa.Table, n: int) -> pa.Table:
     return tbl.take(pa.array(np.sort(keep)))
 
 
-def _sample_split_impl(nbuckets: int, n: int, *tbls: pa.Table):
-    parts = [t for t in tbls if t.num_rows > 0]
-    tbl = pa.concat_tables(parts) if parts else tbls[0]
-    tbl = _sample_partial(tbl, n)
-    if nbuckets == 1:
-        return tbl
-    bucket = md5_u64_batch(tbl.column("source")) % np.uint64(nbuckets)
-    return tuple(
-        tbl.take(pa.array(np.flatnonzero(bucket == b))) for b in range(nbuckets)
+def _fill_source(tbl: pa.Table) -> pa.Table:
+    """``coalesce(source, '')``: a null source is the '' stratum."""
+    return tbl.set_column(
+        tbl.column_names.index("source"), "source",
+        pc.fill_null(tbl.column("source"), ""),
     )
 
 
+def _source_count_split(tbl: pa.Table, nbuckets: int):
+    from shaclex_ray.stages.groupagg import _split_impl
+
+    return _split_impl(_fill_source(tbl), nbuckets, ["source"], [("doc_id", "count")])
+
+
+def _sample_split_impl(tbl: pa.Table, nbuckets: int, n: int):
+    tbl = _sample_partial(_fill_source(tbl), n)
+    bucket = md5_u64_batch(tbl.column("source")) % np.uint64(nbuckets)
+    return partition(tbl, bucket, nbuckets)
+
+
 def _sample_bucket_impl(n: int, *parts: pa.Table) -> pa.Table:
-    real = [t for t in parts if t.num_rows > 0]
-    if not real:
-        return parts[0]
-    return _sample_partial(pa.concat_tables(real), n)
+    return _sample_partial(pa.concat_tables(parts), n)
 
 
 def sample_balanced(sf_dir: str, n: int | None = None):
@@ -759,58 +666,34 @@ def sample_balanced(sf_dir: str, n: int | None = None):
     primitive that caps each domain's contribution). When ``n`` is None it
     defaults to the smallest source's count, i.e. a fully balanced corpus.
 
-    Shape: per-source counts are a vocabulary-sized aggregate (one-move
-    exchange, driver sees |sources| rows); selection is a second one-move
-    exchange keyed by source with an EXACT map-side partial top-n combine,
-    so the shuffle payload is bounded by n×|sources| per split task —
-    independent of corpus size."""
-    from shaclex_ray.stages.groupagg import grouped_aggregate_fast
+    Shape: file-granular — the split tasks read the (doc_id, source)
+    columns of the documents' parquet files themselves, so no corpus
+    table stages anywhere. Per-source counts are a vocabulary-sized
+    aggregate (one exchange, driver sees |sources| rows); selection is a
+    second exchange keyed by source with an EXACT map-side partial top-n
+    combine, so the shuffle payload is bounded by n×|sources| per split
+    task — independent of corpus size."""
+    import pyarrow.parquet as pq
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    )
+    from shaclex_ray.sources.documents import parquet_files, parquet_num_rows
+    from shaclex_ray.stages.groupagg import _bucket_impl
 
-    def _fill_source(batch: pa.Table) -> pa.Table:
-        return batch.set_column(
-            batch.column_names.index("source"),
-            "source",
-            pc.fill_null(batch.column("source").combine_chunks(), ""),
-        )
-
-    ds = ds.map_batches(_fill_source, batch_format="pyarrow")
+    path = f"{sf_dir}/documents.parquet"
+    files = parquet_files(path)
+    rows = parquet_num_rows(path)
+    cols = ["doc_id", "source"]
+    schema = pq.read_schema(files[0])  # types a group of empty files
+    nbuckets = exchange.default_buckets(rows)
     if n is None:
-        counts = grouped_aggregate_fast(
-            ds, ["source"], [("doc_id", "count")], ["cnt"]
+        counts = exchange.reduce(
+            exchange.split(_source_count_split, (), files, rows, nbuckets, schema, cols),
+            _bucket_impl, (["source"], [("doc_id", "count")], ["cnt"]),
         ).take_all()
         n = min((int(r["cnt"]) for r in counts), default=0)
-
-    mat = ds.materialize()
-    if mat.count() == 0:  # the balanced sample of nothing is nothing
-        return mat
-    refs = mat.to_arrow_refs()
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    nbuckets = max(1, min(ncpu, mat.count() // 200_000 + 1))
-    import math as _math
-    import os as _os
-
-    target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(1, min(len(refs), max(nbuckets, _math.ceil(mat.count() / target))))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
-    split_task = ray.remote(_sample_split_impl)
-    bucket_task = ray.remote(_sample_bucket_impl)
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, n, *grp)
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(n, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(out_refs)
+    split_refs = exchange.split(
+        _sample_split_impl, (n,), files, rows, nbuckets, schema, cols
+    )
+    return exchange.reduce(split_refs, _sample_bucket_impl, (n,))
 
 
 def sample_balanced_sql(n: int | None = None) -> str:

@@ -46,13 +46,13 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-BAND_BUCKET_ROWS = int(os.environ.get("SHACLEX_BAND_BUCKET_ROWS", 4_000_000))
-
 from shaclex_ray.functions.md5batch import (
     md5_state_batch,
     md5_u64_batch,
     md5_u128_batch,
 )
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 
 # all-pairs cap inside one LSH bucket: a degenerate band bucket (every doc
 # identical) would otherwise emit O(n²) pairs; chaining consecutive ids
@@ -343,33 +343,22 @@ def _segment_pairs(
     return uniq[ii], uniq[jj]
 
 
-def _band_split_impl(nbuckets: int, *tbls: pa.Table):
+BAND_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("band", pa.int32()),
+        ("band_key", pa.uint64()),
+        ("prefix", pa.list_(pa.uint64())),
+    ]
+)
+
+
+def _band_split_impl(base: pa.Table, nbuckets: int):
     """Band rows → nbuckets sub-tables by band_key (keys are md5-derived,
     already uniform — modulo IS the hash)."""
-    cols = ["doc_id", "band", "band_key", "prefix"]
-    real = [t.select(cols) for t in tbls if t.num_rows > 0]
-    if not real:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "band": pa.array([], pa.int32()),
-                "band_key": pa.array([], pa.uint64()),
-                "prefix": pa.array([], pa.list_(pa.uint64())),
-            }
-        )
-        real = [empty]
-    base = pa.concat_tables(real).combine_chunks()
+    base = base.combine_chunks()
     keys = base.column("band_key").to_numpy(zero_copy_only=False)
-    buckets = (keys % np.uint64(nbuckets)).astype(np.int64)
-    order = np.argsort(buckets, kind="stable")
-    sorted_tbl = base.take(pa.array(order))
-    bounds = np.searchsorted(buckets[order], np.arange(nbuckets + 1))
-    if nbuckets == 1:
-        return sorted_tbl
-    return tuple(
-        sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-        for i in range(nbuckets)
-    )
+    return partition(base, keys % np.uint64(nbuckets), nbuckets)
 
 
 def _band_bucket_pairs_impl(label: str, *parts: pa.Table) -> pa.Table:
@@ -414,38 +403,29 @@ def _band_bucket_pairs_impl(label: str, *parts: pa.Table) -> pa.Table:
     )
 
 
+BAND_BUCKET_ROWS = 4_000_000  # most band rows one LSH bucket holds
+
+
 def _lsh_candidate_pairs(rows_ds, label: str):
     """Explicit one-move hash exchange over the band rows (the Dataset
     groupby would invoke Python once per band key — almost all singletons;
     here singleton keys never leave numpy). Returns a Dataset
     (doc_a, doc_b)."""
-    import ray.data as rd
-
-    split_task = ray.remote(_band_split_impl)
-    bucket_task = ray.remote(_band_bucket_pairs_impl)
     mat = rows_ds.materialize()
+    nrows = mat.count()
     # bucket count scales with band-row VOLUME (docs x bands), capped per
     # bucket at BAND_BUCKET_ROWS -- cpu count alone leaves per-bucket rows
-    # unbounded at corpus scale (the SHACLEX_SPLIT_ROWS lesson)
+    # unbounded at corpus scale
     nbuckets = max(
         4,
         int(ray.cluster_resources().get("CPU", 8)),
-        -(-mat.count() // BAND_BUCKET_ROWS),
+        -(-nrows // BAND_BUCKET_ROWS),
     )
-    refs = mat.to_arrow_refs()
-    ngroups = max(1, min(len(refs), nbuckets))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, *grp)
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(label, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    split_refs = exchange.split(
+        _band_split_impl, (), mat.to_arrow_refs(), nrows, nbuckets,
+        BAND_SCHEMA, list(BAND_SCHEMA.names),
+    )
+    return exchange.reduce(split_refs, _band_bucket_pairs_impl, (label,))
 
 
 def minhash_candidates(sf_dir: str, num_perm: int = 64, bands: int = 16):

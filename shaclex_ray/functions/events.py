@@ -27,14 +27,15 @@ IEEE expression tree on both sides (cents/100.0, then /n).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 
 HOUR_US = 3_600_000_000
 GAP_US_DEFAULT = 30 * 60 * 1_000_000  # 30-minute session gap
@@ -151,36 +152,14 @@ def events_window_agg(sf_dir: str):
 
 # ------------------------------------------------- one-move user exchange
 
-def _split_by_user_impl(nbuckets: int, *tbls: pa.Table):
+def _split_by_user_impl(base: pa.Table, nbuckets: int):
     """Event rows → nbuckets sub-tables by user_id (small uniform ints —
     modulo IS the hash)."""
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        # all-empty input: pick an empty table that still CARRIES the
-        # event columns (a fully-empty upstream can surface zero-column
-        # blocks that would break the user_id lookup below)
-        real = [
-            next(
-                (t for t in tbls if "user_id" in t.column_names), tbls[0]
-            ).slice(0, 0)
-        ]
-    base = pa.concat_tables(real).combine_chunks()
-    if "user_id" not in base.column_names:
-        return base if nbuckets == 1 else tuple(base for _ in range(nbuckets))
-    users = base.column("user_id").to_numpy(zero_copy_only=False)
-    buckets = (users % nbuckets).astype(np.int64)
-    order = np.argsort(buckets, kind="stable")
-    sorted_tbl = base.take(pa.array(order))
-    bounds = np.searchsorted(buckets[order], np.arange(nbuckets + 1))
-    if nbuckets == 1:
-        return sorted_tbl
-    return tuple(
-        sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-        for i in range(nbuckets)
-    )
+    users = base.column("user_id").to_numpy()
+    return partition(base, users % nbuckets, nbuckets)
 
 
-USER_BUCKET_ROWS = int(os.environ.get("SHACLEX_USER_BUCKET_ROWS", 2_000_000))
+USER_BUCKET_ROWS = 2_000_000  # most event rows one user bucket holds
 
 
 def _user_exchange(rows_ds, bucket_impl, *bucket_args):
@@ -188,19 +167,17 @@ def _user_exchange(rows_ds, bucket_impl, *bucket_args):
     *tables)`` per bucket (all users of a bucket processed vectorized —
     the Dataset groupby would call Python once per user).
 
-    Bucket count scales with DATA VOLUME, not just cpu count (the
-    SHACLEX_SPLIT_ROWS lesson from the dedup exchange): per-bucket rows
-    are bounded by USER_BUCKET_ROWS so a 100-TB events table fans out to
-    however many bucket tasks the volume demands, while a small table
-    still gets one bucket per cpu for parallelism."""
-    split_task = ray.remote(_split_by_user_impl)
-    bucket_task = ray.remote(bucket_impl)
+    Bucket count scales with DATA VOLUME, not just cpu count: per-bucket
+    rows are bounded by USER_BUCKET_ROWS so a 100-TB events table fans
+    out to however many bucket tasks the volume demands, while a small
+    table still gets one bucket per cpu for parallelism."""
     mat = rows_ds.materialize()
-    if mat.count() == 0:
+    nrows = mat.count()
+    schema = mat.schema()
+    if nrows == 0:
         # empty events table: run the bucket kernel ONCE driver-side on a
         # typed empty table — exact output schema, no tasks (an all-empty
         # upstream can otherwise surface zero-column blocks to the split)
-        schema = mat.schema()
         if schema is not None and "user_id" in schema.names:
             src = pa.schema(list(zip(schema.names, schema.types))).empty_table()
             return ray.data.from_arrow(bucket_impl(*bucket_args, src))
@@ -208,22 +185,13 @@ def _user_exchange(rows_ds, bucket_impl, *bucket_args):
     nbuckets = max(
         4,
         int(ray.cluster_resources().get("CPU", 8)),
-        -(-mat.count() // USER_BUCKET_ROWS),
+        -(-nrows // USER_BUCKET_ROWS),
     )
-    refs = mat.to_arrow_refs()
-    ngroups = max(1, min(len(refs), nbuckets))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, *grp)
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(*bucket_args, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    return ray.data.from_arrow_refs(out_refs)
+    split_refs = exchange.split(
+        _split_by_user_impl, (), mat.to_arrow_refs(), nrows, nbuckets,
+        pa.schema(list(zip(schema.names, schema.types))),
+    )
+    return exchange.reduce(split_refs, bucket_impl, bucket_args)
 
 
 # ----------------------------------------------------------- sessionize

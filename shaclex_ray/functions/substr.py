@@ -23,17 +23,14 @@ Shape (two one-move exchanges, everything between them vectorized):
 
 At 100 TB the window stream is ~|tokens| rows of 26 bytes — the same
 order as the MinHash shingle stream (functions/dedup.py) and the price
-every substring-dedup pipeline pays; both exchanges are volume-bounded
-via SHACLEX_SPLIT_ROWS exactly like stages/dedup.distinct_rows_fast.
+every substring-dedup pipeline pays; both exchanges are the one
+volume-bounded hash exchange of stages/exchange.py.
 
 No counterpart in the reference (weso/shaclex is a validation engine);
 this extends the training-data surface alongside functions/dedup.py.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -43,9 +40,21 @@ import ray
 import ray.data as rd
 
 from shaclex_ray.functions.md5batch import md5_u128_batch
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 
 K_TOKENS = 8
 MIN_COUNT = 2
+
+
+WINDOW_SCHEMA = pa.schema(
+    [
+        ("h1", pa.uint64()),
+        ("h2", pa.uint64()),
+        ("doc_id", pa.int64()),
+        ("start", pa.int64()),
+    ]
+)
 
 
 def _windows_batch(batch: pa.Table, k: int) -> pa.Table:
@@ -63,16 +72,8 @@ def _windows_batch(batch: pa.Table, k: int) -> pa.Table:
     doc_offs = np.concatenate([[0], np.cumsum(lens)])[:-1]
     nwin = np.maximum(lens - k + 1, 0)
     total = int(nwin.sum())
-    empty = pa.table(
-        {
-            "h1": pa.array([], pa.uint64()),
-            "h2": pa.array([], pa.uint64()),
-            "doc_id": pa.array([], pa.int64()),
-            "start": pa.array([], pa.int64()),
-        }
-    )
     if total == 0:
-        return empty
+        return WINDOW_SCHEMA.empty_table()
     win_offs = np.concatenate([[0], np.cumsum(nwin)])[:-1]
     doc_rep = np.repeat(doc_ids, nwin)
     starts = np.arange(total, dtype=np.int64) - np.repeat(win_offs, nwin)
@@ -92,15 +93,9 @@ def _windows_batch(batch: pa.Table, k: int) -> pa.Table:
     )
 
 
-def _dup_split_impl(nbuckets: int, *tbls: pa.Table):
-    parts = [t for t in tbls if t.num_rows > 0]
-    tbl = pa.concat_tables(parts) if parts else tbls[0]
-    if nbuckets == 1:
-        return tbl
-    bucket = tbl.column("h1").to_numpy(zero_copy_only=False) % np.uint64(nbuckets)
-    return tuple(
-        tbl.take(pa.array(np.flatnonzero(bucket == b))) for b in range(nbuckets)
-    )
+def _dup_split_impl(tbl: pa.Table, nbuckets: int):
+    h1 = tbl.column("h1").to_numpy()
+    return partition(tbl, h1 % np.uint64(nbuckets), nbuckets)
 
 
 def _dup_bucket_impl(min_count: int, *parts: pa.Table) -> pa.Table:
@@ -121,16 +116,10 @@ def _dup_bucket_impl(min_count: int, *parts: pa.Table) -> pa.Table:
     return tbl.select(["doc_id", "start"]).take(pa.array(np.sort(keep)))
 
 
-def _span_split_impl(nbuckets: int, *tbls: pa.Table):
-    parts = [t for t in tbls if t.num_rows > 0]
-    tbl = pa.concat_tables(parts) if parts else tbls[0]
-    if nbuckets == 1:
-        return tbl
-    doc = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    bucket = doc.astype(np.uint64) % np.uint64(nbuckets)
-    return tuple(
-        tbl.take(pa.array(np.flatnonzero(bucket == b))) for b in range(nbuckets)
-    )
+def _span_split_impl(tbl: pa.Table, nbuckets: int):
+    """doc_id-keyed split of any table with an integer doc_id column."""
+    doc = tbl.column("doc_id").to_numpy()
+    return partition(tbl, doc.astype(np.uint64) % np.uint64(nbuckets), nbuckets)
 
 
 def _span_bucket_impl(k: int, *parts: pa.Table) -> pa.Table:
@@ -168,43 +157,6 @@ def _span_bucket_impl(k: int, *parts: pa.Table) -> pa.Table:
     )
 
 
-def _exchange(
-    ds_or_refs, split_impl, split_args, bucket_impl, bucket_args,
-    nbuckets: int | None = None,
-):
-    """One-move hash exchange (the stages/dedup.py shape): volume-bounded
-    split groups -> nbuckets partitions -> one vectorized bucket task.
-    ``nbuckets`` pins the partition count (so a second same-keyed dataset
-    can co-partition against the output without another shuffle)."""
-    if isinstance(ds_or_refs, list):
-        refs, nrows = ds_or_refs
-    else:
-        mat = ds_or_refs.materialize()
-        refs, nrows = mat.to_arrow_refs(), mat.count()
-    if not refs or nrows == 0:
-        return []  # zero-block / zero-row input: nothing to exchange
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    if nbuckets is None:
-        nbuckets = max(1, min(ncpu, nrows // 200_000 + 1))
-    target = int(os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(1, min(len(refs), max(nbuckets, math.ceil(nrows / target))))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
-    split_task = ray.remote(split_impl)
-    bucket_task = ray.remote(bucket_impl)
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(
-            nbuckets, *split_args, *grp
-        )
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    return [
-        bucket_task.remote(*bucket_args, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-
-
 _SPANS_EMPTY = pa.table(
     {
         "doc_id": pa.array([], pa.int64()),
@@ -215,23 +167,40 @@ _SPANS_EMPTY = pa.table(
 )
 
 
-def _cut_list_refs(docs_ds, k: int, min_count: int, nbuckets: int | None = None):
+def _cut_list(docs_ds, k: int, min_count: int, nbuckets: int | None = None):
     """Shared prefix of :func:`dedup_substring` and
     :func:`trim_substring_spans`: k-token windows → duplicated-window
-    exchange → per-doc maximal span exchange. Returns the span-table
-    refs ([] when the corpus has no duplicated windows at all), so the
-    cut list reported by dedup_substring and the one applied by trim can
-    never diverge."""
+    exchange → per-doc maximal span exchange (``nbuckets`` pins its
+    partition count, so a same-keyed split of the docs co-partitions
+    against it). Returns the span Dataset, one block per bucket, or None
+    when the corpus has no duplicated windows at all, so the cut list
+    reported by dedup_substring and the one applied by trim can never
+    diverge."""
     windows = docs_ds.map_batches(
         lambda b: _windows_batch(b.select(["doc_id", "text"]), k),
         batch_format="pyarrow",
+    ).materialize()
+    nwin = windows.count()
+    if nwin == 0:
+        return None
+    dup = exchange.reduce(
+        exchange.split(
+            _dup_split_impl, (), windows.to_arrow_refs(), nwin,
+            exchange.default_buckets(nwin), WINDOW_SCHEMA,
+        ),
+        _dup_bucket_impl, (min_count,),
     )
-    dup_refs = _exchange(windows, _dup_split_impl, (), _dup_bucket_impl, (min_count,))
-    if not dup_refs:
-        return []
-    dup_ds = rd.from_arrow_refs(dup_refs).materialize()
-    return _exchange(
-        dup_ds, _span_split_impl, (), _span_bucket_impl, (k,), nbuckets=nbuckets
+    ndup = dup.count()
+    if ndup == 0:
+        return None
+    if nbuckets is None:
+        nbuckets = exchange.default_buckets(ndup)
+    return exchange.reduce(
+        exchange.split(
+            _span_split_impl, (), dup.to_arrow_refs(), ndup, nbuckets,
+            pa.schema([("doc_id", pa.int64()), ("start", pa.int64())]),
+        ),
+        _span_bucket_impl, (k,),
     )
 
 
@@ -249,10 +218,8 @@ def dedup_substring(
     if docs_path is None:
         docs_path = f"{sf_dir}/documents.parquet"
     ds = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
-    span_refs = _cut_list_refs(ds, k, min_count)
-    if not span_refs:
-        return rd.from_arrow(_SPANS_EMPTY)
-    return rd.from_arrow_refs(span_refs)
+    spans = _cut_list(ds, k, min_count)
+    return rd.from_arrow(_SPANS_EMPTY) if spans is None else spans
 
 
 def _trim_bucket_impl(k: int, spans: pa.Table, *doc_parts: pa.Table) -> pa.Table:
@@ -369,26 +336,18 @@ def trim_substring_spans(
         return rd.from_arrow(pa.schema(fields).empty_table())
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     nbuckets = max(1, min(ncpu, ndocs // 100_000 + 1))
-    span_refs = _cut_list_refs(mat_docs, k, min_count, nbuckets=nbuckets)
-    if not span_refs:
-        # no duplicated window anywhere: every doc passes through untrimmed
-        span_refs = [ray.put(_SPANS_EMPTY) for _ in range(nbuckets)]
-    target = int(os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(1, min(len(doc_refs), max(nbuckets, math.ceil(ndocs / target))))
-    groups = [doc_refs[g::ngroups] for g in range(ngroups)]
-    split_task = ray.remote(_span_split_impl)  # doc_id-keyed, any schema
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(nbuckets, *grp)
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    trim_task = ray.remote(_trim_bucket_impl)
-    out = [
-        trim_task.remote(k, span_refs[b], *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out)
+    spans = _cut_list(mat_docs, k, min_count, nbuckets=nbuckets)
+    # no duplicated window anywhere: every doc passes through untrimmed
+    span_refs = (
+        [ray.put(_SPANS_EMPTY)] * nbuckets if spans is None
+        else spans.to_arrow_refs()
+    )
+    doc_split = exchange.split(
+        _span_split_impl, (), doc_refs, ndocs, nbuckets,
+        mat_docs.schema().base_schema,
+    )
+    # the span refs ride as group 0: bucket b's task gets its spans first
+    return exchange.reduce([span_refs] + doc_split, _trim_bucket_impl, (k,))
 
 
 def trim_substring_spans_sql(

@@ -305,20 +305,22 @@ def build_spans_batch_vec(batch: pa.Table) -> pa.Table:
     )
 
 
+def parquet_files(path: str) -> list[str]:
+    """The parquet files of a parquet file OR directory of files."""
+    import glob
+
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(glob.glob(f"{path}/**/*.parquet", recursive=True))
+
+
 def parquet_num_rows(path: str) -> int:
     """Row count of a parquet file OR directory of files — pure metadata
     reads, no data scan (join fan-outs and size-adaptive switches size
     themselves with this)."""
-    import glob
-
     import pyarrow.parquet as pq
 
-    files = (
-        sorted(glob.glob(f"{path}/**/*.parquet", recursive=True))
-        if os.path.isdir(path)
-        else [path]
-    )
-    return sum(pq.read_metadata(f).num_rows for f in files)
+    return sum(pq.read_metadata(f).num_rows for f in parquet_files(path))
 
 
 def document_partitions(sf_dir: str, want: int | None = None) -> list[dict]:

@@ -39,6 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 from shaclex_ray.terms import TRIPLE_ID_COLS, TRIPLES_SCHEMA
 
 # lineage columns of a triple: the least (doc_id, span_idx) row survives
@@ -87,16 +89,6 @@ def _adjacent_identity_neq(tbl: pa.Table, id_cols: list[str]) -> np.ndarray:
             )
         neq |= d.to_numpy(zero_copy_only=False)
     return neq
-
-
-def _partition_slices(tbl: pa.Table, sorted_b: np.ndarray, nbuckets: int):
-    """Slice a bucket-sorted table into ``nbuckets`` zero-copy views.
-    ``sorted_b`` is the (nondecreasing) bucket id per row of ``tbl``."""
-    bounds = np.searchsorted(sorted_b, np.arange(nbuckets + 1))
-    return tuple(
-        tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-        for i in range(nbuckets)
-    )
 
 
 def _keep_rows(
@@ -182,43 +174,29 @@ def _keep_rows(
     return order[keep_mask]
 
 
-
-
 # ---------------------------------------------------------------------------
-# the explicit hash exchange: split tasks (map-side combine + single-sort
-# partition) → bucket tasks (per-bucket vectorized distinct). One kernel
-# pair serves both entry points below; witness columns select the triple
-# case.
+# the hash exchange (stages/exchange.py): split kernel = map-side combine +
+# single-sort partition, bucket kernel = per-bucket vectorized distinct.
+# One kernel pair serves both entry points below; witness columns select
+# the triple case.
 
 def _distinct_split_impl(
+    base: pa.Table,
     nbuckets: int,
     cols: list[str],
     witness_cols: list[str] | None,
-    schema: pa.Schema,
     link_tbl: pa.Table | None,
-    *tbls: pa.Table,
 ):
     """Map side: distinct on ``cols`` (least ``witness_cols`` row kept, or
     any one of identical rows when None), partitioned by the same hash.
 
-    ``schema`` types the partials of a group whose blocks are all empty
-    (a strided group can hold only degenerate zero-column blocks).
     ``link_tbl``: broadcast link table — the mention→canonical rewrite
     runs fused here, so the rewritten table never materializes as an
     intermediate Dataset in the object store."""
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        empty = schema.empty_table()
-        return empty if nbuckets == 1 else tuple(empty for _ in range(nbuckets))
     if link_tbl is not None:
         from shaclex_ray.stages.link import Canonicalizer
 
-        cz = Canonicalizer(link_tbl)
-        real = [cz(t) for t in real]
-    # concat_tables is ZERO-COPY (chunked views); everything downstream
-    # (polars hash, takes) handles chunked columns — never flatten the
-    # full group into a fresh copy
-    base = pa.concat_tables(real)
+        base = Canonicalizer(link_tbl)(base)
     h = _row_hash(base, cols)
     b = (h % np.uint64(nbuckets)).astype(np.int64)
     # ONE integer lexsort orders rows (bucket, hash): partition bounds and
@@ -228,10 +206,7 @@ def _distinct_split_impl(
     # surviving rows gathered in ONE take (the sorted full table is never
     # materialized)
     kept = _keep_rows(base, order, h, cols, witness_cols)
-    out = base.take(pa.array(kept))
-    if nbuckets == 1:
-        return out  # num_returns=1: the single return IS the table
-    return _partition_slices(out, b[kept], nbuckets)
+    return partition(base.take(pa.array(kept)), b[kept], nbuckets)
 
 
 def _distinct_bucket_impl(
@@ -245,34 +220,6 @@ def _distinct_bucket_impl(
     order = np.argsort(h, kind="stable")
     kept = _keep_rows(base, order, h, cols, witness_cols)
     return base.take(pa.array(kept))
-
-
-def _reduce(split_refs: list, nbuckets: int, cols, witness_cols):
-    """Bucket ``b`` merges the ``b``-th partial of every split task; the
-    result wraps back into a Dataset via from_arrow_refs (zero-copy)."""
-    import ray
-    import ray.data as rd
-
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    bucket_task = ray.remote(_distinct_bucket_impl)
-    return rd.from_arrow_refs(
-        [
-            bucket_task.remote(cols, witness_cols, *[grp[b] for grp in split_refs])
-            for b in range(nbuckets)
-        ]
-    )
-
-
-def _split_files_impl(nbuckets: int, link_tbl, files: list[str]):
-    """Triple split task reading its parquet shards DIRECTLY from storage —
-    the exchange input never stages through the object store."""
-    import pyarrow.parquet as pq
-
-    tbls = [pq.read_table(f) for f in files]
-    return _distinct_split_impl(
-        nbuckets, TRIPLE_ID_COLS, WITNESS_COLS, TRIPLES_SCHEMA, link_tbl, *tbls
-    )
 
 
 def dedup_triples_fast_from_parquet(
@@ -291,11 +238,10 @@ def dedup_triples_fast_from_parquet(
     the rewrite into the split tasks; the join regime hands over a
     directory of already-rewritten triples. ``extra_tables``: small side
     tables (entity metadata triples, already canonical) that join the same
-    exchange through one extra split task, so witness selection across
+    exchange through one extra split group, so witness selection across
     rewritten and extra rows is that of one dedup over their union."""
     import glob as _glob
     import math as _math
-    import os as _os
 
     import pyarrow.parquet as _pq
 
@@ -307,14 +253,9 @@ def dedup_triples_fast_from_parquet(
     link_ref = (
         ray.put(canonicalize_with) if canonicalize_with is not None else None
     )
-    # bound rows per split group, NOT groups per cpu: a group must fit a
-    # task heap (~2M rows ≈ 300MB + working copies) regardless of input
-    # volume — at 10-100x the corpus, cpu-count-sized groups balloon to
-    # gigabytes each and the concurrent peak thrashes the node
     total_rows = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
-    target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
     if nbuckets is None:
-        # the REDUCE side is volume-bounded too: per-bucket rows ≈
+        # the REDUCE side is volume-bounded: per-bucket rows ≈
         # total/nbuckets must fit a task heap, so buckets scale with the
         # data (≈2×SPLIT_ROWS each), floored at cluster width and capped
         # at 1024 — the split-output ref matrix is ngroups×nbuckets, and
@@ -323,24 +264,20 @@ def dedup_triples_fast_from_parquet(
         nbuckets = max(
             8,
             int(ray.cluster_resources().get("CPU", 8)),
-            min(1024, _math.ceil(total_rows / (2 * target))),
+            min(1024, _math.ceil(total_rows / (2 * exchange.SPLIT_ROWS))),
         )
-    ngroups = max(1, min(len(files), _math.ceil(total_rows / target)))
-    split_task = ray.remote(_split_files_impl).options(num_returns=nbuckets)
-    split_refs = [
-        split_task.remote(nbuckets, link_ref, files[g::ngroups])
-        for g in range(ngroups)
-    ]
+    args = (TRIPLE_ID_COLS, WITNESS_COLS)
+    split_refs = exchange.split(
+        _distinct_split_impl, args + (link_ref,), files, total_rows,
+        nbuckets, TRIPLES_SCHEMA,
+    )
     if extra_tables:
-        split_refs.append(
-            ray.remote(_distinct_split_impl)
-            .options(num_returns=nbuckets)
-            .remote(
-                nbuckets, TRIPLE_ID_COLS, WITNESS_COLS, TRIPLES_SCHEMA, None,
-                *[ray.put(t) for t in extra_tables],
-            )
+        refs = [ray.put(t) for t in extra_tables]
+        split_refs += exchange.split(
+            _distinct_split_impl, args + (None,), refs,
+            sum(t.num_rows for t in extra_tables), nbuckets, TRIPLES_SCHEMA,
         )
-    return _reduce(split_refs, nbuckets, TRIPLE_ID_COLS, WITNESS_COLS)
+    return exchange.reduce(split_refs, _distinct_bucket_impl, args)
 
 
 def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
@@ -348,14 +285,9 @@ def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
     with no witness — one data move, no sort-based shuffle, no per-group
     Python calls (a groupby().map_groups distinct costs seconds of fixed
     overhead even on tiny intermediates)."""
-    import math as _math
-    import os as _os
-
-    import ray
     import ray.data as rd
 
     mat = ds.materialize()
-    refs = mat.to_arrow_refs()
     schema = mat.schema()
     if schema is None:
         # a fully-empty upstream can surface ZERO blocks (no schema at
@@ -365,23 +297,14 @@ def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
             return rd.from_arrow(empty_schema.empty_table())
         return mat
     cols = schema.names
+    nrows = mat.count()
     if nbuckets is None:
-        # size the exchange to the DATA, not the cluster: a tiny distinct
-        # must not fan out cpus x cpus near-empty objects (a 32x32 grid of
-        # ~0-row slices costs seconds of dispatch for nothing)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, mat.count() // 200_000 + 1))
-    target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(
-        1,
-        min(len(refs), max(nbuckets, _math.ceil(mat.count() / target))),
-    )
-    # the driver-supplied dataset schema is the authority for all-empty
-    # split groups, so their partials always concat with real ones
+        nbuckets = exchange.default_buckets(nrows)
+    # the dataset schema types the partials of an all-empty split group,
+    # so they always concat with real ones
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
-    split_task = ray.remote(_distinct_split_impl).options(num_returns=nbuckets)
-    split_refs = [
-        split_task.remote(nbuckets, cols, None, pa_schema, None, *refs[g::ngroups])
-        for g in range(ngroups)
-    ]
-    return _reduce(split_refs, nbuckets, cols, None)
+    split_refs = exchange.split(
+        _distinct_split_impl, (cols, None, None), mat.to_arrow_refs(), nrows,
+        nbuckets, pa_schema,
+    )
+    return exchange.reduce(split_refs, _distinct_bucket_impl, (cols, None))

@@ -9,9 +9,8 @@ scale) plus a sort-based shuffle — with:
      partials by key
   2. bucket tasks: final Arrow aggregate per bucket
 
-One data move, zero per-group Python. Mirrors the exchange shape of
-``stages/dedup.distinct_rows_fast`` (volume-bounded split groups via
-``SHACLEX_SPLIT_ROWS``).
+One data move, zero per-group Python, through the one hash exchange
+(``stages/exchange.py``), like ``stages/dedup.distinct_rows_fast``.
 
 Supported agg fns and their partial/final decomposition:
 
@@ -31,17 +30,15 @@ mixing it with combinable fns would need two passes.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 
-from shaclex_ray.stages.dedup import _keep_rows, _partition_slices, _row_hash
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.dedup import _keep_rows, _row_hash
+from shaclex_ray.stages.exchange import partition
 
 _FINAL = {"min": "min", "max": "max", "sum": "sum", "count": "sum"}
 
@@ -52,27 +49,15 @@ def _partial_agg(tbl: pa.Table, keys: list[str], aggs: list[tuple[str, str]]) ->
     return tbl.group_by(keys, use_threads=False).aggregate(aggs)
 
 
+def _key_buckets(tbl: pa.Table, keys: list[str], nbuckets: int) -> np.ndarray:
+    return (_row_hash(tbl, keys) % np.uint64(nbuckets)).astype(np.int64)
+
+
 def _split_impl(
-    nbuckets: int,
-    keys: list[str],
-    aggs: list[tuple[str, str]],
-    schema: pa.Schema,
-    *tbls: pa.Table,
+    tbl: pa.Table, nbuckets: int, keys: list[str], aggs: list[tuple[str, str]]
 ):
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        # a strided split group can be ALL degenerate zero-column empty
-        # blocks (upstream map_groups emits them) — the driver-supplied
-        # dataset schema is the authority for a correctly-typed partial
-        empty = _partial_agg(schema.empty_table(), keys, aggs)
-        return empty if nbuckets == 1 else tuple(empty for _ in range(nbuckets))
-    part = _partial_agg(pa.concat_tables(real), keys, aggs)
-    if nbuckets == 1:
-        return part
-    h = _row_hash(part, keys)
-    b = (h % np.uint64(nbuckets)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    return _partition_slices(part.take(pa.array(order)), b[order], nbuckets)
+    part = _partial_agg(tbl, keys, aggs)
+    return partition(part, _key_buckets(part, keys, nbuckets), nbuckets)
 
 
 def _bucket_impl(
@@ -93,9 +78,7 @@ def _bucket_impl(
     return pa.table(dict(zip(list(keys) + list(names), arrays)))
 
 
-def _split_distinct_impl(
-    nbuckets: int, keys: list[str], dcol: str, schema: pa.Schema, *tbls: pa.Table
-):
+def _split_distinct_impl(tbl: pa.Table, nbuckets: int, keys: list[str], dcol: str):
     """count_distinct map side: batch-local distinct over keys+dcol
     (combiner — shrinks the exchange), partitioned by KEY hash only so
     all of a key's rows land in one bucket. ONE lexsort by (key-bucket,
@@ -104,21 +87,12 @@ def _split_distinct_impl(
     runs never straddle a bucket boundary (same argument as
     dedup._distinct_split_impl)."""
     cols = list(keys) + [dcol]
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        empty = schema.empty_table().select(cols)
-        return empty if nbuckets == 1 else tuple(empty for _ in range(nbuckets))
-    base = pa.concat_tables(real).select(cols)
+    base = tbl.select(cols)
     h = _row_hash(base, cols)
-    if nbuckets == 1:
-        order = np.argsort(h, kind="stable")
-        kept = _keep_rows(base, order, h, id_cols=cols, witness_cols=None)
-        return base.take(pa.array(kept))
-    hk = _row_hash(base, list(keys))
-    b = (hk % np.uint64(nbuckets)).astype(np.int64)
+    b = _key_buckets(base, list(keys), nbuckets)
     order = np.lexsort((h, b))
     kept = _keep_rows(base, order, h, id_cols=cols, witness_cols=None)
-    return _partition_slices(base.take(pa.array(kept)), b[kept], nbuckets)
+    return partition(base.take(pa.array(kept)), b[kept], nbuckets)
 
 
 def _bucket_distinct_impl(keys: list[str], col: str, name: str, *parts: pa.Table):
@@ -173,49 +147,22 @@ def grouped_aggregate_fast(
         )
 
     if nbuckets is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, nrows // 200_000 + 1))
-
-    if distinct_mode:
-        dcol, dname = aggs[0][0], names[0]
-        split_task = ray.remote(_split_distinct_impl)
-        bucket_task = ray.remote(_bucket_distinct_impl)
-    else:
-        split_task = ray.remote(_split_impl)
-        bucket_task = ray.remote(_bucket_impl)
-
-    target = int(os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(1, min(len(refs), max(nbuckets, math.ceil(nrows / target))))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
+        nbuckets = exchange.default_buckets(nrows)
+    # the dataset schema types an all-degenerate split group's partials
     schema = mat.schema()
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
     if distinct_mode:
-        split_refs = [
-            split_task.options(num_returns=nbuckets).remote(
-                nbuckets, keys, dcol, pa_schema, *grp
-            )
-            for grp in groups
-        ]
-    else:
-        split_refs = [
-            split_task.options(num_returns=nbuckets).remote(
-                nbuckets, keys, aggs, pa_schema, *grp
-            )
-            for grp in groups
-        ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    if distinct_mode:
-        out_refs = [
-            bucket_task.remote(keys, dcol, dname, *[grp[b] for grp in split_refs])
-            for b in range(nbuckets)
-        ]
-    else:
-        out_refs = [
-            bucket_task.remote(keys, aggs, names, *[grp[b] for grp in split_refs])
-            for b in range(nbuckets)
-        ]
-    return rd.from_arrow_refs(out_refs)
+        dcol = aggs[0][0]
+        split_refs = exchange.split(
+            _split_distinct_impl, (keys, dcol), refs, nrows, nbuckets, pa_schema
+        )
+        return exchange.reduce(
+            split_refs, _bucket_distinct_impl, (keys, dcol, names[0])
+        )
+    split_refs = exchange.split(
+        _split_impl, (keys, aggs), refs, nrows, nbuckets, pa_schema
+    )
+    return exchange.reduce(split_refs, _bucket_impl, (keys, aggs, names))
 
 
 # ------------------------------------------------------------ grouped topk
@@ -268,18 +215,9 @@ def _topk_kernel(
     return out
 
 
-def _split_topk_impl(nbuckets, key, sort_keys, k, schema, *tbls):
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        e = _topk_kernel(schema.empty_table(), key, sort_keys, k, None)
-        return e if nbuckets == 1 else tuple(e for _ in range(nbuckets))
-    part = _topk_kernel(pa.concat_tables(real), key, sort_keys, k, None)
-    if nbuckets == 1:
-        return part
-    h = _row_hash(part, [key])
-    b = (h % np.uint64(nbuckets)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    return _partition_slices(part.take(pa.array(order)), b[order], nbuckets)
+def _split_topk_impl(tbl, nbuckets, key, sort_keys, k):
+    part = _topk_kernel(tbl, key, sort_keys, k, None)
+    return partition(part, _key_buckets(part, [key], nbuckets), nbuckets)
 
 
 def _bucket_topk_impl(key, sort_keys, k, rank_name, keep_cols, *parts):
@@ -328,27 +266,12 @@ def grouped_topk(
             tbl = tbl.select(keep_cols)
         return rd.from_arrow(tbl)
     if nbuckets is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, nrows // 200_000 + 1))
-    split_task = ray.remote(_split_topk_impl)
-    bucket_task = ray.remote(_bucket_topk_impl)
-    target = int(os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-    ngroups = max(1, min(len(refs), max(nbuckets, math.ceil(nrows / target))))
-    groups = [refs[g::ngroups] for g in range(ngroups)]
+        nbuckets = exchange.default_buckets(nrows)
     ds_schema = mat.schema()
     pa_schema = pa.schema(list(zip(ds_schema.names, ds_schema.types)))
-    split_refs = [
-        split_task.options(num_returns=nbuckets).remote(
-            nbuckets, key, sort_keys, k, pa_schema, *grp
-        )
-        for grp in groups
-    ]
-    if nbuckets == 1:
-        split_refs = [[r] for r in split_refs]
-    out_refs = [
-        bucket_task.remote(
-            key, sort_keys, k, rank_name, keep_cols, *[g[b] for g in split_refs]
-        )
-        for b in range(nbuckets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    split_refs = exchange.split(
+        _split_topk_impl, (key, sort_keys, k), refs, nrows, nbuckets, pa_schema
+    )
+    return exchange.reduce(
+        split_refs, _bucket_topk_impl, (key, sort_keys, k, rank_name, keep_cols)
+    )

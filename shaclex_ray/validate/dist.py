@@ -25,8 +25,9 @@ Two transports, one driver loop (``_bsp``, written against a call/get
 pair), chosen in ``distributed_validate`` from ``nbuckets``:
 
   * ``nbuckets > 1``: one ``BucketWorker`` actor per bucket (the
-    ``_Bucket`` class as a Ray actor), fed by one split-task exchange and
-    called through actor handles
+    ``_Bucket`` class as a Ray actor), fed by the one hash exchange's
+    split tasks (``stages/exchange.split``) and called through actor
+    handles
   * ``nbuckets == 1``: the whole fixpoint — file read, split, load, focus
     derivation, rounds, cycle-break, output — runs as ONE Ray task on a
     pooled, already-warm worker that calls its ``_Bucket`` in-process: no
@@ -56,6 +57,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.exchange import partition
 from shaclex_ray.terms import RDF_TYPE, key_to_term, subj_to_key, term_key
 from shaclex_ray.validate.local import Graph, ShExValidator
 from shaclex_ray.validate.nodecheck import compile_pattern
@@ -403,54 +406,23 @@ class _DistShacl(ShaclValidator):
 # ---------------------------------------------------------------------------
 # the one-time shuffle: split triple blocks into per-bucket sub-tables
 
-def _split_files_plain(nbuckets: int, include_inverse: bool, files: list):
-    """Split variant reading parquet shards DIRECTLY from storage (arc
-    columns only) — the exchange input never stages through the object
-    store."""
-    import pyarrow.parquet as pq
-
-    cols = ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
-    tbls = [pq.read_table(f, columns=cols) for f in files]
-    return _split_block_plain(nbuckets, include_inverse, *tbls)
+ARC_COLS = ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
+ARC_SCHEMA = pa.schema([(c, pa.string()) for c in ARC_COLS])
 
 
-def _split_block_plain(nbuckets: int, include_inverse: bool, *tbls: pa.Table):
-    """A group of triples blocks -> nbuckets sub-tables. Each sub-table
-    carries a 'rev' column: false = outgoing arc stored at its subject's
-    bucket, true = reversed copy stored at its (IRI/bnode) object's
-    bucket. Taking a block *group* keeps the object-count at
-    groups × nbuckets instead of blocks × nbuckets."""
-    cols = ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
-    # zero-row blocks from upstream map_groups can carry an EMPTY schema
-    # (no columns at all) — filter them before select()
-    real = [t for t in tbls if t.num_rows > 0]
-    if not real:
-        real = [
-            pa.table({c: pa.array([], pa.string()) for c in cols})
-        ]
-    base = pa.concat_tables([t.select(cols) for t in real]).combine_chunks()
+def _route_arcs(base: pa.Table, nbuckets: int, include_inverse: bool):
+    """Split kernel of the one-time shuffle (``stages/exchange.py``):
+    triples -> nbuckets arc sub-tables. Each sub-table carries a 'rev'
+    column: false = outgoing arc stored at its subject's bucket, true =
+    reversed copy stored at its (IRI/bnode) object's bucket."""
+    base = base.combine_chunks()
     n = base.num_rows
-
-    def partition(tbl: pa.Table, keys) -> list[pa.Table]:
-        """Single-sort partition: argsort once, emit zero-copy slices."""
-        if nbuckets == 1:
-            return [tbl]
-        buckets = stable_bucket_array(keys, nbuckets)
-        order = np.argsort(buckets, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order))
-        sorted_b = buckets[order]
-        bounds = np.searchsorted(sorted_b, np.arange(nbuckets + 1))
-        return [
-            sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-            for i in range(nbuckets)
-        ]
-
     fwd = base.append_column("rev", pa.array(np.zeros(n, dtype=bool)))
-    fwd_parts = partition(fwd, base.column("subj"))
+    fwd_parts = partition(
+        fwd, stable_bucket_array(base.column("subj"), nbuckets), nbuckets
+    )
     if not include_inverse:
-        if nbuckets == 1:
-            return fwd_parts[0]  # num_returns=1: return the table itself
-        return tuple(fwd_parts)
+        return fwd_parts
     # reversed copies co-locate incoming arcs with their object node —
     # including literal objects (a literal focus with an inverse constraint
     # must see its arcs_in; bucketing matches node_key_bucket's 'L' branch)
@@ -474,12 +446,8 @@ def _split_block_plain(nbuckets: int, include_inverse: bool, *tbls: pa.Table):
         pc.if_else(pc.equal(okind, "iri"), olex, lit),
     )
     rev = rev.append_column("rev", pa.array(np.ones(rev.num_rows, dtype=bool)))
-    rev_parts = partition(rev, ostr)
-    if nbuckets == 1:
-        return pa.concat_tables([fwd_parts[0], rev_parts[0]])
-    return tuple(
-        pa.concat_tables([f, r]) for f, r in zip(fwd_parts, rev_parts)
-    )
+    rev_parts = partition(rev, stable_bucket_array(ostr, nbuckets), nbuckets)
+    return [pa.concat_tables([f, r]) for f, r in zip(fwd_parts, rev_parts)]
 
 
 class _ArcIndex:
@@ -710,10 +678,6 @@ _NODEKIND_ALLOWED = {
     _SH + "BlankNodeOrLiteral": ("bnode", "literal"),
     _SH + "IRIOrLiteral": ("iri", "literal"),
 }
-
-
-_split_block = ray.remote(_split_block_plain)
-_split_block_files = ray.remote(_split_files_plain)
 
 
 def flat_shacl_profile(schema: dict) -> dict[str, list]:
@@ -2402,9 +2366,6 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
                output_dir, mark):
     """``nbuckets > 1``: one ``BucketWorker`` actor per bucket, fed by
     one split-task exchange, driven through actor handles."""
-    import math as _math
-    import os as _os
-
     schema_ref = ray.put(schema)
     # spawn the actor fleet before the split: worker-process startup (the
     # dominant fixed cost at high bucket counts) overlaps the split below.
@@ -2417,44 +2378,17 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
     try:
         warmups = [w.ping.remote() for w in workers]
 
-        # ---- one-time shuffle: block groups -> per-bucket parts -> actors
-        target = int(_os.environ.get("SHACLEX_SPLIT_ROWS", "2000000"))
-        if files is not None:
-            # file-granular exchange: split tasks read their parquet shards
-            # directly (storage → task heap, no object-store staging).
-            # bound rows per split group (not groups per cpu): task heap
-            # must hold a group + working copies at ANY corpus scale
-            ngroups = max(1, min(len(files), _math.ceil(total_rows / target)))
-            split_refs = [
-                _split_block_files.options(num_returns=nbuckets).remote(
-                    nbuckets, include_inverse, files[g::ngroups]
-                )
-                for g in range(ngroups)
-            ]
-        else:
-            # split-group count follows data volume both ways: a small
-            # corpus must not fan out nbuckets x nbuckets near-empty
-            # objects, and a huge one must not exceed SHACLEX_SPLIT_ROWS
-            # rows per group (task heap holds a group + working copies)
-            ngroups = max(
-                1,
-                min(
-                    len(block_refs),
-                    max(
-                        min(nbuckets, _math.ceil(total_rows / 200_000)),
-                        _math.ceil(total_rows / target),
-                    ),
-                ),
-            )
-            split_refs = [
-                _split_block.options(num_returns=nbuckets).remote(
-                    nbuckets, include_inverse, *block_refs[g::ngroups]
-                )
-                for g in range(ngroups)
-            ]
+        # ---- one-time shuffle: block groups -> per-bucket parts -> actors.
+        # File inputs are read by the split tasks themselves (storage →
+        # task heap, no object-store staging).
+        split_refs = exchange.split(
+            _route_arcs, (include_inverse,),
+            files if files is not None else block_refs, total_rows, nbuckets,
+            ARC_SCHEMA, ARC_COLS,
+        )
         ray.wait(
             [r for blk in split_refs for r in blk],
-            num_returns=ngroups * nbuckets,
+            num_returns=len(split_refs) * nbuckets,
             fetch_local=False,
         )
         mark("split")
@@ -2497,10 +2431,10 @@ def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
     mark = _marker()
     bucket = _Bucket(schema, engine, 1, 0, spill_rows)
     try:
-        if files is not None:
-            arcs = _split_files_plain(1, include_inverse, files)
-        else:
-            arcs = _split_block_plain(1, include_inverse, *blocks[:n_arc_blocks])
+        (arcs,) = exchange.run_split(
+            _route_arcs, (include_inverse,), 1, ARC_SCHEMA, ARC_COLS,
+            *(files if files is not None else blocks[:n_arc_blocks]),
+        )
         mark("read+split")
         load_refs = [bucket.load(arcs)]
         del arcs  # the index owns the arcs now; free the split's copy

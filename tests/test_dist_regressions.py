@@ -468,9 +468,12 @@ def test_vectorized_reverse_key_render_matches_scalar(ray_session):
     contain the SEP control char, empty dt/lang, and non-ASCII text."""
     import numpy as np
 
+    from shaclex_ray.stages.exchange import run_split
     from shaclex_ray.terms import SEP
     from shaclex_ray.validate.dist import (
-        _split_block_plain,
+        ARC_COLS,
+        ARC_SCHEMA,
+        _route_arcs,
         node_key_bucket,
         stable_bucket,
     )
@@ -499,7 +502,7 @@ def test_vectorized_reverse_key_render_matches_scalar(ray_session):
         }
     )
     nbuckets = 5
-    parts = _split_block_plain(nbuckets, True, tbl)
+    parts = run_split(_route_arcs, (True,), nbuckets, ARC_SCHEMA, ARC_COLS, tbl)
 
     # scalar reference: the string the old comprehension produced per arc
     def scalar_key(kind, lex, dt, lang):

@@ -226,6 +226,7 @@ def test_split_impls_survive_zero_column_empty_blocks():
     emit a correctly-typed empty partial (the driver passes the dataset
     schema as the authority)."""
     from shaclex_ray.stages.dedup import _distinct_split_impl
+    from shaclex_ray.stages.exchange import run_split
     from shaclex_ray.stages.groupagg import (
         _split_distinct_impl,
         _split_impl,
@@ -235,17 +236,21 @@ def test_split_impls_survive_zero_column_empty_blocks():
     schema = pa.schema([("k", pa.string()), ("v", pa.int64())])
     deg = pa.table({})  # what an upstream map_groups can emit for 0 rows
 
-    parts = _split_impl(2, ["k"], [("v", "sum")], schema, deg, deg)
+    parts = run_split(_split_impl, (["k"], [("v", "sum")]), 2, schema, None, deg, deg)
     assert all(p.num_rows == 0 for p in parts)
     assert parts[0].column_names == ["k", "v_sum"]
 
-    parts = _split_distinct_impl(2, ["k"], "v", schema, deg)
+    parts = run_split(_split_distinct_impl, (["k"], "v"), 2, schema, None, deg)
     assert all(p.schema == schema for p in parts)
 
-    parts = _split_topk_impl(2, "k", [("v", "descending")], 3, schema, deg)
+    parts = run_split(
+        _split_topk_impl, ("k", [("v", "descending")], 3), 2, schema, None, deg
+    )
     assert all(p.schema == schema for p in parts)
 
-    parts = _distinct_split_impl(2, ["k", "v"], None, schema, None, deg)
+    parts = run_split(
+        _distinct_split_impl, (["k", "v"], None, None), 2, schema, None, deg
+    )
     assert all(p.schema == schema for p in parts)
 
 
