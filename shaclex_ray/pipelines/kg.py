@@ -234,8 +234,8 @@ def run_kg_pipeline(
             schema = kg_schema()
             # size the buckets to the DATA: up to 100k triples validate as
             # one task on a pooled worker (no actor spawn); above that
-            # one actor per bucket, capped at the cluster-sized nbuckets
-            # so big corpora use the whole cluster
+            # one actor per bucket from the warm actor pool, capped at the
+            # cluster-sized nbuckets so big corpora use the whole cluster
             canon_rows = _parquet_rows(f"{out_dir}/triples_canonical")
             nb = max(1, min(nbuckets, math.ceil(canon_rows / 100_000)))
             # targets derive in-bucket (focus="shacl-targets"): the split

@@ -27,7 +27,10 @@ pair), chosen in ``distributed_validate`` from ``nbuckets``:
   * ``nbuckets > 1``: one ``BucketWorker`` actor per bucket (the
     ``_Bucket`` class as a Ray actor), fed by the one hash exchange's
     split tasks (``stages/exchange.split``) and called through actor
-    handles
+    handles. The actors come from a session-scoped pool (``_ActorPool``):
+    a warm call spawns nothing, a successful one checks its actors back
+    in, a failed one releases and kills them. Only the processes are
+    reused — each call ``open``s and ``release``s its buckets
   * ``nbuckets == 1``: the whole fixpoint — file read, split, load, focus
     derivation, rounds, cycle-break, output — runs as ONE Ray task on a
     pooled, already-warm worker that calls its ``_Bucket`` in-process: no
@@ -49,6 +52,8 @@ over every path constructor), so no construct needs a global node scan.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pandas as pd
@@ -502,6 +507,11 @@ class _ArcIndex:
         return self._tbl.slice(s, e - s)
 
 
+# a bucket whose sorted arc table exceeds this many rows spills it to disk
+# and reopens it memory-mapped (``spill_rows`` overrides per call)
+BUCKET_SPILL_ROWS = 4_000_000
+
+
 class LazyBucketGraph:
     """Bucket-local neighborhood index, Arrow-native end-to-end.
 
@@ -517,11 +527,7 @@ class LazyBucketGraph:
         self._parts: list[pa.Table] = []
         self._finalized = False
         self._spill_dir = spill_dir
-        import os as _os
-
-        self._spill_rows = spill_rows or int(
-            _os.environ.get("SHACLEX_BUCKET_SPILL_ROWS", "4000000")
-        )
+        self._spill_rows = spill_rows or BUCKET_SPILL_ROWS
 
     def add_part(self, tbl: pa.Table):
         self._parts.append(tbl)
@@ -1385,14 +1391,18 @@ class _Bucket:
     per bucket — SURVEY.md A1/A2). The driver only routes the (small)
     cross-bucket dependency traffic, so its per-round work is
     O(#dependencies + #buckets), independent of focus-pair count. A plain
-    class: the fleet runs it as the ``BucketWorker`` actor, the
-    single-bucket regime as an object inside one task."""
+    class: the fleet runs it as the pooled ``BucketWorker`` actor, the
+    single-bucket regime as an object inside one task. Either way one
+    validation call is ``open`` … ``release``: a reused process carries
+    nothing from one call to the next."""
 
-    def __init__(
-        self, schema_ref, engine: str, nbuckets: int, bucket_id: int,
+    def open(
+        self, schema: dict, engine: str, nbuckets: int, bucket_id: int,
         spill_rows: int | None = None,
-    ):
-        self.schema = ray.get(schema_ref) if isinstance(schema_ref, ray.ObjectRef) else schema_ref
+    ) -> int:
+        """Take one call's state. Returns the bucket id (the fleet waits
+        on it as the actor's warmup)."""
+        self.schema = schema
         self.engine = engine
         self.nbuckets = nbuckets
         self.bucket_id = bucket_id
@@ -1424,6 +1434,7 @@ class _Bucket:
         # flat pair -> (viol_so_far, report rows, unresolved class deps):
         # later rounds finish from here instead of re-running the kernel
         self._flat_partial: dict[tuple[str, str], tuple] = {}
+        return bucket_id
 
     def load(self, *parts: pa.Table) -> int:
         n = 0
@@ -1438,8 +1449,8 @@ class _Bucket:
         # round cost was transient page-fault volume in the flat kernels,
         # fixed by the column-at-a-time takes in flat_eval_kernel.) No
         # gc.collect() first: a full collection of a warm worker's heap
-        # costs ~0.1 s, the whole floor of a small validation. The
-        # single-bucket task runs on a pooled worker and unfreezes on exit.
+        # costs ~0.1 s, the whole floor of a small validation. Both
+        # transports run on reused processes, so ``release`` unfreezes.
         import gc
 
         gc.freeze()
@@ -2017,16 +2028,21 @@ class _Bucket:
             )
         return len(decided), len(self.pending), sorted(all_deps), answered
 
-    def ping(self):
-        return self.bucket_id
-
-    def cleanup(self) -> None:
-        """Remove the spill directory (the fleet calls it before kill —
-        ray.kill skips destructors; the single-bucket task in a
-        ``finally``)."""
+    def release(self) -> None:
+        """End the call: remove the spill directory, drop every piece of
+        call state (index, worklists, typing, reports) and unfreeze the GC
+        that ``load`` froze. Safe on a partly opened bucket. The fleet
+        calls it before an actor goes back to the pool, and before a kill
+        on failure (``ray.kill`` skips destructors); the single-bucket
+        task in a ``finally``."""
+        import gc
         import shutil
 
-        shutil.rmtree(self._spill_dir, ignore_errors=True)
+        spill_dir = self.__dict__.get("_spill_dir")
+        if spill_dir:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+        self.__dict__.clear()
+        gc.unfreeze()
 
     def mark_pending_unknown(self) -> int:
         """Loop-exit fallback: pairs the fixpoint could not decide become
@@ -2361,22 +2377,76 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
     return (typing_tbl, _reports_to_table(reports)), dep_state
 
 
+class _ActorPool:
+    """Idle ``BucketWorker`` actors kept warm between fleet calls.
+
+    Only the worker processes are reused: a call ``open``s every actor it
+    checks out and ``release``s it before check-in, so no state crosses
+    calls. A checkout is exclusive (under the lock); the pool belongs to
+    one Ray session and is dropped when the session changes; at most
+    cluster-CPU-count actors wait idle (extras are killed at check-in). A
+    failed call never checks its actors in (``_discard``)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: list = []
+        self._session = None
+
+    def checkout(self, n: int) -> list:
+        """``n`` actors: idle ones first, spawns for the rest."""
+        ctx = ray.get_runtime_context()
+        session = (ctx.get_job_id(), ctx.get_node_id())
+        with self._lock:
+            if session != self._session:
+                # the old session's actors died with it: forget, never call
+                self._idle, self._session = [], session
+            taken, self._idle = self._idle[:n], self._idle[n:]
+        # default actor semantics: num_cpus=1 for placement, 0 reserved
+        # while alive — a large fleet never deadlocks a small cluster, and
+        # idle actors hold no CPU
+        return taken + [BucketWorker.remote() for _ in range(n - len(taken))]
+
+    def checkin(self, workers: list) -> None:
+        cap = int(ray.cluster_resources().get("CPU", 1))
+        with self._lock:
+            room = max(0, cap - len(self._idle))
+            self._idle += workers[:room]
+        for w in workers[room:]:
+            ray.kill(w)
+
+
+_POOL = _ActorPool()
+
+# how long the failure path waits for the actors' ``release`` before it
+# kills them (an actor still busy with a round is killed unreleased)
+_RELEASE_WAIT_S = 10.0
+
+
+def _discard(workers: list) -> None:
+    """Failure path: release the actors that still answer — ``ray.kill``
+    skips destructors, so a killed bucket would leak its spill dir — then
+    kill all of them; none goes back to the pool."""
+    refs = [w.release.remote() for w in workers]
+    ray.wait(refs, num_returns=len(refs), timeout=_RELEASE_WAIT_S)
+    for w in workers:
+        ray.kill(w)
+
+
 def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
                files, block_refs, total_rows, focus_tasks, max_rounds,
                output_dir, mark):
-    """``nbuckets > 1``: one ``BucketWorker`` actor per bucket, fed by
-    one split-task exchange, driven through actor handles."""
+    """``nbuckets > 1``: one pooled ``BucketWorker`` actor per bucket, fed
+    by one split-task exchange, driven through actor handles."""
     schema_ref = ray.put(schema)
-    # spawn the actor fleet before the split: worker-process startup (the
-    # dominant fixed cost at high bucket counts) overlaps the split below.
-    # default actor semantics: num_cpus=1 for placement, 0 reserved while
-    # alive — a large fleet never deadlocks a small cluster
-    workers = [
-        BucketWorker.remote(schema_ref, engine, nbuckets, b, spill_rows)
-        for b in range(nbuckets)
-    ]
+
+    def open_bucket(b):
+        return workers[b].open.remote(schema_ref, engine, nbuckets, b, spill_rows)
+
+    workers = _POOL.checkout(nbuckets)
     try:
-        warmups = [w.ping.remote() for w in workers]
+        # open before the split: a cold pool's worker-process startup (the
+        # dominant fixed cost at high bucket counts) overlaps the split
+        opens = [open_bucket(b) for b in range(nbuckets)]
 
         # ---- one-time shuffle: block groups -> per-bucket parts -> actors.
         # File inputs are read by the split tasks themselves (storage →
@@ -2392,7 +2462,13 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
             fetch_local=False,
         )
         mark("split")
-        ray.get(warmups)
+        for b, ref in enumerate(opens):
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                # a pooled actor died while idle: replace it
+                workers[b] = BucketWorker.remote()
+                ray.get(open_bucket(b))
         mark("warmup")
         load_refs = [
             workers[b].load.remote(*[blk[b] for blk in split_refs])
@@ -2400,6 +2476,8 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
         ]
         if not isinstance(focus_tasks, (str, tuple, pa.Table)):
             # Ray Dataset: streamed task→actor, no driver materialization
+            # (after every open returned: those calls come from other
+            # callers, whose order against ours Ray does not keep)
             _submit_focus_dataset(focus_tasks, workers, nbuckets)
             focus_tasks = None
         out = _bsp(
@@ -2407,11 +2485,12 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
             ray.get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
             output_dir, mark,
         )
-        ray.get([w.cleanup.remote() for w in workers])
-        return out
-    finally:
-        for w in workers:
-            ray.kill(w)
+        ray.get([w.release.remote() for w in workers])
+    except BaseException:
+        _discard(workers)
+        raise
+    _POOL.checkin(workers)
+    return out
 
 
 def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
@@ -2424,13 +2503,12 @@ def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
     None, the blocks of a focus Dataset.
 
     Runs as one Ray task on a pooled worker that later tasks reuse, so it
-    always unfreezes the GC (``load`` froze it) and removes the bucket's
-    spill directory."""
-    import gc
-
+    always ``release``s the bucket: spill directory removed, GC
+    unfrozen."""
     mark = _marker()
-    bucket = _Bucket(schema, engine, 1, 0, spill_rows)
+    bucket = _Bucket()
     try:
+        bucket.open(schema, engine, 1, 0, spill_rows)
         (arcs,) = exchange.run_split(
             _route_arcs, (include_inverse,), 1, ARC_SCHEMA, ARC_COLS,
             *(files if files is not None else blocks[:n_arc_blocks]),
@@ -2448,11 +2526,14 @@ def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
             max_rounds, output_dir, mark,
         )
     finally:
-        bucket.cleanup()
-        gc.unfreeze()
+        bucket.release()
 
 
 _single_bucket_task = ray.remote(_run_single_bucket)
+
+
+# auto sizing (nbuckets=None): the per-bucket row target
+BUCKET_ROWS = 250_000
 
 
 def distributed_validate(
@@ -2483,10 +2564,12 @@ def distributed_validate(
     ``nbuckets`` (given, or sized from the input rows): at
     ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
     derivation, rounds, output — runs as ONE task on a pooled worker
-    (no actor spawn); above it, one ``BucketWorker`` actor per bucket.
+    (no actor spawn); above it, one ``BucketWorker`` actor per bucket,
+    checked out of a session-scoped pool (spawned only when the pool
+    lacks them) and checked back in after a successful call; a failed
+    call releases and kills its actors. Each call re-reads its input and
+    recompiles its schema: nothing computed in one call reaches the next.
     """
-    import os as _os
-
     mark = _marker()
     if engine == "shex":
         # EXTERNAL shapes with an attached resolver schema merge in here on
@@ -2535,8 +2618,8 @@ def distributed_validate(
     # size the input FIRST (parquet metadata / materialized block count —
     # cheap), so an auto fleet (nbuckets=None) scales with data volume:
     # a 100k-triple corpus runs as one task, a 100-TB one on the whole
-    # cluster. SHACLEX_BUCKET_ROWS is the per-bucket row target (the cap
-    # is the cluster CPU count — on a real multi-node cluster that is
+    # cluster. BUCKET_ROWS is the per-bucket row target (the cap is the
+    # cluster CPU count — on a real multi-node cluster that is
     # node_count x cpus, so the fleet grows with the cluster).
     import math as _math
 
@@ -2555,9 +2638,8 @@ def distributed_validate(
         block_refs = mat.to_arrow_refs()
         total_rows = mat.count()
     if nbuckets is None:
-        bucket_rows = int(_os.environ.get("SHACLEX_BUCKET_ROWS", "250000"))
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, _math.ceil(total_rows / bucket_rows)))
+        nbuckets = max(1, min(ncpu, _math.ceil(total_rows / BUCKET_ROWS)))
     distributed_validate.last_nbuckets = nbuckets
     mark("materialize")
 

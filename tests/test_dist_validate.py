@@ -309,12 +309,14 @@ def test_in_bucket_targets_equivalence(ray_session):
 
 def test_auto_fleet_sizing(ray_session, monkeypatch):
     """nbuckets=None sizes the bucket fleet from input rows
-    (SHACLEX_BUCKET_ROWS per bucket, capped at cluster CPUs): a tiny
-    corpus pays ONE actor spawn, and the env knob scales the fleet up."""
+    (``BUCKET_ROWS`` per bucket, capped at cluster CPUs): a tiny corpus
+    runs as one bucket (one task, no actor), and a smaller row target
+    scales the fleet up."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.terms import iri, term_key, triples_to_table
+    from shaclex_ray.validate import dist
     from shaclex_ray.validate.dist import distributed_validate
 
     ttl = "@prefix ex: <http://e/> .\n" + "\n".join(
@@ -343,7 +345,7 @@ def test_auto_fleet_sizing(ray_session, monkeypatch):
     assert "conforms" in typing.column("val").to_pylist()
 
     # 10 rows at 3 rows/bucket -> ceil(10/3)=4, within the 4-CPU session cap
-    monkeypatch.setenv("SHACLEX_BUCKET_ROWS", "3")
+    monkeypatch.setattr(dist, "BUCKET_ROWS", 3)
     typing2, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
     assert distributed_validate.last_nbuckets == 4
     assert typing2.column("val").to_pylist() == typing.column("val").to_pylist()

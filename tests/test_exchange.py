@@ -258,8 +258,11 @@ def test_partition_keeps_row_order_within_buckets(sort_first):
 
 def test_no_hand_rolled_exchange_or_deleted_knob():
     """The split→bucket exchange lives in stages/exchange.py only, and
-    none of the deleted exchange knobs is read anywhere."""
-    knobs = re.compile(r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS)")
+    none of the deleted exchange or bucket-sizing knobs is read anywhere."""
+    knobs = re.compile(
+        r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
+        r"|BUCKET_ROWS|BUCKET_SPILL_ROWS)"
+    )
     offenders = []
     for path in sorted(PKG.rglob("*.py")):
         src = path.read_text()
@@ -267,5 +270,5 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         if ".options(num_returns=" in src and rel != "stages/exchange.py":
             offenders.append(f"{rel}: hand-rolled split")
         if knobs.search(src):
-            offenders.append(f"{rel}: reads a deleted exchange knob")
+            offenders.append(f"{rel}: reads a deleted knob")
     assert not offenders, offenders
