@@ -263,7 +263,7 @@ def main(argv=None):
         print(
             {
                 "triples": out["triples"].count(),
-                "links": out["links"].num_rows,
+                "links": out["links"].count(),
                 "violations": out["report"].count() if "report" in out else None,
             }
         )

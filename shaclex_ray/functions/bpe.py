@@ -38,7 +38,6 @@ functions/pack.py.
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -61,7 +60,7 @@ EOW = "▁"
 # blobs, minified JS) that make the O(len^2) greedy encode and the
 # per-merge word rewrite pathological. n_words still counts the original
 # whitespace token once.
-MAX_WORD_LEN = int(os.environ.get("SHACLEX_BPE_MAX_WORD_LEN", "256"))
+MAX_WORD_LEN = 256
 
 
 def _chunk_word(w: str, max_len: int) -> list:

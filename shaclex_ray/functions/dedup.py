@@ -941,6 +941,113 @@ def ngram_jaccard_dups(
 
 # ------------------------------------------ fuzzy-dedup cluster resolution
 
+def connected_components(edges_ds, max_iters: int = 12):
+    """Distributed connected components by min-label propagation: each node
+    repeatedly adopts the smallest label among itself and its neighbors
+    (groupby-min per round; deterministic — the representative is the
+    lexicographic minimum of the component). Converges in O(component
+    diameter) rounds. Returns a Dataset (node, label).
+
+    The per-round label reduction is the vectorized one-move hash
+    exchange (``grouped_aggregate_fast`` — Arrow group_by min, zero
+    per-node Python), and the propagation joins' partitioning scales
+    with edge count, not a fixed constant."""
+    from shaclex_ray.stages.groupagg import grouped_aggregate_fast
+
+    def seed(batch: pa.Table) -> pa.Table:
+        a = batch.column("a").combine_chunks()
+        b = batch.column("b").combine_chunks()
+        lab = pc.min_element_wise(a, b)
+        return pa.table(
+            {
+                "node": pa.concat_arrays([a, b]),
+                "label": pa.concat_arrays([lab, lab]),
+            }
+        )
+
+    def min_label_agg(ds):
+        return grouped_aggregate_fast(ds, ["node"], [("label", "min")], ["label"])
+
+    n_edges = edges_ds.count()
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    nparts = max(2, min(max(ncpu // 2, n_edges // 2_000_000 + 1), 512))
+
+    def _fix_schema(cols):
+        """Ray joins emit empty partitions with a degenerate schema —
+        restore the canonical column set so the next join/map sees stable
+        fields."""
+        target = pa.schema([(c, pa.string()) for c in cols])
+
+        def fix(batch: pa.Table) -> pa.Table:
+            if not set(cols) <= set(batch.column_names):
+                return target.empty_table()
+            return batch.select(cols).cast(target)
+
+        return fix
+
+    labels = edges_ds.map_batches(seed, batch_format="pyarrow")
+    edges = edges_ds
+    for _ in range(max_iters):
+        labels = min_label_agg(labels).materialize()
+        # propagate: each edge forwards min(label_a, label_b) to both ends
+        j1 = edges.join(
+            labels, "inner", num_partitions=nparts, on=("a",), right_on=("node",)
+        ).map_batches(_fix_schema(["a", "b", "label"]), batch_format="pyarrow")
+        joined = j1.join(
+            labels,
+            "inner",
+            num_partitions=nparts,
+            on=("b",),
+            right_on=("node",),
+            left_suffix="_a",
+            right_suffix="_b",
+        )
+
+        def fwd(batch: pa.Table) -> pa.Table:
+            if not {"a", "b", "label_a", "label_b"} <= set(batch.column_names):
+                return pa.schema(
+                    [("node", pa.string()), ("label", pa.string()),
+                     ("changed", pa.bool_())]
+                ).empty_table()
+            la = batch.column("label_a").combine_chunks()
+            lb = batch.column("label_b").combine_chunks()
+            m = pc.min_element_wise(la, lb)
+            return pa.table(
+                {
+                    "node": pa.concat_arrays(
+                        [
+                            batch.column("a").combine_chunks(),
+                            batch.column("b").combine_chunks(),
+                        ]
+                    ),
+                    "label": pa.concat_arrays([m, m]),
+                    "changed": pa.concat_arrays(
+                        [
+                            pc.not_equal(la, m),
+                            pc.not_equal(lb, m),
+                        ]
+                    ),
+                }
+            )
+
+        prop = joined.map_batches(fwd, batch_format="pyarrow").materialize()
+        n_changed = prop.map_batches(
+            lambda b: pa.table(
+                {"n": pa.array([pc.sum(b.column("changed")).as_py() or 0], pa.int64())}
+            ),
+            batch_format="pyarrow",
+        ).sum("n")
+        labels = prop.select_columns(["node", "label"])
+        if not n_changed:
+            break
+    else:
+        raise ValueError(
+            f"connected_components did not converge in {max_iters} rounds "
+            "(component diameter exceeds max_iters) — raise max_iters"
+        )
+    return min_label_agg(labels)
+
+
 def dedup_clusters(
     sf_dir: str,
     shingle: int = 3,
@@ -953,21 +1060,18 @@ def dedup_clusters(
     components → one row per document with its cluster representative
     (the component's minimum doc_id) and the keep/drop decision.
 
-    The component merge is size-adaptive, mirroring
-    ``stages/link.build_entity_links``: below
+    The component merge is size-adaptive: below
     ``SHACLEX_DEDUP_CC_THRESHOLD`` pairs (default 1M) a driver union-find
     resolves the (small) dup graph and the doc→cluster map broadcasts as
     two sorted numpy arrays probed with one searchsorted per batch; above
-    it the merge runs as the distributed min-label propagation from
-    stages/link.py (vectorized one-move hash exchange per round — no
-    per-node Python), with doc ids riding as zero-padded strings so the
+    it the merge runs as the distributed min-label propagation
+    ``connected_components`` (vectorized one-move hash exchange per round
+    — no per-node Python), with doc ids riding as zero-padded strings so the
     lexicographic propagation minimum IS the numeric minimum. Both
     regimes produce identical rows (tests pin the equality). Either way,
     non-duplicated docs never enter the merge — the CC working set
     scales with |dup pairs|, not |corpus|."""
     import os as _os
-
-    from shaclex_ray.stages.link import connected_components
 
     pairs = ngram_jaccard_dups(
         sf_dir, shingle, threshold, num_perm, bands

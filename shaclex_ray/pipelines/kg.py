@@ -6,11 +6,11 @@
   typing + validation-report tables
 
 Canonicalize + dedup is one file-granular hash exchange
-(``dedup_triples_fast_from_parquet``) with two rewrite regimes, chosen in
-one place — ``read_links``, from the link table's row count against
-``LINK_BCAST_MAX_ROWS``: a broadcast rewrite fused into the exchange's
-split tasks, or a hash-join rewrite staged as parquet and fed to the same
-exchange (``canonical_triples``).
+(``dedup_triples_fast_from_parquet``) over the raw triple shards: the
+canonical IRI is a row function of the mention IRI (stages/link.py), so
+the rewrite runs inside the exchange's split tasks and reads nothing from
+the ``entity_links`` checkpoint. That checkpoint is an output of its own
+(the distinct mention → canonical IRI table), read back lazily.
 
 Stage outputs checkpoint to partitioned parquet with manifests
 (state/checkpoint.py), so a failed run resumes from the last finished
@@ -25,9 +25,7 @@ import glob
 import hashlib
 import math
 import os
-import shutil
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
@@ -38,25 +36,10 @@ from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.sources.documents import read_documents
 from shaclex_ray.stages import dedup
 from shaclex_ray.stages.extract import extract_triples
-from shaclex_ray.stages.link import (
-    build_entity_links,
-    canonicalize_triples,
-    entity_triples,
-)
+from shaclex_ray.stages.link import LINKS_SCHEMA, build_entity_links
 from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema
 from shaclex_ray.terms import TRIPLES_SCHEMA
 from shaclex_ray.validate.dist import distributed_validate
-
-# canonical link-table schema — written as an empty part when linking
-# produces zero rows, so pruned read-backs never hit a file-less directory
-LINKS_SCHEMA = pa.schema(
-    [("mention", pa.string()), ("canonical_iri", pa.string())]
-)
-
-# the broadcast-vs-join canonicalization switch (``read_links``): a link
-# table under this many rows ships to every dedup split task; a larger one
-# stays a Dataset and is hash-joined onto the triples
-LINK_BCAST_MAX_ROWS = 5_000_000
 
 # SHACL shapes for the constructed KG — parsed with our own Turtle parser.
 # DocumentShape's ex:mentions sh:class ex:Entity forces a cross-bucket
@@ -93,33 +76,6 @@ def _parquet_rows(path: str) -> int:
         pq.ParquetFile(f).metadata.num_rows
         for f in glob.glob(f"{path}/*.parquet")
     )
-
-
-def canonical_triples(raw_dir: str, links, nbuckets: int, staging_dir: str):
-    """Canonicalize + dedup the raw triples under ``raw_dir``: the one
-    dedup exchange (``dedup_triples_fast_from_parquet``) in the regime
-    ``read_links`` chose.
-
-    - ``links`` a ``pa.Table`` (broadcast): the rewrite fuses into the
-      exchange's split tasks, which read the raw shards directly —
-      neither the raw input nor the rewritten table stages through the
-      object store; the entity metadata triples join as an extra table.
-    - ``links`` a Dataset (join): ``canonicalize_triples`` hash-joins it
-      onto the triples; the rewritten triples (entity metadata included)
-      are staged as parquet in ``staging_dir`` and fed to the same
-      exchange. The caller removes ``staging_dir`` once the result is
-      consumed."""
-    if isinstance(links, pa.Table):
-        return dedup.dedup_triples_fast_from_parquet(
-            raw_dir,
-            nbuckets=nbuckets,
-            canonicalize_with=links,
-            extra_tables=[entity_triples(links)],
-        )
-    shutil.rmtree(staging_dir, ignore_errors=True)
-    canonicalize_triples(rd.read_parquet(raw_dir), links).write_parquet(staging_dir)
-    ensure_parquet_schema(staging_dir, TRIPLES_SCHEMA)
-    return dedup.dedup_triples_fast_from_parquet(staging_dir, nbuckets=nbuckets)
 
 
 def run_kg_pipeline(
@@ -177,46 +133,27 @@ def run_kg_pipeline(
         )
 
     def produce_links(path):
-        os.makedirs(f"{path}/shards", exist_ok=True)
         # mention harvesting touches only (pred, obj_lex): prune at the read
         raw_pruned = rd.read_parquet(
             f"{out_dir}/triples_raw", columns=["pred", "obj_lex"]
         )
-        links = build_entity_links(raw_pruned)
-        if isinstance(links, pa.Table):
-            pq.write_table(links, f"{path}/shards/links.parquet")
-            return links.num_rows
-        # distributed regime: the links Dataset checkpoints as parquet
-        # SHARDS, written by the workers — never concatenated on the driver
-        links = links.materialize()
-        links.write_parquet(f"{path}/shards")
-        n = links.count()
-        if n == 0:
-            ensure_parquet_schema(f"{path}/shards", LINKS_SCHEMA)
-        return n
+        # the links checkpoint as parquet SHARDS, written by the workers
+        # — the driver never holds the link table; an empty part keeps
+        # the schema when linking produces zero rows
+        build_entity_links(raw_pruned).write_parquet(f"{path}/shards")
+        ensure_parquet_schema(f"{path}/shards", LINKS_SCHEMA)
+        return _parquet_rows(f"{path}/shards")
 
-    def read_links(path):
-        """The one broadcast-vs-join choice: a link table under
-        LINK_BCAST_MAX_ROWS loads driver-side (sorted by mention) for the
-        fused broadcast rewrite; a bigger one stays a lazy shard Dataset
-        for the join rewrite."""
-        shard_dir = f"{path}/shards"
-        if _parquet_rows(shard_dir) < LINK_BCAST_MAX_ROWS:
-            tbl = pq.read_table(shard_dir)
-            return tbl.take(pa.compute.sort_indices(tbl.column("mention")))
-        return rd.read_parquet(shard_dir)
-
-    links = runner.run("entity_links", digest, produce_links, read_links)
+    links = runner.run(
+        "entity_links", digest, produce_links,
+        lambda p: rd.read_parquet(f"{p}/shards"),
+    )
 
     def produce_canonical(path):
-        """Canonicalize + dedup in the regime ``read_links`` chose; the
-        join regime stages its rewritten triples beside the checkpoint."""
-        staging_dir = f"{path}.rewritten"
-        dd = canonical_triples(
-            f"{out_dir}/triples_raw", links, nbuckets, staging_dir
+        dd = dedup.dedup_triples_fast_from_parquet(
+            f"{out_dir}/triples_raw", nbuckets=nbuckets
         ).materialize()
         dd.write_parquet(path)
-        shutil.rmtree(staging_dir, ignore_errors=True)
         return dd.count()
 
     triples = runner.run(

@@ -10,9 +10,9 @@ One explicit hash exchange, rows moving exactly once (north-star:
 
 Two entry points run the same split and bucket kernels:
 ``dedup_triples_fast_from_parquet`` (triples from a parquet directory,
-least (doc_id, span_idx) witness kept, optional fused broadcast
-canonicalization) and ``distinct_rows_fast`` (any Dataset, full-row
-distinct).
+canonicalized by the row function ``stages/link.canonicalize`` inside the
+split tasks, least (doc_id, span_idx) witness kept) and
+``distinct_rows_fast`` (any Dataset, full-row distinct).
 
 Bucketing by a *hash of the full identity tuple* (not by ``subj``) means a
 hub subject with 10^7 arcs spreads over all buckets — the salt is the
@@ -41,6 +41,7 @@ import pyarrow.compute as pc
 
 from shaclex_ray.stages import exchange
 from shaclex_ray.stages.exchange import partition
+from shaclex_ray.stages.link import canonicalize
 from shaclex_ray.terms import TRIPLE_ID_COLS, TRIPLES_SCHEMA
 
 # lineage columns of a triple: the least (doc_id, span_idx) row survives
@@ -185,18 +186,16 @@ def _distinct_split_impl(
     nbuckets: int,
     cols: list[str],
     witness_cols: list[str] | None,
-    link_tbl: pa.Table | None,
+    canonical: bool,
 ):
     """Map side: distinct on ``cols`` (least ``witness_cols`` row kept, or
     any one of identical rows when None), partitioned by the same hash.
 
-    ``link_tbl``: broadcast link table — the mention→canonical rewrite
-    runs fused here, so the rewritten table never materializes as an
-    intermediate Dataset in the object store."""
-    if link_tbl is not None:
-        from shaclex_ray.stages.link import Canonicalizer
-
-        base = Canonicalizer(link_tbl)(base)
+    ``canonical``: the triples first take the mention→entity rewrite
+    (``stages/link.canonicalize``) here, so the rewritten table never
+    materializes as an intermediate Dataset in the object store."""
+    if canonical:
+        base = canonicalize(base)
     h = _row_hash(base, cols)
     b = (h % np.uint64(nbuckets)).astype(np.int64)
     # ONE integer lexsort orders rows (bucket, hash): partition bounds and
@@ -222,24 +221,18 @@ def _distinct_bucket_impl(
     return base.take(pa.array(kept))
 
 
-def dedup_triples_fast_from_parquet(
-    path: str,
-    nbuckets: int | None = None,
-    canonicalize_with: pa.Table | None = None,
-    extra_tables: list[pa.Table] | None = None,
-):
-    """Distinct triples of a parquet directory (the KG pipeline's single
-    dedup entry point), keeping the least (doc_id, span_idx) witness.
+def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None):
+    """Distinct canonical triples of a parquet directory (the KG
+    pipeline's canonical stage), keeping the least (doc_id, span_idx)
+    witness.
 
     File-granular: each split task reads its own shard files (storage →
-    task heap, no object-store staging) and partitions in one pass — input
-    bytes move exactly once, from storage into the exchange. It serves
-    both canonicalization regimes: ``canonicalize_with`` (broadcast) fuses
-    the rewrite into the split tasks; the join regime hands over a
-    directory of already-rewritten triples. ``extra_tables``: small side
-    tables (entity metadata triples, already canonical) that join the same
-    exchange through one extra split group, so witness selection across
-    rewritten and extra rows is that of one dedup over their union."""
+    task heap, no object-store staging), canonicalizes them
+    (``stages/link.canonicalize``: mention IRIs rewritten, entity metadata
+    triples appended; the identity on triples outside the mention
+    namespace) and partitions in one pass — input bytes move exactly
+    once, from storage into the exchange. Input that is already canonical
+    comes out as its plain distinct."""
     import glob as _glob
     import math as _math
 
@@ -250,9 +243,6 @@ def dedup_triples_fast_from_parquet(
     files = sorted(_glob.glob(f"{path}/*.parquet"))
     if not files:
         raise FileNotFoundError(f"no parquet shards under {path}")
-    link_ref = (
-        ray.put(canonicalize_with) if canonicalize_with is not None else None
-    )
     total_rows = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
     if nbuckets is None:
         # the REDUCE side is volume-bounded: per-bucket rows ≈
@@ -266,18 +256,13 @@ def dedup_triples_fast_from_parquet(
             int(ray.cluster_resources().get("CPU", 8)),
             min(1024, _math.ceil(total_rows / (2 * exchange.SPLIT_ROWS))),
         )
-    args = (TRIPLE_ID_COLS, WITNESS_COLS)
     split_refs = exchange.split(
-        _distinct_split_impl, args + (link_ref,), files, total_rows,
-        nbuckets, TRIPLES_SCHEMA,
+        _distinct_split_impl, (TRIPLE_ID_COLS, WITNESS_COLS, True), files,
+        total_rows, nbuckets, TRIPLES_SCHEMA,
     )
-    if extra_tables:
-        refs = [ray.put(t) for t in extra_tables]
-        split_refs += exchange.split(
-            _distinct_split_impl, args + (None,), refs,
-            sum(t.num_rows for t in extra_tables), nbuckets, TRIPLES_SCHEMA,
-        )
-    return exchange.reduce(split_refs, _distinct_bucket_impl, args)
+    return exchange.reduce(
+        split_refs, _distinct_bucket_impl, (TRIPLE_ID_COLS, WITNESS_COLS)
+    )
 
 
 def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
@@ -304,7 +289,7 @@ def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
     # so they always concat with real ones
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
     split_refs = exchange.split(
-        _distinct_split_impl, (cols, None, None), mat.to_arrow_refs(), nrows,
+        _distinct_split_impl, (cols, None, False), mat.to_arrow_refs(), nrows,
         nbuckets, pa_schema,
     )
     return exchange.reduce(split_refs, _distinct_bucket_impl, (cols, None))

@@ -115,7 +115,7 @@ def test_cli_pipelines_on_dirty_corpus(tmp_path, ray_session):
     from shaclex_ray.pipelines.kg import run_kg_pipeline
 
     def kg_counts(out):
-        return (out["triples"].count(), out["links"].num_rows, out["report"].count())
+        return (out["triples"].count(), out["links"].count(), out["report"].count())
 
     kg_out = str(tmp_path / "kg")
     # empty-text docs legitimately violate minCount — the validator's job

@@ -7,6 +7,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+import ray
+
 from shaclex_ray.stages.dedup import _keep_rows, _row_hash
 from shaclex_ray.terms import TRIPLE_ID_COLS
 
@@ -120,27 +122,53 @@ def test_dedup_fast_matches_pandas_reference(ray_session, tmp_path):
     pd.testing.assert_frame_equal(out, ref)
 
 
-def _raw_and_links(tmp_path):
+def _links_dict(raw) -> dict:
+    """The ``build_entity_links`` table as a mention → canonical dict."""
+    from shaclex_ray.stages.link import build_entity_links
+
+    return {
+        r["mention"]: r["canonical_iri"]
+        for r in build_entity_links(raw).take_all()
+    }
+
+
+def _reference_canonical(raw: pa.Table, links: dict) -> pd.DataFrame:
+    """The canonical rewrite in-process, by dict lookup through the link
+    table: ``subj`` and iri-kind ``obj_lex`` rewritten, and one
+    (rdf:type ex:Entity, ex:surface) pair with the ("", -1) witness per
+    canonical IRI appended. No dedup."""
+    from shaclex_ray.stages.extract import (
+        C_ENTITY, ENT_NS, P_SURFACE, RDF_TYPE, XSD_STRING,
+    )
+
+    df = raw.to_pandas()
+    df["subj"] = df["subj"].map(lambda v: links.get(v, v))
+    iri = df["obj_kind"] == "iri"
+    df.loc[iri, "obj_lex"] = df.loc[iri, "obj_lex"].map(lambda v: links.get(v, v))
+    meta = []
+    for c in sorted(set(links.values())):
+        meta.append((c, RDF_TYPE, "iri", C_ENTITY, "", "", "", -1))
+        meta.append((c, P_SURFACE, "literal", c[len(ENT_NS):], XSD_STRING, "", "", -1))
+    meta = pd.DataFrame(meta, columns=df.columns).astype(df.dtypes.to_dict())
+    return pd.concat([df, meta], ignore_index=True)
+
+
+def _least_witness(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(TRIPLE_ID_COLS + ["doc_id", "span_idx"]).drop_duplicates(
+        subset=TRIPLE_ID_COLS, keep="first"
+    )
+
+
+def _sf_raw(tmp_path):
     from shaclex_ray.sources.documents import read_documents
     from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import build_entity_links
 
     raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
     raw_dir = str(tmp_path / "raw")
     raw.write_parquet(raw_dir)
-    links = build_entity_links(raw, distributed=False)
-    assert isinstance(links, pa.Table) and links.num_rows > 0
+    links = _links_dict(raw)
+    assert links
     return raw_dir, links
-
-
-def _fused(raw_dir, links):
-    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
-    from shaclex_ray.stages.link import entity_triples
-
-    return dedup_triples_fast_from_parquet(
-        raw_dir, nbuckets=4,
-        canonicalize_with=links, extra_tables=[entity_triples(links)],
-    ).to_pandas()
 
 
 def _assert_same_rows(got, ref):
@@ -152,20 +180,20 @@ def _assert_same_rows(got, ref):
 
 
 def test_fused_canonical_dedup_equals_unfused(ray_session, tmp_path):
-    """The fused canonicalize+dedup exchange (rewrite inside the split
-    tasks, entity metadata as an extra table) produces the exact table of
-    the unfused compose: rewrite every raw triple in-process, append the
-    metadata, stage as parquet shards, then run the plain exchange."""
+    """The canonicalize+dedup exchange (rewrite and entity metadata inside
+    the split tasks) produces the exact table of the unfused compose: the
+    reference rewrite of every raw triple in-process, staged as parquet
+    shards, then the same exchange, which is the plain distinct on input
+    that is already canonical."""
     import pyarrow.parquet as pq
 
     from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
-    from shaclex_ray.stages.link import Canonicalizer, entity_triples
 
-    raw_dir, links = _raw_and_links(tmp_path)
-    fused = _fused(raw_dir, links)
+    raw_dir, links = _sf_raw(tmp_path)
+    fused = dedup_triples_fast_from_parquet(raw_dir, nbuckets=4).to_pandas()
 
-    cano = pa.concat_tables(
-        [Canonicalizer(links)(pq.read_table(raw_dir)), entity_triples(links)]
+    cano = pa.Table.from_pandas(
+        _reference_canonical(pq.read_table(raw_dir), links), preserve_index=False
     )
     staged = tmp_path / "cano"
     staged.mkdir()
@@ -176,67 +204,128 @@ def test_fused_canonical_dedup_equals_unfused(ray_session, tmp_path):
     _assert_same_rows(fused, unfused)
 
 
-def test_fused_from_parquet_equals_unfused(ray_session, tmp_path):
-    """The fused exchange over the raw parquet shards equals the unfused
-    join-regime compose over the SAME link table: ``canonicalize_triples``
-    hash-joins the links onto the triples, the result is staged as parquet
-    and deduplicated by the plain exchange."""
-    import ray.data as rd
-
-    from shaclex_ray.pipelines.kg import canonical_triples
-
-    raw_dir, links = _raw_and_links(tmp_path)
-    fused = _fused(raw_dir, links)
-
-    unfused = canonical_triples(
-        raw_dir, rd.from_arrow(links), 4, str(tmp_path / "staged")
-    ).to_pandas()
-    _assert_same_rows(fused, unfused)
-
-
-@pytest.mark.parametrize("regime", ["broadcast", "join"])
+# the id names the one rewrite regime left: the row function in the
+# dedup split tasks
+@pytest.mark.parametrize("regime", ["broadcast"])
 def test_canonical_regimes_match_reference(ray_session, tmp_path, regime):
-    """Both canonicalization regimes of the KG pipeline's canonical stage
-    — the broadcast rewrite fused into the dedup split tasks, and the join
-    rewrite (links from the distributed component merge) staged as
-    parquet — give exactly the table of an in-process reference: the
-    broadcast kernel applied to every raw triple, the entity metadata
-    appended, and the least (doc_id, span_idx) witness kept per identity."""
+    """The KG pipeline's canonical stage gives exactly the table of an
+    in-process reference: the dict-lookup rewrite applied to every raw
+    triple, the entity metadata appended, and the least (doc_id,
+    span_idx) witness kept per identity."""
     import pyarrow.parquet as pq
 
-    from shaclex_ray.pipelines.kg import canonical_triples
-    from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import (
-        Canonicalizer,
-        build_entity_links,
-        entity_triples,
-    )
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
 
-    raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    raw_dir = str(tmp_path / "raw")
-    raw.write_parquet(raw_dir)
-    links_tbl = build_entity_links(raw, distributed=False)
-    assert isinstance(links_tbl, pa.Table) and links_tbl.num_rows > 0
-    links = (
-        links_tbl if regime == "broadcast"
-        else build_entity_links(raw, distributed=True)
-    )
-    staging = tmp_path / "staged"
-    got = canonical_triples(raw_dir, links, 4, str(staging)).to_pandas()
-    assert staging.exists() == (regime == "join")
+    raw_dir, links = _sf_raw(tmp_path)
+    got = dedup_triples_fast_from_parquet(raw_dir, nbuckets=4).to_pandas()
+    ref = _least_witness(_reference_canonical(pq.read_table(raw_dir), links))
+    _assert_same_rows(got, ref)
 
-    rewritten = Canonicalizer(links_tbl)(pq.read_table(raw_dir))
-    ref = (
-        pa.concat_tables([rewritten, entity_triples(links_tbl)])
-        .to_pandas()
-        .sort_values(TRIPLE_ID_COLS + ["doc_id", "span_idx"])
-        .drop_duplicates(subset=TRIPLE_ID_COLS, keep="first")
+
+def test_canonical_exchange_is_idempotent(ray_session, tmp_path):
+    """The canonicalize+dedup exchange over its own output returns the
+    same table: canonical triples hold no mention IRI, so nothing is
+    rewritten and no entity metadata is added."""
+    import pyarrow.parquet as pq
+
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
+
+    raw_dir, _ = _sf_raw(tmp_path)
+    once = pa.concat_tables(
+        ray.get(dedup_triples_fast_from_parquet(raw_dir, nbuckets=4).to_arrow_refs())
     )
-    cols = list(ref.columns)
-    pd.testing.assert_frame_equal(
-        got[cols].sort_values(cols, ignore_index=True),
-        ref.sort_values(cols, ignore_index=True),
+    out = tmp_path / "once"
+    out.mkdir()
+    pq.write_table(once, out / "part-0.parquet")
+    twice = pa.concat_tables(
+        ray.get(dedup_triples_fast_from_parquet(str(out), nbuckets=4).to_arrow_refs())
+    )
+    assert once.num_rows > 0 and twice.equals(once)
+
+
+def _surface(rng) -> str:
+    core = "".join(
+        rng.choice(["a", "A", "b", "B", "É", "é", "Σ", "σ", "ẞ", "ß", "x y"])
+        for _ in range(rng.integers(1, 4))
+    )
+    pad = ["", " ", "\t", "\n", "\u00a0"]
+    return rng.choice(pad) + core + rng.choice(pad)
+
+
+def test_canonical_rewrite_property_random_surfaces(ray_session, tmp_path):
+    """Over random mention surfaces (ASCII case mixes, leading/trailing
+    tab, newline and NBSP, non-ASCII letters), the canonicalize+dedup
+    exchange rewrites every mention exactly as a dict lookup through the
+    ``build_entity_links`` table (which holds the mentions only), emits exactly one (type, surface) pair
+    with the ("", -1) witness per distinct canonical IRI, and leaves
+    non-mention IRIs, ``media://`` refs and literals unchanged."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
+    from shaclex_ray.stages.extract import (
+        C_ENTITY, C_MEDIA, C_MENTION, DOC_NS, ENT_NS, MENTION_NS, P_MEDIA,
+        P_MENTIONS, P_SURFACE, P_TEXT, RDF_TYPE, XSD_STRING,
+    )
+    from shaclex_ray.terms import TRIPLES_SCHEMA
+
+    rng = np.random.default_rng(7)
+    rows = []
+    for k in range(600):
+        doc, span = f"d{rng.integers(40)}", int(rng.integers(20))
+        doc_iri = DOC_NS + doc
+        kind = rng.integers(4)
+        if kind < 2:
+            m = MENTION_NS + _surface(rng)
+            rows.append((doc_iri, P_MENTIONS, "iri", m, "", "", doc, span))
+            rows.append((m, RDF_TYPE, "iri", C_MENTION, "", "", doc, span))
+        elif kind == 2:
+            media = f"media://img/{k}"
+            rows.append((doc_iri, P_MEDIA, "iri", media, "", "", doc, span))
+            rows.append((media, RDF_TYPE, "iri", C_MEDIA, "", "", doc, span))
+        else:
+            # a literal spelled like a mention IRI, and an IRI in a
+            # neighbouring namespace, also under ex:mentions: none is a
+            # mention
+            rows.append((doc_iri, P_TEXT, "literal", MENTION_NS + _surface(rng),
+                         XSD_STRING, "", doc, span))
+            for pred in (P_TEXT, P_MENTIONS):
+                rows.append((doc_iri, pred, "iri", "http://ex.org/mentions/x",
+                             "", "", doc, span))
+    raw = pa.Table.from_pylist(
+        [dict(zip(TRIPLES_SCHEMA.names, r)) for r in rows], schema=TRIPLES_SCHEMA
+    )
+    raw_dir = tmp_path / "raw"
+    raw_dir.mkdir()
+    third = raw.num_rows // 3
+    for i in range(3):
+        pq.write_table(raw.slice(i * third, third if i < 2 else None),
+                       raw_dir / f"part-{i}.parquet")
+
+    links = _links_dict(rd.from_arrow(raw))
+    # the random surfaces do collide after normalization
+    assert len(set(links.values())) < len(links)
+    got = dedup_triples_fast_from_parquet(str(raw_dir), nbuckets=4).to_pandas()
+    _assert_same_rows(got, _least_witness(_reference_canonical(raw, links)))
+
+    meta = got[got["subj"].str.startswith(ENT_NS)
+               & got["pred"].isin([RDF_TYPE, P_SURFACE])
+               & (got["obj_lex"] != C_MENTION)]
+    assert sorted(meta["subj"].unique()) == sorted(set(links.values()))
+    assert len(meta) == 2 * meta["subj"].nunique()
+    assert (meta.groupby(["subj", "pred"]).size() == 1).all()
+    assert (meta["doc_id"] == "").all() and (meta["span_idx"] == -1).all()
+    surface = meta[meta["pred"] == P_SURFACE]
+    assert (ENT_NS + surface["obj_lex"] == surface["subj"]).all()
+    assert (meta.loc[meta["pred"] == RDF_TYPE, "obj_lex"] == C_ENTITY).all()
+
+    assert not got["subj"].str.startswith(MENTION_NS).any()
+    untouched = raw.to_pandas()
+    untouched = untouched[~untouched["subj"].str.startswith(MENTION_NS)
+                          & (untouched["pred"] != P_MENTIONS)]
+    _assert_same_rows(
+        got.merge(untouched[TRIPLE_ID_COLS].drop_duplicates(), on=TRIPLE_ID_COLS),
+        _least_witness(untouched),
     )
 
 

@@ -6,7 +6,8 @@
     an empty parquet shard, and the single-bucket return.
 (c) ``partition`` keeps row order within each bucket.
 (d) A guard: no module outside ``stages/exchange.py`` hand-rolls a
-    split (``.options(num_returns=``) or reads a deleted exchange knob.
+    split (``.options(num_returns=``) or reads a deleted knob, and no
+    module under ``stages/`` calls Ray Data's ``Dataset.join``.
 """
 
 import pathlib
@@ -257,11 +258,16 @@ def test_partition_keeps_row_order_within_buckets(sort_first):
 # ------------------------------------------------------------ guard
 
 def test_no_hand_rolled_exchange_or_deleted_knob():
-    """The split→bucket exchange lives in stages/exchange.py only, and
-    none of the deleted exchange or bucket-sizing knobs is read anywhere."""
+    """The split→bucket exchange lives in stages/exchange.py only, none
+    of the deleted knobs is read anywhere, and the stages join no Datasets
+    (the canonical rewrite is a row function in the dedup split kernel)."""
     knobs = re.compile(
         r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
-        r"|BUCKET_ROWS|BUCKET_SPILL_ROWS)"
+        r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN)"
+    )
+    ds_join = re.compile(
+        r"\.join\(\s*\w+\s*,\s*\"(inner|left_outer|right_outer|full_outer"
+        r"|left_semi|right_semi|left_anti|right_anti)\""
     )
     offenders = []
     for path in sorted(PKG.rglob("*.py")):
@@ -271,4 +277,6 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
             offenders.append(f"{rel}: hand-rolled split")
         if knobs.search(src):
             offenders.append(f"{rel}: reads a deleted knob")
+        if rel.startswith("stages/") and ds_join.search(src):
+            offenders.append(f"{rel}: Dataset.join")
     assert not offenders, offenders

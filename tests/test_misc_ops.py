@@ -102,57 +102,3 @@ def test_trigger_modes(ray_session):
         prefixes={"": "http://e/"}, nbuckets=2,
     )
     assert summary["conformant"] == 1
-
-
-def test_entity_links_distributed_equals_unionfind(ray_session):
-    """The distributed min-label component merge produces exactly the
-    driver union-find's rows (same lexicographic-min representative)."""
-    from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import build_entity_links
-
-    raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    dist = build_entity_links(raw, distributed=True)
-    uf = build_entity_links(raw, distributed=False)
-    # distributed regime returns a Dataset (never driver-materialized in
-    # the pipeline); collect + sort here only to compare rows
-    dist_rows = sorted(dist.take_all(), key=lambda r: r["mention"])
-    assert dist_rows == uf.to_pylist()
-    assert uf.num_rows > 0
-
-
-def test_canonicalize_dataset_links_end_to_end(ray_session):
-    """The join-regime rewrite (``canonicalize_triples`` fed the links
-    *Dataset* of the distributed component merge) produces, row for row
-    and before any dedup, what the broadcast ``Canonicalizer`` kernel
-    produces from the in-memory link table, plus the entity metadata
-    triples from ``entity_triples_ds``."""
-    import pyarrow as pa
-
-    from shaclex_ray.sources.documents import read_documents
-    from shaclex_ray.stages.extract import extract_triples
-    from shaclex_ray.stages.link import (
-        Canonicalizer,
-        build_entity_links,
-        canonicalize_triples,
-        entity_triples,
-    )
-    from shaclex_ray.terms import TRIPLE_ID_COLS
-
-    raw = extract_triples(read_documents("/root/testdata/sf0.001")).materialize()
-    links_tbl = build_entity_links(raw, distributed=False)
-    links_ds = build_entity_links(raw, distributed=True)
-
-    def norm(df):
-        return df[TRIPLE_ID_COLS].sort_values(TRIPLE_ID_COLS, ignore_index=True)
-
-    cz = Canonicalizer(links_tbl)
-    bc = norm(
-        pa.concat_tables(
-            [cz(t) for t in raw.iter_batches(batch_format="pyarrow")]
-            + [entity_triples(links_tbl)]
-        ).to_pandas()
-    )
-    dd = norm(canonicalize_triples(raw, links_ds).to_pandas())
-    assert len(bc) > links_tbl.num_rows
-    assert bc.equals(dd)
