@@ -198,16 +198,20 @@ def _decon_bucket(nbench: int, *parts: pa.Table) -> pa.Table:
     ).filter(pa.array(hit | (cnt == 0)))
 
 
+# most distinct benchmark grams decontaminate broadcasts; more take the
+# distributed Bloom + exchange regime
+DECON_BCAST_ROWS = 5_000_000
+
+
 def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     """N-gram decontamination counts: docs with doc_id % bench_mod == 0
     stand in for the held-out benchmark set; for every OTHER document,
     count its token ``shingle``-grams and how many of them (occurrences,
     not distinct) appear anywhere in the benchmark set.
 
-    Scale shape — size-adaptive like the repo's other small-side joins:
-    the per-batch-distinct benchmark gram dataset is materialized once
-    and counted; under ``SHACLEX_DECON_BCAST_THRESHOLD`` rows (default
-    5M — real benchmarks are MBs against a 100-TB corpus) it is
+    Scale shape — size-adaptive: the per-batch-distinct benchmark gram
+    dataset is materialized once and counted; up to ``DECON_BCAST_ROWS``
+    rows (real benchmarks are MBs against a 100-TB corpus) it is
     collected, deduplicated and broadcast via ray.put, and every
     training batch does one vectorized searchsorted probe. Above the
     threshold the bench side NEVER lands on the driver: both gram
@@ -216,8 +220,6 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     and a docs-sized grouped aggregate sums the partial hit counts —
     the shape that survives a benchmark suite that grows with the
     corpus."""
-    import os as _os
-
     path = f"{sf_dir}/documents.parquet"
 
     def _side(batch: pa.Table, bench_side: bool) -> pa.Table:
@@ -235,8 +237,7 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     bench = ray.data.read_parquet(path, columns=["doc_id", "text"])
     bench_h = bench.map_batches(bench_grams, batch_format="pyarrow").materialize()
     n_bench = bench_h.count()
-    threshold = int(_os.environ.get("SHACLEX_DECON_BCAST_THRESHOLD", "5000000"))
-    if n_bench > threshold:
+    if n_bench > DECON_BCAST_ROWS:
         return _decontaminate_join(path, bench_h, n_bench, shingle, bench_mod)
 
     parts = bench_h.take_all()
@@ -449,10 +450,10 @@ def curate_corpus(
 
     Shape: every per-doc signal except dedup is batch-local, so they all
     compute in ONE map task over the pruned (doc_id, text) read; the
-    dedup verdict (global by nature) hash-joins on doc_id — exactly one
-    corpus-sized exchange in the whole pass. All gate arithmetic is
-    integer cross-multiplication (no float thresholds), so every emitted
-    value hash-compares against the SQL twin."""
+    dedup verdict (global by nature) joins on doc_id (``exchange.join``)
+    — exactly one corpus-sized exchange in the whole pass. All gate
+    arithmetic is integer cross-multiplication (no float thresholds), so
+    every emitted value hash-compares against the SQL twin."""
     from shaclex_ray.functions.dedup import dedup_clusters
     from shaclex_ray.functions.text import repetition_batch, token_stats_batch
 
@@ -460,7 +461,7 @@ def curate_corpus(
     from shaclex_ray.sources.documents import parquet_num_rows as _pnr
 
     if _pnr(f"{sf_dir}/documents.parquet") == 0:
-        # empty corpus: the Dataset join below would see schema-less sides
+        # empty corpus: no map below runs, so keep the verdict schema here
         import ray.data as _rd
 
         return _rd.from_arrow(
@@ -514,30 +515,9 @@ def curate_corpus(
         ),
         batch_format="pyarrow",
     )
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    # scale join fan-out with corpus size (parquet metadata is free), not
-    # CPU count — tiny inputs shouldn't pay 16 partitions of fixed cost
-    from shaclex_ray.sources.documents import parquet_num_rows
-
-    nrows = parquet_num_rows(f"{sf_dir}/documents.parquet")
-    nparts = max(2, min(max(2, ncpu // 2), nrows // 100_000 + 1))
-    joined = signals.join(dedup, "inner", num_partitions=nparts, on=("doc_id",))
+    joined = exchange.join(signals, dedup, ["doc_id"])
 
     def finish(batch: pa.Table) -> pa.Table:
-        cols = ["doc_id", "len_ok", "stop_ok", "rep_ok", "dedup_keep", "split"]
-        out_schema = pa.schema(
-            [
-                ("doc_id", pa.int64()),
-                ("len_ok", pa.bool_()),
-                ("stop_ok", pa.bool_()),
-                ("rep_ok", pa.bool_()),
-                ("dedup_keep", pa.bool_()),
-                ("keep", pa.bool_()),
-                ("split", pa.string()),
-            ]
-        )
-        if not set(cols) <= set(batch.column_names):
-            return out_schema.empty_table()
         keep = pc.and_(
             pc.and_(batch.column("len_ok"), batch.column("stop_ok")),
             pc.and_(batch.column("rep_ok"), batch.column("dedup_keep")),

@@ -37,7 +37,6 @@ Scale notes (the 100-TB cost centers):
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -52,7 +51,7 @@ from shaclex_ray.functions.md5batch import (
     md5_u128_batch,
 )
 from shaclex_ray.stages import exchange
-from shaclex_ray.stages.exchange import partition
+from shaclex_ray.stages.exchange import _ragged_arange, partition
 
 # all-pairs cap inside one LSH bucket: a degenerate band bucket (every doc
 # identical) would otherwise emit O(n²) pairs; chaining consecutive ids
@@ -98,13 +97,6 @@ def exact_groups(sf_dir: str):
 
 def _cc(arr):
     return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-
-
-def _ragged_arange(lens: np.ndarray) -> np.ndarray:
-    """[0..l0) ++ [0..l1) ++ … as one array (vectorized ragged ranges)."""
-    total = int(lens.sum())
-    starts = np.cumsum(lens) - lens
-    return np.arange(total) - np.repeat(starts, lens)
 
 
 def _bin_col_u64(col) -> tuple[np.ndarray, np.ndarray]:
@@ -517,16 +509,15 @@ def simhash_groups(sf_dir: str):
 
 # ------------------------------------ representative-based verification
 
-def _join_parts(rows: int, bytes_per_row: int) -> int:
-    """Hash-join fan-out bounded by per-aggregator BYTES (256MB budget)
-    with a row-count floor — the same sizing rule as the payload joins."""
-    budget = 256 << 20
-    return int(
-        np.clip(max(rows // 2_000_000, rows * bytes_per_row // budget) + 1, 2, 512)
-    )
+# candidate sets up to this many pairs verify directly; larger ones try
+# the representative path first
+REP_MIN_PAIRS = 100_000
+# the representative path runs only when |distinct contents| / |docs| is
+# at most this (below it rep pairs are far fewer than candidate pairs)
+REP_DUP_RATIO = 0.5
 
 
-def _rep_expand_verify(cand, n_cand, docfp_ds, verify_direct, out_schema, self_vals):
+def _rep_expand_verify(cand, docfp_ds, verify_direct, out_schema, self_vals):
     """Verify LSH candidates through content REPRESENTATIVES.
 
     The verification predicate (jaccard / cosine) is a pure function of
@@ -543,94 +534,39 @@ def _rep_expand_verify(cand, n_cand, docfp_ds, verify_direct, out_schema, self_v
     docfp_ds:      Dataset (doc_id, fp_hi, fp_lo, self_ok) — content
                    fingerprint per doc; self_ok = whether a pair of
                    identical-content docs passes verification
-    verify_direct: fn(cand_ds, n_pairs) -> Dataset in out_schema — the
-                   payload verifier, run only on representative pairs
+    verify_direct: fn(cand_ds) -> Dataset in out_schema — the payload
+                   verifier, run only on representative pairs
     out_schema:    output schema; fields [0:2] are the pair id columns
     self_vals:     constants for out_schema's value columns on
                    identical-content pairs (e.g. jaccard=1.0)
 
     Returns None when the corpus is not duplicate-heavy enough
-    (|reps|/|docs| > SHACLEX_REP_DUP_RATIO): there the rep detour is pure
+    (|reps|/|docs| > REP_DUP_RATIO): there the rep detour is pure
     overhead — rep pairs ≈ candidate pairs — and the caller's direct
-    path is the right shape already.
+    path is the right shape already. Every join is ``exchange.join``.
     """
     from shaclex_ray.stages.dedup import distinct_rows_fast
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
     ida, idb = out_schema.names[0], out_schema.names[1]
     val_names = out_schema.names[2:]
-    dup_ratio = float(os.environ.get("SHACLEX_REP_DUP_RATIO", "0.5"))
-    verdict_bcast_rows = int(
-        os.environ.get("SHACLEX_REP_VERDICT_BCAST_ROWS", "20000000")
-    )
 
-    n_docs = docfp_ds.count()
+    docfp_ds = docfp_ds.materialize()
     reps = grouped_aggregate_fast(
         docfp_ds, ["fp_hi", "fp_lo"], [("doc_id", "min")], ["rep_id"]
     ).materialize()
-    if reps.count() > n_docs * dup_ratio:
+    if reps.count() > docfp_ds.count() * REP_DUP_RATIO:
         return None
 
-    # materialize between joins: a single streaming plan with several
-    # hash joins starts ALL their aggregator fleets concurrently — the
-    # combined CPU reservation deadlocks the scheduler (observed: two
-    # 124-partition joins x 16 CPUs each on a 32-CPU node, zero progress).
-    # Sequential stages keep exactly one aggregator fleet alive at a time,
-    # and doc_rep (consumed by BOTH pair-side joins) is computed once.
-    doc_rep = (
-        docfp_ds.join(
-            reps,
-            "inner",
-            num_partitions=_join_parts(n_docs, 48),
-            on=("fp_hi", "fp_lo"),
-        )
-        .select_columns(["doc_id", "rep_id", "self_ok"])
-        .materialize()
+    doc_rep = exchange.join(docfp_ds, reps, ["fp_hi", "fp_lo"])
+    rep_a = doc_rep.select_columns(["doc_id", "rep_id", "self_ok"]).rename_columns(
+        {"rep_id": "rep_a", "self_ok": "ok_a"}
     )
-
-    def _r1(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_a": batch.column("doc_a"),
-                "doc_b": batch.column("doc_b"),
-                "rep_a": batch.column("rep_id"),
-                "ok_a": batch.column("self_ok"),
-            }
-        )
-
-    def _r2(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_a": batch.column("doc_a"),
-                "doc_b": batch.column("doc_b"),
-                "rep_a": batch.column("rep_a"),
-                "ok_a": batch.column("ok_a"),
-                "rep_b": batch.column("rep_id"),
-            }
-        )
-
-    np_cand = _join_parts(n_cand, 64)
-    half = (
-        cand.join(
-            doc_rep,
-            "inner",
-            num_partitions=np_cand,
-            on=("doc_a",),
-            right_on=("doc_id",),
-        )
-        .map_batches(_r1, batch_format="pyarrow")
-        .materialize()
+    rep_b = doc_rep.select_columns(["doc_id", "rep_id"]).rename_columns(
+        {"rep_id": "rep_b"}
     )
-    cand_rep = (
-        half.join(
-            doc_rep,
-            "inner",
-            num_partitions=np_cand,
-            on=("doc_b",),
-            right_on=("doc_id",),
-        )
-        .map_batches(_r2, batch_format="pyarrow")
-        .materialize()
+    cand_rep = exchange.join(
+        exchange.join(cand, rep_a, ["doc_a"], ["doc_id"]), rep_b, ["doc_b"], ["doc_id"]
     )
 
     def _lohi(batch: pa.Table) -> pa.Table:
@@ -646,62 +582,9 @@ def _rep_expand_verify(cand, n_cand, docfp_ds, verify_direct, out_schema, self_v
 
     rep_pairs = distinct_rows_fast(
         cand_rep.map_batches(_lohi, batch_format="pyarrow")
-    ).materialize()
-    verdict = verify_direct(rep_pairs, rep_pairs.count()).materialize()
-    nv = verdict.count()
+    )
+    verdict = verify_direct(rep_pairs).rename_columns({ida: "lo", idb: "hi"})
 
-    if nv <= verdict_bcast_rows:
-        tbls = [ray.get(r) for r in verdict.to_arrow_refs()]
-        vt = (
-            pa.concat_tables(tbls).combine_chunks()
-            if tbls
-            else out_schema.empty_table()
-        )
-        vt = vt.rename_columns(["lo", "hi", *val_names])
-        verd_ref = ray.put(vt)
-
-        def emit(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return out_schema.empty_table()
-            ra = batch.column("rep_a").to_numpy(zero_copy_only=False)
-            rb = batch.column("rep_b").to_numpy(zero_copy_only=False)
-            oa = batch.column("ok_a").to_numpy(zero_copy_only=False)
-            da = batch.column("doc_a").to_numpy(zero_copy_only=False)
-            db = batch.column("doc_b").to_numpy(zero_copy_only=False)
-            self_m = ra == rb
-            outs = []
-            keep = self_m & oa.astype(bool)
-            if keep.any():
-                cols = {
-                    ida: pa.array(da[keep], pa.int64()),
-                    idb: pa.array(db[keep], pa.int64()),
-                }
-                for c in val_names:
-                    cols[c] = pa.array(
-                        np.full(int(keep.sum()), self_vals[c]),
-                        out_schema.field(c).type,
-                    )
-                outs.append(pa.table(cols).cast(out_schema))
-            cm = ~self_m
-            if cm.any():
-                qt = pa.table(
-                    {
-                        "lo": pa.array(np.minimum(ra[cm], rb[cm]), pa.int64()),
-                        "hi": pa.array(np.maximum(ra[cm], rb[cm]), pa.int64()),
-                        ida: pa.array(da[cm], pa.int64()),
-                        idb: pa.array(db[cm], pa.int64()),
-                    }
-                )
-                j = qt.join(ray.get(verd_ref), keys=["lo", "hi"], join_type="inner")
-                outs.append(j.select(out_schema.names).cast(out_schema))
-            if not outs:
-                return out_schema.empty_table()
-            return pa.concat_tables(outs)
-
-        return cand_rep.map_batches(emit, batch_format="pyarrow")
-
-    # verdict too large to broadcast (near-worst-case rep-pair degree):
-    # expand by a distributed int-only join on (lo, hi)
     def _self_only(batch: pa.Table) -> pa.Table:
         ra = batch.column("rep_a").to_numpy(zero_copy_only=False)
         rb = batch.column("rep_b").to_numpy(zero_copy_only=False)
@@ -730,21 +613,13 @@ def _rep_expand_verify(cand, n_cand, docfp_ds, verify_direct, out_schema, self_v
             }
         )
 
-    def _vt_keyed(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["lo", "hi", *val_names])
-
-    crossed = (
-        cand_rep.map_batches(_cross_keyed, batch_format="pyarrow")
-        .join(
-            verdict.map_batches(_vt_keyed, batch_format="pyarrow"),
-            "inner",
-            num_partitions=_join_parts(n_cand, 64),
-            on=("lo", "hi"),
-        )
-        .map_batches(
-            lambda b: b.select(out_schema.names).cast(out_schema),
-            batch_format="pyarrow",
-        )
+    crossed = exchange.join(
+        cand_rep.map_batches(_cross_keyed, batch_format="pyarrow"),
+        verdict,
+        ["lo", "hi"],
+    ).map_batches(
+        lambda b: b.select(out_schema.names).cast(out_schema),
+        batch_format="pyarrow",
     )
     selfd = cand_rep.map_batches(_self_only, batch_format="pyarrow")
     return selfd.union(crossed)
@@ -762,9 +637,10 @@ def ngram_jaccard_dups(
 
     Shuffle budget: band rows carry only (doc_id, band keys ≤bands u64);
     each doc's distinct shingle-hash set is stored ONCE in a compact side
-    table and hash-joined onto the candidate pairs (a-side, then b-side)
-    for in-batch verification — ~2× the shingle bytes move instead of
-    ×bands, and the driver never sees a text or a shingle set."""
+    table and joined onto the candidate pairs (a-side, then b-side,
+    ``exchange.join``) for in-batch verification — ~2× the shingle bytes
+    move instead of ×bands, and the driver never sees a text or a
+    shingle set."""
     seeds = minhash_seeds(num_perm)
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -815,15 +691,6 @@ def ngram_jaccard_dups(
             _cc(batch.column("doc_id")), keys, bands
         )
 
-    def rename_a(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_a": batch.column("doc_a"),
-                "doc_b": batch.column("doc_b"),
-                "sh_a": batch.column("shingles"),
-            }
-        )
-
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _JACCARD_SCHEMA.empty_table()
@@ -834,101 +701,29 @@ def ngram_jaccard_dups(
         return _jaccard_table(da, db, la, fa, lb, fb, threshold)
 
     prep_ds = _read_docs(sf_dir).map_batches(prep, batch_format="pyarrow").materialize()
-    sh_ds = prep_ds.select_columns(["doc_id", "shingles"])
     cand = _lsh_candidate_pairs(
         prep_ds.select_columns(["doc_id", "keys"]).map_batches(
             band_rows, batch_format="pyarrow"
         ),
         "dedup_ngram",
     ).materialize()
+    sh_b = prep_ds.select_columns(["doc_id", "shingles"]).materialize()
+    sh_a = sh_b.rename_columns({"shingles": "sh_a"}).materialize()
 
-    # size-adaptive verification (the broadcast-vs-shuffle switch): few
-    # candidates → ship ONLY the candidate docs' shingle sets via ray.put
-    # and verify with a lookup; many → two hash joins (shingle bytes move
-    # ~2×, still never ×bands, and never through the driver)
-    import os as _os
-
-    bcast_limit = int(_os.environ.get("SHACLEX_JACCARD_BCAST_THRESHOLD", "100000"))
-
-    def verify_direct(cand_ds, n_pairs: int):
+    def verify_direct(cand_ds):
         """The payload verifier over an arbitrary (doc_a, doc_b) pair
-        set: broadcast lookup when small, two hash joins at scale."""
-        if n_pairs <= bcast_limit:
-            cand_ids = set()
-            for row in cand_ds.take_all():
-                cand_ids.add(row["doc_a"])
-                cand_ids.add(row["doc_b"])
-            if not cand_ids:
-                import ray.data as _rd
+        set: each side's shingle set joins on (``exchange.join``), and
+        the shingle bytes never ride the band rows or the driver."""
+        j = exchange.join(cand_ds, sh_a, ["doc_a"], ["doc_id"])
+        j = exchange.join(j, sh_b, ["doc_b"], ["doc_id"])
+        return j.map_batches(verify, batch_format="pyarrow")
 
-                return _rd.from_arrow(_JACCARD_SCHEMA.empty_table())
-            id_arr = pa.array(sorted(cand_ids), pa.int64())
-
-            def pick(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.is_in(batch.column("doc_id"), value_set=id_arr)
-                )
-
-            picked = sh_ds.map_batches(pick, batch_format="pyarrow").take_all()
-            picked.sort(key=lambda r: r["doc_id"])
-            # indexable shingle store: (sorted ids, segment bounds, flat
-            # uint64 hashes) — per-pair sets gather by searchsorted + the
-            # ragged-arange trick, no per-pair dict lookups
-            ids_sorted = np.array([r["doc_id"] for r in picked], np.int64)
-            lens = np.array(
-                [len(r["shingles"]) // 8 for r in picked], np.int64
-            )
-            starts = np.zeros(len(lens) + 1, np.int64)
-            np.cumsum(lens, out=starts[1:])
-            flat = np.frombuffer(
-                b"".join(r["shingles"] for r in picked), np.uint64
-            )
-            lookup_ref = ray.put((ids_sorted, starts, lens, flat))
-
-            def verify_bcast(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return _JACCARD_SCHEMA.empty_table()
-                ids_s, st, ln, fl = ray.get(lookup_ref)
-                da = batch.column("doc_a").to_numpy(zero_copy_only=False)
-                db = batch.column("doc_b").to_numpy(zero_copy_only=False)
-                ia = np.searchsorted(ids_s, da)
-                ib = np.searchsorted(ids_s, db)
-                la, lb = ln[ia], ln[ib]
-                fa = fl[np.repeat(st[ia], la) + _ragged_arange(la)]
-                fb = fl[np.repeat(st[ib], lb) + _ragged_arange(lb)]
-                return _jaccard_table(da, db, la, fa, lb, fb, threshold)
-
-            return cand_ds.map_batches(verify_bcast, batch_format="pyarrow")
-
-        # join fan-out is BYTE-aware, not just row-aware: each hash-join
-        # aggregator holds its whole partition, and every candidate pair
-        # carries ~2 shingle payloads through j2 — row-count sizing alone
-        # OOMs the aggregators once pairs x payload passes a few GB
-        avg_sh = prep_ds.size_bytes() / max(1, prep_ds.count())
-        budget = 256 << 20  # per-partition aggregator budget
-        nparts = int(
-            np.clip(
-                max(n_pairs // 100_000, int(n_pairs * 2 * avg_sh) // budget) + 1,
-                2,
-                512,
-            )
-        )
-        j1 = cand_ds.join(
-            sh_ds, "inner", num_partitions=nparts, on=("doc_a",), right_on=("doc_id",)
-        ).map_batches(rename_a, batch_format="pyarrow")
-        j2 = j1.join(
-            sh_ds, "inner", num_partitions=nparts, on=("doc_b",), right_on=("doc_id",)
-        )
-        return j2.map_batches(verify, batch_format="pyarrow")
-
-    n_cand = cand.count()
-    if n_cand <= bcast_limit:
-        return verify_direct(cand, n_cand)
+    if cand.count() <= REP_MIN_PAIRS:
+        return verify_direct(cand)
     # big candidate set: if the corpus is duplicate-heavy, verify per
     # distinct CONTENT pair and expand — payload never rides per-pair
     rep = _rep_expand_verify(
         cand,
-        n_cand,
         prep_ds.select_columns(["doc_id", "fp_hi", "fp_lo", "self_ok"]),
         verify_direct,
         _JACCARD_SCHEMA,
@@ -936,22 +731,22 @@ def ngram_jaccard_dups(
     )
     if rep is not None:
         return rep
-    return verify_direct(cand, n_cand)
+    return verify_direct(cand)
 
 
 # ------------------------------------------ fuzzy-dedup cluster resolution
 
 def connected_components(edges_ds, max_iters: int = 12):
-    """Distributed connected components by min-label propagation: each node
-    repeatedly adopts the smallest label among itself and its neighbors
-    (groupby-min per round; deterministic — the representative is the
-    lexicographic minimum of the component). Converges in O(component
-    diameter) rounds. Returns a Dataset (node, label).
+    """Distributed connected components of the int64 edges (a, b) by
+    min-label propagation: each node repeatedly adopts the smallest label
+    among itself and its neighbors (groupby-min per round; deterministic
+    — the representative is the component's minimum id). Converges in
+    O(component diameter) rounds. Returns a Dataset (node, label).
 
     The per-round label reduction is the vectorized one-move hash
     exchange (``grouped_aggregate_fast`` — Arrow group_by min, zero
-    per-node Python), and the propagation joins' partitioning scales
-    with edge count, not a fixed constant."""
+    per-node Python), and each round's propagation is two
+    ``exchange.join``s of the edges with the labels."""
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
     def seed(batch: pa.Table) -> pa.Table:
@@ -968,68 +763,41 @@ def connected_components(edges_ds, max_iters: int = 12):
     def min_label_agg(ds):
         return grouped_aggregate_fast(ds, ["node"], [("label", "min")], ["label"])
 
-    n_edges = edges_ds.count()
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    nparts = max(2, min(max(ncpu // 2, n_edges // 2_000_000 + 1), 512))
+    def fwd(batch: pa.Table) -> pa.Table:
+        la = batch.column("label_a").combine_chunks()
+        lb = batch.column("label_b").combine_chunks()
+        m = pc.min_element_wise(la, lb)
+        return pa.table(
+            {
+                "node": pa.concat_arrays(
+                    [
+                        batch.column("a").combine_chunks(),
+                        batch.column("b").combine_chunks(),
+                    ]
+                ),
+                "label": pa.concat_arrays([m, m]),
+                "changed": pa.concat_arrays(
+                    [
+                        pc.not_equal(la, m),
+                        pc.not_equal(lb, m),
+                    ]
+                ),
+            }
+        )
 
-    def _fix_schema(cols):
-        """Ray joins emit empty partitions with a degenerate schema —
-        restore the canonical column set so the next join/map sees stable
-        fields."""
-        target = pa.schema([(c, pa.string()) for c in cols])
-
-        def fix(batch: pa.Table) -> pa.Table:
-            if not set(cols) <= set(batch.column_names):
-                return target.empty_table()
-            return batch.select(cols).cast(target)
-
-        return fix
-
-    labels = edges_ds.map_batches(seed, batch_format="pyarrow")
-    edges = edges_ds
+    edges = edges_ds.materialize()
+    labels = edges.map_batches(seed, batch_format="pyarrow")
     for _ in range(max_iters):
         labels = min_label_agg(labels).materialize()
         # propagate: each edge forwards min(label_a, label_b) to both ends
-        j1 = edges.join(
-            labels, "inner", num_partitions=nparts, on=("a",), right_on=("node",)
-        ).map_batches(_fix_schema(["a", "b", "label"]), batch_format="pyarrow")
-        joined = j1.join(
-            labels,
-            "inner",
-            num_partitions=nparts,
-            on=("b",),
-            right_on=("node",),
-            left_suffix="_a",
-            right_suffix="_b",
+        joined = exchange.join(
+            exchange.join(
+                edges, labels.rename_columns({"label": "label_a"}), ["a"], ["node"]
+            ),
+            labels.rename_columns({"label": "label_b"}),
+            ["b"],
+            ["node"],
         )
-
-        def fwd(batch: pa.Table) -> pa.Table:
-            if not {"a", "b", "label_a", "label_b"} <= set(batch.column_names):
-                return pa.schema(
-                    [("node", pa.string()), ("label", pa.string()),
-                     ("changed", pa.bool_())]
-                ).empty_table()
-            la = batch.column("label_a").combine_chunks()
-            lb = batch.column("label_b").combine_chunks()
-            m = pc.min_element_wise(la, lb)
-            return pa.table(
-                {
-                    "node": pa.concat_arrays(
-                        [
-                            batch.column("a").combine_chunks(),
-                            batch.column("b").combine_chunks(),
-                        ]
-                    ),
-                    "label": pa.concat_arrays([m, m]),
-                    "changed": pa.concat_arrays(
-                        [
-                            pc.not_equal(la, m),
-                            pc.not_equal(lb, m),
-                        ]
-                    ),
-                }
-            )
-
         prop = joined.map_batches(fwd, batch_format="pyarrow").materialize()
         n_changed = prop.map_batches(
             lambda b: pa.table(
@@ -1048,6 +816,10 @@ def connected_components(edges_ds, max_iters: int = 12):
     return min_label_agg(labels)
 
 
+# dup-pair count from which dedup_clusters merges components distributed
+CC_DIST_PAIRS = 1_000_000
+
+
 def dedup_clusters(
     sf_dir: str,
     shingle: int = 3,
@@ -1060,52 +832,30 @@ def dedup_clusters(
     components → one row per document with its cluster representative
     (the component's minimum doc_id) and the keep/drop decision.
 
-    The component merge is size-adaptive: below
-    ``SHACLEX_DEDUP_CC_THRESHOLD`` pairs (default 1M) a driver union-find
-    resolves the (small) dup graph and the doc→cluster map broadcasts as
-    two sorted numpy arrays probed with one searchsorted per batch; above
-    it the merge runs as the distributed min-label propagation
+    The component merge is size-adaptive: below ``CC_DIST_PAIRS`` pairs
+    a driver union-find resolves the (small) dup graph; from it the merge
+    runs as the distributed min-label propagation
     ``connected_components`` (vectorized one-move hash exchange per round
-    — no per-node Python), with doc ids riding as zero-padded strings so the
-    lexicographic propagation minimum IS the numeric minimum. Both
-    regimes produce identical rows (tests pin the equality). Either way,
-    non-duplicated docs never enter the merge — the CC working set
-    scales with |dup pairs|, not |corpus|."""
-    import os as _os
-
+    — no per-node Python). Either regime yields a (node, label) table
+    that the documents ``left_outer``-join (``exchange.join``): a doc
+    with no label is its own cluster. Both regimes produce identical rows
+    (tests pin the equality), and non-duplicated docs never enter the
+    merge — the CC working set scales with |dup pairs|, not |corpus|."""
     pairs = ngram_jaccard_dups(
         sf_dir, shingle, threshold, num_perm, bands
     ).materialize()
     n_pairs = pairs.count()
-    docs_path = f"{sf_dir}/documents.parquet"
     if distributed is None:
-        cc_threshold = int(
-            _os.environ.get("SHACLEX_DEDUP_CC_THRESHOLD", "1000000")
-        )
-        distributed = n_pairs >= cc_threshold
+        distributed = n_pairs >= CC_DIST_PAIRS
 
-    if n_pairs == 0:
-        # no dup pairs: every document is its own singleton cluster —
-        # don't route an empty dataset through the hash-shuffle join
-        # (its right side would lose the key schema)
-        def singletons(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").combine_chunks().cast(pa.int64())
-            return pa.table(
-                {
-                    "doc_id": ids,
-                    "cluster": ids,
-                    "keep": pa.array(np.ones(len(ids), bool)),
-                }
+    if distributed and n_pairs:
+        labels = connected_components(
+            pairs.select_columns(["doc_a", "doc_b"]).rename_columns(
+                {"doc_a": "a", "doc_b": "b"}
             )
-
-        return ray.data.read_parquet(
-            docs_path, columns=["doc_id"]
-        ).map_batches(singletons, batch_format="pyarrow")
-
-    if not distributed:
-        # driver union-find over the small pair list; broadcast the
-        # doc→cluster map once, probe vectorized per batch
-        rows = pairs.select_columns(["doc_a", "doc_b"]).take_all()
+        )
+    else:
+        # driver union-find over the small pair list
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -1115,115 +865,29 @@ def dedup_clusters(
                 x = parent[x]
             return x
 
-        for r in rows:
+        for r in pairs.select_columns(["doc_a", "doc_b"]).take_all():
             ra, rb = find(r["doc_a"]), find(r["doc_b"])
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        keys = np.array(sorted(parent), dtype=np.int64)
-        vals = np.array([find(int(k)) for k in keys], dtype=np.int64)
-        map_ref = ray.put((keys, vals))
-
-        def assign(batch: pa.Table) -> pa.Table:
-            # ray.get of plasma-resident numpy arrays is a zero-copy view —
-            # the broadcast itself; no actor pool needed for read-only state
-            keys, vals = ray.get(map_ref)
-            ids = (
-                batch.column("doc_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            idx = np.searchsorted(keys, ids)
-            idx[idx == len(keys)] = 0
-            hit = keys[idx] == ids
-            lab = np.where(hit, vals[idx], ids)
-            return pa.table(
+        keys = sorted(parent)
+        labels = ray.data.from_arrow(
+            pa.table(
                 {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "cluster": pa.array(lab, pa.int64()),
-                    "keep": pa.array(ids == lab),
+                    "node": pa.array(keys, pa.int64()),
+                    "label": pa.array([find(k) for k in keys], pa.int64()),
                 }
             )
-
-        return ray.data.read_parquet(docs_path, columns=["doc_id"]).map_batches(
-            assign, batch_format="pyarrow"
         )
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "a": pc.utf8_lpad(
-                    pc.cast(batch.column("doc_a"), pa.string()), 19, "0"
-                ),
-                "b": pc.utf8_lpad(
-                    pc.cast(batch.column("doc_b"), pa.string()), 19, "0"
-                ),
-            }
-        )
-
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow")
-    labels = connected_components(edges)
-
-    _label_schema = pa.schema([("node", pa.string()), ("label", pa.string())])
-
-    def fix_labels(batch: pa.Table) -> pa.Table:
-        # empty blocks out of joins/aggregates can carry a degenerate
-        # schema — restore (node, label) so the left_outer join below
-        # always sees its key field
-        if not {"node", "label"} <= set(batch.column_names):
-            return _label_schema.empty_table()
-        return batch.select(["node", "label"]).cast(_label_schema)
-
-    labels = labels.map_batches(fix_labels, batch_format="pyarrow")
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "node": pc.utf8_lpad(
-                    pc.cast(b.column("doc_id"), pa.string()), 19, "0"
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    from shaclex_ray.sources.documents import parquet_num_rows
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    # join fan-out scales with corpus size (parquet metadata is free, and
-    # this branch only runs in the distributed >=1M-pair regime anyway)
-    _nrows = parquet_num_rows(docs_path)
-    joined = docs.join(
-        labels,
-        "left_outer",
-        num_partitions=max(2, min(max(2, ncpu // 2), _nrows // 100_000 + 1)),
-        on=("node",),
-    )
 
     def finish(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [
-                ("doc_id", pa.int64()),
-                ("cluster", pa.int64()),
-                ("keep", pa.bool_()),
-            ]
-        )
-        if not {"doc_id", "label"} <= set(batch.column_names):
-            return out_schema.empty_table()
         ids = batch.column("doc_id").combine_chunks().cast(pa.int64())
-        lab = pc.cast(
-            pc.coalesce(
-                batch.column("label").combine_chunks(),
-                pc.utf8_lpad(pc.cast(ids, pa.string()), 19, "0"),
-            ),
-            pa.int64(),
-        )
-        return pa.table(
-            {"doc_id": ids, "cluster": lab, "keep": pc.equal(ids, lab)}
-        )
+        lab = pc.coalesce(batch.column("label").combine_chunks(), ids)
+        return pa.table({"doc_id": ids, "cluster": lab, "keep": pc.equal(ids, lab)})
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    return exchange.join(docs, labels, ["doc_id"], ["node"], "left_outer").map_batches(
+        finish, batch_format="pyarrow"
+    )
 
 
 # ------------------------------------------- embedding-cosine near-dup
@@ -1251,10 +915,16 @@ def embedding_near_dups(
 
     Same shuffle budget as minhash: ONE band exchange carrying only
     (vec_id, band, band_key, earlier-key prefix); the vectors themselves
-    are fetched for the candidate set only — broadcast lookup when the
-    set is small, two hash joins at scale. Signature/band equality is
-    exactly the SQL oracle's pair condition (embedding_dups_sql)."""
-    from shaclex_ray.functions.ann import _emb_dim, _signature, _to_matrix, lsh_planes
+    join onto the candidate pairs only (two ``exchange.join``s).
+    Signature/band equality is exactly the SQL oracle's pair condition
+    (embedding_dups_sql)."""
+    from shaclex_ray.functions.ann import (
+        _emb_dim,
+        _list_to_matrix,
+        _signature,
+        _to_matrix,
+        lsh_planes,
+    )
 
     dim = _emb_dim(sf_dir)
     planes = lsh_planes(dim, nbits, seed)
@@ -1290,19 +960,11 @@ def embedding_near_dups(
         cos[den == 0.0] = -1.0
         return cos
 
-    import os as _os
-
-    bcast_limit = int(_os.environ.get("SHACLEX_JACCARD_BCAST_THRESHOLD", "100000"))
     out_schema = pa.schema([("vec_id_a", pa.int64()), ("vec_id_b", pa.int64())])
 
-    def _pack_bytes(batch: pa.Table) -> pa.Array:
-        # Arrow hash joins don't carry list<float> payloads — pack the
-        # vectors as float64 bytes (exact) for the ride, unpack in verify.
-        # One flatten + one memcpy per batch: the binary array is built
-        # straight from the flat values buffer, no per-row Python.
-        from shaclex_ray.functions.ann import _list_to_matrix
-
-        mat = _list_to_matrix(batch.column("embedding"), dim)
+    def _pack_bytes(mat: np.ndarray) -> pa.Array:
+        # the vectors as float64 bytes (exact), the content fingerprint's
+        # input: one binary array straight over the matrix buffer
         n, d = mat.shape
         offsets = np.arange(0, (n + 1) * d * 8, d * 8, dtype=np.int32)
         return pa.Array.from_buffers(
@@ -1311,136 +973,42 @@ def embedding_near_dups(
             [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(mat.tobytes())],
         )
 
-    def verify_direct(cand_ds, n_pairs: int):
+    def verify(batch: pa.Table) -> pa.Table:
+        da = batch.column("doc_a").to_numpy(zero_copy_only=False)
+        db = batch.column("doc_b").to_numpy(zero_copy_only=False)
+        A = _list_to_matrix(batch.column("emb_a"), dim)
+        B = _list_to_matrix(batch.column("emb_b"), dim)
+        keep = _pair_cos(A, B) >= threshold
+        return pa.table(
+            {
+                "vec_id_a": pa.array(da[keep], pa.int64()),
+                "vec_id_b": pa.array(db[keep], pa.int64()),
+            }
+        )
+
+    def verify_direct(cand_ds):
         """Cosine verification over an arbitrary (doc_a, doc_b) pair set:
-        broadcast matrix lookup when small, two hash joins at scale."""
-        if n_pairs <= bcast_limit:
-            cand_ids = set()
-            for row in cand_ds.take_all():
-                cand_ids.add(row["doc_a"])
-                cand_ids.add(row["doc_b"])
-            if not cand_ids:
-                import ray.data as _rd
-
-                return _rd.from_arrow(out_schema.empty_table())
-            id_arr = pa.array(sorted(cand_ids), pa.int64())
-
-            def pick(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.is_in(batch.column("vec_id"), value_set=id_arr)
-                )
-
-            picked = pa.concat_tables(
-                pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
-                for b in _read()
-                .map_batches(pick, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow")
-            )
-            order = pc.sort_indices(picked.column("vec_id"))
-            ids_sorted = (
-                picked.column("vec_id").take(order).to_numpy(zero_copy_only=False)
-            )
-            mat_sorted = _to_matrix(picked.take(order), dim)[1]
-            lookup_ref = ray.put((ids_sorted, mat_sorted))
-
-            def verify_bcast(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return out_schema.empty_table()
-                ids_s, M = ray.get(lookup_ref)
-                da = batch.column("doc_a").to_numpy(zero_copy_only=False)
-                db = batch.column("doc_b").to_numpy(zero_copy_only=False)
-                A = M[np.searchsorted(ids_s, da)]
-                B = M[np.searchsorted(ids_s, db)]
-                keep = _pair_cos(A, B) >= threshold
-                return pa.table(
-                    {
-                        "vec_id_a": pa.array(da[keep], pa.int64()),
-                        "vec_id_b": pa.array(db[keep], pa.int64()),
-                    }
-                )
-
-            return cand_ds.map_batches(verify_bcast, batch_format="pyarrow")
-
-        vec_bytes = dim * 8
-        budget = 256 << 20
-        nparts = int(
-            np.clip(
-                max(n_pairs // 100_000, (n_pairs * 2 * vec_bytes) // budget) + 1,
-                2,
-                512,
-            )
+        each side's vector joins on (``exchange.join`` carries the
+        list<float> payload as is)."""
+        j = exchange.join(
+            cand_ds, _read().rename_columns({"embedding": "emb_a"}),
+            ["doc_a"], ["vec_id"],
         )
-
-        def to_bytes(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {"vec_id": batch.column("vec_id"), "emb": _pack_bytes(batch)}
-            )
-
-        emb_ds = _read().map_batches(to_bytes, batch_format="pyarrow")
-
-        def rename_a(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_a": batch.column("doc_a"),
-                    "doc_b": batch.column("doc_b"),
-                    "emb_a": batch.column("emb"),
-                }
-            )
-
-        def _unpack(col) -> np.ndarray:
-            """binary column of equal-length float64 payloads -> (n, dim)
-            matrix: one gather over the offsets + one frombuffer —
-            vectorized (never a per-row frombuffer)."""
-            arr = _cc(col)
-            n = len(arr)
-            off = np.frombuffer(arr.buffers()[1], np.int32)[
-                arr.offset : arr.offset + n + 1
-            ].astype(np.int64)
-            data = np.frombuffer(arr.buffers()[2], np.uint8)
-            row_len = int(off[1] - off[0])
-            if not (np.diff(off) == row_len).all():
-                raise ValueError("ragged packed-embedding column")
-            flat = np.frombuffer(
-                data[off[0] : off[-1]].tobytes(), np.float64
-            )
-            return flat.reshape(n, row_len // 8)
-
-        def verify_join(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return out_schema.empty_table()
-            da = batch.column("doc_a").to_numpy(zero_copy_only=False)
-            db = batch.column("doc_b").to_numpy(zero_copy_only=False)
-            A = _unpack(batch.column("emb_a"))
-            B = _unpack(batch.column("emb"))
-            keep = _pair_cos(A, B) >= threshold
-            return pa.table(
-                {
-                    "vec_id_a": pa.array(da[keep], pa.int64()),
-                    "vec_id_b": pa.array(db[keep], pa.int64()),
-                }
-            )
-
-        j1 = cand_ds.join(
-            emb_ds, "inner", num_partitions=nparts, on=("doc_a",), right_on=("vec_id",)
-        ).map_batches(rename_a, batch_format="pyarrow")
-        j2 = j1.join(
-            emb_ds, "inner", num_partitions=nparts, on=("doc_b",), right_on=("vec_id",)
+        j = exchange.join(
+            j, _read().rename_columns({"embedding": "emb_b"}), ["doc_b"], ["vec_id"]
         )
-        return j2.map_batches(verify_join, batch_format="pyarrow")
+        return j.map_batches(verify, batch_format="pyarrow")
 
-    n_cand = cand.count()
-    if n_cand <= bcast_limit:
-        return verify_direct(cand, n_cand)
+    if cand.count() <= REP_MIN_PAIRS:
+        return verify_direct(cand)
 
     def fp_fn(batch: pa.Table) -> pa.Table:
         # self-cosine: 1 for any nonzero vector, -1 for a zero-norm one
         # (the engine-wide undefined-direction rule _pair_cos applies) —
         # self_ok must encode the same rule or the rep-expand path would
         # diverge from the direct-verify path at threshold <= -1
-        from shaclex_ray.functions.ann import _list_to_matrix
-
         mat = _list_to_matrix(batch.column("embedding"), dim)
-        fp_hi, fp_lo = md5_u128_batch(_pack_bytes(batch))
+        fp_hi, fp_lo = md5_u128_batch(_pack_bytes(mat))
         self_cos = np.where(np.linalg.norm(mat, axis=1) > 0, 1.0, -1.0)
         ok = self_cos >= threshold
         return pa.table(
@@ -1453,10 +1021,9 @@ def embedding_near_dups(
         )
 
     # big candidate set: duplicate-heavy corpora verify per distinct
-    # VECTOR pair and expand — the packed payload never rides per-pair
+    # VECTOR pair and expand — the vectors never ride per-pair
     rep = _rep_expand_verify(
         cand,
-        n_cand,
         _read().map_batches(fp_fn, batch_format="pyarrow"),
         verify_direct,
         out_schema,
@@ -1464,4 +1031,4 @@ def embedding_near_dups(
     )
     if rep is not None:
         return rep
-    return verify_direct(cand, n_cand)
+    return verify_direct(cand)

@@ -4,13 +4,14 @@ surface next to the KG and training-data operators:
 
   * ``pricing_summary``   (Q1-shaped): filtered scan → tiny-key aggregate.
   * ``top_orders``        (Q3-shaped): broadcast dim semi-join +
-                          fact-side PRE-aggregation before the hash join
+                          fact-side PRE-aggregation before the join
                           + exact partial top-k (no global sort).
   * ``regional_volume``   (Q5-shaped): star join as ONE streamed pass over
                           the fact table — genuinely small dims
                           (region/nation/supplier/customer) broadcast via
-                          ray.put, the orders⋈lineitem edge as a real hash
-                          join (both sides grow with the corpus).
+                          ray.put, the orders⋈lineitem edge through
+                          ``exchange.join`` (both sides grow with the
+                          corpus).
 
 Money arithmetic is integer end-to-end: cents = floor(price*100 + 0.5)
 (identical float→int semantics in numpy and DuckDB — numpy's round()
@@ -27,14 +28,13 @@ general query engine and should be exercised as one.
 
 from __future__ import annotations
 
-import os as _os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from shaclex_ray.stages import exchange
 from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
 
@@ -188,8 +188,8 @@ def top_orders(
     Scale shape: customer is the genuinely small dim — its key set
     broadcasts once; lineitem PRE-aggregates revenue per orderkey before
     the join (the fact table's exchange moves |orders| partials, never
-    line items); orders⋈revenue is a real hash join (both sides scale
-    with the corpus); top-k is exact per-block partial top-k merged on
+    line items); orders⋈revenue goes through ``exchange.join`` (both
+    sides scale with the corpus); top-k is exact per-block partial top-k merged on
     the driver — k rows per block, no global sort."""
     import pyarrow.parquet as pq
 
@@ -253,48 +253,7 @@ def top_orders(
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(ord_filter, batch_format="pyarrow")
 
-    # size-adaptive join (the broadcast-vs-shuffle switch used throughout
-    # this repo): a filtered order set under the threshold broadcasts as
-    # two sorted arrays and the join becomes a batch-local searchsorted
-    # probe; above it, a real hash join — both sides scale with the corpus
-    ords_m = ords.materialize()
-    n_ords = ords_m.count()
-    bcast_limit = int(
-        _os.environ.get("SHACLEX_REL_BCAST_THRESHOLD", "2000000")
-    )
-    if n_ords <= bcast_limit:
-        blocks = [t for t in ray.get(ords_m.to_arrow_refs()) if t.num_rows]
-        tbl = (
-            pa.concat_tables(blocks).combine_chunks()
-            if blocks
-            else pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "o_orderdate": pa.array([], pa.string()),
-                }
-            )
-        )
-        ok = _i64(tbl.column("l_orderkey"))
-        order = np.argsort(ok)
-        order = order[ok[order] != NULL_KEY]  # a null o_orderkey joins nothing
-        odate = tbl.column("o_orderdate").take(pa.array(order))
-        lookup_ref = ray.put((ok[order], odate))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            ks, dates = ray.get(lookup_ref)
-            key = _i64(batch.column("l_orderkey"))
-            idx, hit = _sorted_probe(ks, key)
-            batch = batch.filter(pa.array(hit))
-            return batch.append_column(
-                "o_orderdate", pc.take(dates, pa.array(idx[hit]))
-            )
-
-        joined = revenue.map_batches(attach, batch_format="pyarrow")
-    else:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        joined = revenue.join(
-            ords_m, "inner", num_partitions=max(2, ncpu // 4), on=("l_orderkey",)
-        )
+    joined = exchange.join(revenue, ords, ["l_orderkey"])
 
     schema = pa.schema(
         [
@@ -305,8 +264,6 @@ def top_orders(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "revenue_e4" not in batch.column_names:
-            return schema.empty_table()
         rev = batch.column("revenue_e4").to_numpy(zero_copy_only=False)
         okey = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         order = np.lexsort((okey, -rev))[:k]
@@ -381,7 +338,7 @@ def regional_volume(
 
     Scale shape: region/nation/supplier/customer are bounded dims —
     lookup arrays broadcast once via ray.put; orders⋈lineitem (the two
-    corpus-sized tables) is the single real hash join; the supplier and
+    corpus-sized tables) is the single join (``exchange.join``); the supplier and
     customer-nation probes happen batch-local inside the streamed pass,
     and revenue pre-aggregates per nation inside each batch so the final
     exchange moves |nations| rows."""
@@ -484,54 +441,11 @@ def regional_volume(
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(li_partial, batch_format="pyarrow")
 
-    # same size-adaptive switch as top_orders: the filtered in-window
-    # order→nation map broadcasts when small, hash-joins at scale
-    ords_m = ords.materialize()
-    bcast_limit = int(
-        _os.environ.get("SHACLEX_REL_BCAST_THRESHOLD", "2000000")
-    )
-    if ords_m.count() <= bcast_limit:
-        blocks = [t for t in ray.get(ords_m.to_arrow_refs()) if t.num_rows]
-        tbl = (
-            pa.concat_tables(blocks).combine_chunks()
-            if blocks
-            else pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "c_nation": pa.array([], pa.int64()),
-                }
-            )
-        )
-        ok = _i64(tbl.column("l_orderkey"))
-        order = np.argsort(ok)
-        order = order[ok[order] != NULL_KEY]  # a null o_orderkey joins nothing
-        cn_sorted = _i64(tbl.column("c_nation"))[order]
-        onat_ref = ray.put((ok[order], cn_sorted))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            ks, cns = ray.get(onat_ref)
-            key = _i64(batch.column("l_orderkey"))
-            idx, hit = _sorted_probe(ks, key)
-            batch = batch.filter(pa.array(hit))
-            return batch.append_column(
-                "c_nation", pa.array(cns[idx[hit]], pa.int64())
-            )
-
-        joined = li.map_batches(attach, batch_format="pyarrow")
-    else:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        joined = li.join(
-            ords_m, "inner", num_partitions=max(2, ncpu // 4), on=("l_orderkey",)
-        )
+    joined = exchange.join(li, ords, ["l_orderkey"])
 
     def per_nation(batch: pa.Table) -> pa.Table:
         """corpus-sized stream: everything integer/vectorized — nation
         NAMES are attached only after the final |nations|-row reduce."""
-        empty = pa.schema(
-            [("s_nation", pa.int64()), ("revenue_e4", pa.int64())]
-        ).empty_table()
-        if batch.num_rows == 0 or "s_nation" not in batch.column_names:
-            return empty
         sn = batch.column("s_nation").to_numpy(zero_copy_only=False)
         cn = batch.column("c_nation").to_numpy(zero_copy_only=False)
         rev = batch.column("revenue_e4").to_numpy(zero_copy_only=False)

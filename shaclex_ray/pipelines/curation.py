@@ -26,8 +26,10 @@ import hashlib
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data as rd
 
+from shaclex_ray.stages import exchange
 from shaclex_ray.state.checkpoint import StageRunner
 
 
@@ -89,31 +91,9 @@ def run_curation_pipeline(
             f"{sf_dir}/documents.parquet",
             columns=["doc_id", "text", "lang", "source"],
         )
-        import ray as _ray
-
-        ncpu = int(_ray.cluster_resources().get("CPU", 4))
-        import pyarrow.parquet as _pq
-
-        from shaclex_ray.sources.documents import parquet_num_rows
-
-        nrows = parquet_num_rows(f"{sf_dir}/documents.parquet")
-        nparts = max(2, min(max(2, ncpu // 2), nrows // 100_000 + 1))
-        joined = docs.join(
-            verdicts, "inner", num_partitions=nparts, on=("doc_id",)
-        )
+        joined = exchange.join(docs, verdicts, ["doc_id"])
 
         def kept_only(batch: pa.Table) -> pa.Table:
-            cols = ["doc_id", "text", "lang", "source", "keep", "split"]
-            if not set(cols) <= set(batch.column_names):
-                return pa.schema(
-                    [
-                        ("doc_id", pa.int64()),
-                        ("text", pa.string()),
-                        ("lang", pa.string()),
-                        ("source", pa.string()),
-                        ("split", pa.string()),
-                    ]
-                ).empty_table()
             kept = batch.filter(batch.column("keep"))
             return kept.select(
                 ["doc_id", "text", "lang", "source", "split"]
@@ -129,7 +109,7 @@ def run_curation_pipeline(
 
         total = 0
         for f in glob.glob(f"{path}/**/*.parquet", recursive=True):
-            total += _pq.read_metadata(f).num_rows
+            total += pq.read_metadata(f).num_rows
         return total
 
     curated = runner.run(

@@ -19,8 +19,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
+import ray.data as rd
 
+from shaclex_ray.stages import exchange
+from shaclex_ray.stages.dedup import distinct_rows_fast
 from shaclex_ray.terms import RDF_TYPE, XSD_STRING
 
 # lattice element encoding (collapse = meet):
@@ -101,19 +103,13 @@ def infer_schema(
 
     ONE harvest scan collects the focus instances AND the rdfs:label side
     table together (the label lookup used to be a second full pass); the
-    focus set is then applied size-adaptively — small sets broadcast into
-    the stats projection as an ``is_in`` filter, big ones hash-JOIN on
-    subj (the instance set of a class at web scale is huge; reference
-    guards with a visited set, InferState.scala:7-46)."""
-    import os as _os
-
-    import ray as _ray
-
+    focus set (distinct subjects) then joins the arcs on subj through
+    ``exchange.join``, which broadcasts it while it is small (the
+    instance set of a class at web scale is huge; reference guards with
+    a visited set, InferState.scala:7-46)."""
     RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
     arcs = triples_ds
     n_focus_holder = None
-    focus_filter_ref = None  # ray.put'd sorted focus array (broadcast path)
-    labels_ds = None
 
     def harvest(batch: pa.Table) -> pa.Table:
         """Tagged single pass: 'f' = focus instance, 'l' = label arc."""
@@ -149,57 +145,23 @@ def infer_schema(
     harvested = triples_ds.map_batches(harvest, batch_format="pyarrow").materialize()
     labels_ds = harvested.filter(expr="tag == 'l'")
     focus_ds = None
-    bcast_limit = int(_os.environ.get("SHACLEX_INFER_BCAST_THRESHOLD", "1000000"))
     if focus_subjects is not None:
-        # explicit focus set (followOn recursion / API callers): an Arrow
-        # array broadcasts directly; a Dataset takes the size-adaptive path
+        # explicit focus set (followOn recursion / API callers)
         if isinstance(focus_subjects, (pa.Array, pa.ChunkedArray)):
-            focus_arr = pc.unique(
-                focus_subjects.combine_chunks()
-                if isinstance(focus_subjects, pa.ChunkedArray)
-                else focus_subjects
-            )
-            n_focus_holder = len(focus_arr)
-            focus_filter_ref = _ray.put(focus_arr)
+            focus_ds = rd.from_arrow(pa.table({"subj": focus_subjects}))
         else:
-            focus_ds = focus_subjects.select_columns(["subj"]).materialize()
-            n_focus_holder = focus_ds.count()
+            focus_ds = focus_subjects.select_columns(["subj"])
     elif focus_class is not None:
-        from ray.data.aggregate import Count
-
-        focus_ds = (
-            harvested.filter(expr="tag == 'f'")
-            .select_columns(["subj"])
-            .groupby("subj")
-            .aggregate(Count(alias_name="_n"))  # distinct subjects
+        focus_ds = harvested.filter(expr="tag == 'f'").select_columns(["subj"])
+    if focus_ds is not None:
+        focus_ds = distinct_rows_fast(
+            focus_ds, empty_schema=pa.schema([("subj", pa.string())])
         ).materialize()
         n_focus_holder = focus_ds.count()
-    if focus_ds is not None and focus_filter_ref is None:
-        if n_focus_holder <= bcast_limit:
-            focus_arr = pa.array(
-                sorted({r["subj"] for r in focus_ds.take_all()}), pa.string()
-            )
-            focus_filter_ref = _ray.put(focus_arr)
-        else:
-            nparts = max(
-                2, min(16, int(_ray.cluster_resources().get("CPU", 4)) // 2)
-            )
-            cols = [c for c in focus_ds.schema().names if c != "subj"]
-            arcs = triples_ds.join(
-                focus_ds.drop_columns(cols) if cols else focus_ds,
-                "inner",
-                num_partitions=nparts,
-                on=("subj",),
-            )
+        arcs = exchange.join(triples_ds, focus_ds, ["subj"])
 
     def project(batch: pa.Table) -> pa.Table:
-        # vectorized lattice-element classification (no per-row loop);
-        # in the broadcast regime the focus semi-filter fuses right here
-        if focus_filter_ref is not None:
-            import ray as _ray2
-
-            fset = _ray2.get(focus_filter_ref)
-            batch = batch.filter(pc.is_in(batch.column("subj"), value_set=fset))
+        # vectorized lattice-element classification (no per-row loop)
         okind = batch.column("obj_kind").combine_chunks()
         odt = batch.column("obj_dt").combine_chunks()
         olang = batch.column("obj_lang").combine_chunks()
@@ -362,15 +324,8 @@ def infer_schema(
                 followed[tc["predicate"]] = hits.pop()
         if followed:
             fp = pa.array(sorted(followed))
-            fref = focus_filter_ref
 
             def follow_proj(batch: pa.Table) -> pa.Table:
-                if fref is not None:
-                    import ray as _r3
-
-                    batch = batch.filter(
-                        pc.is_in(batch.column("subj"), value_set=_r3.get(fref))
-                    )
                 m = pc.and_(
                     pc.is_in(batch.column("pred"), value_set=fp),
                     pc.not_equal(batch.column("obj_kind"), "literal"),
@@ -380,16 +335,9 @@ def infer_schema(
                     {"pred": sub.column("pred"), "subj": sub.column("obj_lex")}
                 )
 
-            from shaclex_ray.stages.dedup import distinct_rows_fast
-
             objs = distinct_rows_fast(
                 arcs.map_batches(follow_proj, batch_format="pyarrow")
             ).materialize()
-            small = objs.count() <= bcast_limit
-            by_pred: dict[str, list] = {}
-            if small:
-                for r in objs.take_all():
-                    by_pred.setdefault(r["pred"], []).append(r["subj"])
             for pred, new_label in sorted(followed.items()):
                 for tc in exprs:
                     if tc["predicate"] == pred:
@@ -397,21 +345,17 @@ def infer_schema(
                 if new_label in seen:
                     continue  # visited guard (InferState.scala:7-46 analog)
                 seen.add(new_label)
-                if small:
-                    sub_focus = pa.array(
-                        sorted(by_pred.get(pred, [])), pa.string()
-                    )
-                    if len(sub_focus) == 0:
-                        continue
-                else:
-                    p = pred
 
-                    def pick(batch: pa.Table, _p=p) -> pa.Table:
-                        return batch.filter(pc.equal(batch.column("pred"), _p))
+                def pick(batch: pa.Table, _p=pred) -> pa.Table:
+                    return batch.filter(pc.equal(batch.column("pred"), _p))
 
-                    sub_focus = objs.map_batches(
-                        pick, batch_format="pyarrow"
-                    ).select_columns(["subj"])
+                sub_focus = (
+                    objs.map_batches(pick, batch_format="pyarrow")
+                    .select_columns(["subj"])
+                    .materialize()
+                )
+                if sub_focus.count() == 0:
+                    continue
                 sub_schema, _sub_stats = infer_schema(
                     triples_ds,
                     shape_label=new_label,

@@ -2,14 +2,29 @@
 hive-partitioned output, checkpoint resume, and pack equivalence."""
 
 import glob
+import hashlib
 import json
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pyarrow.parquet as pq
 
 SF = "/root/testdata/sf0.001"
 OUT = "/tmp/test_curation_out"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _curated_rows(ds) -> list:
+    """Curated rows as sorted reprs of (doc_id, split, lang, source,
+    md5(text))."""
+    return sorted(
+        repr((int(r.doc_id), r.split, r.lang, r.source,
+              hashlib.md5((r.text or "").encode()).hexdigest()))
+        for r in ds.to_pandas().itertuples()
+    )
 
 
 def _run(resume=True):
@@ -138,3 +153,29 @@ def test_curation_pipeline_substring_dedup(ray_session):
     }
     assert got_tok == exp_tok
     shutil.rmtree(out_dir, ignore_errors=True)
+
+
+def test_curation_pipeline_finishes_at_one_cpu(ray_session, tmp_path):
+    """A one-CPU Ray session runs the whole pipeline (every join is
+    ``exchange.join``; Ray Data's hash-shuffle join never finished there)
+    and curates exactly the rows of this four-CPU session."""
+    import ray.data as rd
+
+    from shaclex_ray.pipelines.curation import run_curation_pipeline
+
+    one = tmp_path / "one"
+    script = f"""
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+from shaclex_ray.pipelines.curation import run_curation_pipeline
+run_curation_pipeline({SF!r}, {str(one)!r}, capacity=128)
+"""
+    p = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=300, cwd=REPO,
+    )
+    assert p.returncode == 0, p.stderr[-2000:]
+    four = run_curation_pipeline(SF, str(tmp_path / "four"), capacity=128)
+    got = _curated_rows(rd.read_parquet(str(one / "curated")))
+    assert got == _curated_rows(four["curated"]) and len(got) > 0

@@ -7,7 +7,9 @@
 (c) ``partition`` keeps row order within each bucket.
 (d) A guard: no module outside ``stages/exchange.py`` hand-rolls a
     split (``.options(num_returns=``) or reads a deleted knob, and no
-    module under ``stages/`` calls Ray Data's ``Dataset.join``.
+    module calls Ray Data's ``Dataset.join``.
+(e) ``exchange.join`` against an Arrow hash-join reference, under both
+    placements.
 """
 
 import pathlib
@@ -255,19 +257,139 @@ def test_partition_keeps_row_order_within_buckets(sort_first):
         assert p.column("i").to_pylist() == np.flatnonzero(b == i).tolist()
 
 
+# ------------------------------------------------------------ join
+
+def _join_ref(probe: pa.Table, build: pa.Table, on, build_on, how) -> list:
+    """Arrow's hash join as the reference: it joins the key columns
+    carrying row numbers, and the rows are reassembled from those, so
+    payloads Acero cannot carry (list<float>) compare too."""
+    p = probe.select(on).append_column("_p", pa.array(np.arange(probe.num_rows)))
+    b = build.select(build_on).append_column("_b", pa.array(np.arange(build.num_rows)))
+    j = p.join(b, keys=on, right_keys=build_on,
+               join_type="inner" if how == "inner" else "left outer")
+    payload = build.drop_columns(build_on)
+    rows = []
+    for i, k in zip(j.column("_p").to_pylist(), j.column("_b").to_pylist()):
+        row = probe.slice(i, 1).to_pylist()[0]
+        row.update(payload.slice(k, 1).to_pylist()[0] if k is not None
+                   else dict.fromkeys(payload.column_names))
+        rows.append(row)
+    return sorted(map(repr, rows))
+
+
+def _keys(rng, n, hi):
+    """n int64 keys in [0, hi) with duplicates and about 10% nulls."""
+    k = rng.integers(0, hi, n).astype(object)
+    k[rng.random(n) < 0.1] = None
+    return pa.array(k, pa.int64())
+
+
+def _join_case(case: str):
+    """(probe, build, on, build_on): every case has duplicate build keys
+    (many-to-many matches) and null keys on both sides."""
+    rng = np.random.default_rng(5)
+    n, m = 240, 90
+    if case == "int_key":
+        probe = pa.table({"k": _keys(rng, n, 40), "pv": pa.array(rng.integers(0, 9, n))})
+        build = pa.table({"k": _keys(rng, m, 40), "bv": pa.array(rng.choice(["x", "y"], m))})
+        return probe, build, ["k"], ["k"]
+    if case == "composite":
+        def side(n, name):
+            hi = rng.integers(0, 4, n).astype(np.uint64) << np.uint64(60)
+            lo = _keys(rng, n, 12).cast(pa.uint64())
+            return pa.table({"fp_hi": pa.array(hi), "fp_lo": lo,
+                             name: pa.array(rng.integers(0, 99, n))})
+        return side(n, "pv"), side(m, "rep_id"), ["fp_hi", "fp_lo"], ["fp_hi", "fp_lo"]
+    if case == "renamed":
+        probe = pa.table({"doc_a": _keys(rng, n, 40), "doc_b": _keys(rng, n, 40)})
+        build = pa.table({"doc_id": _keys(rng, m, 40), "label": _keys(rng, m, 5)})
+        return probe, build, ["doc_a"], ["doc_id"]
+    assert case == "list_binary"
+    probe = pa.table({"subj": pa.array(rng.choice(["a", "b", "c", "d", None], n))})
+    build = pa.table({
+        "key": pa.array(rng.choice(["a", "b", "c", "e", None], m)),
+        "emb": pa.array([rng.random(3).astype(np.float32).tolist() for _ in range(m)],
+                        pa.list_(pa.float32())),
+        "shingles": pa.array([rng.bytes(int(rng.integers(0, 24))) for _ in range(m)],
+                             pa.binary()),
+    })
+    return probe, build, ["subj"], ["key"]
+
+
+def _datasets(tbl: pa.Table, nblocks: int = 3):
+    step = -(-tbl.num_rows // nblocks)
+    return rd.from_arrow([tbl.slice(i, step) for i in range(0, tbl.num_rows, step)])
+
+
+@pytest.fixture(params=["broadcast", "partitioned"])
+def placement(request, monkeypatch):
+    """The partitioned form, with buckets and split groups small enough
+    that every side spreads over several of each."""
+    if request.param == "partitioned":
+        monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
+        monkeypatch.setattr(exchange, "TASK_ROWS", 40)
+    return request.param
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+@pytest.mark.parametrize("case", ["int_key", "composite", "renamed", "list_binary"])
+def test_join_matches_arrow_reference(ray_session, placement, case, how):
+    probe, build, on, build_on = _join_case(case)
+    out = exchange.join(_datasets(probe), _datasets(build), on, build_on, how)
+    got = out.take_all()
+    assert sorted(map(repr, got)) == _join_ref(probe, build, on, build_on, how)
+    assert len(got) > 0
+    payload = [c for c in build.column_names if c not in build_on]
+    assert out.schema().names == probe.column_names + payload
+    if how == "inner":  # null keys matched nothing
+        assert all(r[c] is not None for r in got for c in on)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+@pytest.mark.parametrize("empty", ["probe", "build"])
+def test_join_of_an_empty_side_keeps_the_schema(ray_session, placement, empty, how):
+    probe, build, on, build_on = _join_case("list_binary")
+    if empty == "probe":
+        probe = probe.schema.empty_table()
+    else:
+        build = build.schema.empty_table()
+    out = exchange.join(rd.from_arrow(probe), rd.from_arrow(build), on, build_on, how)
+    rows = out.take_all()
+    want = pa.schema(list(probe.schema) + [build.schema.field("emb"),
+                                           build.schema.field("shingles")])
+    schema = out.schema()
+    assert pa.schema(list(zip(schema.names, schema.types))) == want
+    n = 0 if empty == "probe" or how == "inner" else probe.num_rows
+    assert len(rows) == n
+    assert all(r["emb"] is None and r["shingles"] is None for r in rows)
+
+
+def test_join_rejects_a_repeated_column(ray_session):
+    side = rd.from_arrow(pa.table({"k": [1], "v": [2]}))
+    with pytest.raises(ValueError, match="repeat columns"):
+        exchange.join(side, side, ["k"])
+
+
 # ------------------------------------------------------------ guard
 
 def test_no_hand_rolled_exchange_or_deleted_knob():
     """The split→bucket exchange lives in stages/exchange.py only, none
-    of the deleted knobs is read anywhere, and the stages join no Datasets
-    (the canonical rewrite is a row function in the dedup split kernel)."""
+    of the deleted knobs is read anywhere, and no module joins Datasets
+    with Ray Data's ``Dataset.join`` (``exchange.join`` is the one join):
+    no ``.join(<expr>, "inner"|"left_outer"|…`` call, chained ones
+    included, and no ``num_partitions=`` sizing."""
     knobs = re.compile(
         r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
-        r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN)"
+        r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN"
+        r"|REL_BCAST_THRESHOLD|JACCARD_BCAST_THRESHOLD|INFER_BCAST_THRESHOLD"
+        r"|REP_VERDICT_BCAST_ROWS|DECON_BCAST_THRESHOLD|DEDUP_CC_THRESHOLD"
+        r"|REP_DUP_RATIO)"
     )
+    # the join type is the second argument; the first may span lines and
+    # hold one level of parentheses
     ds_join = re.compile(
-        r"\.join\(\s*\w+\s*,\s*\"(inner|left_outer|right_outer|full_outer"
-        r"|left_semi|right_semi|left_anti|right_anti)\""
+        r"\.join\((?:[^(),]|\([^()]*\))*,\s*\"(inner|left_outer|right_outer"
+        r"|full_outer|left_semi|right_semi|left_anti|right_anti)\""
     )
     offenders = []
     for path in sorted(PKG.rglob("*.py")):
@@ -277,6 +399,8 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
             offenders.append(f"{rel}: hand-rolled split")
         if knobs.search(src):
             offenders.append(f"{rel}: reads a deleted knob")
-        if rel.startswith("stages/") and ds_join.search(src):
+        if ds_join.search(src):
             offenders.append(f"{rel}: Dataset.join")
+        if "num_partitions=" in src:
+            offenders.append(f"{rel}: num_partitions=")
     assert not offenders, offenders

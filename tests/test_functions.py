@@ -206,12 +206,13 @@ def test_decontaminate_join_regime_matches_broadcast(ray_session, monkeypatch):
     """Forcing the distributed hash-join regime (threshold 0) must be
     row-identical to the broadcast regime — hit-ness per gram hash is
     partition-invariant."""
+    from shaclex_ray.functions import curate
     from shaclex_ray.functions.curate import decontaminate
 
     base = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"]) for r in decontaminate(SF).take_all()
     )
-    monkeypatch.setenv("SHACLEX_DECON_BCAST_THRESHOLD", "0")
+    monkeypatch.setattr(curate, "DECON_BCAST_ROWS", 0)
     joined = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"]) for r in decontaminate(SF).take_all()
     )
@@ -228,6 +229,7 @@ def test_decontaminate_join_regime_disjoint_vocab(
     rows whenever a whole group's occurrence list came back empty."""
     import pyarrow.parquet as pq
 
+    from shaclex_ray.functions import curate
     from shaclex_ray.functions.curate import decontaminate
 
     bench_text = "alpha beta gamma delta epsilon zeta eta theta"
@@ -246,7 +248,7 @@ def test_decontaminate_join_regime_disjoint_vocab(
     )
     # 9 tokens, shingle 5 -> 5 grams per train doc, zero hits
     assert base == [(i, 5, 0) for i in range(1, 6)]
-    monkeypatch.setenv("SHACLEX_DECON_BCAST_THRESHOLD", "0")
+    monkeypatch.setattr(curate, "DECON_BCAST_ROWS", 0)
     joined = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"])
         for r in decontaminate(str(tmp_path)).take_all()
@@ -285,9 +287,11 @@ def test_media_resize_and_frame_samples(ray_session):
 
 
 def test_ngram_jaccard_join_path_equals_broadcast(ray_session, monkeypatch):
-    """The scale-path (hash-join) verification produces exactly the
-    broadcast-lookup path's pairs."""
+    """The scale-path (partitioned-join) verification produces exactly
+    the broadcast path's pairs."""
+    from shaclex_ray.functions import dedup
     from shaclex_ray.functions.dedup import ngram_jaccard_dups
+    from shaclex_ray.stages import exchange
 
     def rows(ds):
         return sorted(
@@ -295,7 +299,8 @@ def test_ngram_jaccard_join_path_equals_broadcast(ray_session, monkeypatch):
         )
 
     bcast = rows(ngram_jaccard_dups(SF))
-    monkeypatch.setenv("SHACLEX_JACCARD_BCAST_THRESHOLD", "0")
+    monkeypatch.setattr(dedup, "REP_MIN_PAIRS", 0)
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
     joined = rows(ngram_jaccard_dups(SF))
     assert bcast == joined
     assert len(bcast) > 0
@@ -446,16 +451,19 @@ def test_decode_real_with_pillow():
 
 
 def test_embedding_near_dups_join_equals_broadcast(ray_session, monkeypatch):
-    """Embedding near-dup: the scale (two-hash-join) verify path returns
-    exactly the broadcast path's pairs. At sf0.001 the banded hyperplane
-    LSH yields a small deterministic candidate set."""
+    """Embedding near-dup: the scale (two partitioned joins) verify path
+    returns exactly the broadcast path's pairs. At sf0.001 the banded
+    hyperplane LSH yields a small deterministic candidate set."""
+    from shaclex_ray.functions import dedup
     from shaclex_ray.functions.dedup import embedding_near_dups
+    from shaclex_ray.stages import exchange
 
     def rows(ds):
         return sorted((r["vec_id_a"], r["vec_id_b"]) for r in ds.take_all())
 
     bcast = rows(embedding_near_dups(SF, threshold=0.3))
-    monkeypatch.setenv("SHACLEX_JACCARD_BCAST_THRESHOLD", "0")
+    monkeypatch.setattr(dedup, "REP_MIN_PAIRS", 0)
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
     joined = rows(embedding_near_dups(SF, threshold=0.3))
     assert bcast == joined
     assert all(a < b for a, b in bcast)

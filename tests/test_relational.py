@@ -1,5 +1,5 @@
-"""Relational star-schema queries: the broadcast and hash-join regimes of
-the size-adaptive switch must produce identical rows (the oracle parity
+"""Relational star-schema queries: the broadcast and partitioned placements
+of ``exchange.join`` must produce identical rows (the oracle parity
 itself is covered by test_oracle_parity.py)."""
 
 import pytest
@@ -10,6 +10,7 @@ SF = "/root/testdata/sf0.001"
 @pytest.mark.parametrize("fn_name", ["top_orders", "regional_volume"])
 def test_rel_join_regimes_equal(ray_session, monkeypatch, fn_name):
     from shaclex_ray.functions import relational
+    from shaclex_ray.stages import exchange
 
     fn = getattr(relational, fn_name)
 
@@ -25,7 +26,7 @@ def test_rel_join_regimes_equal(ray_session, monkeypatch, fn_name):
         return sorted(map(tuple, res[sorted(res.columns)].values.tolist()))
 
     bcast = rows(fn(SF))
-    monkeypatch.setenv("SHACLEX_REL_BCAST_THRESHOLD", "0")
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
     joined = rows(fn(SF))
     assert bcast == joined
     assert len(bcast) > 0
@@ -86,6 +87,7 @@ def test_minus_one_key_joins_and_null_key_does_not(ray_session, minus_one_keys, 
     import duckdb
 
     from shaclex_ray.functions import relational
+    from shaclex_ray.stages import exchange
 
     res = getattr(relational, fn_name)(minus_one_keys)
     got = res.to_pandas() if hasattr(res, "to_pandas") else res

@@ -4,8 +4,8 @@ On a duplicate-heavy corpus — where an exact-dup cluster of size m makes
 the LSH emit O(m^2) candidate pairs that all share one verdict — the rep
 path must produce EXACTLY the direct payload-join path's rows, including
 the identical-content (self) pairs, for both ngram-jaccard and
-embedding-cosine. Also pins the verdict-join fallback branch
-(SHACLEX_REP_VERDICT_BCAST_ROWS=0) against the same truth."""
+embedding-cosine. Also pins the partitioned placement of every join
+(``exchange.BCAST_BYTES = 0``) against the same truth."""
 
 import numpy as np
 import pandas as pd
@@ -68,30 +68,33 @@ def dup_corpus(tmp_path_factory):
 
 
 def test_ngram_rep_path_equals_direct(dup_corpus, monkeypatch, ray_session):
+    from shaclex_ray.functions import dedup
     from shaclex_ray.functions.dedup import ngram_jaccard_dups
+    from shaclex_ray.stages import exchange
 
-    monkeypatch.setenv("SHACLEX_JACCARD_BCAST_THRESHOLD", "1")  # join regime
-    monkeypatch.setenv("SHACLEX_REP_DUP_RATIO", "0")  # rep path OFF
+    monkeypatch.setattr(dedup, "REP_MIN_PAIRS", 1)  # past the small-set gate
+    monkeypatch.setattr(dedup, "REP_DUP_RATIO", 0)  # rep path OFF
     direct = _collect(ngram_jaccard_dups(dup_corpus, threshold=0.6))
-    monkeypatch.setenv("SHACLEX_REP_DUP_RATIO", "0.5")  # rep path ON (16/254)
+    monkeypatch.setattr(dedup, "REP_DUP_RATIO", 0.5)  # rep path ON (16/254)
     rep = _collect(ngram_jaccard_dups(dup_corpus, threshold=0.6))
     pd.testing.assert_frame_equal(rep, direct)
     # the corpus guarantees both pair kinds exist
     assert (direct["jaccard"] == 1.0).sum() > 100  # self (identical) pairs
     assert (direct["jaccard"] < 1.0).sum() >= 1  # cross-content near-dups
 
-    monkeypatch.setenv("SHACLEX_REP_VERDICT_BCAST_ROWS", "0")  # join fallback
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)  # partitioned joins
     rep_join = _collect(ngram_jaccard_dups(dup_corpus, threshold=0.6))
     pd.testing.assert_frame_equal(rep_join, direct)
 
 
 def test_embedding_rep_path_equals_direct(dup_corpus, monkeypatch, ray_session):
+    from shaclex_ray.functions import dedup
     from shaclex_ray.functions.dedup import embedding_near_dups
 
-    monkeypatch.setenv("SHACLEX_JACCARD_BCAST_THRESHOLD", "1")
-    monkeypatch.setenv("SHACLEX_REP_DUP_RATIO", "0")
+    monkeypatch.setattr(dedup, "REP_MIN_PAIRS", 1)
+    monkeypatch.setattr(dedup, "REP_DUP_RATIO", 0)
     direct = _collect(embedding_near_dups(dup_corpus, threshold=0.4))
-    monkeypatch.setenv("SHACLEX_REP_DUP_RATIO", "0.5")
+    monkeypatch.setattr(dedup, "REP_DUP_RATIO", 0.5)
     rep = _collect(embedding_near_dups(dup_corpus, threshold=0.4))
     pd.testing.assert_frame_equal(rep, direct)
     assert len(direct) > 100  # identical-vector self pairs verified
