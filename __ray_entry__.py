@@ -145,7 +145,7 @@ def _pipeline(sf_dir: str):
         from shaclex_ray.pipelines.kg import run_kg_pipeline
 
         _PIPELINE_CACHE[sf_dir] = run_kg_pipeline(
-            sf_dir, f"/tmp/graft_kg/{sf_dir.strip('/').replace('/', '_')}", nbuckets=16
+            sf_dir, f"/tmp/graft_kg/{sf_dir.strip('/').replace('/', '_')}"
         )
     return _PIPELINE_CACHE[sf_dir]
 

@@ -198,9 +198,12 @@ def _decon_bucket(nbench: int, *parts: pa.Table) -> pa.Table:
     ).filter(pa.array(hit | (cnt == 0)))
 
 
-# most distinct benchmark grams decontaminate broadcasts; more take the
-# distributed Bloom + exchange regime
-DECON_BCAST_ROWS = 5_000_000
+@ray.remote
+def _gram_set(*blocks: pa.Table) -> np.ndarray:
+    """The sorted distinct gram hashes of the bench blocks."""
+    return np.unique(np.concatenate(
+        [np.zeros(0, np.uint64)] + [b.column("h").to_numpy() for b in blocks]
+    ))
 
 
 def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
@@ -210,16 +213,16 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     not distinct) appear anywhere in the benchmark set.
 
     Scale shape — size-adaptive: the per-batch-distinct benchmark gram
-    dataset is materialized once and counted; up to ``DECON_BCAST_ROWS``
-    rows (real benchmarks are MBs against a 100-TB corpus) it is
-    collected, deduplicated and broadcast via ray.put, and every
-    training batch does one vectorized searchsorted probe. Above the
-    threshold the bench side NEVER lands on the driver: both gram
-    streams hash-partition by gram hash (one-move exchange, map-side
-    (doc_id, h)-combine on the train side), each bucket probes locally,
-    and a docs-sized grouped aggregate sums the partial hit counts —
-    the shape that survives a benchmark suite that grows with the
-    corpus."""
+    dataset is materialized once and planned (``exchange.plan``); when
+    the plan broadcasts it (real benchmarks are MBs against a 100-TB
+    corpus), one task builds the sorted distinct gram set, its ref rides
+    into every training batch, and each batch does one vectorized
+    searchsorted probe; the driver never holds the gram set. Otherwise
+    both gram streams hash-partition by gram hash (one-move exchange,
+    map-side (doc_id, h)-combine on the train side), each bucket probes
+    locally, and a docs-sized grouped aggregate sums the partial hit
+    counts — the shape that survives a benchmark suite that grows with
+    the corpus."""
     path = f"{sf_dir}/documents.parquet"
 
     def _side(batch: pa.Table, bench_side: bool) -> pa.Table:
@@ -235,14 +238,12 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
         return pa.table({"h": pa.array(np.unique(h), pa.uint64())})
 
     bench = ray.data.read_parquet(path, columns=["doc_id", "text"])
-    bench_h = bench.map_batches(bench_grams, batch_format="pyarrow").materialize()
-    n_bench = bench_h.count()
-    if n_bench > DECON_BCAST_ROWS:
-        return _decontaminate_join(path, bench_h, n_bench, shingle, bench_mod)
-
-    parts = bench_h.take_all()
-    gram_set = np.unique(np.array([r["h"] for r in parts], dtype=np.uint64))
-    gram_ref = ray.put(gram_set)
+    bench_h = exchange.plan(
+        bench.map_batches(bench_grams, batch_format="pyarrow").materialize()
+    )
+    if not bench_h.broadcast:
+        return _decontaminate_join(path, bench_h, shingle, bench_mod)
+    gram_ref = _gram_set.remote(*bench_h.inputs)
 
     def probe(batch: pa.Table) -> pa.Table:
         # ray.get on a plasma-resident numpy array is a zero-copy view —
@@ -278,24 +279,26 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     return train.map_batches(probe, batch_format="pyarrow")
 
 
-# gram rows per train doc the join regime sizes its split groups with
-# (a doc yields about one gram per token)
+# the join regime plans its train split at this many times the docs'
+# bytes (a doc yields about one gram row per token)
 DECON_GRAMS_PER_DOC = 64
 
 
-def _decontaminate_join(path: str, bench_h, n_bench: int, shingle: int, bench_mod: int):
-    """Distributed regime: hash exchange of bench grams and train
-    (doc_id, h, cnt) partials on gram hash, per-bucket probe, docs-sized
-    grouped sum of (n_grams, n_hits). Row-identical to the broadcast
-    regime (hit-ness per gram hash is partition-invariant)."""
+def _decontaminate_join(path: str, bench_h, shingle: int, bench_mod: int):
+    """Distributed regime: hash exchange of bench grams (planned as
+    ``bench_h``) and train (doc_id, h, cnt) partials on gram hash,
+    per-bucket probe, docs-sized grouped sum of (n_grams, n_hits).
+    Row-identical to the broadcast regime (hit-ness per gram hash is
+    partition-invariant)."""
     import math as _math
 
-    from shaclex_ray.sources.documents import parquet_files, parquet_num_rows
+    from shaclex_ray.sources.documents import parquet_files
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    nbuckets = max(1, min(ncpu, n_bench // 500_000 + 1))
-    bench_refs = bench_h.to_arrow_refs()
+    cols = ["doc_id", "text"]
+    train = exchange.plan(parquet_files(path), cols, expand=DECON_GRAMS_PER_DOC)
+    nbuckets = max(bench_h.buckets, train.buckets)
+    n_bench, bench_refs = bench_h.rows, bench_h.inputs
     bloom_part = ray.remote(_decon_bloom_part)
     bloom_or = ray.remote(_decon_bloom_or)
 
@@ -306,7 +309,7 @@ def _decontaminate_join(path: str, bench_h, n_bench: int, shingle: int, bench_mo
     # 256 MiB (FP rate degrades gracefully for even larger bench sets,
     # correctness is unaffected — the bucket probe is exact).
     m_bits = 1 << max(10, min(31, int(_math.ceil(_math.log2(max(1, n_bench) * 16)))))
-    ngroups = exchange.group_count(n_bench, nbuckets, len(bench_refs))
+    ngroups = bench_h.groups
     bparts = [
         bloom_part.remote(m_bits, *bench_refs[g::ngroups]) for g in range(ngroups)
     ]
@@ -315,17 +318,16 @@ def _decontaminate_join(path: str, bench_h, n_bench: int, shingle: int, bench_mo
     bloom_ref = bloom_or.remote(*bparts) if len(bparts) > 1 else bparts[0]
 
     bsplit = exchange.split(
-        _decon_h_split, (), bench_refs, n_bench, nbuckets,
-        pa.schema([("h", pa.uint64())]),
+        _decon_h_split, (), bench_h, pa.schema([("h", pa.uint64())]),
+        nbuckets=nbuckets,
     )
     # file-granular train input: split tasks read the parquet shards
     # directly (column-pruned) — input bytes move storage→task exactly
     # once, never staged via plasma
     tsplit = exchange.split(
-        _decon_train_split, (shingle, bench_mod, bloom_ref, m_bits),
-        parquet_files(path), DECON_GRAMS_PER_DOC * parquet_num_rows(path),
-        nbuckets, pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
-        ["doc_id", "text"],
+        _decon_train_split, (shingle, bench_mod, bloom_ref, m_bits), train,
+        pa.schema([("doc_id", pa.int64()), ("text", pa.string())]), cols,
+        nbuckets=nbuckets,
     )
     return grouped_aggregate_fast(
         exchange.reduce(bsplit + tsplit, _decon_bucket, (len(bsplit),)),
@@ -655,24 +657,21 @@ def sample_balanced(sf_dir: str, n: int | None = None):
     task — independent of corpus size."""
     import pyarrow.parquet as pq
 
-    from shaclex_ray.sources.documents import parquet_files, parquet_num_rows
+    from shaclex_ray.sources.documents import parquet_files
     from shaclex_ray.stages.groupagg import _bucket_impl
 
     path = f"{sf_dir}/documents.parquet"
     files = parquet_files(path)
-    rows = parquet_num_rows(path)
     cols = ["doc_id", "source"]
     schema = pq.read_schema(files[0])  # types a group of empty files
-    nbuckets = exchange.default_buckets(rows)
+    plan = exchange.plan(files, cols)
     if n is None:
         counts = exchange.reduce(
-            exchange.split(_source_count_split, (), files, rows, nbuckets, schema, cols),
+            exchange.split(_source_count_split, (), plan, schema, cols),
             _bucket_impl, (["source"], [("doc_id", "count")], ["cnt"]),
         ).take_all()
         n = min((int(r["cnt"]) for r in counts), default=0)
-    split_refs = exchange.split(
-        _sample_split_impl, (n,), files, rows, nbuckets, schema, cols
-    )
+    split_refs = exchange.split(_sample_split_impl, (n,), plan, schema, cols)
     return exchange.reduce(split_refs, _sample_bucket_impl, (n,))
 
 

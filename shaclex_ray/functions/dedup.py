@@ -395,26 +395,13 @@ def _band_bucket_pairs_impl(label: str, *parts: pa.Table) -> pa.Table:
     )
 
 
-BAND_BUCKET_ROWS = 4_000_000  # most band rows one LSH bucket holds
-
-
 def _lsh_candidate_pairs(rows_ds, label: str):
     """Explicit one-move hash exchange over the band rows (the Dataset
     groupby would invoke Python once per band key — almost all singletons;
-    here singleton keys never leave numpy). Returns a Dataset
-    (doc_a, doc_b)."""
-    mat = rows_ds.materialize()
-    nrows = mat.count()
-    # bucket count scales with band-row VOLUME (docs x bands), capped per
-    # bucket at BAND_BUCKET_ROWS -- cpu count alone leaves per-bucket rows
-    # unbounded at corpus scale
-    nbuckets = max(
-        4,
-        int(ray.cluster_resources().get("CPU", 8)),
-        -(-nrows // BAND_BUCKET_ROWS),
-    )
+    here singleton keys never leave numpy), sized by ``exchange.plan``
+    from the band rows' bytes. Returns a Dataset (doc_a, doc_b)."""
     split_refs = exchange.split(
-        _band_split_impl, (), mat.to_arrow_refs(), nrows, nbuckets,
+        _band_split_impl, (), exchange.plan(rows_ds.materialize()),
         BAND_SCHEMA, list(BAND_SCHEMA.names),
     )
     return exchange.reduce(split_refs, _band_bucket_pairs_impl, (label,))
@@ -826,7 +813,6 @@ def dedup_clusters(
     threshold: float = 0.8,
     num_perm: int = 32,
     bands: int = 8,
-    distributed: bool | None = None,
 ):
     """End-to-end fuzzy dedup: verified near-dup pairs → connected
     components → one row per document with its cluster representative
@@ -845,10 +831,7 @@ def dedup_clusters(
         sf_dir, shingle, threshold, num_perm, bands
     ).materialize()
     n_pairs = pairs.count()
-    if distributed is None:
-        distributed = n_pairs >= CC_DIST_PAIRS
-
-    if distributed and n_pairs:
+    if n_pairs and n_pairs >= CC_DIST_PAIRS:
         labels = connected_components(
             pairs.select_columns(["doc_a", "doc_b"]).rename_columns(
                 {"doc_a": "a", "doc_b": "b"}

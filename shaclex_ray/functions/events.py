@@ -159,22 +159,18 @@ def _split_by_user_impl(base: pa.Table, nbuckets: int):
     return partition(base, users % nbuckets, nbuckets)
 
 
-USER_BUCKET_ROWS = 2_000_000  # most event rows one user bucket holds
-
-
 def _user_exchange(rows_ds, bucket_impl, *bucket_args):
     """ONE hash exchange on user_id, then ``bucket_impl(*bucket_args,
     *tables)`` per bucket (all users of a bucket processed vectorized —
     the Dataset groupby would call Python once per user).
 
-    Bucket count scales with DATA VOLUME, not just cpu count: per-bucket
-    rows are bounded by USER_BUCKET_ROWS so a 100-TB events table fans
-    out to however many bucket tasks the volume demands, while a small
-    table still gets one bucket per cpu for parallelism."""
+    ``exchange.plan`` sizes it from the event rows' bytes: a small table
+    runs as few tasks, and past the cluster's CPUs the bucket count grows
+    with the volume, so a bucket's bytes stay bounded."""
     mat = rows_ds.materialize()
-    nrows = mat.count()
+    plan = exchange.plan(mat)
     schema = mat.schema()
-    if nrows == 0:
+    if plan.rows == 0:
         # empty events table: run the bucket kernel ONCE driver-side on a
         # typed empty table — exact output schema, no tasks (an all-empty
         # upstream can otherwise surface zero-column blocks to the split)
@@ -182,13 +178,8 @@ def _user_exchange(rows_ds, bucket_impl, *bucket_args):
             src = pa.schema(list(zip(schema.names, schema.types))).empty_table()
             return ray.data.from_arrow(bucket_impl(*bucket_args, src))
         return mat
-    nbuckets = max(
-        4,
-        int(ray.cluster_resources().get("CPU", 8)),
-        -(-nrows // USER_BUCKET_ROWS),
-    )
     split_refs = exchange.split(
-        _split_by_user_impl, (), mat.to_arrow_refs(), nrows, nbuckets,
+        _split_by_user_impl, (), plan,
         pa.schema(list(zip(schema.names, schema.types))),
     )
     return exchange.reduce(split_refs, bucket_impl, bucket_args)

@@ -176,29 +176,23 @@ def _cut_list(docs_ds, k: int, min_count: int, nbuckets: int | None = None):
     when the corpus has no duplicated windows at all, so the cut list
     reported by dedup_substring and the one applied by trim can never
     diverge."""
-    windows = docs_ds.map_batches(
+    windows = exchange.plan(docs_ds.map_batches(
         lambda b: _windows_batch(b.select(["doc_id", "text"]), k),
         batch_format="pyarrow",
-    ).materialize()
-    nwin = windows.count()
-    if nwin == 0:
+    ).materialize())
+    if windows.rows == 0:
         return None
-    dup = exchange.reduce(
-        exchange.split(
-            _dup_split_impl, (), windows.to_arrow_refs(), nwin,
-            exchange.default_buckets(nwin), WINDOW_SCHEMA,
-        ),
+    dup = exchange.plan(exchange.reduce(
+        exchange.split(_dup_split_impl, (), windows, WINDOW_SCHEMA),
         _dup_bucket_impl, (min_count,),
-    )
-    ndup = dup.count()
-    if ndup == 0:
+    ))
+    if dup.rows == 0:
         return None
-    if nbuckets is None:
-        nbuckets = exchange.default_buckets(ndup)
     return exchange.reduce(
         exchange.split(
-            _span_split_impl, (), dup.to_arrow_refs(), ndup, nbuckets,
+            _span_split_impl, (), dup,
             pa.schema([("doc_id", pa.int64()), ("start", pa.int64())]),
+            nbuckets=nbuckets,
         ),
         _span_bucket_impl, (k,),
     )
@@ -313,8 +307,8 @@ def trim_substring_spans(
     # the plasma-resident blocks (the lazy-read variant re-executed the
     # parquet read for the window pass AND the doc split)
     mat_docs = ray.data.read_parquet(docs_path, columns=list(columns)).materialize()
-    doc_refs, ndocs = mat_docs.to_arrow_refs(), mat_docs.count()
-    if not doc_refs or ndocs == 0:
+    docs = exchange.plan(mat_docs)
+    if docs.rows == 0:
         rsch = mat_docs.schema()
         if rsch is not None:
             sch = rsch.base_schema
@@ -334,8 +328,8 @@ def trim_substring_spans(
             if c not in ("doc_id", "text")
         ]
         return rd.from_arrow(pa.schema(fields).empty_table())
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    nbuckets = max(1, min(ncpu, ndocs // 100_000 + 1))
+    # the docs' plan sizes the trim: its bucket count co-partitions spans
+    nbuckets = docs.buckets
     spans = _cut_list(mat_docs, k, min_count, nbuckets=nbuckets)
     # no duplicated window anywhere: every doc passes through untrimmed
     span_refs = (
@@ -343,8 +337,7 @@ def trim_substring_spans(
         else spans.to_arrow_refs()
     )
     doc_split = exchange.split(
-        _span_split_impl, (), doc_refs, ndocs, nbuckets,
-        mat_docs.schema().base_schema,
+        _span_split_impl, (), docs, mat_docs.schema().base_schema,
     )
     # the span refs ride as group 0: bucket b's task gets its spans first
     return exchange.reduce([span_refs] + doc_split, _trim_bucket_impl, (k,))

@@ -23,23 +23,21 @@ from __future__ import annotations
 
 import glob
 import hashlib
-import math
 import os
 
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
 from shaclex_ray.rdfio import parse_turtle
 from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.sources.documents import read_documents
-from shaclex_ray.stages import dedup
+from shaclex_ray.stages import dedup, exchange
 from shaclex_ray.stages.extract import extract_triples
 from shaclex_ray.stages.link import LINKS_SCHEMA, build_entity_links
 from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema
 from shaclex_ray.terms import TRIPLES_SCHEMA
-from shaclex_ray.validate.dist import distributed_validate
+from shaclex_ray.validate.dist import ARC_COLS, distributed_validate
 
 # SHACL shapes for the constructed KG — parsed with our own Turtle parser.
 # DocumentShape's ex:mentions sh:class ex:Entity forces a cross-bucket
@@ -87,17 +85,15 @@ def run_kg_pipeline(
 ):
     """Checkpointed end-to-end run. Returns dict of result handles.
 
-    ``nbuckets`` defaults to the cluster CPU count — partition count grows
-    with the cluster, as it would across real node counts."""
-    if nbuckets is None:
-        nbuckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    ``exchange.plan`` sizes the canonical dedup's and the validation's
+    buckets from the bytes each one moves; ``nbuckets`` overrides both."""
     runner = StageRunner(out_dir, resume=resume)
     # digest covers inputs AND code/shape revision, so stale checkpoints
     # from an older engine version are never resumed
     import shaclex_ray as _pkg
 
     rev = hashlib.md5((_pkg.__version__ + KG_SHAPES_TTL).encode()).hexdigest()[:12]
-    digest = f"{sf_dir}|nb={nbuckets}|rev={rev}"
+    digest = f"{sf_dir}|nb={nbuckets or 'plan'}|rev={rev}"
 
     # extract is PARTITION-checkpointed: one restartable task per input
     # row-group range, each streaming its docs through the vectorized span
@@ -169,12 +165,10 @@ def run_kg_pipeline(
 
         def produce_validation(path):
             schema = kg_schema()
-            # size the buckets to the DATA: up to 100k triples validate as
-            # one task on a pooled worker (no actor spawn); above that
-            # one actor per bucket from the warm actor pool, capped at the
-            # cluster-sized nbuckets so big corpora use the whole cluster
-            canon_rows = _parquet_rows(f"{out_dir}/triples_canonical")
-            nb = max(1, min(nbuckets, math.ceil(canon_rows / 100_000)))
+            # one planned bucket validates as one task on a pooled worker
+            # (no actor spawn); more take one actor each from the warm pool
+            canonical = sorted(glob.glob(f"{out_dir}/triples_canonical/*.parquet"))
+            nb = nbuckets or exchange.plan(canonical, ARC_COLS).buckets
             # targets derive in-bucket (focus="shacl-targets"): the split
             # scan is the ONLY pass over the triples; the buckets write
             # their own typing/report shards — the full tables never

@@ -9,19 +9,18 @@ doc/grammars/shapeMapGrammar.bnf:21-44 and ValidationTrigger.scala:45-95:
     node         ::= <iri> | prefixed:name | literal | _:bnode
     obj/subj     ::= node | '_'   (wildcard)
 
-Selector resolution ("fixShapeMap", invoked at ShExSchema.scala:55) is a
-vectorized semi-join over the triples Dataset: filter on the bound
-predicate/object (or subject/predicate), project the FOCUS side, distinct.
+Selector resolution ("fixShapeMap", invoked at ShExSchema.scala:55) runs
+in the validation buckets: the engine passes pattern associations as a
+``("shex-patterns", …)`` focus lane and ``validate/dist._Bucket.derive_focus``
+filters each bucket's arc index on the bound predicate/object (or
+subject/predicate) and projects the FOCUS side.
 """
 
 from __future__ import annotations
 
 import re
 
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from shaclex_ray.terms import RDF_TYPE, XSD_STRING, obj_key, subj_to_key, term_key
+from shaclex_ray.terms import RDF_TYPE, XSD_STRING
 
 _TOK = re.compile(
     r"""
@@ -142,81 +141,3 @@ def parse_shapemap(text: str, prefixes: dict[str, str] | None = None) -> list[di
         assoc["shape"] = shape
         out.append(assoc)
     return out
-
-
-def fix_shapemap(triples_ds, associations: list[dict]):
-    """Resolve selectors against the data into concrete (node, shape) focus
-    pairs — the reference's fixShapeMap as Dataset semi-joins. Concrete
-    node selectors give a small pa.Table; pattern selectors ({FOCUS p o})
-    yield a *streaming* Dataset unioned with it — the matched focus set
-    never materializes on the driver (bucket actors dedup on submit)."""
-    pairs: set[tuple[str, str]] = set()
-    pattern_assocs = [a for a in associations if a["kind"] != "node"]
-    for a in associations:
-        if a["kind"] == "node" and a["node"] is not None:
-            pairs.add((term_key(a["node"]), a["shape"]))
-        elif a["kind"] == "node":
-            raise ShapeMapError("START node selector needs a concrete node")
-
-    if pattern_assocs:
-
-        def find(batch: pa.Table) -> pa.Table:
-            nodes, shapes = [], []
-            pred_col = batch.column("pred")
-            for a in pattern_assocs:
-                mask = pc.equal(pred_col, a["pred"])
-                if a["kind"] == "focus_subj":
-                    if a.get("obj") is not None:
-                        k, lx, dt, lg = _obj_cols(a["obj"])
-                        mask = pc.and_(mask, pc.equal(batch.column("obj_kind"), k))
-                        mask = pc.and_(mask, pc.equal(batch.column("obj_lex"), lx))
-                    for s in pc.filter(batch.column("subj"), mask).to_pylist():
-                        nodes.append(subj_to_key(s))
-                        shapes.append(a["shape"])
-                else:  # focus_obj
-                    if a.get("subj") is not None:
-                        from shaclex_ray.terms import subj_str
-
-                        mask = pc.and_(
-                            mask, pc.equal(batch.column("subj"), subj_str(a["subj"]))
-                        )
-                    sub = batch.filter(mask)
-                    for k, lx, dt, lg in zip(
-                        sub.column("obj_kind").to_pylist(),
-                        sub.column("obj_lex").to_pylist(),
-                        sub.column("obj_dt").to_pylist(),
-                        sub.column("obj_lang").to_pylist(),
-                    ):
-                        nodes.append(obj_key(k, lx, dt, lg))
-                        shapes.append(a["shape"])
-            return pa.table(
-                {"node": pa.array(nodes, pa.string()), "shape": pa.array(shapes, pa.string())}
-            )
-
-        import ray.data as rd
-
-        sp = sorted(pairs)
-        concrete = pa.table(
-            {
-                "node": pa.array([p[0] for p in sp], pa.string()),
-                "shape": pa.array([p[1] for p in sp], pa.string()),
-            }
-        )
-        matched = triples_ds.map_batches(find, batch_format="pyarrow")
-        if concrete.num_rows:
-            matched = matched.union(rd.from_arrow(concrete))
-        return matched
-
-    sp = sorted(pairs)
-    return pa.table(
-        {
-            "node": pa.array([p[0] for p in sp], pa.string()),
-            "shape": pa.array([p[1] for p in sp], pa.string()),
-        }
-    )
-
-
-def _obj_cols(t: tuple):
-    from shaclex_ray.terms import obj_cols
-
-    return obj_cols(t)

@@ -232,33 +232,17 @@ def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None):
     triples appended; the identity on triples outside the mention
     namespace) and partitions in one pass — input bytes move exactly
     once, from storage into the exchange. Input that is already canonical
-    comes out as its plain distinct."""
+    comes out as its plain distinct. ``exchange.plan`` sizes the split
+    groups and, unless ``nbuckets`` is given, the buckets from the
+    shards' bytes."""
     import glob as _glob
-    import math as _math
-
-    import pyarrow.parquet as _pq
-
-    import ray
 
     files = sorted(_glob.glob(f"{path}/*.parquet"))
     if not files:
         raise FileNotFoundError(f"no parquet shards under {path}")
-    total_rows = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
-    if nbuckets is None:
-        # the REDUCE side is volume-bounded: per-bucket rows ≈
-        # total/nbuckets must fit a task heap, so buckets scale with the
-        # data (≈2×SPLIT_ROWS each), floored at cluster width and capped
-        # at 1024 — the split-output ref matrix is ngroups×nbuckets, and
-        # past ~10^9 rows the right move is a second recursive exchange
-        # level per oversized bucket, not more refs
-        nbuckets = max(
-            8,
-            int(ray.cluster_resources().get("CPU", 8)),
-            min(1024, _math.ceil(total_rows / (2 * exchange.SPLIT_ROWS))),
-        )
     split_refs = exchange.split(
-        _distinct_split_impl, (TRIPLE_ID_COLS, WITNESS_COLS, True), files,
-        total_rows, nbuckets, TRIPLES_SCHEMA,
+        _distinct_split_impl, (TRIPLE_ID_COLS, WITNESS_COLS, True),
+        exchange.plan(files), TRIPLES_SCHEMA, nbuckets=nbuckets,
     )
     return exchange.reduce(
         split_refs, _distinct_bucket_impl, (TRIPLE_ID_COLS, WITNESS_COLS)
@@ -282,14 +266,11 @@ def distinct_rows_fast(ds, nbuckets: int | None = None, empty_schema=None):
             return rd.from_arrow(empty_schema.empty_table())
         return mat
     cols = schema.names
-    nrows = mat.count()
-    if nbuckets is None:
-        nbuckets = exchange.default_buckets(nrows)
     # the dataset schema types the partials of an all-empty split group,
     # so they always concat with real ones
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
     split_refs = exchange.split(
-        _distinct_split_impl, (cols, None, False), mat.to_arrow_refs(), nrows,
-        nbuckets, pa_schema,
+        _distinct_split_impl, (cols, None, False), exchange.plan(mat),
+        pa_schema, nbuckets=nbuckets,
     )
     return exchange.reduce(split_refs, _distinct_bucket_impl, (cols, None))

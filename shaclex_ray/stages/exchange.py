@@ -12,27 +12,46 @@ rows through this module. A site supplies only its semantic kernels:
   * a bucket kernel ``bucket_kernel(*args, *parts)`` that merges one
     bucket's parts (one per split group, group order).
 
-:func:`split` owns everything between: it groups the inputs (parquet
+:func:`plan` sizes every exchange, and nothing else does. It measures
+an input (parquet files or a materialized Dataset) and returns its rows,
+its in-memory bytes, the split groups, the buckets and the broadcast
+verdict. :func:`split` runs the plan: it groups the inputs (parquet
 files, which the split task reads itself with column pruning, or block
 refs), drops zero-row and zero-column blocks, hands an all-empty group
 the caller's ``schema.empty_table()`` so its partials stay typed, and
 unwraps Ray's single return at one bucket. :func:`reduce` fans bucket
 ``b``'s parts into one task and wraps the results as a Dataset.
 
-Group rule — the only one::
+Plan rule — the only one::
 
-    groups = clamp(max(min(nbuckets, ceil(rows / TASK_ROWS)),
-                       ceil(rows / SPLIT_ROWS)),
-                   1, len(inputs))
+    tasks     = max(1, min(cluster CPUs, ceil(nbytes / TASK_BYTES)),
+                    ceil(nbytes / MAX_TASK_BYTES))
+    groups    = clamp(tasks, 1, len(inputs))
+    buckets   = tasks
+    broadcast = nbytes < BCAST_BYTES
 
-The first term spreads the split over up to ``nbuckets`` tasks, but a
-tiny input gets one group per ``TASK_ROWS`` rows rather than
-``nbuckets`` groups, so it never fans out ``nbuckets × nbuckets``
-near-empty refs. The second term bounds the rows a group carries, so a
-split task holds its group plus working copies (``SPLIT_ROWS`` rows is a
-few hundred MB) at any corpus scale. ``rows`` is the caller's count of
-the rows the exchange moves; a site whose split kernel expands its input
-passes the expanded estimate.
+The first term spreads the work over up to the cluster's CPUs, but a
+small input gets one task per ``TASK_BYTES`` rather than one per CPU, so
+it never fans out ``ncpu × ncpu`` near-empty refs. The second term bounds
+what one task holds, so a split or bucket task keeps its share plus
+working copies in memory at any corpus scale: past the CPU count the
+task count grows with the data, not the cluster. A caller that needs one
+bucket count across several splits (the two sides of a join, a
+co-partitioned pair) plans each input and passes the larger count to
+:func:`split` as ``nbuckets``.
+
+The rule counts bytes, not rows, because memory and work scale with
+bytes: a corpus whose literals are ten times wider gets about ten times
+the tasks at the same rows. ``nbytes`` is the Arrow (in-memory) size:
+Ray's block metadata for blocks, and for parquet the footer row counts
+times the Arrow bytes per row of a sample read from one row group (the
+first ``_SAMPLE_ROWS`` rows of the first non-empty one). The footer's own
+``total_uncompressed_size`` is not used: it is the *encoded* size
+(dictionary and run-length pages), 3–10× below the Arrow size for KG
+triples (raw triples 14.8 vs 146.9 B/row, canonical 59.4 vs 158.0 at
+sf0.01), so the same table would plan apart as files and as blocks.
+``TASK_BYTES`` and ``MAX_TASK_BYTES`` are the former row targets (200k
+and 2M rows) at the ~150 B/row of KG triples.
 
 :func:`join` is the engine's one equi-join, built on the same exchange.
 Its probe kernel sorts the build side by key and finds each probe row's
@@ -46,6 +65,7 @@ key hash into the same buckets and each bucket probes locally.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -54,9 +74,10 @@ import pyarrow.parquet as pq
 
 import ray
 
-SPLIT_ROWS = 2_000_000  # most rows one split group carries
-TASK_ROWS = 200_000  # rows that justify one more split group or bucket
-BCAST_BYTES = 64 << 20  # a join broadcasts a build side smaller than this
+TASK_BYTES = 30_000_000  # bytes that justify one more split group or bucket
+MAX_TASK_BYTES = 300_000_000  # most bytes one split group or bucket carries
+BCAST_BYTES = 64 << 20  # an input smaller than this is broadcast
+_SAMPLE_ROWS = 65_536  # rows a parquet input's bytes per row are read from
 
 
 def partition(tbl: pa.Table, bucket_ids, nbuckets: int) -> tuple[pa.Table, ...]:
@@ -74,19 +95,55 @@ def partition(tbl: pa.Table, bucket_ids, nbuckets: int) -> tuple[pa.Table, ...]:
     )
 
 
-def group_count(rows: int, nbuckets: int, ninputs: int) -> int:
-    """Split groups for ``rows`` rows in ``ninputs`` inputs (module
-    docstring)."""
-    want = max(
-        min(nbuckets, math.ceil(rows / TASK_ROWS)), math.ceil(rows / SPLIT_ROWS)
-    )
-    return max(1, min(ninputs, want))
+@dataclass(frozen=True)
+class Plan:
+    """One exchange input as :func:`plan` measured and sized it."""
+
+    inputs: tuple  # parquet paths, or the refs of the blocks with rows
+    rows: int
+    nbytes: int  # in-memory (Arrow) bytes
+    groups: int
+    buckets: int
+
+    @property
+    def broadcast(self) -> bool:
+        return self.nbytes < BCAST_BYTES
 
 
-def default_buckets(rows: int) -> int:
-    """One bucket per ``TASK_ROWS`` rows, at most one per cluster CPU."""
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return max(1, min(ncpu, rows // TASK_ROWS + 1))
+def _parquet_size(files, columns) -> tuple[int, int]:
+    """(rows, Arrow bytes) of parquet ``files`` projected to ``columns``
+    (module docstring)."""
+    rows, per_row = 0, 0.0
+    for f in files:
+        pf = pq.ParquetFile(f)
+        rows += pf.metadata.num_rows
+        if not per_row and pf.metadata.num_rows:
+            rg = next(i for i in range(pf.metadata.num_row_groups)
+                      if pf.metadata.row_group(i).num_rows)
+            sample = next(pf.iter_batches(_SAMPLE_ROWS, row_groups=[rg],
+                                          columns=columns))
+            per_row = sample.nbytes / sample.num_rows
+    return rows, math.ceil(rows * per_row)
+
+
+def plan(inputs, columns=None, expand: int = 1) -> Plan:
+    """Measure and size one exchange input (module docstring): parquet
+    paths, read for ``columns``, or a materialized Dataset, whose block
+    metadata gives rows and bytes. ``expand`` scales the bytes for a
+    split kernel that emits that many rows' worth per input row."""
+    if isinstance(inputs, (list, tuple)):
+        refs = tuple(inputs)
+        rows, nbytes = _parquet_size(refs, columns)
+    else:
+        blocks = _row_blocks(inputs)
+        refs = tuple(ref for ref, _ in blocks)
+        rows = sum(meta.num_rows for _, meta in blocks)
+        nbytes = sum(meta.size_bytes for _, meta in blocks)
+    nbytes *= expand
+    ncpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    tasks = max(1, min(ncpu, math.ceil(nbytes / TASK_BYTES)),
+                math.ceil(nbytes / MAX_TASK_BYTES))
+    return Plan(refs, rows, nbytes, max(1, min(len(refs), tasks)), tasks)
 
 
 def _gather(schema: pa.Schema, columns, inputs) -> pa.Table:
@@ -124,15 +181,16 @@ def _split_task(kernel, nbuckets, schema, columns, nargs, *rest):
 _split_remote = ray.remote(_split_task)
 
 
-def split(kernel, args, inputs, rows: int, nbuckets: int, schema: pa.Schema,
-          columns=None) -> list[list]:
-    """Run ``kernel`` over strided groups of ``inputs`` (parquet paths or
-    block refs) in split tasks. Returns the group-major ref matrix:
-    ``refs[g][b]`` is group ``g``'s part of bucket ``b``. ``schema``
-    types the kernel's input when a group holds no rows (no inputs at
-    all is one such group)."""
-    inputs = list(inputs)
-    ngroups = group_count(rows, nbuckets, len(inputs))
+def split(kernel, args, plan: Plan, schema: pa.Schema, columns=None,
+          nbuckets: int | None = None) -> list[list]:
+    """Run ``kernel`` over ``plan.groups`` strided groups of
+    ``plan.inputs`` in split tasks, into ``nbuckets`` buckets (default
+    ``plan.buckets``). Returns the group-major ref matrix: ``refs[g][b]``
+    is group ``g``'s part of bucket ``b``. ``schema`` types the kernel's
+    input when a group holds no rows (no inputs at all is one such
+    group)."""
+    nbuckets = nbuckets or plan.buckets
+    inputs, ngroups = plan.inputs, plan.groups
     task = _split_remote.options(num_returns=nbuckets)
     out = []
     for g in range(ngroups):
@@ -238,10 +296,10 @@ def _arrow_schema(ds) -> pa.Schema | None:
 
 
 def _row_blocks(ds) -> list:
-    """Refs of the materialized ``ds``'s blocks that hold rows (a zero-row
-    block may have no columns at all, and ``map_batches`` turns a typed
-    one into such a block)."""
-    return [ref for bundle in ds.iter_internal_ref_bundles()
+    """(ref, metadata) of the materialized ``ds``'s blocks that hold rows
+    (a zero-row block may have no columns at all, and ``map_batches``
+    turns a typed one into such a block)."""
+    return [(ref, meta) for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
 
 
@@ -250,7 +308,7 @@ def _nonempty(ds, schema: pa.Schema):
     ``schema`` when no block has rows."""
     import ray.data as rd
 
-    refs = _row_blocks(ds)
+    refs = [ref for ref, _ in _row_blocks(ds)]
     return rd.from_arrow_refs(refs) if refs else rd.from_arrow(schema.empty_table())
 
 
@@ -263,10 +321,10 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
     key matches nothing. Both sides are materialized; the output holds
     no zero-row block unless it is empty, then one typed empty table.
 
-    The materialized build side's ``size_bytes()`` picks the placement:
-    below ``BCAST_BYTES`` one task sorts it and one task per probe block
-    probes its ref; otherwise both sides split on the key hash into
-    ``default_buckets`` buckets that probe locally."""
+    The build side's plan picks the placement: a broadcast build side is
+    sorted in one task and one task per probe block probes its ref;
+    otherwise both sides split on the key hash into the larger of their
+    planned bucket counts, and each bucket probes locally."""
     import ray.data as rd
 
     if how not in ("inner", "left_outer"):
@@ -289,24 +347,23 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
     if clash:
         raise ValueError(f"join output would repeat columns {sorted(clash)}")
     schema = pa.schema(list(pschema) + payload)
-    nprobe = probe.count()
-    if nprobe == 0:
+    pplan, bplan = plan(probe), plan(build)
+    if pplan.rows == 0:
         return rd.from_arrow(schema.empty_table())
 
-    if build.size_bytes() < BCAST_BYTES:
-        ref = _build_remote.remote(bschema, build_on, *build.to_arrow_refs())
+    if bplan.broadcast:
+        ref = _build_remote.remote(bschema, build_on, *bplan.inputs)
         # the ref rides as a task argument, so each probe task maps the
         # sorted build side from the object store (zero-copy)
         return _nonempty(rd.from_arrow_refs([
-            _probe_remote.remote(blk, on, how, ref) for blk in _row_blocks(probe)
+            _probe_remote.remote(blk, on, how, ref) for blk in pplan.inputs
         ]), schema)
 
-    nbuild = build.count()
-    nbuckets = default_buckets(nprobe + nbuild)
+    nbuckets = max(pplan.buckets, bplan.buckets)
     types = [bschema.field(b).type for b in build_on]
-    probe_refs = split(_join_split, (on, types), probe.to_arrow_refs(),
-                       nprobe, nbuckets, pschema)
-    build_refs = split(_join_split, (build_on, types), build.to_arrow_refs(),
-                       nbuild, nbuckets, bschema)
+    probe_refs = split(_join_split, (on, types), pplan, pschema,
+                       nbuckets=nbuckets)
+    build_refs = split(_join_split, (build_on, types), bplan, bschema,
+                       nbuckets=nbuckets)
     return _nonempty(reduce(probe_refs + build_refs, _join_bucket,
                             (on, build_on, how, len(probe_refs))), schema)

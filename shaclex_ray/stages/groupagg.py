@@ -122,9 +122,8 @@ def grouped_aggregate_fast(
         # doesn't depend on whether the input happens to be empty
         raise ValueError("count_distinct must be the sole aggregation")
     mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    nrows = mat.count()
-    if nrows == 0:
+    plan = exchange.plan(mat)
+    if plan.rows == 0:
         # the group-by of nothing is nothing — but a fully-empty upstream
         # can carry degenerate blocks (zero-column tables, or none at all),
         # so synthesize the exact output schema by running the SAME final
@@ -146,21 +145,20 @@ def grouped_aggregate_fast(
             pa.table({c: pa.array([], pa.null()) for c in list(keys) + list(names)})
         )
 
-    if nbuckets is None:
-        nbuckets = exchange.default_buckets(nrows)
     # the dataset schema types an all-degenerate split group's partials
     schema = mat.schema()
     pa_schema = pa.schema(list(zip(schema.names, schema.types)))
     if distinct_mode:
         dcol = aggs[0][0]
         split_refs = exchange.split(
-            _split_distinct_impl, (keys, dcol), refs, nrows, nbuckets, pa_schema
+            _split_distinct_impl, (keys, dcol), plan, pa_schema,
+            nbuckets=nbuckets,
         )
         return exchange.reduce(
             split_refs, _bucket_distinct_impl, (keys, dcol, names[0])
         )
     split_refs = exchange.split(
-        _split_impl, (keys, aggs), refs, nrows, nbuckets, pa_schema
+        _split_impl, (keys, aggs), plan, pa_schema, nbuckets=nbuckets
     )
     return exchange.reduce(split_refs, _bucket_impl, (keys, aggs, names))
 
@@ -246,9 +244,8 @@ def grouped_topk(
     numeric and non-null (descending uses the overflow-free bitwise-NOT
     reversal for ints, negation for floats); null KEYS group together."""
     mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-    nrows = mat.count()
-    if nrows == 0:
+    plan = exchange.plan(mat)
+    if plan.rows == 0:
         # zero block refs would leave the split kernel with no table to
         # synthesize a schema from — the empty input IS the empty answer
         schema = mat.schema()
@@ -265,12 +262,11 @@ def grouped_topk(
         if keep_cols:
             tbl = tbl.select(keep_cols)
         return rd.from_arrow(tbl)
-    if nbuckets is None:
-        nbuckets = exchange.default_buckets(nrows)
     ds_schema = mat.schema()
     pa_schema = pa.schema(list(zip(ds_schema.names, ds_schema.types)))
     split_refs = exchange.split(
-        _split_topk_impl, (key, sort_keys, k), refs, nrows, nbuckets, pa_schema
+        _split_topk_impl, (key, sort_keys, k), plan, pa_schema,
+        nbuckets=nbuckets,
     )
     return exchange.reduce(
         split_refs, _bucket_topk_impl, (key, sort_keys, k, rank_name, keep_cols)

@@ -532,12 +532,6 @@ class LazyBucketGraph:
     def add_part(self, tbl: pa.Table):
         self._parts.append(tbl)
 
-    def _key_col(self, subj: pa.Array) -> pa.Array:
-        is_b = pc.starts_with(subj, "_:")
-        as_b = pc.binary_join_element_wise("B", pc.utf8_replace_slice(subj, 0, 2, ""), "")
-        as_i = pc.binary_join_element_wise("I", subj, "")
-        return pc.if_else(is_b, as_b, as_i)
-
     def finalize(self):
         if self._finalized:
             return
@@ -573,7 +567,7 @@ class LazyBucketGraph:
             _os.makedirs(self._spill_dir, exist_ok=True)
             return _os.path.join(self._spill_dir, f"{tag}.arrow")
 
-        fkeys = self._key_col(fwd.column("subj").combine_chunks())
+        fkeys = _subj_key_col(fwd.column("subj"))
         self._fwd = _ArcIndex(
             fwd.select(["pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]),
             fkeys,
@@ -581,24 +575,7 @@ class LazyBucketGraph:
             self._spill_rows,
         )
 
-        okind = rev.column("obj_kind").combine_chunks()
-        olex = rev.column("obj_lex").combine_chunks()
-        odt = rev.column("obj_dt").combine_chunks()
-        olang = rev.column("obj_lang").combine_chunks()
-        from shaclex_ray.terms import SEP as _SEP
-
-        lit_key = pc.binary_join_element_wise(
-            pc.binary_join_element_wise("L", olex, ""), odt, olang, _SEP
-        )
-        rkeys = pc.if_else(
-            pc.equal(okind, "literal"),
-            lit_key,
-            pc.if_else(
-                pc.equal(okind, "bnode"),
-                pc.binary_join_element_wise("B", olex, ""),
-                pc.binary_join_element_wise("I", olex, ""),
-            ),
-        )
+        rkeys = _obj_key_col(rev)
         self._rev = _ArcIndex(
             rev.select(["subj", "pred"]), rkeys, spath("rev"), self._spill_rows
         )
@@ -745,6 +722,16 @@ def flat_shacl_profile(schema: dict) -> dict[str, list]:
         if ok:
             out[skey] = props
     return out
+
+
+def _subj_key_col(subj) -> pa.Array:
+    """Vectorized subject term-key column ('I…'/'B…')."""
+    if isinstance(subj, pa.ChunkedArray):
+        subj = subj.combine_chunks()
+    is_b = pc.starts_with(subj, "_:")
+    as_b = pc.binary_join_element_wise("B", pc.utf8_replace_slice(subj, 0, 2, ""), "")
+    as_i = pc.binary_join_element_wise("I", subj, "")
+    return pc.if_else(is_b, as_b, as_i)
 
 
 def _obj_key_col(sub: pa.Table) -> pa.Array:
@@ -1776,29 +1763,6 @@ class _Bucket:
         assumptions = self.assumptions
         cache = self._local_cache
 
-        import os as _os
-        import time as _time
-
-        _dbg = _os.environ.get("SHACLEX_ROUND_DEBUG")
-        _tcal = _tflat = 0.0
-        _n_in = 0
-        _tloop0 = 0.0
-        if _dbg:
-            # fixed pure-Python calibration burn: if THIS inflates in a
-            # slow run, the interpreter/environment is slower (GC, cgroup,
-            # frequency), not the kernels
-            _c0 = _time.perf_counter()
-            _acc = 0
-            for _i in range(500_000):
-                _acc += _i ^ (_i >> 3)
-            _tcal = _time.perf_counter() - _c0
-            _n_in = len(self.pending)
-            if not hasattr(self, "_ru0"):
-                import resource as _res
-
-                self._ru0 = _res.getrusage(_res.RUSAGE_SELF)
-            _t0 = _time.perf_counter()
-
         # literals have no outgoing arcs, so without inverse constraints any
         # bucket evaluates them correctly (term-local fast path); WITH
         # inverse constraints a literal focus must run in its home bucket
@@ -1850,44 +1814,8 @@ class _Bucket:
                         continue
                     by_shape.setdefault(sk_, []).append(nk_)
                     flat_handled.add(key)
-            if (
-                by_shape
-                and me == 0
-                and _os.environ.get("SHACLEX_ROUND_PROFILE")
-                and not getattr(self, "_profiled", False)
-            ):
-                self._profiled = True
-                import cProfile
-                import io as _io
-                import pstats
-
-                pr = cProfile.Profile()
-                pr.enable()
-                for sk_, nks_ in sorted(by_shape.items()):
-                    evaluator(sk_, nks_, is_local_key, decided, all_deps)
-                pr.disable()
-                s = _io.StringIO()
-                pstats.Stats(pr, stream=s).sort_stats("cumulative").print_stats(25)
-                print(s.getvalue(), flush=True)
-            else:
-                for sk_, nks_ in sorted(by_shape.items()):
-                    evaluator(sk_, nks_, is_local_key, decided, all_deps)
-
-        if _dbg:
-            _tflat = _time.perf_counter() - _t0
-            _tloop0 = _time.perf_counter()
-            import resource as _res
-
-            _ru = _res.getrusage(_res.RUSAGE_SELF)
-            print(
-                f"[ru b{me}] ut={_ru.ru_utime - self._ru0.ru_utime:.2f} "
-                f"st={_ru.ru_stime - self._ru0.ru_stime:.2f} "
-                f"minflt={_ru.ru_minflt - self._ru0.ru_minflt} "
-                f"majflt={_ru.ru_majflt - self._ru0.ru_majflt} "
-                f"maxrss={_ru.ru_maxrss // 1024}MB",
-                flush=True,
-            )
-            self._ru0 = _ru
+            for sk_, nks_ in sorted(by_shape.items()):
+                evaluator(sk_, nks_, is_local_key, decided, all_deps)
 
         for key in list(self.pending):
             if key in flat_handled:
@@ -2019,13 +1947,6 @@ class _Bucket:
         answered = [
             (k[0], k[1], self.typing[k]) for k in decided if k in self.requested
         ]
-        if _dbg:
-            print(
-                f"[round b{me}] cal={_tcal * 1000:.0f}ms flat={_tflat:.2f}s "
-                f"loop={_time.perf_counter() - _tloop0:.2f}s "
-                f"in={_n_in} flat_n={len(flat_handled)} decided={len(decided)}",
-                flush=True,
-            )
         return len(decided), len(self.pending), sorted(all_deps), answered
 
     def release(self) -> None:
@@ -2433,8 +2354,7 @@ def _discard(workers: list) -> None:
 
 
 def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
-               files, block_refs, total_rows, focus_tasks, max_rounds,
-               output_dir, mark):
+               plan, focus_tasks, max_rounds, output_dir, mark):
     """``nbuckets > 1``: one pooled ``BucketWorker`` actor per bucket, fed
     by one split-task exchange, driven through actor handles."""
     schema_ref = ray.put(schema)
@@ -2452,9 +2372,8 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
         # File inputs are read by the split tasks themselves (storage →
         # task heap, no object-store staging).
         split_refs = exchange.split(
-            _route_arcs, (include_inverse,),
-            files if files is not None else block_refs, total_rows, nbuckets,
-            ARC_SCHEMA, ARC_COLS,
+            _route_arcs, (include_inverse,), plan, ARC_SCHEMA, ARC_COLS,
+            nbuckets=nbuckets,
         )
         ray.wait(
             [r for blk in split_refs for r in blk],
@@ -2532,10 +2451,6 @@ def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
 _single_bucket_task = ray.remote(_run_single_bucket)
 
 
-# auto sizing (nbuckets=None): the per-bucket row target
-BUCKET_ROWS = 250_000
-
-
 def distributed_validate(
     triples_ds,
     engine: str,
@@ -2561,7 +2476,8 @@ def distributed_validate(
     stats are attached to ``distributed_validate.last_stats``.
 
     Two transports share one driver loop (``_bsp``), chosen here from
-    ``nbuckets`` (given, or sized from the input rows): at
+    ``nbuckets`` (given, or ``exchange.plan``'s bucket count for the
+    input's arc columns): at
     ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
     derivation, rounds, output — runs as ONE task on a pooled worker
     (no actor spawn); above it, one ``BucketWorker`` actor per bucket,
@@ -2615,31 +2531,21 @@ def distributed_validate(
     schema["_has_inverse"] = has_inv
     include_inverse = include_inverse or has_inv
 
-    # size the input FIRST (parquet metadata / materialized block count —
-    # cheap), so an auto fleet (nbuckets=None) scales with data volume:
-    # a 100k-triple corpus runs as one task, a 100-TB one on the whole
-    # cluster. BUCKET_ROWS is the per-bucket row target (the cap is the
-    # cluster CPU count — on a real multi-node cluster that is
-    # node_count x cpus, so the fleet grows with the cluster).
-    import math as _math
-
-    files = block_refs = None
+    # plan the input FIRST (parquet footers and one sampled row group, or
+    # block metadata — cheap), so an auto fleet (nbuckets=None) scales
+    # with the bytes it moves: a small corpus runs as one task, a large
+    # one on the whole cluster
     if parquet_path is not None:
         import glob as _glob
-
-        import pyarrow.parquet as _pq
 
         files = sorted(_glob.glob(f"{parquet_path}/*.parquet"))
         if not files:
             raise FileNotFoundError(f"no parquet shards under {parquet_path}")
-        total_rows = sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
+        plan = exchange.plan(files, ARC_COLS)
     else:
-        mat = triples_ds.materialize()
-        block_refs = mat.to_arrow_refs()
-        total_rows = mat.count()
-    if nbuckets is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = max(1, min(ncpu, _math.ceil(total_rows / BUCKET_ROWS)))
+        files = None
+        plan = exchange.plan(triples_ds.materialize())
+    nbuckets = nbuckets or plan.buckets
     distributed_validate.last_nbuckets = nbuckets
     mark("materialize")
 
@@ -2652,7 +2558,7 @@ def distributed_validate(
             # no Ray Data task waits for a CPU the validation task holds
             focus_refs = focus_tasks.materialize().to_arrow_refs()
             focus_tasks = None
-        arc_refs = block_refs or []
+        arc_refs = [] if files else list(plan.inputs)
         out, dep_state = ray.get(
             _single_bucket_task.remote(
                 schema, engine, include_inverse, spill_rows, files,
@@ -2662,8 +2568,8 @@ def distributed_validate(
         )
     else:
         out, dep_state = _run_fleet(
-            schema, engine, nbuckets, include_inverse, spill_rows, files,
-            block_refs, total_rows, focus_tasks, max_rounds, output_dir, mark,
+            schema, engine, nbuckets, include_inverse, spill_rows, plan,
+            focus_tasks, max_rounds, output_dir, mark,
         )
     distributed_validate.last_dep_state = dep_state
     if output_dir is None:
@@ -2757,17 +2663,6 @@ def resolve_shacl_targets(triples_ds, schema: dict):
 
     spec, node_pairs = _build_target_spec(schema, children)
 
-    def _subj_keys(subj_arr) -> pa.Array:
-        subj_arr = (
-            subj_arr.combine_chunks() if isinstance(subj_arr, pa.ChunkedArray) else subj_arr
-        )
-        is_b = pc.starts_with(subj_arr, "_:")
-        as_b = pc.binary_join_element_wise(
-            "B", pc.utf8_replace_slice(subj_arr, 0, 2, ""), ""
-        )
-        as_i = pc.binary_join_element_wise("I", subj_arr, "")
-        return pc.if_else(is_b, as_b, as_i)
-
     def find_targets(batch: pa.Table) -> pa.Table:
         parts = []
         pred = batch.column("pred")
@@ -2776,12 +2671,12 @@ def resolve_shacl_targets(triples_ds, schema: dict):
                 pc.equal(pred, RDF_TYPE),
                 pc.is_in(batch.column("obj_lex"), value_set=pa.array(sorted(cls_iris))),
             )
-            keys = _subj_keys(pc.filter(batch.column("subj"), mask))
+            keys = _subj_key_col(pc.filter(batch.column("subj"), mask))
             parts.append(
                 pa.table({"node": keys, "shape": pa.array([sk] * len(keys), pa.string())})
             )
         for p, sk in spec["subjects_of"]:
-            keys = _subj_keys(pc.filter(batch.column("subj"), pc.equal(pred, p)))
+            keys = _subj_key_col(pc.filter(batch.column("subj"), pc.equal(pred, p)))
             parts.append(
                 pa.table({"node": keys, "shape": pa.array([sk] * len(keys), pa.string())})
             )

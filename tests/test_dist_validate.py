@@ -308,15 +308,15 @@ def test_in_bucket_targets_equivalence(ray_session):
 
 
 def test_auto_fleet_sizing(ray_session, monkeypatch):
-    """nbuckets=None sizes the bucket fleet from input rows
-    (``BUCKET_ROWS`` per bucket, capped at cluster CPUs): a tiny corpus
-    runs as one bucket (one task, no actor), and a smaller row target
+    """nbuckets=None sizes the bucket fleet with ``exchange.plan`` (one
+    bucket per ``TASK_BYTES``, up to the cluster CPUs): a tiny corpus
+    runs as one bucket (one task, no actor), and a smaller byte target
     scales the fleet up."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.terms import iri, term_key, triples_to_table
-    from shaclex_ray.validate import dist
+    from shaclex_ray.stages import exchange
     from shaclex_ray.validate.dist import distributed_validate
 
     ttl = "@prefix ex: <http://e/> .\n" + "\n".join(
@@ -341,11 +341,11 @@ def test_auto_fleet_sizing(ray_session, monkeypatch):
     )
 
     typing, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
-    assert distributed_validate.last_nbuckets == 1  # 10 rows << 250k/bucket
+    assert distributed_validate.last_nbuckets == 1  # 10 rows << TASK_BYTES
     assert "conforms" in typing.column("val").to_pylist()
 
-    # 10 rows at 3 rows/bucket -> ceil(10/3)=4, within the 4-CPU session cap
-    monkeypatch.setattr(dist, "BUCKET_ROWS", 3)
+    # one byte per bucket: the 4-CPU session cap binds
+    monkeypatch.setattr(exchange, "TASK_BYTES", 1)
     typing2, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
     assert distributed_validate.last_nbuckets == 4
     assert typing2.column("val").to_pylist() == typing.column("val").to_pylist()

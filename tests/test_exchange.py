@@ -6,7 +6,8 @@
     an empty parquet shard, and the single-bucket return.
 (c) ``partition`` keeps row order within each bucket.
 (d) A guard: no module outside ``stages/exchange.py`` hand-rolls a
-    split (``.options(num_returns=``) or reads a deleted knob, and no
+    split (``.options(num_returns=``), names a deleted knob or sizing
+    rule, or reads the cluster's CPU count outside an allow-list, and no
     module calls Ray Data's ``Dataset.join``.
 (e) ``exchange.join`` against an Arrow hash-join reference, under both
     placements.
@@ -143,25 +144,27 @@ def _op_results(op: str, corpus: str):
 )
 def test_output_invariant_to_exchange_shape(ray_session, corpus, monkeypatch, op):
     """1 vs 3 buckets (every exchange of the operator forced to it), and
-    one split group vs one per input (SPLIT_ROWS=1)."""
+    one split group vs one per input (MAX_TASK_BYTES=1)."""
     split = exchange.split
     groups: list[int] = []
     results = {}
     for nbuckets in (1, 3):
-        for split_rows in (exchange.SPLIT_ROWS, 1):
+        for max_task in (exchange.MAX_TASK_BYTES, 1):
 
-            def forced(kernel, args, inputs, rows, _nb, schema, columns=None):
-                refs = split(kernel, args, inputs, rows, nbuckets, schema, columns)
+            def forced(kernel, args, plan, schema, columns=None, nbuckets=None,
+                       _nb=nbuckets):
+                refs = split(kernel, args, plan, schema, columns, nbuckets=_nb)
                 groups.append(len(refs))
-                assert all(len(g) == nbuckets for g in refs)
+                assert all(len(g) == _nb for g in refs)
                 return refs
 
             monkeypatch.setattr(exchange, "split", forced)
-            monkeypatch.setattr(exchange, "SPLIT_ROWS", split_rows)
+            monkeypatch.setattr(exchange, "MAX_TASK_BYTES", max_task)
             del groups[:]
-            results[nbuckets, split_rows] = _rows(_op_results(op, corpus))
-            # the small inputs fit one group; SPLIT_ROWS=1 forces one per input
-            assert max(groups) == 1 if split_rows > 1 else max(groups) > 1, groups
+            results[nbuckets, max_task] = _rows(_op_results(op, corpus))
+            # the small inputs fit one group; MAX_TASK_BYTES=1 forces one
+            # per input
+            assert max(groups) == 1 if max_task > 1 else max(groups) > 1, groups
     first = next(iter(results.values()))
     assert first, "the fixture must give every operator some output"
     for shape, rows in results.items():
@@ -200,7 +203,7 @@ SCHEMA = pa.schema([("k", pa.string()), ("v", pa.int64())])
 
 def test_zero_inputs_give_typed_empty_buckets(ray_session):
     (kern, args), (bkern, bargs) = _sum_split()
-    refs = exchange.split(kern, args, [], 0, 3, SCHEMA)
+    refs = exchange.split(kern, args, exchange.plan([]), SCHEMA, nbuckets=3)
     assert len(refs) == 1 and len(refs[0]) == 3
     parts = ray.get(refs[0])
     assert all(p.num_rows == 0 and p.column_names == ["k", "v_sum"] for p in parts)
@@ -208,13 +211,15 @@ def test_zero_inputs_give_typed_empty_buckets(ray_session):
     assert out.take_all() == [] and out.schema().names == ["k", "s"]
 
 
-def test_all_zero_column_groups(ray_session, monkeypatch):
-    """Groups made only of zero-row, zero-column blocks take the schema."""
+def test_all_zero_column_groups(ray_session):
+    """Groups made only of zero-row, zero-column blocks take the schema
+    (a plan of one group per input, built by hand: ``plan`` itself drops
+    zero-row blocks)."""
     (kern, args), (bkern, bargs) = _sum_split()
-    monkeypatch.setattr(exchange, "SPLIT_ROWS", 1)
     deg = ray.put(pa.table({}))
     real = ray.put(pa.table({"k": ["a", "a", "b"], "v": pa.array([1, 2, 5], pa.int64())}))
-    refs = exchange.split(kern, args, [deg, deg, real], 3, 2, SCHEMA)
+    plan = exchange.Plan((deg, deg, real), rows=3, nbytes=42, groups=3, buckets=2)
+    refs = exchange.split(kern, args, plan, SCHEMA)
     assert len(refs) == 3
     out = _rows(exchange.reduce(refs, bkern, bargs))
     assert out == [("a", 3), ("b", 5)]
@@ -228,18 +233,114 @@ def test_file_input_with_an_empty_shard(ray_session, tmp_path, monkeypatch):
     pq.write_table(full, tmp_path / "a.parquet")
     pq.write_table(full.schema.empty_table(), tmp_path / "b.parquet")
     files = sorted(str(p) for p in tmp_path.glob("*.parquet"))
-    for split_rows in (exchange.SPLIT_ROWS, 1):  # one group, then one per file
-        monkeypatch.setattr(exchange, "SPLIT_ROWS", split_rows)
-        refs = exchange.split(kern, args, files, 3, 2, SCHEMA, ["k", "v"])
+    for max_task in (exchange.MAX_TASK_BYTES, 1):  # one group, then one per file
+        monkeypatch.setattr(exchange, "MAX_TASK_BYTES", max_task)
+        plan = exchange.plan(files, ["k", "v"])
+        assert plan.groups == (1 if max_task > 1 else 2)
+        refs = exchange.split(kern, args, plan, SCHEMA, ["k", "v"], nbuckets=2)
         out = _rows(exchange.reduce(refs, bkern, bargs))
         assert out == [("x", 4), ("y", 2)]
 
 
 def test_single_bucket_returns_a_table(ray_session):
     (kern, args), _ = _sum_split()
-    refs = exchange.split(kern, args, [ray.put(_blocks()[0])], 60, 1, SCHEMA)
+    plan = exchange.plan(rd.from_arrow(_blocks()[0]))
+    refs = exchange.split(kern, args, plan, SCHEMA, nbuckets=1)
     assert len(refs) == 1 and len(refs[0]) == 1
     assert isinstance(ray.get(refs[0][0]), pa.Table)
+
+
+# ------------------------------------------------------------ plan
+
+def _triples(n: int, lex_width: int, seed: int = 0) -> pa.Table:
+    """``n`` KG-shaped triple rows whose ``obj_lex`` is ``lex_width``
+    characters wide (every row the same width)."""
+    from shaclex_ray.terms import TRIPLES_SCHEMA
+
+    rng = np.random.default_rng(seed)
+    lex = [f"{v:0{lex_width}d}" for v in rng.integers(0, 10**9, n)]
+    return pa.table({
+        "subj": [f"http://ex.org/doc/{i:08d}" for i in range(n)],
+        "pred": ["http://ex.org/mentions"] * n,
+        "obj_kind": ["literal"] * n,
+        "obj_lex": lex,
+        "obj_dt": ["http://www.w3.org/2001/XMLSchema#string"] * n,
+        "obj_lang": [""] * n,
+        "doc_id": [f"d{i // 10:07d}" for i in range(n)],
+        "span_idx": pa.array(np.arange(n) % 10, pa.int32()),
+    }, schema=TRIPLES_SCHEMA)
+
+
+def _shards(tbl: pa.Table, nshards: int, root) -> list:
+    root.mkdir()
+    step = -(-tbl.num_rows // nshards)
+    paths = []
+    for i in range(nshards):
+        paths.append(str(root / f"part-{i:03d}.parquet"))
+        pq.write_table(tbl.slice(i * step, step), paths[-1])
+    return paths
+
+
+def test_plan_is_the_same_for_shards_and_blocks(ray_session, tmp_path, monkeypatch):
+    """One table as parquet shards and as Dataset blocks: the same rows,
+    bytes within 2% and the same groups, buckets and broadcast verdict
+    (parquet bytes are the Arrow size of a sampled row group, not the
+    footer's encoded size)."""
+    tbl = _triples(8000, 12)
+    files = _shards(tbl, 4, tmp_path / "t")
+    ds = rd.from_arrow([tbl.slice(i * 2000, 2000).combine_chunks() for i in range(4)])
+    nbytes = exchange.plan(ds).nbytes
+    # targets away from a rounding edge: 2.5 tasks' worth, broadcast
+    monkeypatch.setattr(exchange, "TASK_BYTES", int(nbytes / 2.5))
+    monkeypatch.setattr(exchange, "BCAST_BYTES", nbytes * 2)
+    a, b = exchange.plan(files), exchange.plan(ds)
+    assert a.rows == b.rows == 8000
+    assert abs(a.nbytes - b.nbytes) <= 0.02 * b.nbytes, (a.nbytes, b.nbytes)
+    footer = sum(pq.ParquetFile(f).metadata.row_group(0).total_byte_size for f in files)
+    assert a.nbytes > 2 * footer  # the encoded size would plan far smaller
+    assert (a.groups, a.buckets, a.broadcast) == (b.groups, b.buckets, b.broadcast)
+    assert (a.groups, a.buckets, a.broadcast) == (3, 3, True)
+    assert len(a.inputs) == 4 and all(isinstance(x, str) for x in a.inputs)
+
+
+def test_plan_cpu_cap_and_memory_bound(ray_session, tmp_path, monkeypatch):
+    """A small ``TASK_BYTES`` spreads the work up to the cluster's CPUs
+    and no further; a small ``MAX_TASK_BYTES`` takes the count past the
+    CPUs so no task holds more than it; groups never exceed the inputs."""
+    ncpu = int(ray.cluster_resources()["CPU"])
+    files = _shards(_triples(6000, 12), 12, tmp_path / "t")
+    base = exchange.plan(files)
+    assert (base.groups, base.buckets) == (1, 1)  # a few hundred KB: one task
+    monkeypatch.setattr(exchange, "TASK_BYTES", 1)
+    cpu = exchange.plan(files)
+    assert (cpu.groups, cpu.buckets) == (ncpu, ncpu)
+    monkeypatch.setattr(exchange, "MAX_TASK_BYTES", base.nbytes // (2 * ncpu))
+    mem = exchange.plan(files)
+    assert mem.buckets == -(-base.nbytes // (base.nbytes // (2 * ncpu))) > ncpu
+    assert mem.nbytes / mem.buckets <= exchange.MAX_TASK_BYTES
+    assert mem.groups == min(12, mem.buckets)
+    monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes)
+    assert not exchange.plan(files).broadcast
+    monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes + 1)
+    assert exchange.plan(files).broadcast
+
+
+def test_plan_scales_with_row_width(ray_session, tmp_path, monkeypatch):
+    """Same rows, ``obj_lex`` 10× wider: the fat corpus gets more groups
+    and buckets in proportion to its bytes, and the bytes per task of
+    the two corpora stay within 2× of each other."""
+    narrow = exchange.plan(_shards(_triples(6000, 12), 64, tmp_path / "n"))
+    fat = exchange.plan(_shards(_triples(6000, 120), 64, tmp_path / "f"))
+    assert fat.rows == narrow.rows and fat.nbytes > 1.5 * narrow.nbytes
+    # a memory bound of a quarter of the narrow corpus: past the CPU cap
+    monkeypatch.setattr(exchange, "MAX_TASK_BYTES", narrow.nbytes // 4)
+    narrow, fat = (exchange.plan(list(p.inputs)) for p in (narrow, fat))
+    assert narrow.buckets == narrow.groups >= 4
+    assert fat.buckets == fat.groups
+    ratio = fat.nbytes / narrow.nbytes
+    assert ratio / 2 <= fat.buckets / narrow.buckets <= ratio * 2
+    per_task = [p.nbytes / p.buckets for p in (narrow, fat)]
+    assert max(per_task) <= 2 * min(per_task), per_task
 
 
 # ------------------------------------------------------------ partition
@@ -327,7 +428,7 @@ def placement(request, monkeypatch):
     that every side spreads over several of each."""
     if request.param == "partitioned":
         monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
-        monkeypatch.setattr(exchange, "TASK_ROWS", 40)
+        monkeypatch.setattr(exchange, "TASK_BYTES", 1)
     return request.param
 
 
@@ -372,18 +473,36 @@ def test_join_rejects_a_repeated_column(ray_session):
 
 # ------------------------------------------------------------ guard
 
+# the modules that may read the cluster's CPU count, and how often: the
+# exchange plan, the validation actor-pool cap, pack's range buckets, the
+# document partitions, and the sparql, multimodal and bpe concurrency
+CPU_READERS = {
+    "stages/exchange.py": 1,
+    "validate/dist.py": 1,
+    "functions/pack.py": 1,
+    "sources/documents.py": 2,
+    "sources/sparql.py": 1,
+    "functions/multimodal.py": 3,
+    "functions/bpe.py": 1,
+}
+
+
 def test_no_hand_rolled_exchange_or_deleted_knob():
     """The split→bucket exchange lives in stages/exchange.py only, none
-    of the deleted knobs is read anywhere, and no module joins Datasets
-    with Ray Data's ``Dataset.join`` (``exchange.join`` is the one join):
-    no ``.join(<expr>, "inner"|"left_outer"|…`` call, chained ones
-    included, and no ``num_partitions=`` sizing."""
+    of the deleted knobs or sizing rules is named anywhere, the cluster's
+    CPU count is read only where ``CPU_READERS`` allows (``exchange.plan``
+    is the one sizing rule), and no module joins Datasets with Ray Data's
+    ``Dataset.join`` (``exchange.join`` is the one join): no
+    ``.join(<expr>, "inner"|"left_outer"|…`` call, chained ones included,
+    and no ``num_partitions=`` sizing."""
     knobs = re.compile(
         r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
         r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN"
         r"|REL_BCAST_THRESHOLD|JACCARD_BCAST_THRESHOLD|INFER_BCAST_THRESHOLD"
         r"|REP_VERDICT_BCAST_ROWS|DECON_BCAST_THRESHOLD|DEDUP_CC_THRESHOLD"
-        r"|REP_DUP_RATIO)"
+        r"|REP_DUP_RATIO|ROUND_DEBUG|ROUND_PROFILE)"
+        r"|\b(SPLIT_ROWS|TASK_ROWS|BUCKET_ROWS|BAND_BUCKET_ROWS|USER_BUCKET_ROWS"
+        r"|DECON_BCAST_ROWS|group_count|default_buckets)\b"
     )
     # the join type is the second argument; the first may span lines and
     # hold one level of parentheses
@@ -403,4 +522,6 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
             offenders.append(f"{rel}: Dataset.join")
         if "num_partitions=" in src:
             offenders.append(f"{rel}: num_partitions=")
+        if src.count("cluster_resources()") > CPU_READERS.get(rel, 0):
+            offenders.append(f"{rel}: reads the cluster's CPU count")
     assert not offenders, offenders

@@ -203,16 +203,16 @@ def test_langid_fit_head_of_fileless_directory(tmp_path):
 
 
 def test_decontaminate_join_regime_matches_broadcast(ray_session, monkeypatch):
-    """Forcing the distributed hash-join regime (threshold 0) must be
-    row-identical to the broadcast regime — hit-ness per gram hash is
-    partition-invariant."""
-    from shaclex_ray.functions import curate
+    """Forcing the distributed hash-join regime (``BCAST_BYTES = 0``)
+    must be row-identical to the broadcast regime — hit-ness per gram
+    hash is partition-invariant."""
     from shaclex_ray.functions.curate import decontaminate
+    from shaclex_ray.stages import exchange
 
     base = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"]) for r in decontaminate(SF).take_all()
     )
-    monkeypatch.setattr(curate, "DECON_BCAST_ROWS", 0)
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
     joined = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"]) for r in decontaminate(SF).take_all()
     )
@@ -229,8 +229,8 @@ def test_decontaminate_join_regime_disjoint_vocab(
     rows whenever a whole group's occurrence list came back empty."""
     import pyarrow.parquet as pq
 
-    from shaclex_ray.functions import curate
     from shaclex_ray.functions.curate import decontaminate
+    from shaclex_ray.stages import exchange
 
     bench_text = "alpha beta gamma delta epsilon zeta eta theta"
     train_text = "one two three four five six seven eight nine"
@@ -248,7 +248,7 @@ def test_decontaminate_join_regime_disjoint_vocab(
     )
     # 9 tokens, shingle 5 -> 5 grams per train doc, zero hits
     assert base == [(i, 5, 0) for i in range(1, 6)]
-    monkeypatch.setattr(curate, "DECON_BCAST_ROWS", 0)
+    monkeypatch.setattr(exchange, "BCAST_BYTES", 0)
     joined = sorted(
         (r["doc_id"], r["n_grams"], r["n_hits"])
         for r in decontaminate(str(tmp_path)).take_all()
@@ -623,17 +623,20 @@ def test_dedup_clusters(ray_session):
     assert all(r["keep"] and r["cluster"] == r["doc_id"] for r in singletons)
 
 
-def test_dedup_clusters_regimes_equal(ray_session):
-    """Driver union-find and distributed CC regimes produce identical rows."""
+def test_dedup_clusters_regimes_equal(ray_session, monkeypatch):
+    """Driver union-find and distributed CC regimes produce identical rows
+    (``CC_DIST_PAIRS = 0`` forces the distributed one)."""
+    from shaclex_ray.functions import dedup
     from shaclex_ray.functions.dedup import dedup_clusters
 
     broadcast = sorted(
         (r["doc_id"], r["cluster"], r["keep"])
-        for r in dedup_clusters(SF, distributed=False).take_all()
+        for r in dedup_clusters(SF).take_all()
     )
+    monkeypatch.setattr(dedup, "CC_DIST_PAIRS", 0)
     dist = sorted(
         (r["doc_id"], r["cluster"], r["keep"])
-        for r in dedup_clusters(SF, distributed=True).take_all()
+        for r in dedup_clusters(SF).take_all()
     )
     assert broadcast == dist
 

@@ -1,9 +1,9 @@
 """Decontaminate regime comparison at scale (VERDICT r4 item 1 done
 criterion): run the same ×FACTOR corpus through the broadcast regime
-(bench gram set collected + ray.put) and the forced hash-join regime
-(SHACLEX_DECON_BCAST_THRESHOLD=0 — bench grams never land on the
-driver), assert row-identical output, and report both walls. Pass =
-join within ~2× of broadcast.
+(sorted bench gram set built in one task, its ref broadcast) and the
+forced hash-join regime (``exchange.BCAST_BYTES = 0``), assert
+row-identical output, and report both walls. Pass = join within ~2× of
+broadcast.
 
 Usage: python tools/decon_compare.py [--factor 300] [--num-cpus 32]
 Prints one JSON line.
@@ -17,12 +17,14 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _run(corpus: str, threshold: str, num_cpus: int) -> dict:
-    """Each regime in a fresh subprocess (fresh Ray session, fresh env)."""
+def _run(corpus: str, bcast_bytes: str, num_cpus: int) -> dict:
+    """Each regime in a fresh subprocess (fresh Ray session), with
+    ``exchange.BCAST_BYTES`` set to ``bcast_bytes``."""
     code = (
         "import os, sys, time, json\n"
         "sys.path.insert(0, %r)\n"
-        "os.environ['SHACLEX_DECON_BCAST_THRESHOLD'] = sys.argv[2]\n"
+        "from shaclex_ray.stages import exchange\n"
+        "exchange.BCAST_BYTES = int(sys.argv[2])\n"
         "import ray\n"
         "ray.init(address='local', num_cpus=int(sys.argv[3]),"
         " include_dashboard=False, logging_level='ERROR',"
