@@ -279,11 +279,6 @@ def decontaminate(sf_dir: str, shingle: int = 5, bench_mod: int = 20):
     return train.map_batches(probe, batch_format="pyarrow")
 
 
-# the join regime plans its train split at this many times the docs'
-# bytes (a doc yields about one gram row per token)
-DECON_GRAMS_PER_DOC = 64
-
-
 def _decontaminate_join(path: str, bench_h, shingle: int, bench_mod: int):
     """Distributed regime: hash exchange of bench grams (planned as
     ``bench_h``) and train (doc_id, h, cnt) partials on gram hash,
@@ -296,7 +291,10 @@ def _decontaminate_join(path: str, bench_h, shingle: int, bench_mod: int):
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
     cols = ["doc_id", "text"]
-    train = exchange.plan(parquet_files(path), cols, expand=DECON_GRAMS_PER_DOC)
+    # the train split is planned on the docs it reads: the gram rows it
+    # emits once the Bloom filter drops the grams no bench doc has are a
+    # fraction of those bytes (sf0.1: 1.5 MB of docs, 0.26 MB of rows)
+    train = exchange.plan(parquet_files(path), cols)
     nbuckets = max(bench_h.buckets, train.buckets)
     n_bench, bench_refs = bench_h.rows, bench_h.inputs
     bloom_part = ray.remote(_decon_bloom_part)

@@ -85,8 +85,9 @@ def run_kg_pipeline(
 ):
     """Checkpointed end-to-end run. Returns dict of result handles.
 
-    ``exchange.plan`` sizes the canonical dedup's and the validation's
-    buckets from the bytes each one moves; ``nbuckets`` overrides both."""
+    ``exchange.plan`` sizes the canonical dedup's buckets and the
+    validation's fleet from the bytes each one moves; ``nbuckets``
+    overrides both."""
     runner = StageRunner(out_dir, resume=resume)
     # digest covers inputs AND code/shape revision, so stale checkpoints
     # from an older engine version are never resumed
@@ -168,7 +169,7 @@ def run_kg_pipeline(
             # one planned bucket validates as one task on a pooled worker
             # (no actor spawn); more take one actor each from the warm pool
             canonical = sorted(glob.glob(f"{out_dir}/triples_canonical/*.parquet"))
-            nb = nbuckets or exchange.plan(canonical, ARC_COLS).buckets
+            nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
             # targets derive in-bucket (focus="shacl-targets"): the split
             # scan is the ONLY pass over the triples; the buckets write
             # their own typing/report shards — the full tables never

@@ -28,6 +28,7 @@ Plan rule — the only one::
                     ceil(nbytes / MAX_TASK_BYTES))
     groups    = clamp(tasks, 1, len(inputs))
     buckets   = tasks
+    fleet     = min(buckets, cluster CPUs)
     broadcast = nbytes < BCAST_BYTES
 
 The first term spreads the work over up to the cluster's CPUs, but a
@@ -39,6 +40,16 @@ task count grows with the data, not the cluster. A caller that needs one
 bucket count across several splits (the two sides of a join, a
 co-partitioned pair) plans each input and passes the larger count to
 :func:`split` as ``nbuckets``.
+
+``fleet`` sizes an actor fleet (the validation buckets): its actors all
+hold their buckets at once, so the memory bound buys nothing there, and
+actors past the CPU count only add worker processes. The bounds are on
+task memory, not on the driver: past ``cluster CPUs × MAX_TASK_BYTES``
+groups and buckets both grow with the data, so the ``groups × buckets``
+ref matrix that :func:`split` returns to the driver grows with its
+square (100 TB in at least 330k files: ~330k × 330k refs). A recursive
+exchange — split into at most the CPU count of buckets, then split each
+bucket again — is the remedy when inputs reach that size.
 
 The rule counts bytes, not rows, because memory and work scale with
 bytes: a corpus whose literals are ten times wider gets about ten times
@@ -104,6 +115,12 @@ class Plan:
     nbytes: int  # in-memory (Arrow) bytes
     groups: int
     buckets: int
+    cpus: int  # the cluster's CPU count when planned
+
+    @property
+    def fleet(self) -> int:
+        """Buckets for an actor fleet (module docstring)."""
+        return min(self.buckets, self.cpus)
 
     @property
     def broadcast(self) -> bool:
@@ -126,11 +143,10 @@ def _parquet_size(files, columns) -> tuple[int, int]:
     return rows, math.ceil(rows * per_row)
 
 
-def plan(inputs, columns=None, expand: int = 1) -> Plan:
+def plan(inputs, columns=None) -> Plan:
     """Measure and size one exchange input (module docstring): parquet
     paths, read for ``columns``, or a materialized Dataset, whose block
-    metadata gives rows and bytes. ``expand`` scales the bytes for a
-    split kernel that emits that many rows' worth per input row."""
+    metadata gives rows and bytes."""
     if isinstance(inputs, (list, tuple)):
         refs = tuple(inputs)
         rows, nbytes = _parquet_size(refs, columns)
@@ -139,11 +155,10 @@ def plan(inputs, columns=None, expand: int = 1) -> Plan:
         refs = tuple(ref for ref, _ in blocks)
         rows = sum(meta.num_rows for _, meta in blocks)
         nbytes = sum(meta.size_bytes for _, meta in blocks)
-    nbytes *= expand
     ncpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
     tasks = max(1, min(ncpu, math.ceil(nbytes / TASK_BYTES)),
                 math.ceil(nbytes / MAX_TASK_BYTES))
-    return Plan(refs, rows, nbytes, max(1, min(len(refs), tasks)), tasks)
+    return Plan(refs, rows, nbytes, max(1, min(len(refs), tasks)), tasks, ncpu)
 
 
 def _gather(schema: pa.Schema, columns, inputs) -> pa.Table:

@@ -1994,15 +1994,18 @@ class _Bucket:
                 del self.blocked_on[pair]
 
     def _typing_table(self) -> pa.Table:
-        keys = sorted(self.typing)
+        """The focus pairs' typing. A pair decided only because another
+        bucket asked for it (a shape, ``class:``, ``hop:`` or ``vshape:``
+        probe) is a protocol answer: one bucket answers the same probe
+        in-process and writes nothing, so writing it would make the
+        table depend on the bucket count."""
+        keys = sorted(k for k in self.typing if k in self.focus_flags)
         return pa.table(
             {
                 "node": pa.array([k[0] for k in keys], pa.string()),
                 "shape": pa.array([k[1] for k in keys], pa.string()),
                 "val": pa.array([self.typing[k] for k in keys], pa.string()),
-                "is_focus": pa.array(
-                    [self.focus_flags.get(k, False) for k in keys], pa.bool_()
-                ),
+                "is_focus": pa.array([True] * len(keys), pa.bool_()),
             }
         )
 
@@ -2026,12 +2029,9 @@ class _Bucket:
         r = self._report_table()
         pq.write_table(t, f"{out_dir}/typing/part-{self.bucket_id:05d}.parquet")
         pq.write_table(r, f"{out_dir}/report/part-{self.bucket_id:05d}.parquet")
-        vals = t.column("val").to_pylist()
-        focus = t.column("is_focus").to_pylist()
         stats: dict[str, int] = {"violations": r.num_rows}
-        for v, f in zip(vals, focus):
-            if f:
-                stats[v] = stats.get(v, 0) + 1
+        for v in t.column("val").to_pylist():
+            stats[v] = stats.get(v, 0) + 1
         return stats
 
 
@@ -2476,8 +2476,8 @@ def distributed_validate(
     stats are attached to ``distributed_validate.last_stats``.
 
     Two transports share one driver loop (``_bsp``), chosen here from
-    ``nbuckets`` (given, or ``exchange.plan``'s bucket count for the
-    input's arc columns): at
+    ``nbuckets`` (given, or ``exchange.plan``'s fleet size for the
+    input's arc columns: its bucket count, capped at the CPU count): at
     ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
     derivation, rounds, output — runs as ONE task on a pooled worker
     (no actor spawn); above it, one ``BucketWorker`` actor per bucket,
@@ -2545,7 +2545,7 @@ def distributed_validate(
     else:
         files = None
         plan = exchange.plan(triples_ds.materialize())
-    nbuckets = nbuckets or plan.buckets
+    nbuckets = nbuckets or plan.fleet
     distributed_validate.last_nbuckets = nbuckets
     mark("materialize")
 

@@ -310,8 +310,9 @@ def test_in_bucket_targets_equivalence(ray_session):
 def test_auto_fleet_sizing(ray_session, monkeypatch):
     """nbuckets=None sizes the bucket fleet with ``exchange.plan`` (one
     bucket per ``TASK_BYTES``, up to the cluster CPUs): a tiny corpus
-    runs as one bucket (one task, no actor), and a smaller byte target
-    scales the fleet up."""
+    runs as one bucket (one task, no actor), a smaller byte target
+    scales the fleet up, and a memory bound that asks for more buckets
+    than CPUs leaves the fleet at the CPU count."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
@@ -349,3 +350,51 @@ def test_auto_fleet_sizing(ray_session, monkeypatch):
     typing2, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
     assert distributed_validate.last_nbuckets == 4
     assert typing2.column("val").to_pylist() == typing.column("val").to_pylist()
+
+    # one byte per task: the plan wants hundreds of buckets, the fleet 4
+    monkeypatch.setattr(exchange, "MAX_TASK_BYTES", 1)
+    distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
+    assert distributed_validate.last_nbuckets == 4
+
+
+def test_typing_is_the_same_at_every_bucket_count(ray_session):
+    """Probes another bucket answers (``sh:class`` membership, ``sh:node``
+    conformance, path hops) are protocol traffic, not output: the typing
+    and report tables are row-identical at 1, 2, 4 and 8 buckets."""
+    import ray.data as rd
+
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.terms import triples_to_table
+    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+
+    ttl = """
+    @prefix sh: <http://www.w3.org/ns/shacl#> .
+    @prefix ex: <http://ex.org/> .
+    ex:ThingShape a sh:NodeShape ;
+      sh:targetClass ex:Thing ;
+      sh:property [ sh:path ex:knows ; sh:class ex:Person ] ;
+      sh:property [ sh:path ex:knows ; sh:node ex:NamedShape ] ;
+      sh:property [ sh:path ( ex:knows ex:name ) ; sh:minCount 1 ] .
+    ex:NamedShape a sh:NodeShape ;
+      sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+    """ + "\n".join(
+        f"ex:t{i} a ex:Thing ; ex:knows ex:p{(7 * i) % 40} ."
+        + (f" ex:p{i} a ex:Person ." if i % 3 else "")
+        + (f' ex:p{i} ex:name "p{i}" .' if i % 4 else "")
+        for i in range(40)
+    )
+    triples = parse_turtle(ttl)
+    ds = rd.from_arrow(triples_to_table(triples))
+
+    def rows(tbl):
+        return sorted(zip(*[tbl.column(c).to_pylist() for c in tbl.column_names]))
+
+    outs = []
+    for nb in (1, 2, 4, 8):
+        schema = compile_shacl(triples)
+        focus = resolve_shacl_targets(ds, schema)
+        typing, report = distributed_validate(ds, "shacl", schema, focus, nbuckets=nb)
+        outs.append((rows(typing), rows(report)))
+    assert len(outs[0][0]) == 40 and outs[0][1]
+    assert all(o == outs[0] for o in outs[1:])

@@ -218,7 +218,8 @@ def test_all_zero_column_groups(ray_session):
     (kern, args), (bkern, bargs) = _sum_split()
     deg = ray.put(pa.table({}))
     real = ray.put(pa.table({"k": ["a", "a", "b"], "v": pa.array([1, 2, 5], pa.int64())}))
-    plan = exchange.Plan((deg, deg, real), rows=3, nbytes=42, groups=3, buckets=2)
+    plan = exchange.Plan((deg, deg, real), rows=3, nbytes=42, groups=3, buckets=2,
+                         cpus=2)
     refs = exchange.split(kern, args, plan, SCHEMA)
     assert len(refs) == 3
     out = _rows(exchange.reduce(refs, bkern, bargs))
@@ -306,7 +307,8 @@ def test_plan_is_the_same_for_shards_and_blocks(ray_session, tmp_path, monkeypat
 def test_plan_cpu_cap_and_memory_bound(ray_session, tmp_path, monkeypatch):
     """A small ``TASK_BYTES`` spreads the work up to the cluster's CPUs
     and no further; a small ``MAX_TASK_BYTES`` takes the count past the
-    CPUs so no task holds more than it; groups never exceed the inputs."""
+    CPUs so no task holds more than it, but not an actor fleet's; groups
+    never exceed the inputs."""
     ncpu = int(ray.cluster_resources()["CPU"])
     files = _shards(_triples(6000, 12), 12, tmp_path / "t")
     base = exchange.plan(files)
@@ -319,6 +321,7 @@ def test_plan_cpu_cap_and_memory_bound(ray_session, tmp_path, monkeypatch):
     assert mem.buckets == -(-base.nbytes // (base.nbytes // (2 * ncpu))) > ncpu
     assert mem.nbytes / mem.buckets <= exchange.MAX_TASK_BYTES
     assert mem.groups == min(12, mem.buckets)
+    assert cpu.fleet == mem.fleet == ncpu  # an actor fleet stops at the CPUs
     monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes)
     assert not exchange.plan(files).broadcast
     monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes + 1)
@@ -502,7 +505,7 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         r"|REP_VERDICT_BCAST_ROWS|DECON_BCAST_THRESHOLD|DEDUP_CC_THRESHOLD"
         r"|REP_DUP_RATIO|ROUND_DEBUG|ROUND_PROFILE)"
         r"|\b(SPLIT_ROWS|TASK_ROWS|BUCKET_ROWS|BAND_BUCKET_ROWS|USER_BUCKET_ROWS"
-        r"|DECON_BCAST_ROWS|group_count|default_buckets)\b"
+        r"|DECON_BCAST_ROWS|DECON_GRAMS_PER_DOC|group_count|default_buckets)\b"
     )
     # the join type is the second argument; the first may span lines and
     # hold one level of parentheses

@@ -44,7 +44,7 @@ def _run(corpus: str, bcast_bytes: str, num_cpus: int) -> dict:
     import subprocess
 
     p = subprocess.run(
-        [sys.executable, "-c", code, corpus, threshold, str(num_cpus)],
+        [sys.executable, "-c", code, corpus, bcast_bytes, str(num_cpus)],
         capture_output=True,
         text=True,
     )
