@@ -8,9 +8,10 @@
 ``triples_ds``: a Ray Dataset in TRIPLES_SCHEMA (from the KG pipeline,
 read_ntriples/read_turtle_files, or read_parquet of a triple table).
 Schemas accepted as ShExC text / ShExJ dict / SHACL Turtle text / compiled
-dict. Small graphs (< ``local_threshold`` rows) run on the in-memory
-conformance-verified validators; larger ones go through the distributed
-BSP fixpoint.
+dict. Every call runs the distributed BSP fixpoint (``validate/dist.py``):
+a small graph plans to one bucket and runs as one pooled Ray task, a
+larger one on a fleet of bucket actors. The in-memory
+conformance-verified validators are its semantics oracle.
 """
 
 from __future__ import annotations

@@ -478,10 +478,6 @@ def regional_volume(
 
     def name_rows(batch: pa.Table) -> pa.Table:
         # |nations| rows at most — the only place names materialize
-        if batch.num_rows == 0 or "s_nation" not in batch.column_names:
-            return pa.schema(
-                [("n_name", pa.string()), ("revenue_e4", pa.int64())]
-            ).empty_table()
         sn = batch.column("s_nation").to_numpy(zero_copy_only=False).astype(int)
         return pa.table(
             {

@@ -25,13 +25,11 @@ import glob
 import hashlib
 import os
 
-import pyarrow.parquet as pq
-
 import ray.data as rd
 
 from shaclex_ray.rdfio import parse_turtle
 from shaclex_ray.shapes.shacl import compile_shacl
-from shaclex_ray.sources.documents import read_documents
+from shaclex_ray.sources.documents import parquet_num_rows, read_documents
 from shaclex_ray.stages import dedup, exchange
 from shaclex_ray.stages.extract import extract_triples
 from shaclex_ray.stages.link import LINKS_SCHEMA, build_entity_links
@@ -67,13 +65,6 @@ ex:EntityShape a sh:NodeShape ;
 
 def kg_schema() -> dict:
     return compile_shacl(parse_turtle(KG_SHAPES_TTL))
-
-
-def _parquet_rows(path: str) -> int:
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in glob.glob(f"{path}/*.parquet")
-    )
 
 
 def run_kg_pipeline(
@@ -119,7 +110,9 @@ def run_kg_pipeline(
 
         def produce_raw(path):
             extract_triples(read_documents(sf_dir)).write_parquet(path)
-            return _parquet_rows(path)
+            # zero rows write no directory at all: give the count a file
+            ensure_parquet_schema(path, TRIPLES_SCHEMA)
+            return parquet_num_rows(path)
 
         runner.run(
             "triples_raw",
@@ -139,7 +132,7 @@ def run_kg_pipeline(
         # the schema when linking produces zero rows
         build_entity_links(raw_pruned).write_parquet(f"{path}/shards")
         ensure_parquet_schema(f"{path}/shards", LINKS_SCHEMA)
-        return _parquet_rows(f"{path}/shards")
+        return parquet_num_rows(f"{path}/shards")
 
     links = runner.run(
         "entity_links", digest, produce_links,

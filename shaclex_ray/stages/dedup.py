@@ -35,7 +35,7 @@ witness); bucket assignment is internal and never observable in output.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import polars as _pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -47,25 +47,17 @@ from shaclex_ray.terms import TRIPLE_ID_COLS, TRIPLES_SCHEMA
 # lineage columns of a triple: the least (doc_id, span_idx) row survives
 WITNESS_COLS = ["doc_id", "span_idx"]
 
-try:  # polars is baked into the runtime; keep a pandas fallback anyway
-    import polars as _pl
-except ImportError:  # pragma: no cover
-    _pl = None
-
 
 def _row_hash(tbl: pa.Table, cols: list[str] | None = None) -> np.ndarray:
-    """64-bit content hash of each row's identity tuple (vectorized)."""
+    """64-bit content hash of each row's identity tuple (vectorized).
+    polars is a hard dependency: exchanges bucket rows by this hash, so a
+    process hashing any other way would route them to other buckets than
+    its peers, without any error."""
     cols = TRIPLE_ID_COLS if cols is None else cols
     if tbl.num_rows == 0:
         return np.zeros(0, dtype=np.uint64)
     sel = tbl.select(cols)
-    if _pl is not None:
-        return _pl.from_arrow(sel).hash_rows(seed=0).to_numpy().astype(np.uint64)
-    arrs = [
-        pc.cast(sel.column(c).combine_chunks(), pa.string()) for c in cols
-    ]
-    key = pc.binary_join_element_wise(*arrs, "\x1f")
-    return pd.util.hash_array(key.to_numpy(zero_copy_only=False))
+    return _pl.from_arrow(sel).hash_rows(seed=0).to_numpy().astype(np.uint64)
 
 
 def _adjacent_identity_neq(tbl: pa.Table, id_cols: list[str]) -> np.ndarray:

@@ -218,15 +218,19 @@ def split(kernel, args, plan: Plan, schema: pa.Schema, columns=None,
 def reduce(split_refs: list[list], bucket_kernel, args=()):
     """One ``bucket_kernel(*args, *parts)`` task per bucket over that
     bucket's part of every group in ``split_refs`` (group order), as a
-    Dataset of one block per bucket, in bucket order."""
+    Dataset of the buckets' non-empty blocks, in bucket order — or, when
+    every bucket is empty, of one empty block. (``map_batches`` turns a
+    zero-row block into one without columns.)"""
     import ray.data as rd
 
     task = ray.remote(bucket_kernel)
     nbuckets = len(split_refs[0])
-    return rd.from_arrow_refs([
+    refs = [
         task.remote(*args, *[grp[b] for grp in split_refs])
         for b in range(nbuckets)
-    ])
+    ]
+    rows = [ref for ref, _ in _row_blocks(rd.from_arrow_refs(refs))]
+    return rd.from_arrow_refs(rows or refs[:1])
 
 
 # ------------------------------------------------------------------ join
@@ -380,5 +384,5 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
                        nbuckets=nbuckets)
     build_refs = split(_join_split, (build_on, types), bplan, bschema,
                        nbuckets=nbuckets)
-    return _nonempty(reduce(probe_refs + build_refs, _join_bucket,
-                            (on, build_on, how, len(probe_refs))), schema)
+    return reduce(probe_refs + build_refs, _join_bucket,
+                  (on, build_on, how, len(probe_refs)))

@@ -53,20 +53,23 @@ over every path constructor), so no construct needs a global node scan.
 
 from __future__ import annotations
 
+import re
 import threading
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
-import pandas as pd
+import polars as _pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 
 from shaclex_ray.stages import exchange
-from shaclex_ray.stages.exchange import partition
+from shaclex_ray.stages.exchange import _ragged_arange, partition
 from shaclex_ray.terms import RDF_TYPE, key_to_term, subj_to_key, term_key
 from shaclex_ray.validate.local import Graph, ShExValidator
-from shaclex_ray.validate.nodecheck import compile_pattern
+from shaclex_ray.validate.nodecheck import check_node_constraint, compile_pattern
 from shaclex_ray.validate.shacl_local import (
     RDFS_SUBCLASS,
     ShaclValidator,
@@ -77,12 +80,9 @@ from shaclex_ray.validate.shacl_local import (
 # stable bucketing: polars' vectorized string hash (fixed seed — stable
 # across processes sharing one library build, which a cluster does; see
 # the cross-process pin in tests). Bucket assignment is internal routing,
-# never observable in validation output. pandas-siphash fallback.
-
-try:
-    import polars as _pl
-except ImportError:  # pragma: no cover
-    _pl = None
+# never observable in validation output. polars is a hard dependency: a
+# process hashing any other way would route arcs to other buckets than
+# its peers, without any error.
 
 
 def stable_bucket_array(strings, nbuckets: int) -> np.ndarray:
@@ -90,20 +90,11 @@ def stable_bucket_array(strings, nbuckets: int) -> np.ndarray:
     array, or a pyarrow (Chunked)Array — Arrow input hashes zero-copy."""
     if isinstance(strings, pa.ChunkedArray):
         strings = strings.combine_chunks()
-    if _pl is not None:
-        arr = strings if isinstance(strings, pa.Array) else pa.array(strings, pa.string())
-        if len(arr) == 0:
-            return np.zeros(0, dtype=np.int64)
-        h = _pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
-        return (h % np.uint64(nbuckets)).astype(np.int64)
-    arr = (
-        np.asarray(strings.to_numpy(zero_copy_only=False), dtype=object)
-        if isinstance(strings, pa.Array)
-        else np.asarray(strings, dtype=object)
-    )
+    arr = strings if isinstance(strings, pa.Array) else pa.array(strings, pa.string())
     if len(arr) == 0:
         return np.zeros(0, dtype=np.int64)
-    return (pd.util.hash_array(arr) % np.uint64(nbuckets)).astype(np.int64)
+    h = _pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
+    return (h % np.uint64(nbuckets)).astype(np.int64)
 
 
 def stable_bucket(s: str, nbuckets: int) -> int:
@@ -635,10 +626,15 @@ class LazyBucketGraph:
 
 
 # ---------------------------------------------------------------------------
-# vectorized flat-SHACL fast path (SURVEY.md M8 at bucket granularity):
-# shapes whose property shapes are pred-path + scalar components evaluate
-# for ALL pending focus nodes at once with Arrow/numpy kernels — the
-# per-focus Python walk remains the semantics oracle and the fallback.
+# vectorized flat-shape fast path (SURVEY.md M8 at bucket granularity):
+# SHACL shapes whose property shapes are pred-path + scalar components and
+# the ShEx counting decomposition (C4) compile to ONE check list
+# (``FlatShape``); one kernel evaluates it for ALL pending focus nodes of a
+# shape at once with Arrow/numpy kernels into per-(focus, entry) partials,
+# and each language's finalize rule turns a partial into a verdict and
+# report rows. A pair blocked on a cross-bucket probe keeps its partial and
+# resumes from it (``flat_resume``) — for both engines. The per-focus
+# Python walk remains the semantics oracle and the fallback.
 
 from shaclex_ray.terms import SEP as _TSEP
 from shaclex_ray.terms import SH as _SH
@@ -647,11 +643,10 @@ from shaclex_ray.terms import XSD as _XSD
 # datatypes whose lexical validity is vectorizable. ONLY xsd:string (any
 # lexical form is valid) — numeric/boolean regexes differ subtly between
 # Python re (unicode digits, '$' matches before a trailing newline) and
-# Arrow's RE2, so those shapes take the per-focus Python path instead of
-# risking a verdict divergence.
-_VEC_DATATYPE_RE = {
-    _XSD + "string": None,
-}
+# Arrow's RE2, so those shapes take the per-focus Python path (SHACL) or
+# the exact per-distinct scalar (ShEx) instead of risking a verdict
+# divergence.
+_VEC_DATATYPES = {_XSD + "string"}
 
 _NODEKIND_ALLOWED = {
     _SH + "IRI": ("iri",),
@@ -662,66 +657,178 @@ _NODEKIND_ALLOWED = {
     _SH + "IRIOrLiteral": ("iri", "literal"),
 }
 
+_SHEX_NODEKIND = {
+    "iri": ("iri",),
+    "bnode": ("bnode",),
+    "literal": ("literal",),
+    "nonliteral": ("bnode", "iri"),
+}
 
-def flat_shacl_profile(schema: dict) -> dict[str, list]:
-    """shape_key -> list of vectorizable property profiles (absent = use
-    the per-focus Python path)."""
-    out: dict[str, list] = {}
+_RANGE_KINDS = ("minInclusive", "minExclusive", "maxInclusive", "maxExclusive")
+
+
+class FlatShape(NamedTuple):
+    """A flat shape compiled for ``flat_eval_kernel``.
+
+    ``entries`` is the check list, one dict per predicate constraint:
+    ``pred``; ``checks``, value checks ``(op, param, component)`` (op one
+    of nodeKind / datatype / in / minLength / maxLength / pattern /
+    scalar; ``component`` the report component of a failing value, None
+    for none); ``probes``, ``_Probe``s; the count bounds ``min`` and
+    ``max`` (-1: unbounded), over the satisfying arcs when ``qualified``
+    else over all arcs; SHACL entries also carry ``source``, ``severity``
+    and ``message`` for their report rows. ``finalize(entries, node_keys,
+    partial)`` is the language's rule from a ``FlatPartial`` to
+    ``(conforms: bool[n], report rows per node)``."""
+
+    entries: list
+    finalize: Callable
+
+
+class _Probe(NamedTuple):
+    """A value test whose answer may live in another bucket. ``shape`` is
+    the dependency's shape key (``class:<C>`` or a ShEx label) under which
+    assumptions answer it; ``component`` the report component of a False
+    answer (None: no row); ``answer(value_key, graph, is_local_key,
+    is_instance_fn)`` the bucket-local answer — True / False, or None when
+    the value's home bucket must answer."""
+
+    shape: str
+    component: str | None
+    answer: Callable
+
+
+def _class_answer(cls_key, vk, graph, is_local_key, is_instance_fn):
+    """sh:class: a literal is a violation outright; a local node answers
+    from its own rdf:type arcs; a remote one is a ``class:`` dependency."""
+    if vk.startswith("L"):
+        return False
+    return is_instance_fn(vk, cls_key) if is_local_key(vk) else None
+
+
+def _term_local_answer(schema, se, vk, graph, is_local_key, is_instance_fn):
+    """A ShEx ref whose shape needs no neighborhood evaluates term-locally."""
+    return ShExValidator(schema, graph).satisfies(key_to_term(vk), se)
+
+
+def _home_answer(vk, graph, is_local_key, is_instance_fn):
+    """A ShEx ref over a neighborhood is always a dependency — also for a
+    local value, so the worklist evaluates (and types) it."""
+    return None
+
+
+def _node_constraint_ok(nc: dict, vk: str) -> bool:
+    return check_node_constraint(key_to_term(vk), nc)
+
+
+def _shacl_entries(psh: dict | None, pk: str) -> list | None:
+    """One property shape's entries: one over its path's arcs, plus one
+    per sh:hasValue (a qualified count of the arcs holding the value).
+    None when the property shape is not vectorizable."""
+    if (
+        not psh
+        or psh.get("deactivated")
+        or psh.get("closed")
+        or psh.get("properties")
+        or not (psh.get("path") and set(psh["path"]) == {"pred"})
+    ):
+        return None
+    meta = {
+        "pred": psh["path"]["pred"],
+        "source": pk,
+        "severity": psh["severity"],
+        "message": psh["messages"][0] if psh["messages"] else "",
+    }
+    entry = dict(meta, checks=[], probes=[], min=0, max=-1, qualified=False)
+    entries = [entry]
+    bounds: set = set()
+    for kind, params in psh["components"]:
+        component = _component_iri(kind[0].upper() + kind[1:])
+        if kind in ("minCount", "maxCount"):
+            if kind in bounds:  # the per-focus path reports each copy
+                return None
+            bounds.add(kind)
+            entry["min" if kind == "minCount" else "max"] = params["n"]
+        elif kind in ("minLength", "maxLength"):
+            entry["checks"].append((kind, params["n"], component))
+        elif kind == "datatype" and params["iri"] in _VEC_DATATYPES:
+            entry["checks"].append((kind, params["iri"], component))
+        elif kind == "nodeKind" and params["iri"] in _NODEKIND_ALLOWED:
+            entry["checks"].append(
+                (kind, _NODEKIND_ALLOWED[params["iri"]], component)
+            )
+        elif kind == "pattern":
+            entry["checks"].append(
+                (kind, (params["pattern"], params.get("flags", "")), component)
+            )
+        elif kind in _RANGE_KINDS:
+            blex, bdt = params["value"]
+            test = partial(_num_bound_ok, kind=kind, blex=blex, bdt=bdt)
+            entry["checks"].append(("scalar", test, component))
+        elif kind == "in":
+            entry["checks"].append((kind, list(params["values"]), component))
+        elif kind == "hasValue":
+            entries.append(
+                dict(meta, checks=[("in", [params["value"]], None)], probes=[],
+                     min=1, max=-1, qualified=True)
+            )
+        elif kind == "class":
+            entry["probes"].append(
+                _Probe("class:" + params["cls"], component,
+                       partial(_class_answer, params["cls"]))
+            )
+        else:
+            return None
+    return entries
+
+
+def flat_shacl_profile(schema: dict) -> dict[str, FlatShape]:
+    """shape_key -> FlatShape for node shapes whose property shapes all
+    vectorize (absent = use the per-focus Python path)."""
+    out: dict[str, FlatShape] = {}
     for skey, sh in schema.get("shapes", {}).items():
         if not sh or sh.get("path") is not None:
             continue
         if sh.get("deactivated") or sh.get("closed") or sh.get("components"):
             continue
-        props = []
-        ok = True
+        entries = []
         for pk in sh.get("properties", []):
-            psh = schema["shapes"].get(pk)
-            if (
-                not psh
-                or psh.get("deactivated")
-                or psh.get("closed")
-                or psh.get("properties")
-                or not (psh.get("path") and set(psh["path"]) == {"pred"})
-            ):
-                ok = False
+            got = _shacl_entries(schema["shapes"].get(pk), pk)
+            if got is None:
                 break
-            prof = {
-                "pred": psh["path"]["pred"],
-                "key": pk,
-                "severity": psh["severity"],
-                "message": psh["messages"][0] if psh["messages"] else "",
-                "checks": [],
-            }
-            for kind, params in psh["components"]:
-                if kind in ("minCount", "maxCount", "minLength", "maxLength"):
-                    prof["checks"].append((kind, params["n"]))
-                elif kind == "datatype" and params["iri"] in _VEC_DATATYPE_RE:
-                    prof["checks"].append((kind, params["iri"]))
-                elif kind == "nodeKind" and params["iri"] in _NODEKIND_ALLOWED:
-                    prof["checks"].append((kind, params["iri"]))
-                elif kind == "class":
-                    prof["checks"].append((kind, params["cls"]))
-                elif kind == "pattern":
-                    prof["checks"].append(
-                        (kind, (params["pattern"], params.get("flags", "")))
-                    )
-                elif kind in (
-                    "minInclusive", "minExclusive", "maxInclusive", "maxExclusive",
-                ):
-                    prof["checks"].append((kind, params["value"]))
-                elif kind == "in":
-                    prof["checks"].append((kind, list(params["values"])))
-                elif kind == "hasValue":
-                    prof["checks"].append((kind, params["value"]))
-                else:
-                    ok = False
-                    break
-            if not ok:
-                break
-            props.append(prof)
-        if ok:
-            out[skey] = props
+            entries += got
+        else:
+            out[skey] = FlatShape(entries, _shacl_finalize)
     return out
+
+
+def _report_row(e: dict, focus: str, component: str, value=None) -> dict:
+    return {
+        "focus": focus,
+        "path": e["pred"],
+        "value": value,
+        "component": component,
+        "severity": e["severity"],
+        "source": e["source"],
+        "message": e["message"],
+    }
+
+
+def _shacl_finalize(entries, node_keys, part):
+    """SHACL: a count outside its entry's bounds is one more report row —
+    sh:minCount / sh:maxCount count every arc, sh:hasValue the arcs
+    holding the value — and a node conforms when it has no row."""
+    reports = [list(r) for r in part.rows]
+    max_count = _component_iri("MaxCount")
+    for i, e in enumerate(entries):
+        n = part.sat[:, i] if e["qualified"] else part.arcs[:, i]
+        low = _component_iri("HasValue" if e["qualified"] else "MinCount")
+        for pos in np.flatnonzero(n < e["min"]):
+            reports[pos].append(_report_row(e, node_keys[pos], low))
+        if e["max"] != -1:
+            for pos in np.flatnonzero(n > e["max"]):
+                reports[pos].append(_report_row(e, node_keys[pos], max_count))
+    return np.array([not r for r in reports], dtype=bool), reports
 
 
 def _subj_key_col(subj) -> pa.Array:
@@ -793,17 +900,35 @@ def _num_bound_ok(vk: str, kind: str, blex: str, bdt: str) -> bool:
     }[kind]
 
 
-def flat_shex_profile(schema: dict) -> dict[str, list]:
-    """ShEx label -> list of vectorizable TC profiles, for shapes that are
-    a plain (optionally EXTRA) flat EachOf of forward TripleConstraints
-    with pairwise-distinct predicates — the counting decomposition
-    (SURVEY.md C4) evaluated with Arrow kernels. valueExprs: None / plain
-    shape refs (probe protocol) / NodeConstraints over ALL facet families
-    (nodeKind, datatype, value sets, pattern, length, numeric,
-    total/fractiondigits) — the simple subsets run fully Arrow-vectorized,
-    the rest evaluate exactly once per DISTINCT value via the
-    conformance-verified scalar and broadcast by dictionary codes."""
-    out: dict[str, list] = {}
+def _shex_checks(nc: dict) -> list:
+    """A NodeConstraint's value checks: the nodeKind / xsd:string / IRI
+    value-set subset as Arrow checks; any other facet family (pattern,
+    length, numeric, typed datatypes, literal value sets) as ONE exact
+    per-distinct-value check through the conformance-verified scalar."""
+    if (
+        set(nc) <= {"type", "nodeKind", "datatype", "values"}
+        and nc.get("nodeKind", "iri") in _SHEX_NODEKIND
+        and nc.get("datatype", _XSD + "string") in _VEC_DATATYPES
+        and all(isinstance(v, str) for v in nc.get("values", []))
+    ):
+        checks = []
+        if "nodeKind" in nc:
+            checks.append(("nodeKind", _SHEX_NODEKIND[nc["nodeKind"]], None))
+        if "datatype" in nc:
+            checks.append(("datatype", nc["datatype"], None))
+        if "values" in nc:
+            checks.append(("in", ["I" + v for v in nc["values"]], None))
+        return checks
+    return [("scalar", partial(_node_constraint_ok, nc), None)]
+
+
+def flat_shex_profile(schema: dict) -> dict[str, FlatShape]:
+    """ShEx label -> FlatShape, for shapes that are a plain (optionally
+    EXTRA) flat EachOf of forward TripleConstraints with pairwise-distinct
+    predicates — the counting decomposition (SURVEY.md C4). valueExprs:
+    None / plain shape refs (probes) / NodeConstraints over ALL facet
+    families (``_shex_checks``)."""
+    out: dict[str, FlatShape] = {}
     if schema.get("_matching") == "greedy":
         # greedy matching is arc-order-sensitive; the counting kernels are
         # order-free — route every shape through the exact per-focus walk
@@ -839,233 +964,204 @@ def flat_shex_profile(schema: dict) -> dict[str, list]:
         if len(set(preds)) != len(preds):
             continue
         extra = set(se.get("extra", []) or [])
-        profs = []
-        ok = True
+        entries = []
         for tc in tcs:
             if tc.get("inverse") or "id" in tc or tc.get("semActs"):
-                ok = False
                 break
-            prof = {
+            entry = {
                 "pred": tc["predicate"],
+                "checks": [],
+                "probes": [],
                 "min": tc.get("min", 1),
                 "max": tc.get("max", 1),
-                "extra": tc["predicate"] in extra,
-                "check": None,  # None | ("nc", nc-dict masks) | ("ref", label)
+                "qualified": tc["predicate"] in extra,
             }
             ve = tc.get("valueExpr")
-            if ve is None:
-                pass
-            elif isinstance(ve, str):
-                prof["check"] = ("ref", ve)
+            if isinstance(ve, str):
+                ref = schema["shapes"].get(ve)
+                local = ref is not None and not _needs_neighborhood(ref, schema)
+                answer = (
+                    partial(_term_local_answer, schema, ref) if local else _home_answer
+                )
+                entry["probes"].append(_Probe(ve, None, answer))
             elif isinstance(ve, dict) and ve.get("type") == "NodeConstraint":
-                known = {
+                if set(ve) - {
                     "type", "nodeKind", "datatype", "values",
                     "length", "minlength", "maxlength", "pattern", "flags",
                     "mininclusive", "minexclusive", "maxinclusive",
                     "maxexclusive", "totaldigits", "fractiondigits",
-                }
-                if set(ve) - known:
-                    ok = False
+                }:
                     break
-                prof["check"] = ("nc", ve)
-            else:
-                ok = False
+                entry["checks"] = _shex_checks(ve)
+            elif ve is not None:
                 break
-            profs.append(prof)
-        if ok:
-            out[lbl] = profs
+            entries.append(entry)
+        else:
+            out[lbl] = FlatShape(entries, _shex_finalize)
     return out
 
 
-def flat_shex_eval_kernel(
-    profile: list,
-    node_keys: list[str],
-    graph: "LazyBucketGraph",
-    ref_probe,
-):
-    """Vectorized flat-ShEx counting evaluation (C4 decomposition at
-    bucket granularity): per TC, count matching arcs and arcs whose value
-    satisfies the valueExpr; non-EXTRA predicates need every arc to match
-    AND the total in [min,max]; EXTRA predicates bound only the satisfying
-    count (exactly ShExValidator._match_flat, fuzzed in
-    tests/test_property.py). ``ref_probe(value_key, label)`` returns
-    True / False / "dep". Returns (conforms: bool[n] , blocked: {pos: deps})."""
-    idx = graph._fwd
-    n = len(node_keys)
-    # vectorized ragged-range gather + column-at-a-time lazy takes (same
-    # allocation discipline as flat_eval_kernel: Arrow columns for the
-    # pred-matching rows only, no object-dtype numpy)
-    codes = np.fromiter(
-        (idx._code.get(nk, -1) for nk in node_keys), dtype=np.int64, count=n
-    )
-    have = np.flatnonzero(codes >= 0)
-    if len(have):
-        starts = idx._starts[codes[have]]
-        lens = idx._starts[codes[have] + 1] - starts
-        total = int(lens.sum())
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        rows = np.repeat(starts, lens) + (np.arange(total) - offsets)
-        subj_of_row = np.repeat(have, lens)
-        pred_np = idx._tbl.column("pred").take(pa.array(rows)).combine_chunks()
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        subj_of_row = rows
-        pred_np = None
+def _shex_finalize(entries, node_keys, part):
+    """ShEx (exactly ShExValidator._match_flat): an EXTRA predicate bounds
+    only its satisfying arcs; any other needs every arc to satisfy and
+    bounds them all. No report rows."""
+    ok = np.ones(len(node_keys), dtype=bool)
+    for i, e in enumerate(entries):
+        arcs, sat = part.arcs[:, i], part.sat[:, i]
+        n = sat if e["qualified"] else arcs
+        ok &= n >= e["min"]
+        if e["max"] != -1:
+            ok &= n <= e["max"]
+        if not e["qualified"]:
+            ok &= sat == arcs
+    return ok, part.rows
 
-    ok_nodes = np.ones(n, dtype=bool)
-    blocked: dict[int, set] = {}
-    probe_memo: dict[tuple[str, str], object] = {}
 
-    for prof in profile:
-        if pred_np is not None:
-            pmask = pc.equal(pred_np, prof["pred"]).to_numpy(zero_copy_only=False)
-        else:
-            pmask = np.zeros(0, dtype=bool)
-        c_tot = np.zeros(n, dtype=np.int64)
-        np.add.at(c_tot, subj_of_row[pmask], 1)
+_FLAT_PROFILES = {"shacl": flat_shacl_profile, "shex": flat_shex_profile}
 
-        sel = np.flatnonzero(pmask)
-        subj_sel = subj_of_row[sel]
-        sel_pa = pa.array(rows[sel]) if len(sel) else None
-        _pcols: dict[str, pa.Array] = {}
 
-        def getpcol(name: str, _sp=sel_pa, _c=_pcols):
-            if _sp is None:
-                return None
-            a = _c.get(name)
-            if a is None:
-                a = _c[name] = idx._tbl.column(name).take(_sp).combine_chunks()
-            return a
+class FlatPartial(NamedTuple):
+    """A flat shape's evaluation of n focus nodes before its finalize
+    rule. Per (focus, entry): ``arcs``, the arc count, and ``sat``, the
+    arcs that pass every value check and every answered probe (int64
+    [n, entries]). Per focus: ``rows``, its failing-value report rows, and
+    ``pending``, its arcs with unanswered probes as ``{(entry, value key):
+    [arcs, passed so far, unanswered probe indices]}``."""
 
-        _vk: list = []
+    arcs: np.ndarray
+    sat: np.ndarray
+    rows: list
+    pending: list
 
-        def vk_arr(_sp=sel_pa, _vk=_vk):
-            if not _vk:
-                _vk.append(
-                    _obj_key_col(idx._tbl.take(_sp))
-                    if _sp is not None
-                    else pa.array([], pa.string())
-                )
-            return _vk[0]
-
-        check = prof["check"]
-        _nc_fast = (
-            check is not None
-            and check[0] == "nc"
-            and set(check[1]) <= {"type", "nodeKind", "datatype", "values"}
-            and check[1].get("datatype") in (None, _XSD + "string")
-            and all(isinstance(v, str) for v in check[1].get("values", []))
+    def node(self, pos: int) -> "FlatPartial":
+        """The one-node partial of node ``pos``."""
+        return FlatPartial(
+            self.arcs[pos : pos + 1].copy(),
+            self.sat[pos : pos + 1].copy(),
+            [self.rows[pos]],
+            [self.pending[pos]],
         )
-        if check is None or sel_pa is None:
-            sat_local = np.ones(len(sel), dtype=bool)
-        elif check[0] == "nc" and not _nc_fast:
-            # full facet families (pattern / length / numeric / typed
-            # datatypes / literal value sets): exact per-DISTINCT-value
-            # evaluation via the conformance-verified scalar, broadcast
-            # to arcs by dictionary codes — per-vocabulary Python, never
-            # per-row
-            from shaclex_ray.validate.nodecheck import check_node_constraint
 
-            nc = check[1]
-            dic = pc.dictionary_encode(vk_arr())
-            dvals = dic.dictionary.to_pylist()
-            if dvals:
-                dcodes = dic.indices.to_numpy(zero_copy_only=False)
-                okd = np.fromiter(
-                    (check_node_constraint(key_to_term(v), nc) for v in dvals),
-                    dtype=bool,
-                    count=len(dvals),
-                )
-                sat_local = okd[dcodes]
-            else:
-                sat_local = np.ones(0, dtype=bool)
-        elif check[0] == "nc":
-            nc = check[1]
-            ga = None
 
-            def andm(x):
-                nonlocal ga
-                ga = x if ga is None else pc.and_(ga, x)
+class _EntryArcs:
+    """One entry's arcs among the gathered ones: columns are taken on
+    first use only and stay ARROW (no object-dtype numpy, no per-row
+    Python strings); the object term keys render and dictionary-encode
+    once, for every check and probe of the entry."""
 
-            okind = getpcol("obj_kind")
-            nk_kind = nc.get("nodeKind")
-            if nk_kind == "iri":
-                andm(pc.equal(okind, "iri"))
-            elif nk_kind == "bnode":
-                andm(pc.equal(okind, "bnode"))
-            elif nk_kind == "literal":
-                andm(pc.equal(okind, "literal"))
-            elif nk_kind == "nonliteral":
-                andm(pc.not_equal(okind, "literal"))
-            if "datatype" in nc:  # xsd:string only (profile-enforced)
-                andm(
-                    pc.and_(
-                        pc.equal(okind, "literal"),
-                        pc.equal(getpcol("obj_dt"), nc["datatype"]),
-                    )
-                )
-            if "values" in nc:
-                allowed = pa.array(["I" + v for v in nc["values"]])
-                andm(pc.is_in(vk_arr(), value_set=allowed))
-            if ga is None:
-                sat_local = np.ones(len(sel), dtype=bool)
-            else:
-                sat_local = pc.fill_null(ga, False).to_numpy(zero_copy_only=False)
-        else:  # ("ref", label): resolve per DISTINCT value via the probe
-            label = check[1]
-            sat_local = np.ones(len(sel), dtype=bool)
-            dic = pc.dictionary_encode(vk_arr())
-            dvals = dic.dictionary.to_pylist()
-            dcodes = dic.indices.to_numpy(zero_copy_only=False)
-            st_false = np.zeros(len(dvals), dtype=bool)
-            dep_dis = []
-            for di, v in enumerate(dvals):
-                st = probe_memo.get((v, label))
-                if st is None:
-                    st = ref_probe(v, label)
-                    probe_memo[(v, label)] = st
-                if st == "dep":
-                    dep_dis.append(di)
-                elif st is False:
-                    st_false[di] = True
-            sat_local[st_false[dcodes]] = False
-            if dep_dis:
-                for j in np.flatnonzero(np.isin(dcodes, dep_dis)):
-                    blocked.setdefault(int(subj_sel[j]), set()).add(
-                        (dvals[dcodes[j]], label)
-                    )
+    def __init__(self, tbl: pa.Table, rows: np.ndarray):
+        self._tbl, self._rows = tbl, pa.array(rows)
+        self._cols: dict[str, pa.Array] = {}
+        self._keys = self._distinct = None
 
-        c_sat = np.zeros(n, dtype=np.int64)
-        np.add.at(c_sat, subj_sel[sat_local], 1)
-        mn, mx = prof["min"], prof["max"]
-        if prof["extra"]:
-            tc_ok = c_sat >= mn
-            if mx != -1:
-                tc_ok &= c_sat <= mx
-        else:
-            tc_ok = (c_sat == c_tot) & (c_tot >= mn)
-            if mx != -1:
-                tc_ok &= c_tot <= mx
-        ok_nodes &= tc_ok
+    def __len__(self) -> int:
+        return len(self._rows)
 
-    return ok_nodes, blocked
+    def col(self, name: str) -> pa.Array:
+        a = self._cols.get(name)
+        if a is None:
+            a = self._cols[name] = (
+                self._tbl.column(name).take(self._rows).combine_chunks()
+            )
+        return a
+
+    def keys(self) -> pa.Array:
+        if self._keys is None:
+            cols = ("obj_kind", "obj_lex", "obj_dt", "obj_lang")
+            self._keys = _obj_key_col(pa.table({c: self.col(c) for c in cols}))
+        return self._keys
+
+    def distinct(self) -> tuple[list, np.ndarray]:
+        """(distinct object keys, each arc's index among them)."""
+        if self._distinct is None:
+            dic = pc.dictionary_encode(self.keys())
+            self._distinct = (
+                dic.dictionary.to_pylist(),
+                dic.indices.to_numpy(zero_copy_only=False),
+            )
+        return self._distinct
+
+
+def _check_mask(op: str, param, arcs: _EntryArcs) -> np.ndarray:
+    """bool per arc: does its object pass the value check?"""
+    if op == "scalar":
+        # exact per-DISTINCT-value Python, broadcast by dictionary codes
+        dvals, dcodes = arcs.distinct()
+        okd = np.fromiter((param(v) for v in dvals), dtype=bool, count=len(dvals))
+        return okd[dcodes]
+    if op == "pattern":
+        return _pattern_mask(*param, arcs)
+    okind = arcs.col("obj_kind")
+    if op == "nodeKind":
+        m = pc.is_in(okind, value_set=pa.array(list(param)))
+    elif op == "datatype":
+        m = pc.and_(pc.equal(okind, "literal"), pc.equal(arcs.col("obj_dt"), param))
+    elif op == "in":
+        m = pc.is_in(arcs.keys(), value_set=pa.array(param, pa.string()))
+    else:  # minLength / maxLength: a blank node has no length
+        ln = pc.utf8_length(arcs.col("obj_lex"))
+        cmp = pc.greater_equal if op == "minLength" else pc.less_equal
+        m = pc.and_(cmp(ln, param), pc.not_equal(okind, "bnode"))
+    return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
+
+
+def _pattern_mask(pat: str, flags: str, arcs: _EntryArcs) -> np.ndarray:
+    """sh:pattern per arc: RE2-safe patterns run in Arrow, the rest with
+    Python's re once per DISTINCT lexical form (broadcast by dictionary
+    codes); a blank node never matches, nor does anything when the
+    pattern does not compile."""
+    try:
+        rx = compile_pattern(pat, flags)
+    except re.error:
+        return np.zeros(len(arcs), dtype=bool)
+    lex = arcs.col("obj_lex")
+    if _arrow_regex_safe(pat, flags):
+        apat = ("(?" + flags + ")" if flags else "") + pat
+        good = pc.fill_null(pc.match_substring_regex(lex, apat), False).to_numpy(
+            zero_copy_only=False
+        )
+    else:
+        dic = pc.dictionary_encode(lex)
+        dvals = dic.dictionary.to_pylist()
+        okd = np.fromiter(
+            (rx.search(s) is not None for s in dvals), dtype=bool, count=len(dvals)
+        )
+        good = okd[dic.indices.to_numpy(zero_copy_only=False)]
+    return good & pc.not_equal(arcs.col("obj_kind"), "bnode").to_numpy(
+        zero_copy_only=False
+    )
+
+
+def _add_rows(reports, e, node_keys, subj, component, ea, bad) -> None:
+    """Failing-value report rows of entry ``e`` for the arcs at ``bad``."""
+    if not len(bad):
+        return
+    values = ea.keys().take(pa.array(bad)).to_pylist()
+    for j, v in zip(bad, values):
+        reports[subj[j]].append(_report_row(e, node_keys[subj[j]], component, v))
 
 
 def flat_eval_kernel(
-    profile: list,
+    profile: FlatShape,
     node_keys: list[str],
     graph: "LazyBucketGraph",
     assumptions: dict,
     is_local_key,
     is_instance_fn,
 ):
-    """Vectorized flat-SHACL evaluation of MANY focus nodes over the
-    bucket's columnar arc table: Arrow/numpy kernels instead of a
-    per-focus Python walk. Returns (viol: bool[n], blocked: {pos: deps},
-    reports: list-of-row-lists per node). Semantics are pinned to
-    ShaclValidator.validate_shape (fuzzed in tests/test_property.py)."""
+    """Vectorized evaluation of one flat shape for MANY focus nodes over
+    the bucket's columnar arc table: each node's arcs gather once, every
+    entry's value checks run as Arrow/numpy kernels and its probes once
+    per distinct value (assumption first, then the probe's bucket-local
+    answer), giving a ``FlatPartial``; the shape's finalize rule turns it
+    into verdicts and report rows. Returns ``(conforms: bool[n], report
+    rows per node, partial)``; a node with pending probes has no verdict
+    yet — it resumes through ``flat_resume``. Semantics are pinned to
+    ShaclValidator.validate_shape and ShExValidator (fuzzed in
+    tests/test_property.py)."""
+    entries = profile.entries
     idx = graph._fwd
-    n = len(node_keys)
+    n, k = len(node_keys), len(entries)
 
     # gather each focus node's arc-row range from the sorted index —
     # vectorized ragged-range expansion (no per-node np.arange)
@@ -1073,303 +1169,115 @@ def flat_eval_kernel(
         (idx._code.get(nk, -1) for nk in node_keys), dtype=np.int64, count=n
     )
     have = np.flatnonzero(codes >= 0)
-    if len(have):
-        starts = idx._starts[codes[have]]
-        lens = idx._starts[codes[have] + 1] - starts
-        total = int(lens.sum())
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        rows = np.repeat(starts, lens) + (np.arange(total) - offsets)
-        subj_of_row = np.repeat(have, lens)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        subj_of_row = rows
+    starts = idx._starts[codes[have]]
+    lens = idx._starts[codes[have] + 1] - starts
+    arc_rows = np.repeat(starts, lens) + _ragged_arange(lens)
+    subj_of_row = np.repeat(have, lens)
+    preds = idx._tbl.column("pred").take(pa.array(arc_rows)).combine_chunks()
 
-    # column-at-a-time lazy gather: only the columns a check touches are
-    # taken, and they stay ARROW (no object-dtype numpy, no per-row Python
-    # strings) — the per-round transient heap is O(selected columns), not
-    # O(7-column table + object arrays)
-    rows_pa = pa.array(rows) if len(rows) else None
-    _cols: dict[str, pa.Array] = {}
-
-    def getcol(name: str) -> pa.Array | None:
-        if rows_pa is None:
-            return None
-        a = _cols.get(name)
-        if a is None:
-            a = _cols[name] = idx._tbl.column(name).take(rows_pa).combine_chunks()
-        return a
-
-    def vkeys_for(sel_rows) -> list[str]:
-        """Object term-keys for a SUBSET of gathered rows (built on the
-        slice only — never materialized for the whole arc range)."""
-        if len(sel_rows) == 0:
-            return []
-        sub = idx._tbl.take(pa.array(rows[np.asarray(sel_rows)]))
-        return _obj_key_col(sub).to_pylist()
-
-    pred_np = getcol("pred")
-
-    viol = np.zeros(n, dtype=bool)
-    blocked: dict[int, set] = {}  # node position -> unresolved deps
+    arcs = np.zeros((n, k), dtype=np.int64)
+    sat = np.zeros((n, k), dtype=np.int64)
     reports: list[list] = [[] for _ in range(n)]
-    inst_memo: dict[tuple[str, str], object] = {}
-    # pos -> [(value, class param, profile index)] for dep-unresolved class
-    # checks: lets later rounds resolve JUST the deps from a stored partial
-    # instead of re-running the whole kernel (see BucketWorker._flat_eval)
-    pending_class: dict[int, list] = {}
+    pending: list[dict] = [{} for _ in range(n)]
+    # (value key, probe shape) -> 1 / 0 / -1 (ask the home bucket)
+    answers: dict[tuple[str, str], int] = {}
 
-    for prof_i, prof in enumerate(profile):
-        pred = prof["pred"]
-        if pred_np is not None:
-            pmask = pc.equal(pred_np, pred).to_numpy(zero_copy_only=False)
-        else:
-            pmask = np.zeros(0, dtype=bool)
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(counts, subj_of_row[pmask], 1)
-
-        # value-level checks see only THIS predicate's rows (sel):
-        # column takes shrink from |gathered rows| to |pred matches|
-        sel = np.flatnonzero(pmask)
-        sel_pa = pa.array(rows[sel]) if len(sel) else None
-        _pcols: dict[str, pa.Array] = {}
-
-        def getpcol(name: str) -> pa.Array | None:
-            if sel_pa is None:
-                return None
-            a = _pcols.get(name)
-            if a is None:
-                a = _pcols[name] = (
-                    idx._tbl.column(name).take(sel_pa).combine_chunks()
-                )
-            return a
-
-        _vkc: list = []
-
-        def vk_all(_sp=sel_pa, _v=_vkc):
-            """Object term-keys for ALL of this predicate's rows (built
-            once per profile, shared by the value-facet checks)."""
-            if not _v:
-                _v.append(
-                    _obj_key_col(idx._tbl.take(_sp))
-                    if _sp is not None
-                    else pa.array([], pa.string())
-                )
-            return _v[0]
-
-        def emit_rows(node_positions, component, values=None):
-            for j, pos in enumerate(node_positions):
-                reports[pos].append(
-                    {
-                        "focus": node_keys[pos],
-                        "path": pred,
-                        "value": values[j] if values is not None else None,
-                        "component": _component_iri(component),
-                        "severity": prof["severity"],
-                        "source": prof["key"],
-                        "message": prof["message"],
-                    }
-                )
-
-        for kind, param in prof["checks"]:
-            if kind == "minCount":
-                bad = np.flatnonzero(counts < param)
-                viol[bad] = True
-                emit_rows(bad, "MinCount")
-            elif kind == "maxCount":
-                bad = np.flatnonzero(counts > param)
-                viol[bad] = True
-                emit_rows(bad, "MaxCount")
-            elif kind == "datatype":
-                rx = _VEC_DATATYPE_RE[param]
-                okind = getpcol("obj_kind")
-                if okind is None:
-                    bad_local = np.zeros(0, dtype=np.int64)
-                else:
-                    good_a = pc.and_(
-                        pc.equal(okind, "literal"),
-                        pc.equal(getpcol("obj_dt"), param),
-                    )
-                    if rx is not None:
-                        good_a = pc.and_(
-                            good_a,
-                            pc.match_substring_regex(getpcol("obj_lex"), rx),
-                        )
-                    good = pc.fill_null(good_a, False).to_numpy(
-                        zero_copy_only=False
-                    )
-                    bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        "Datatype",
-                        values=vkeys_for(bad_rows),
-                    )
-            elif kind == "nodeKind":
-                allowed = _NODEKIND_ALLOWED[param]
-                okind = getpcol("obj_kind")
-                if okind is None:
-                    bad_local = np.zeros(0, dtype=np.int64)
-                else:
-                    good = pc.is_in(
-                        okind, value_set=pa.array(list(allowed))
-                    ).to_numpy(zero_copy_only=False)
-                    bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        "NodeKind",
-                        values=vkeys_for(bad_rows),
-                    )
-            elif kind == "class":
-                crow = sel
-                if not len(crow):
-                    continue
-                vk = vkeys_for(crow)
-                okind_small = getpcol("obj_kind").to_pylist()
-                # literal values violate outright; iri/bnode values need
-                # an instance check (local lookup / cross-bucket dep),
-                # resolved once per DISTINCT value
-                for j, r in enumerate(crow):
-                    v = vk[j]
-                    pos = subj_of_row[r]
-                    if okind_small[j] == "literal":
-                        viol[pos] = True
-                        emit_rows([pos], "Class", values=[v])
-                        continue
-                    memo_key = (v, param)
-                    st = inst_memo.get(memo_key)
-                    if st is None:
-                        a = assumptions.get((v, "class:" + param))
-                        if a is not None:
-                            st = bool(a)
-                        elif is_local_key(v):
-                            st = is_instance_fn(v, param)
-                        else:
-                            st = "dep"
-                        inst_memo[memo_key] = st
-                    if st == "dep":
-                        blocked.setdefault(pos, set()).add((v, "class:" + param))
-                        pending_class.setdefault(pos, []).append(
-                            (v, param, prof_i)
-                        )
-                    elif st is False:
-                        viol[pos] = True
-                        emit_rows([pos], "Class", values=[v])
-            elif kind in ("minLength", "maxLength"):
-                okind = getpcol("obj_kind")
-                if okind is None:
-                    continue
-                ln = pc.utf8_length(getpcol("obj_lex")).to_numpy(
-                    zero_copy_only=False
-                )
-                good = (ln >= param) if kind == "minLength" else (ln <= param)
-                good &= pc.not_equal(okind, "bnode").to_numpy(zero_copy_only=False)
-                bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        kind[0].upper() + kind[1:],
-                        values=pc.take(vk_all(), pa.array(bad_local)).to_pylist(),
-                    )
-            elif kind == "pattern":
-                okind = getpcol("obj_kind")
-                if okind is None:
-                    continue
-                pat, pflags = param
-                import re as _re
-
-                try:
-                    rx = compile_pattern(pat, pflags)
-                except _re.error:
-                    rx = None
-                lex = getpcol("obj_lex")
-                if rx is None:
-                    good = np.zeros(len(sel), dtype=bool)
-                elif _arrow_regex_safe(pat, pflags):
-                    apat = ("(?" + pflags + ")" if pflags else "") + pat
-                    good = pc.fill_null(
-                        pc.match_substring_regex(lex, apat), False
-                    ).to_numpy(zero_copy_only=False)
-                else:
-                    # exact per-DISTINCT-lexical Python regex, broadcast
-                    # by dictionary codes (vocabulary-bounded, not per-row)
-                    dic = pc.dictionary_encode(lex)
-                    dvals = dic.dictionary.to_pylist()
-                    okd = np.fromiter(
-                        (rx.search(s) is not None for s in dvals),
-                        dtype=bool,
-                        count=len(dvals),
-                    )
-                    good = okd[dic.indices.to_numpy(zero_copy_only=False)]
-                if rx is not None:
-                    good &= pc.not_equal(okind, "bnode").to_numpy(
-                        zero_copy_only=False
-                    )
-                bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        "Pattern",
-                        values=pc.take(vk_all(), pa.array(bad_local)).to_pylist(),
-                    )
-            elif kind in (
-                "minInclusive", "minExclusive", "maxInclusive", "maxExclusive",
+    for i, e in enumerate(entries):
+        # value-level work sees only THIS predicate's arcs: column takes
+        # shrink from |gathered rows| to |pred matches|
+        sel = np.flatnonzero(
+            pc.equal(preds, e["pred"]).to_numpy(zero_copy_only=False)
+        )
+        if not len(sel):
+            continue
+        subj = subj_of_row[sel]
+        arcs[:, i] = np.bincount(subj, minlength=n)
+        ea = _EntryArcs(idx._tbl, arc_rows[sel])
+        ok = np.ones(len(sel), dtype=bool)
+        for op, param, component in e["checks"]:
+            good = _check_mask(op, param, ea)
+            if component is not None:
+                _add_rows(reports, e, node_keys, subj, component, ea,
+                          np.flatnonzero(~good))
+            ok &= good
+        open_ = []
+        for probe in e["probes"]:
+            dvals, dcodes = ea.distinct()
+            st = np.empty(len(dvals), dtype=np.int8)
+            for d, v in enumerate(dvals):
+                key = (v, probe.shape)
+                s = answers.get(key)
+                if s is None:
+                    a = assumptions.get(key)
+                    if a is None:
+                        a = probe.answer(v, graph, is_local_key, is_instance_fn)
+                    s = answers[key] = -1 if a is None else int(bool(a))
+                st[d] = s
+            st = st[dcodes]
+            if probe.component is not None:
+                _add_rows(reports, e, node_keys, subj, probe.component, ea,
+                          np.flatnonzero(st == 0))
+            ok &= st != 0
+            open_.append(st < 0)
+        blocked = np.logical_or.reduce(open_) if open_ else np.zeros(len(sel), bool)
+        sat[:, i] = np.bincount(subj[ok & ~blocked], minlength=n)
+        if blocked.any():
+            dvals, dcodes = ea.distinct()
+            at = np.flatnonzero(blocked)
+            for pos, code, passed, opens in zip(
+                subj[at].tolist(), dcodes[at].tolist(), ok[at].tolist(),
+                np.stack(open_, axis=1)[at].tolist(),
             ):
-                if sel_pa is None:
-                    continue
-                blex, bdt = param
-                dic = pc.dictionary_encode(vk_all())
-                dvals = dic.dictionary.to_pylist()
-                if not dvals:
-                    continue
-                okd = np.fromiter(
-                    (_num_bound_ok(v, kind, blex, bdt) for v in dvals),
-                    dtype=bool,
-                    count=len(dvals),
-                )
-                good = okd[dic.indices.to_numpy(zero_copy_only=False)]
-                bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        kind[0].upper() + kind[1:],
-                        values=pc.take(vk_all(), pa.array(bad_local)).to_pylist(),
-                    )
-            elif kind == "in":
-                if sel_pa is None:
-                    continue
-                good = pc.is_in(
-                    vk_all(), value_set=pa.array(param, pa.string())
-                ).to_numpy(zero_copy_only=False)
-                bad_local = np.flatnonzero(~good)
-                if len(bad_local):
-                    bad_rows = sel[bad_local]
-                    viol[subj_of_row[bad_rows]] = True
-                    emit_rows(
-                        subj_of_row[bad_rows],
-                        "In",
-                        values=pc.take(vk_all(), pa.array(bad_local)).to_pylist(),
-                    )
-            elif kind == "hasValue":
-                has = np.zeros(n, dtype=bool)
-                if sel_pa is not None:
-                    m = pc.equal(vk_all(), param).to_numpy(zero_copy_only=False)
-                    has[subj_of_row[sel[m]]] = True
-                bad = np.flatnonzero(~has)
-                viol[bad] = True
-                emit_rows(bad, "HasValue")
+                got = pending[pos].get((i, dvals[code]))
+                if got is None:
+                    pending[pos][(i, dvals[code])] = [
+                        1, passed, [p for p, o in enumerate(opens) if o]
+                    ]
+                else:
+                    got[0] += 1
 
-    return viol, blocked, reports, pending_class
+    part = FlatPartial(arcs, sat, reports, pending)
+    conforms, rows = profile.finalize(entries, node_keys, part)
+    return conforms, rows, part
+
+
+def flat_resume(profile: FlatShape, focus: str, part: FlatPartial,
+                assumptions: dict) -> FlatPartial:
+    """Merge the answered probes into one node's partial: an arc whose
+    probes are all answered satisfies when it passed so far and every
+    answer is True; a False answer adds its report row (once per arc).
+    The result's pending keeps the probes still unanswered."""
+    (rows,), (pending,) = part.rows, part.pending
+    rows, sat, still = list(rows), part.sat.copy(), {}
+    for (i, v), (mult, ok, open_) in pending.items():
+        e = profile.entries[i]
+        left = []
+        for p in open_:
+            probe = e["probes"][p]
+            a = assumptions.get((v, probe.shape))
+            if a is None:
+                left.append(p)
+            elif not a:
+                ok = False
+                if probe.component is not None:
+                    rows += [
+                        _report_row(e, focus, probe.component, v)
+                        for _ in range(mult)
+                    ]
+        if left:
+            still[(i, v)] = [mult, ok, left]
+        elif ok:
+            sat[0, i] += mult
+    return FlatPartial(part.arcs, sat, [rows], [still])
+
+
+def _pending_deps(profile: FlatShape, pending: dict) -> tuple:
+    """The sorted (value, shape) dependencies of one node's pending arcs."""
+    return tuple(sorted({
+        (v, profile.entries[i]["probes"][p].shape)
+        for (i, v), (_m, _ok, open_) in pending.items()
+        for p in open_
+    }))
 
 
 class _Bucket:
@@ -1415,12 +1323,11 @@ class _Bucket:
         # node-key -> is-local memo (the scalar stable-hash is ~50µs; value
         # nodes repeat heavily across focus pairs)
         self._local_cache: dict[str, bool] = {}
-        # vectorizable-shape profiles (computed lazily once per actor)
-        self._flat_profiles: dict[str, list] | None = None
-        self._flat_shex_profiles: dict[str, list] | None = None
-        # flat pair -> (viol_so_far, report rows, unresolved class deps):
-        # later rounds finish from here instead of re-running the kernel
-        self._flat_partial: dict[tuple[str, str], tuple] = {}
+        # flat-shape check lists (compiled lazily once per call)
+        self._flat_profiles: dict[str, FlatShape] | None = None
+        # blocked flat pair -> its one-node FlatPartial: later rounds
+        # resume from here instead of re-running the kernel
+        self._flat_partial: dict[tuple[str, str], FlatPartial] = {}
         return bucket_id
 
     def load(self, *parts: pa.Table) -> int:
@@ -1625,119 +1532,51 @@ class _Bucket:
             else:
                 del self.blocked_on[pair]
 
-    def _flat_eval(self, shape_key, node_keys, is_local_key, decided, all_deps):
-        """Vectorized evaluation of one flat shape for MANY focus nodes
-        (module-level kernel; this wrapper merges results into worker
-        state). Produces identical verdicts and report rows (multiset) to
-        ShaclValidator.validate_shape — pinned by tests comparing against
-        the local path and fuzzed in tests/test_property.py."""
-        viol, blocked, reports, pending_class = flat_eval_kernel(
-            self._flat_profiles[shape_key],
-            node_keys,
-            self.graph,
-            self.assumptions,
-            is_local_key,
-            self._local_is_instance,
-        )
-        # decide the unblocked; register deps for the blocked (identical
-        # dep combinations share ONE set object — millions of pairs block
-        # on a handful of hub values). Blocked pairs keep a PARTIAL result
-        # (violation state so far + report rows + unresolved class deps):
-        # later rounds resolve just the deps, never re-running the kernel.
+    def _flat_round(self, keys, is_local_key, decided, all_deps):
+        """Evaluate unblocked pending pairs of flat shapes, for either
+        engine. A pair with a stored partial resumes from it: its answered
+        probes merge in and the shape's finalize rule runs again — no
+        kernel re-run over its arcs. The others run the kernel, once per
+        shape. A pair whose partial still waits on probes stores it and
+        blocks on them (identical dep combinations share ONE set object —
+        millions of pairs block on a handful of hub values)."""
+        profiles = self._flat_profiles
+        done = []  # (pair, profile, conforms, reports, partial, position)
+        fresh: dict[str, list] = {}
+        for key in keys:
+            part = self._flat_partial.pop(key, None)
+            if part is None:
+                fresh.setdefault(key[1], []).append(key[0])
+                continue
+            prof = profiles[key[1]]
+            part = flat_resume(prof, key[0], part, self.assumptions)
+            conforms, reports = prof.finalize(prof.entries, [key[0]], part)
+            done.append((key, prof, conforms, reports, part, 0))
+        for sk, nks in sorted(fresh.items()):
+            prof = profiles[sk]
+            conforms, reports, part = flat_eval_kernel(
+                prof, nks, self.graph, self.assumptions, is_local_key,
+                self._local_is_instance,
+            )
+            done.extend(
+                ((nk, sk), prof, conforms, reports, part, pos)
+                for pos, nk in enumerate(nks)
+            )
         interned: dict[tuple, set] = {}
-        for pos, nk in enumerate(node_keys):
-            key = (nk, shape_key)
-            if pos in blocked:
-                sig = tuple(sorted(blocked[pos]))
+        for key, prof, conforms, reports, part, pos in done:
+            if part.pending[pos]:
+                sig = _pending_deps(prof, part.pending[pos])
                 shared = interned.get(sig)
                 if shared is None:
                     shared = interned[sig] = set(sig)
                     all_deps |= {d for d in shared if d not in self.assumptions}
                 self.blocked_on[key] = shared
-                self._flat_partial[key] = (
-                    bool(viol[pos]),
-                    reports[pos],
-                    pending_class.get(pos, []),
-                )
+                self._flat_partial[key] = part.node(pos)
                 continue
-            self.typing[key] = "notConforms" if viol[pos] else "conforms"
+            self.typing[key] = "conforms" if conforms[pos] else "notConforms"
             decided.append(key)
             if key in self.focus_flags:
                 self.reports.extend(reports[pos])
-
-    def _flat_resolve_partial(self, key, decided, all_deps):
-        """Finish a flat-SHACL pair from its stored partial: resolve the
-        remaining class deps against assumptions (emitting the same Class
-        report rows the kernel would), re-block on any still-unanswered
-        dep. Verdict/report parity with a full kernel re-run is pinned by
-        tests/test_dist_regressions.py."""
-        viol_so_far, rows, pend = self._flat_partial[key]
-        profile = self._flat_profiles[key[1]]
-        still = []
-        for v, param, prof_i in pend:
-            a = self.assumptions.get((v, "class:" + param))
-            if a is None:
-                still.append((v, param, prof_i))
-            elif not a:
-                viol_so_far = True
-                prof = profile[prof_i]
-                rows.append(
-                    {
-                        "focus": key[0],
-                        "path": prof["pred"],
-                        "value": v,
-                        "component": _component_iri("Class"),
-                        "severity": prof["severity"],
-                        "source": prof["key"],
-                        "message": prof["message"],
-                    }
-                )
-        if still:
-            self._flat_partial[key] = (viol_so_far, rows, still)
-            deps = {(v, "class:" + p) for v, p, _ in still}
-            self.blocked_on[key] = deps
-            all_deps |= deps
-            return
-        del self._flat_partial[key]
-        self.typing[key] = "notConforms" if viol_so_far else "conforms"
-        decided.append(key)
-        if key in self.focus_flags:
-            self.reports.extend(rows)
-
-    def _shex_ref_probe(self, vkey: str, label: str, is_local_key):
-        """Resolve a flat-ShEx ref valueExpr for one distinct value:
-        assumption → term-local inline evaluation → dependency (the pair
-        is routed to the value's home bucket as normal pending work)."""
-        a = self.assumptions.get((vkey, label))
-        if a is not None:
-            return a
-        se = self.schema["shapes"].get(label)
-        if se is not None and not _needs_neighborhood(se, self.schema):
-            v = ShExValidator(self.schema, self.graph)
-            return v.satisfies(key_to_term(vkey), se)
-        return "dep"
-
-    def _flat_shex_eval(self, shape_key, node_keys, is_local_key, decided, all_deps):
-        """Vectorized flat-ShEx evaluation (no reports in ShEx mode)."""
-        ok_nodes, blocked = flat_shex_eval_kernel(
-            self._flat_shex_profiles[shape_key],
-            node_keys,
-            self.graph,
-            lambda v, lbl: self._shex_ref_probe(v, lbl, is_local_key),
-        )
-        interned: dict[tuple, set] = {}
-        for pos, nk in enumerate(node_keys):
-            key = (nk, shape_key)
-            if pos in blocked:
-                sig = tuple(sorted(blocked[pos]))
-                shared = interned.get(sig)
-                if shared is None:
-                    shared = interned[sig] = set(sig)
-                    all_deps |= {d for d in shared if d not in self.assumptions}
-                self.blocked_on[key] = shared
-                continue
-            self.typing[key] = "conforms" if ok_nodes[pos] else "notConforms"
-            decided.append(key)
 
     def _local_is_instance(self, node_key: str, cls_key: str) -> bool:
         closure = set(
@@ -1785,37 +1624,19 @@ class _Bucket:
         decided = []
         all_deps: set = set()
 
-        # vectorized flat-SHACL pass: pending pairs of vectorizable shapes
-        # evaluate in bulk with Arrow/numpy kernels (per-focus Python walk
-        # only for the rest)
-        flat_handled: set = set()
+        # vectorized flat pass: pending pairs of flat shapes evaluate in
+        # bulk with Arrow/numpy kernels (per-focus Python walk only for
+        # the rest)
+        flat: list = []
         if not self.schema.get("_no_flat"):
-            if self.engine == "shacl":
-                if self._flat_profiles is None:
-                    self._flat_profiles = flat_shacl_profile(self.schema)
-                profiles = self._flat_profiles
-                evaluator = self._flat_eval
-            else:
-                if self._flat_shex_profiles is None:
-                    self._flat_shex_profiles = flat_shex_profile(self.schema)
-                profiles = self._flat_shex_profiles
-                evaluator = self._flat_shex_eval
-            by_shape: dict[str, list] = {}
-            for key in self.pending:
-                if key in self.blocked_on:
-                    continue
-                nk_, sk_ = key
-                if sk_ in profiles:
-                    if key in self._flat_partial:
-                        # deps answered: finish from the stored partial
-                        # (no kernel re-run over the pair's arcs)
-                        self._flat_resolve_partial(key, decided, all_deps)
-                        flat_handled.add(key)
-                        continue
-                    by_shape.setdefault(sk_, []).append(nk_)
-                    flat_handled.add(key)
-            for sk_, nks_ in sorted(by_shape.items()):
-                evaluator(sk_, nks_, is_local_key, decided, all_deps)
+            if self._flat_profiles is None:
+                self._flat_profiles = _FLAT_PROFILES[self.engine](self.schema)
+            flat = [
+                key for key in self.pending
+                if key[1] in self._flat_profiles and key not in self.blocked_on
+            ]
+            self._flat_round(flat, is_local_key, decided, all_deps)
+        flat_handled = set(flat)
 
         for key in list(self.pending):
             if key in flat_handled:
@@ -2053,20 +1874,20 @@ def _reports_to_table(reports: list) -> pa.Table:
 
 
 def _route_tasks(tasks: pa.Table, nbuckets: int) -> dict[int, pa.Table]:
-    """Vectorized (node,shape) routing to buckets."""
+    """Vectorized (node, shape) routing to buckets by ``node_key_bucket``'s
+    rule: an IRI key hashes without its 'I', a blank node as '_:' + its
+    label, a literal as its whole key."""
     if tasks.num_rows == 0:
         return {}
-    nodes = tasks.column("node").to_pandas()
-    subj = nodes.str.slice(1)
-    is_b = nodes.str.startswith("B")
-    subj = subj.where(~is_b, "_:" + subj)
-    is_l = nodes.str.startswith("L")
-    subj = subj.where(~is_l, nodes)
-    buckets = pd.Series(stable_bucket_array(subj.to_numpy(dtype=object), nbuckets))
-    out = {}
-    for b, idx in buckets.groupby(buckets).groups.items():
-        out[int(b)] = tasks.take(pa.array(idx.to_numpy()))
-    return out
+    nodes = tasks.column("node").combine_chunks()
+    body = pc.utf8_replace_slice(nodes, 0, 1, "")
+    home = pc.if_else(
+        pc.starts_with(nodes, "B"),
+        pc.binary_join_element_wise("_:", body, ""),
+        pc.if_else(pc.starts_with(nodes, "L"), nodes, body),
+    )
+    parts = partition(tasks, stable_bucket_array(home, nbuckets), nbuckets)
+    return {b: part for b, part in enumerate(parts) if part.num_rows}
 
 
 def _submit_focus_dataset(focus_ds, workers, nbuckets: int) -> None:

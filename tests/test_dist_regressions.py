@@ -461,6 +461,122 @@ def test_flat_partial_class_violation_rows(ray_session):
     assert sum("ClassConstraintComponent" in c for c in comps) == 2
 
 
+def _validate_in_process(schema, engine, triples, focus, nbuckets):
+    """The fixpoint over ``nbuckets`` in-process ``_Bucket``s, driven by
+    the fleet's loop through plain method calls (so a test can watch the
+    kernels). Returns the typing table."""
+    from shaclex_ray.stages.exchange import run_split
+    from shaclex_ray.validate import dist
+
+    dist.register_inline_shapes(schema)
+    schema["_has_inverse"] = False
+    parts = run_split(
+        dist._route_arcs, (False,), nbuckets, dist.ARC_SCHEMA, dist.ARC_COLS,
+        triples,
+    )
+    buckets = [dist._Bucket() for _ in range(nbuckets)]
+    try:
+        for b, bucket in enumerate(buckets):
+            bucket.open(schema, engine, nbuckets, b)
+        loads = [bucket.load(part) for bucket, part in zip(buckets, parts)]
+        (typing, _report), _state = dist._bsp(
+            lambda b, method, *args: getattr(buckets[b], method)(*args),
+            lambda results: results, nbuckets, schema, focus, loads, 12,
+            None, dist._marker(),
+        )
+    finally:
+        for bucket in buckets:
+            bucket.release()
+    return sorted(
+        zip(
+            typing.column("node").to_pylist(),
+            typing.column("shape").to_pylist(),
+            typing.column("val").to_pylist(),
+        )
+    )
+
+
+def test_flat_shex_refs_resume_without_kernel_rerun(monkeypatch):
+    """A flat ShEx shape whose ref values live in other buckets blocks on
+    them and then resumes from its stored partial: the kernel evaluates
+    every pair once, and the typing equals the per-focus path's."""
+    import copy
+    from collections import Counter
+
+    from shaclex_ray.terms import iri, triples_to_table
+    from shaclex_ray.validate import dist
+
+    def tc(pred, ve=None, mn=1, mx=1):
+        return {
+            "type": "TripleConstraint", "predicate": pred, "min": mn, "max": mx,
+            **({"valueExpr": ve} if ve else {}),
+        }
+
+    # S { :p @R+ ; :q ? }   R { :r . }   — R needs a neighborhood, so every
+    # ref value is a dependency answered by its home bucket
+    schema = {
+        "start": None, "te_refs": {}, "imports": [],
+        "shapes": {
+            "http://e/S": {
+                "type": "Shape", "id": "http://e/S",
+                "expression": {
+                    "type": "EachOf",
+                    "expressions": [
+                        tc("http://e/p", "http://e/R", 1, -1),
+                        tc("http://e/q", mn=0),
+                    ],
+                },
+            },
+            "http://e/R": {
+                "type": "Shape", "id": "http://e/R",
+                "expression": tc("http://e/r"),
+            },
+        },
+    }
+    n = 12
+    triples = []
+    for i in range(n):
+        triples.append((iri(f"http://e/n{i}"), "http://e/p", iri(f"http://e/m{i}")))
+        triples.append(
+            (iri(f"http://e/n{i}"), "http://e/p", iri(f"http://e/m{(i + 1) % n}"))
+        )
+        if i % 3:
+            triples.append((iri(f"http://e/m{i}"), "http://e/r", iri("http://e/x")))
+        if i % 4 == 0:
+            triples.append((iri(f"http://e/n{i}"), "http://e/q", iri("http://e/x")))
+    focus = pa.table(
+        {"node": [f"Ihttp://e/n{i}" for i in range(n)], "shape": ["http://e/S"] * n}
+    )
+    nb = 4
+    assert any(
+        dist.node_key_bucket(f"Ihttp://e/n{i}", nb)
+        != dist.node_key_bucket(f"Ihttp://e/m{i}", nb)
+        for i in range(n)
+    )
+
+    runs = Counter()
+    kernel = dist.flat_eval_kernel
+
+    def counting(profile, node_keys, *args):
+        preds = tuple(e["pred"] for e in profile.entries)
+        runs.update((preds, nk) for nk in node_keys)
+        return kernel(profile, node_keys, *args)
+
+    monkeypatch.setattr(dist, "flat_eval_kernel", counting)
+    tbl = triples_to_table(triples)
+    got = _validate_in_process(copy.deepcopy(schema), "shex", tbl, focus, nb)
+    no_flat = dict(copy.deepcopy(schema), _no_flat=True)
+    want = _validate_in_process(no_flat, "shex", tbl, focus, nb)
+
+    assert got == want
+    assert {v for _n, _s, v in got} == {"conforms", "notConforms"}
+    s_preds = ("http://e/p", "http://e/q")
+    assert {nk for preds, nk in runs if preds == s_preds} == set(
+        focus.column("node").to_pylist()
+    )
+    assert set(runs.values()) == {1}, runs
+
+
 def test_vectorized_reverse_key_render_matches_scalar(ray_session):
     """route_arcs' reversed-copy bucketing renders node keys with Arrow
     kernels; it must agree with the scalar node_key/stable_bucket dialect

@@ -243,6 +243,31 @@ def test_file_input_with_an_empty_shard(ray_session, tmp_path, monkeypatch):
         assert out == [("x", 4), ("y", 2)]
 
 
+def _blocks_of(ds) -> list:
+    return [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]
+
+
+def test_reduce_leaves_no_empty_block_for_a_map(ray_session):
+    """A bucket without rows leaves no block, so a map over a reduce sees
+    no zero-row block (``map_batches`` turns one into a block without
+    columns); an all-empty reduce is one typed empty block."""
+    (kern, args), (bkern, bargs) = _sum_split()
+    one_key = ray.put(pa.table({"k": ["a", "a"], "v": pa.array([1, 2], pa.int64())}))
+    plan = exchange.Plan((one_key,), rows=2, nbytes=32, groups=1, buckets=4, cpus=2)
+    refs = exchange.split(kern, args, plan, SCHEMA)
+    assert sum(p.num_rows == 0 for p in ray.get(refs[0])) == 3
+    out = exchange.reduce(refs, bkern, bargs).map_batches(
+        lambda b: b, batch_format="pyarrow"
+    ).materialize()
+    assert [b.column_names for b in _blocks_of(out)] == [["k", "s"]]
+    assert _rows(out) == [("a", 3)]
+
+    refs = exchange.split(kern, args, exchange.plan([]), SCHEMA, nbuckets=3)
+    empty = _blocks_of(exchange.reduce(refs, bkern, bargs))
+    assert [(b.num_rows, b.column_names) for b in empty] == [(0, ["k", "s"])]
+
+
 def test_single_bucket_returns_a_table(ray_session):
     (kern, args), _ = _sum_split()
     plan = exchange.plan(rd.from_arrow(_blocks()[0]))

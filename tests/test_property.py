@@ -207,27 +207,41 @@ _SHACL_ARCS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    props=st.lists(
-        st.tuples(st.sampled_from(_PREDS), _SHACL_CHECKS),
-        min_size=1,
-        max_size=2,
-        unique_by=lambda p: p[0],
-    ),
-    arcs=_SHACL_ARCS,
-    typed=st.booleans(),
-)
-def test_flat_shacl_kernel_matches_validator(props, arcs, typed):
+def _bucket_graph(triples):
+    """A single-bucket LazyBucketGraph over ``triples``."""
     import pyarrow as pa
 
-    from shaclex_ray.terms import iri, term_key, triples_to_table
-    from shaclex_ray.validate.dist import (
-        LazyBucketGraph,
-        flat_eval_kernel,
-        flat_shacl_profile,
+    from shaclex_ray.terms import triples_to_table
+    from shaclex_ray.validate.dist import LazyBucketGraph
+
+    tbl = triples_to_table(triples).select(
+        ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
     )
-    from shaclex_ray.validate.shacl_local import ShaclValidator
+    g = LazyBucketGraph()
+    g.add_part(tbl.append_column("rev", pa.array([False] * tbl.num_rows)))
+    g.finalize()
+    return g
+
+
+def _norm(rows):
+    return sorted(
+        (r["focus"], r["path"], r["value"] or "", r["component"], r["source"])
+        for r in rows
+    )
+
+
+_SHACL_PROPS = st.lists(
+    st.tuples(st.sampled_from(_PREDS), _SHACL_CHECKS),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda p: p[0],
+)
+
+
+def _shacl_case(props, arcs, typed):
+    """(schema, triples, focus) of a generated flat SHACL shape
+    ``Ihttp://e/S`` over one focus node's arcs."""
+    from shaclex_ray.terms import iri
 
     objs = _OBJS + [("iri", "http://e/Cls")]
     focus = iri("http://e/focus")
@@ -242,13 +256,13 @@ def test_flat_shacl_kernel_matches_validator(props, arcs, typed):
             )
         )
 
-    shapes = {
-        "Ihttp://e/S": {
-            "id": "Ihttp://e/S",
+    def shape(sid, path, components):
+        return {
+            "id": sid,
             "targets": [],
             "implicit_class": False,
-            "path": None,
-            "components": [],
+            "path": path,
+            "components": components,
             "properties": [],
             "closed": False,
             "ignored": [],
@@ -256,75 +270,66 @@ def test_flat_shacl_kernel_matches_validator(props, arcs, typed):
             "severity": _SH + "Violation",
             "messages": [],
         }
-    }
+
+    shapes = {"Ihttp://e/S": shape("Ihttp://e/S", None, [])}
     for i, (pred, checks) in enumerate(props):
         pk = f"Ihttp://e/S/p{i}"
-        shapes[pk] = {
-            "id": pk,
-            "targets": [],
-            "implicit_class": False,
-            "path": {"pred": pred},
-            "components": [(k, _shacl_params(k, v)) for k, v in checks],
-            "properties": [],
-            "closed": False,
-            "ignored": [],
-            "deactivated": False,
-            "severity": _SH + "Violation",
-            "messages": [],
-        }
+        shapes[pk] = shape(
+            pk, {"pred": pred}, [(k, _shacl_params(k, v)) for k, v in checks]
+        )
         shapes["Ihttp://e/S"]["properties"].append(pk)
     schema = {"shapes": shapes, "with_targets": [], "subclass_closure": {}}
+    return schema, triples, focus
 
+
+def _is_instance(g):
+    from shaclex_ray.terms import term_key
+
+    def is_instance(nk, cls_key):
+        return any(
+            p == "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+            and term_key(o) == cls_key
+            for p, o in g.arcs_out(nk)
+        )
+
+    return is_instance
+
+
+@settings(max_examples=150, deadline=None)
+@given(props=_SHACL_PROPS, arcs=_SHACL_ARCS, typed=st.booleans())
+def test_flat_shacl_kernel_matches_validator(props, arcs, typed):
+    from shaclex_ray.terms import term_key
+    from shaclex_ray.validate.dist import flat_eval_kernel, flat_shacl_profile
+    from shaclex_ray.validate.shacl_local import ShaclValidator
+
+    schema, triples, focus = _shacl_case(props, arcs, typed)
     profiles = flat_shacl_profile(schema)
     assert "Ihttp://e/S" in profiles  # every generated shape is vectorizable
 
     # reference path
-    from shaclex_ray.validate.local import Graph
-
     v = ShaclValidator(schema, Graph(triples))
     ref_rows = v.validate_shape(term_key(focus), "Ihttp://e/S")
-    def _norm(rows):
-        return sorted(
-            (r["focus"], r["path"], r["value"] or "", r["component"], r["source"])
-            for r in rows
-        )
-
-    ref_rows_n = _norm(ref_rows)
 
     # vectorized kernel over a single-bucket graph (everything local)
-    tbl = triples_to_table(triples).select(
-        ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
-    )
-    g = LazyBucketGraph()
-    g.add_part(tbl.append_column("rev", pa.array([False] * tbl.num_rows)))
-    g.finalize()
-
-    def is_instance(nk, cls_key):
-        from shaclex_ray.terms import term_key as tk
-
-        for p, o in g.arcs_out(nk):
-            if p == "http://www.w3.org/1999/02/22-rdf-syntax-ns#type" and tk(o) == "I" + cls_key[1:]:
-                return True
-        return False
-
-    viol, blocked, reports, _pending = flat_eval_kernel(
+    g = _bucket_graph(triples)
+    conforms, reports, part = flat_eval_kernel(
         profiles["Ihttp://e/S"],
         [term_key(focus)],
         g,
         {},
         lambda nk: True,
-        is_instance,
+        _is_instance(g),
     )
-    assert not blocked  # single bucket: everything resolves locally
-    got_rows_n = _norm(reports[0])
-    assert bool(viol[0]) == bool(ref_rows), (props, arcs, typed)
-    assert got_rows_n == ref_rows_n, (props, arcs, typed)
+    assert not part.pending[0]  # single bucket: everything resolves locally
+    assert bool(conforms[0]) == (not ref_rows), (props, arcs, typed)
+    assert _norm(reports[0]) == _norm(ref_rows), (props, arcs, typed)
 
 
 # ---------------------------------------------------------------------------
 # vectorized flat-ShEx kernel ≡ ShExValidator
 
 _REF_SHAPE = {"type": "NodeConstraint", "nodeKind": "iri"}  # term-local ref
+_FAR_SHAPE = {"type": "Shape"}  # a neighborhood ref: always a dependency
 
 _SHEX_VE = st.one_of(
     st.none(),
@@ -350,36 +355,32 @@ _SHEX_VE = st.one_of(
     st.just({"type": "NodeConstraint", "totaldigits": 2, "fractiondigits": 0}),
 )
 
-_SHEX_TC = st.builds(
-    lambda pred, mn, mx, ve: {
-        "type": "TripleConstraint",
-        "predicate": pred,
-        "min": mn,
-        "max": mx if mx is not None else -1,
-        **({"valueExpr": ve} if ve is not None else {}),
-    },
-    pred=st.sampled_from(_PREDS),
-    mn=st.integers(0, 2),
-    mx=st.one_of(st.none(), st.integers(1, 3)),
-    ve=_SHEX_VE,
-)
 
-
-@settings(max_examples=150, deadline=None)
-@given(
-    tcs=st.lists(_SHEX_TC, min_size=1, max_size=3, unique_by=lambda t: t["predicate"]),
-    arcs=_arcs,
-    extra=st.sets(st.sampled_from(_PREDS), max_size=2),
-)
-def test_flat_shex_kernel_matches_validator(tcs, arcs, extra):
-    import pyarrow as pa
-
-    from shaclex_ray.terms import iri, term_key, triples_to_table
-    from shaclex_ray.validate.dist import (
-        LazyBucketGraph,
-        flat_shex_eval_kernel,
-        flat_shex_profile,
+def _shex_tcs(ve):
+    return st.lists(
+        st.builds(
+            lambda pred, mn, mx, ve: {
+                "type": "TripleConstraint",
+                "predicate": pred,
+                "min": mn,
+                "max": mx if mx is not None else -1,
+                **({"valueExpr": ve} if ve is not None else {}),
+            },
+            pred=st.sampled_from(_PREDS),
+            mn=st.integers(0, 2),
+            mx=st.one_of(st.none(), st.integers(1, 3)),
+            ve=ve,
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t["predicate"],
     )
+
+
+def _shex_case(tcs, arcs, extra):
+    """(schema, triples, focus) of a generated flat ShEx shape
+    ``http://e/S`` over one focus node's arcs."""
+    from shaclex_ray.terms import iri
 
     focus = iri("http://e/focus")
     triples = [(focus, p, _OBJS[oi]) for p, oi in arcs]
@@ -393,33 +394,125 @@ def test_flat_shex_kernel_matches_validator(tcs, arcs, extra):
     }
     schema = {
         "start": None,
-        "shapes": {"http://e/S": shape, "http://e/Ref": _REF_SHAPE},
+        "shapes": {
+            "http://e/S": shape,
+            "http://e/Ref": _REF_SHAPE,
+            "http://e/Far": _FAR_SHAPE,
+        },
         "te_refs": {},
         "imports": [],
     }
+    return schema, triples, focus
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tcs=_shex_tcs(_SHEX_VE),
+    arcs=_arcs,
+    extra=st.sets(st.sampled_from(_PREDS), max_size=2),
+)
+def test_flat_shex_kernel_matches_validator(tcs, arcs, extra):
+    from shaclex_ray.terms import term_key
+    from shaclex_ray.validate.dist import flat_eval_kernel, flat_shex_profile
+
+    schema, triples, focus = _shex_case(tcs, arcs, extra)
     profiles = flat_shex_profile(schema)
     assert "http://e/S" in profiles
 
     ref = ShExValidator(schema, Graph(triples))
     expected = ref.validate_node_shape(focus, "http://e/S")
 
-    tbl = triples_to_table(triples).select(
-        ["subj", "pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]
+    # the term-local ref evaluates inside the kernel, on the bucket graph
+    g = _bucket_graph(triples)
+    ok, _reports, part = flat_eval_kernel(
+        profiles["http://e/S"], [term_key(focus)], g, {}, lambda nk: True, None
     )
-    g = LazyBucketGraph()
-    g.add_part(tbl.append_column("rev", pa.array([False] * tbl.num_rows)))
-    g.finalize()
-
-    probe_v = ShExValidator(schema, Graph(triples))
-
-    def probe(vkey, label):
-        from shaclex_ray.terms import key_to_term
-
-        return probe_v.satisfies_label(key_to_term(vkey), label)
-
-    ok, blocked = flat_shex_eval_kernel(
-        profiles["http://e/S"], [term_key(focus)], g, probe
-    )
-    assert not blocked
+    assert not part.pending[0]
     assert bool(ok[0]) == expected, (tcs, arcs, extra)
+
+
+# ---------------------------------------------------------------------------
+# resuming a blocked partial ≡ one kernel run with the answers assumed
+
+
+def _check_resume(profile, focus_key, g, is_instance, data):
+    """Every value non-local: run the kernel with no assumptions, answer
+    its pending probes (drawn booleans) in two batches, resuming after
+    each; the verdict and report multiset must equal one kernel run that
+    has every answer as an assumption."""
+    from shaclex_ray.validate.dist import (
+        _pending_deps,
+        flat_eval_kernel,
+        flat_resume,
+    )
+
+    def remote(_nk):
+        return False
+
+    _c, _r, part = flat_eval_kernel(profile, [focus_key], g, {}, remote, is_instance)
+    deps = _pending_deps(profile, part.pending[0])
+    answers = {d: data.draw(st.booleans()) for d in deps}
+    first = {d: a for d, a in answers.items() if data.draw(st.booleans())}
+
+    resumed = flat_resume(profile, focus_key, part.node(0), first)
+    assert set(_pending_deps(profile, resumed.pending[0])) == set(deps) - set(first)
+    resumed = flat_resume(profile, focus_key, resumed, answers)
+    assert not resumed.pending[0]
+    conforms, rows = profile.finalize(profile.entries, [focus_key], resumed)
+
+    one_ok, one_rows, one = flat_eval_kernel(
+        profile, [focus_key], g, answers, remote, is_instance
+    )
+    assert not one.pending[0]
+    assert bool(conforms[0]) == bool(one_ok[0])
+    assert _norm(rows[0]) == _norm(one_rows[0])
+    return deps
+
+
+def _with_class(props):
+    """The first property shape also gets the sh:class probe."""
+    (pred, checks), rest = props[0], props[1:]
+    keep = [c for c in checks if c[0] != "class"]
+    return [(pred, keep + [("class", "Ihttp://e/Cls")])] + rest
+
+
+def _with_far_ref(tcs):
+    """The first triple constraint refers to the neighborhood shape."""
+    return [dict(tcs[0], valueExpr="http://e/Far")] + tcs[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    props=_SHACL_PROPS.map(_with_class),
+    arcs=_SHACL_ARCS,
+    typed=st.booleans(),
+    data=st.data(),
+)
+def test_flat_shacl_resume_equals_one_run(props, arcs, typed, data):
+    from shaclex_ray.terms import term_key
+    from shaclex_ray.validate.dist import flat_shacl_profile
+
+    schema, triples, focus = _shacl_case(props, arcs, typed)
+    g = _bucket_graph(triples)
+    _check_resume(
+        flat_shacl_profile(schema)["Ihttp://e/S"], term_key(focus), g,
+        _is_instance(g), data,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tcs=_shex_tcs(st.one_of(_SHEX_VE, st.just("http://e/Far"))).map(_with_far_ref),
+    arcs=_arcs,
+    extra=st.sets(st.sampled_from(_PREDS), max_size=2),
+    data=st.data(),
+)
+def test_flat_shex_resume_equals_one_run(tcs, arcs, extra, data):
+    from shaclex_ray.terms import term_key
+    from shaclex_ray.validate.dist import flat_shex_profile
+
+    schema, triples, focus = _shex_case(tcs, arcs, extra)
+    _check_resume(
+        flat_shex_profile(schema)["http://e/S"], term_key(focus),
+        _bucket_graph(triples), None, data,
+    )
