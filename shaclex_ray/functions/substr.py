@@ -172,10 +172,11 @@ def _cut_list(docs_ds, k: int, min_count: int, nbuckets: int | None = None):
     :func:`trim_substring_spans`: k-token windows → duplicated-window
     exchange → per-doc maximal span exchange (``nbuckets`` pins its
     partition count, so a same-keyed split of the docs co-partitions
-    against it). Returns the span Dataset, one block per bucket, or None
-    when the corpus has no duplicated windows at all, so the cut list
-    reported by dedup_substring and the one applied by trim can never
-    diverge."""
+    against it). Returns the span buckets' ``exchange.bucket_tasks``
+    pairs, one per bucket in bucket order (empty buckets included), or
+    None when the corpus has no duplicated windows at all, so the cut
+    list reported by dedup_substring and the one applied by trim can
+    never diverge."""
     windows = exchange.plan(docs_ds.map_batches(
         lambda b: _windows_batch(b.select(["doc_id", "text"]), k),
         batch_format="pyarrow",
@@ -188,7 +189,7 @@ def _cut_list(docs_ds, k: int, min_count: int, nbuckets: int | None = None):
     ))
     if dup.rows == 0:
         return None
-    return exchange.reduce(
+    return exchange.bucket_tasks(
         exchange.split(
             _span_split_impl, (), dup,
             pa.schema([("doc_id", pa.int64()), ("start", pa.int64())]),
@@ -213,7 +214,7 @@ def dedup_substring(
         docs_path = f"{sf_dir}/documents.parquet"
     ds = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
     spans = _cut_list(ds, k, min_count)
-    return rd.from_arrow(_SPANS_EMPTY) if spans is None else spans
+    return rd.from_arrow(_SPANS_EMPTY) if spans is None else exchange.nonempty(spans)
 
 
 def _trim_bucket_impl(k: int, spans: pa.Table, *doc_parts: pa.Table) -> pa.Table:
@@ -334,7 +335,7 @@ def trim_substring_spans(
     # no duplicated window anywhere: every doc passes through untrimmed
     span_refs = (
         [ray.put(_SPANS_EMPTY)] * nbuckets if spans is None
-        else spans.to_arrow_refs()
+        else [ref for ref, _ in spans]
     )
     doc_split = exchange.split(
         _span_split_impl, (), docs, mat_docs.schema().base_schema,

@@ -110,8 +110,6 @@ def run_kg_pipeline(
 
         def produce_raw(path):
             extract_triples(read_documents(sf_dir)).write_parquet(path)
-            # zero rows write no directory at all: give the count a file
-            ensure_parquet_schema(path, TRIPLES_SCHEMA)
             return parquet_num_rows(path)
 
         runner.run(

@@ -20,7 +20,9 @@ files, which the split task reads itself with column pruning, or block
 refs), drops zero-row and zero-column blocks, hands an all-empty group
 the caller's ``schema.empty_table()`` so its partials stay typed, and
 unwraps Ray's single return at one bucket. :func:`reduce` fans bucket
-``b``'s parts into one task and wraps the results as a Dataset.
+``b``'s parts into one task and wraps the non-empty results as a
+Dataset; :func:`bucket_tasks` keeps every bucket's block, for a caller
+that co-partitions them against a later split.
 
 Plan rule — the only one::
 
@@ -215,22 +217,45 @@ def split(kernel, args, plan: Plan, schema: pa.Schema, columns=None,
     return out
 
 
-def reduce(split_refs: list[list], bucket_kernel, args=()):
+def _counted(kernel, *args):
+    """``kernel(*args)`` and its row count, a second return that
+    :func:`nonempty` reads without fetching the block."""
+    tbl = kernel(*args)
+    return tbl, tbl.num_rows
+
+
+_counted_remote = ray.remote(num_returns=2)(_counted)
+
+
+def bucket_tasks(split_refs: list[list], bucket_kernel, args=()) -> list:
     """One ``bucket_kernel(*args, *parts)`` task per bucket over that
-    bucket's part of every group in ``split_refs`` (group order), as a
-    Dataset of the buckets' non-empty blocks, in bucket order — or, when
-    every bucket is empty, of one empty block. (``map_batches`` turns a
-    zero-row block into one without columns.)"""
+    bucket's part of every group in ``split_refs`` (group order). Returns
+    bucket ``b``'s ``(block ref, row-count ref)`` at position ``b``, empty
+    buckets included, so the blocks can ride as one co-partitioned group
+    of a later exchange."""
+    task = _counted_remote.options(name=bucket_kernel.__name__)
+    return [
+        task.remote(bucket_kernel, *args, *[grp[b] for grp in split_refs])
+        for b in range(len(split_refs[0]))
+    ]
+
+
+def nonempty(counted: list):
+    """A Dataset of the blocks of ``counted`` (``(block ref, row-count
+    ref)`` pairs) that hold rows, in order, or of the first block alone
+    when none does. (``map_batches`` turns a zero-row block into one
+    without columns.)"""
     import ray.data as rd
 
-    task = ray.remote(bucket_kernel)
-    nbuckets = len(split_refs[0])
-    refs = [
-        task.remote(*args, *[grp[b] for grp in split_refs])
-        for b in range(nbuckets)
-    ]
-    rows = [ref for ref, _ in _row_blocks(rd.from_arrow_refs(refs))]
-    return rd.from_arrow_refs(rows or refs[:1])
+    rows = ray.get([n for _, n in counted])
+    refs = [ref for (ref, _), n in zip(counted, rows) if n]
+    return rd.from_arrow_refs(refs or [counted[0][0]])
+
+
+def reduce(split_refs: list[list], bucket_kernel, args=()):
+    """:func:`bucket_tasks` as a Dataset of the non-empty buckets' blocks,
+    in bucket order (:func:`nonempty`)."""
+    return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
 
 
 # ------------------------------------------------------------------ join
@@ -290,7 +315,6 @@ def _build_task(schema, build_on, *blocks):
 
 
 _build_remote = ray.remote(_build_task)
-_probe_remote = ray.remote(_probe)
 
 
 def _join_split(tbl: pa.Table, nbuckets: int, cols, types):
@@ -320,15 +344,6 @@ def _row_blocks(ds) -> list:
     turns a typed one into such a block)."""
     return [(ref, meta) for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
-
-
-def _nonempty(ds, schema: pa.Schema):
-    """``ds`` without its zero-row blocks, or one empty table of
-    ``schema`` when no block has rows."""
-    import ray.data as rd
-
-    refs = [ref for ref, _ in _row_blocks(ds)]
-    return rd.from_arrow_refs(refs) if refs else rd.from_arrow(schema.empty_table())
 
 
 def join(probe, build, on, build_on=None, how: str = "inner"):
@@ -374,9 +389,10 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
         ref = _build_remote.remote(bschema, build_on, *bplan.inputs)
         # the ref rides as a task argument, so each probe task maps the
         # sorted build side from the object store (zero-copy)
-        return _nonempty(rd.from_arrow_refs([
-            _probe_remote.remote(blk, on, how, ref) for blk in pplan.inputs
-        ]), schema)
+        task = _counted_remote.options(name="_probe")
+        return nonempty([
+            task.remote(_probe, blk, on, how, ref) for blk in pplan.inputs
+        ])
 
     nbuckets = max(pplan.buckets, bplan.buckets)
     types = [bschema.field(b).type for b in build_on]

@@ -1033,14 +1033,25 @@ class FlatPartial(NamedTuple):
     rows: list
     pending: list
 
-    def node(self, pos: int) -> "FlatPartial":
+    def node(self, pos: int) -> "NodePartial":
         """The one-node partial of node ``pos``."""
-        return FlatPartial(
-            self.arcs[pos : pos + 1].copy(),
-            self.sat[pos : pos + 1].copy(),
-            [self.rows[pos]],
-            [self.pending[pos]],
+        return NodePartial(
+            tuple(self.arcs[pos].tolist()),
+            tuple(self.sat[pos].tolist()),
+            self.rows[pos],
+            self.pending[pos],
         )
+
+
+class NodePartial(NamedTuple):
+    """One node's ``FlatPartial`` in the form a blocked pair waits in:
+    the per-entry counts as tuples of ints (no arrays per pair), its
+    report rows and its pending arcs."""
+
+    arcs: tuple
+    sat: tuple
+    rows: list
+    pending: dict
 
 
 class _EntryArcs:
@@ -1241,15 +1252,14 @@ def flat_eval_kernel(
     return conforms, rows, part
 
 
-def flat_resume(profile: FlatShape, focus: str, part: FlatPartial,
+def flat_resume(profile: FlatShape, focus: str, node: NodePartial,
                 assumptions: dict) -> FlatPartial:
     """Merge the answered probes into one node's partial: an arc whose
     probes are all answered satisfies when it passed so far and every
     answer is True; a False answer adds its report row (once per arc).
     The result's pending keeps the probes still unanswered."""
-    (rows,), (pending,) = part.rows, part.pending
-    rows, sat, still = list(rows), part.sat.copy(), {}
-    for (i, v), (mult, ok, open_) in pending.items():
+    rows, sat, still = list(node.rows), np.array([node.sat], np.int64), {}
+    for (i, v), (mult, ok, open_) in node.pending.items():
         e = profile.entries[i]
         left = []
         for p in open_:
@@ -1268,7 +1278,7 @@ def flat_resume(profile: FlatShape, focus: str, part: FlatPartial,
             still[(i, v)] = [mult, ok, left]
         elif ok:
             sat[0, i] += mult
-    return FlatPartial(part.arcs, sat, [rows], [still])
+    return FlatPartial(np.array([node.arcs], np.int64), sat, [rows], [still])
 
 
 def _pending_deps(profile: FlatShape, pending: dict) -> tuple:
@@ -1325,9 +1335,9 @@ class _Bucket:
         self._local_cache: dict[str, bool] = {}
         # flat-shape check lists (compiled lazily once per call)
         self._flat_profiles: dict[str, FlatShape] | None = None
-        # blocked flat pair -> its one-node FlatPartial: later rounds
-        # resume from here instead of re-running the kernel
-        self._flat_partial: dict[tuple[str, str], FlatPartial] = {}
+        # blocked flat pair -> its NodePartial: later rounds resume from
+        # here instead of re-running the kernel
+        self._flat_partial: dict[tuple[str, str], NodePartial] = {}
         return bucket_id
 
     def load(self, *parts: pa.Table) -> int:

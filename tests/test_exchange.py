@@ -105,7 +105,7 @@ def _op_results(op: str, corpus: str):
     from shaclex_ray.functions.curate import sample_balanced
     from shaclex_ray.functions.dedup import minhash_candidates
     from shaclex_ray.functions.events import events_sessions
-    from shaclex_ray.functions.substr import dedup_substring
+    from shaclex_ray.functions.substr import dedup_substring, trim_substring_spans
     from shaclex_ray.stages.dedup import distinct_rows_fast
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast, grouped_topk
 
@@ -125,6 +125,8 @@ def _op_results(op: str, corpus: str):
         return minhash_candidates(corpus)
     if op == "dedup_substring":
         return dedup_substring(corpus)
+    if op == "trim_substring_spans":
+        return trim_substring_spans(corpus)
     assert op == "sample_balanced"
     return sample_balanced(corpus)  # n=None: a count exchange, then the sample
 
@@ -139,6 +141,7 @@ def _op_results(op: str, corpus: str):
         "events_sessions",
         "lsh_candidates",
         "dedup_substring",
+        "trim_substring_spans",
         "sample_balanced",
     ],
 )
@@ -169,6 +172,42 @@ def test_output_invariant_to_exchange_shape(ray_session, corpus, monkeypatch, op
     assert first, "the fixture must give every operator some output"
     for shape, rows in results.items():
         assert rows == first, shape
+
+
+def test_trim_with_an_empty_span_bucket(ray_session, tmp_path, monkeypatch):
+    """At 3 buckets the duplicated texts sit in docs of buckets 0 and 1
+    only (``doc_id % 3``), so span bucket 2 is empty: the trim still
+    pairs every doc bucket with its own spans and keeps every doc,
+    matching the DuckDB twin."""
+    from shaclex_ray.functions.substr import (
+        trim_substring_spans,
+        trim_substring_spans_sql,
+    )
+
+    dup_a = " ".join(f"a{i}" for i in range(10))
+    dup_b = " ".join(f"b{i}" for i in range(12))
+    texts = {0: dup_a, 1: dup_a, 3: dup_b, 4: dup_b}
+    ids = list(range(9))
+    docs = pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": [texts.get(d, " ".join(f"u{d}_{i}" for i in range(9)))
+                 for d in ids],
+    })
+    path = str(tmp_path / "documents.parquet")
+    pq.write_table(docs, path)
+    con = duckdb.connect()
+    con.register("documents", docs)
+    want = sorted(con.execute(trim_substring_spans_sql()).fetchall())
+    assert [r[0] for r in want] == ids and want[0][3] == 10
+    split = exchange.split
+
+    def forced(kernel, args, plan, schema, columns=None, nbuckets=None):
+        return split(kernel, args, plan, schema, columns, nbuckets=3)
+
+    monkeypatch.setattr(exchange, "split", forced)
+    got = sorted(tuple(r.values()) for r in
+                 trim_substring_spans(docs_path=path).take_all())
+    assert got == want
 
 
 def test_sample_balanced_matches_twin_on_multifile_null_sources(ray_session, corpus):

@@ -456,7 +456,7 @@ def _check_resume(profile, focus_key, g, is_instance, data):
 
     resumed = flat_resume(profile, focus_key, part.node(0), first)
     assert set(_pending_deps(profile, resumed.pending[0])) == set(deps) - set(first)
-    resumed = flat_resume(profile, focus_key, resumed, answers)
+    resumed = flat_resume(profile, focus_key, resumed.node(0), answers)
     assert not resumed.pending[0]
     conforms, rows = profile.finalize(profile.entries, [focus_key], resumed)
 
