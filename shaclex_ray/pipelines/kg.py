@@ -5,18 +5,19 @@
   validate in-pipeline against SHACL shapes (distributed BSP fixpoint) →
   typing + validation-report tables
 
-Canonicalize + dedup is one file-granular hash exchange
+Every checkpointed stage writes its shards from the tasks that compute
+them: plain partition tasks, ``exchange.sink`` bucket tasks, validation
+buckets. Canonicalize + dedup is one file-granular hash exchange
 (``dedup_triples_fast_from_parquet``) over the raw triple shards: the
 canonical IRI is a row function of the mention IRI (stages/link.py), so
 the rewrite runs inside the exchange's split tasks and reads nothing from
-the ``entity_links`` checkpoint. That checkpoint is an output of its own
-(the distinct mention → canonical IRI table), read back lazily.
+the ``entity_links`` checkpoint, an output of its own.
 
 Stage outputs checkpoint to partitioned parquet with manifests
 (state/checkpoint.py), so a failed run resumes from the last finished
 stage. Equivalent reference flow: parse → schema → trigger → validate →
 report (weso/shaclex src/main/scala/es/weso/shaclex/Main.scala:103-135),
-re-expressed as streaming Dataset stages.
+re-expressed as checkpointed stages.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.sources.documents import parquet_num_rows, read_documents
 from shaclex_ray.stages import dedup, exchange
 from shaclex_ray.stages.extract import extract_triples
-from shaclex_ray.stages.link import LINKS_SCHEMA, build_entity_links
+from shaclex_ray.stages.link import build_entity_links
 from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema
 from shaclex_ray.terms import TRIPLES_SCHEMA
 from shaclex_ray.validate.dist import ARC_COLS, distributed_validate
@@ -110,26 +111,16 @@ def run_kg_pipeline(
 
         def produce_raw(path):
             extract_triples(read_documents(sf_dir)).write_parquet(path)
+            ensure_parquet_schema(path, TRIPLES_SCHEMA)
             return parquet_num_rows(path)
 
-        runner.run(
-            "triples_raw",
-            digest,
-            produce_raw,
-            lambda p: rd.read_parquet(p),
-            empty_schema=TRIPLES_SCHEMA,
-        )
+        runner.run("triples_raw", digest, produce_raw, lambda p: rd.read_parquet(p))
 
     def produce_links(path):
-        # mention harvesting touches only (pred, obj_lex): prune at the read
-        raw_pruned = rd.read_parquet(
-            f"{out_dir}/triples_raw", columns=["pred", "obj_lex"]
-        )
-        # the links checkpoint as parquet SHARDS, written by the workers
-        # — the driver never holds the link table; an empty part keeps
-        # the schema when linking produces zero rows
-        build_entity_links(raw_pruned).write_parquet(f"{path}/shards")
-        ensure_parquet_schema(f"{path}/shards", LINKS_SCHEMA)
+        # split tasks read the raw shards pruned; bucket tasks write the
+        # links checkpoint as shards (a typed empty part when none)
+        raw = sorted(glob.glob(f"{out_dir}/triples_raw/*.parquet"))
+        build_entity_links(raw, output_dir=f"{path}/shards")
         return parquet_num_rows(f"{path}/shards")
 
     links = runner.run(
@@ -138,18 +129,13 @@ def run_kg_pipeline(
     )
 
     def produce_canonical(path):
-        dd = dedup.dedup_triples_fast_from_parquet(
-            f"{out_dir}/triples_raw", nbuckets=nbuckets
-        ).materialize()
-        dd.write_parquet(path)
-        return dd.count()
+        dedup.dedup_triples_fast_from_parquet(
+            f"{out_dir}/triples_raw", nbuckets=nbuckets, output_dir=path
+        )
+        return parquet_num_rows(path)
 
     triples = runner.run(
-        "triples_canonical",
-        digest,
-        produce_canonical,
-        lambda p: rd.read_parquet(p),
-        empty_schema=TRIPLES_SCHEMA,
+        "triples_canonical", digest, produce_canonical, lambda p: rd.read_parquet(p)
     )
 
     out = {"triples": triples, "links": links, "metrics": runner.metrics}

@@ -213,10 +213,11 @@ def _distinct_bucket_impl(
     return base.take(pa.array(kept))
 
 
-def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None):
+def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None,
+                                    output_dir: str | None = None):
     """Distinct canonical triples of a parquet directory (the KG
     pipeline's canonical stage), keeping the least (doc_id, span_idx)
-    witness.
+    witness; with ``output_dir``, written there (``exchange.reduce``).
 
     File-granular: each split task reads its own shard files (storage →
     task heap, no object-store staging), canonicalizes them
@@ -237,7 +238,8 @@ def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None):
         exchange.plan(files), TRIPLES_SCHEMA, nbuckets=nbuckets,
     )
     return exchange.reduce(
-        split_refs, _distinct_bucket_impl, (TRIPLE_ID_COLS, WITNESS_COLS)
+        split_refs, _distinct_bucket_impl, (TRIPLE_ID_COLS, WITNESS_COLS),
+        output_dir,
     )
 
 

@@ -24,6 +24,10 @@ unwraps Ray's single return at one bucket. :func:`reduce` fans bucket
 Dataset; :func:`bucket_tasks` keeps every bucket's block, for a caller
 that co-partitions them against a later split.
 
+:func:`sink` (:func:`reduce` with an ``output_dir``) is the one writer:
+each bucket task writes its rows as ``part-<b>.parquet`` and returns its
+row count; only an all-empty output gets one typed empty part.
+
 Plan rule — the only one::
 
     tasks     = max(1, min(cluster CPUs, ceil(nbytes / TASK_BYTES)),
@@ -78,6 +82,7 @@ key hash into the same buckets and each bucket probes locally.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,27 +222,37 @@ def split(kernel, args, plan: Plan, schema: pa.Schema, columns=None,
     return out
 
 
-def _counted(kernel, *args):
+def _counted(kernel, path, *args):
     """``kernel(*args)`` and its row count, a second return that
-    :func:`nonempty` reads without fetching the block."""
+    :func:`nonempty` and :func:`sink` read without fetching the block.
+    With a ``path``, the block is written there if it has rows, and its
+    schema is returned in its place."""
     tbl = kernel(*args)
-    return tbl, tbl.num_rows
+    if path is None:
+        return tbl, tbl.num_rows
+    if tbl.num_rows:
+        pq.write_table(tbl, path)
+    return tbl.schema, tbl.num_rows
 
 
 _counted_remote = ray.remote(num_returns=2)(_counted)
 
 
-def bucket_tasks(split_refs: list[list], bucket_kernel, args=()) -> list:
+def bucket_tasks(split_refs: list[list], bucket_kernel, args=(),
+                 output_dir: str | None = None) -> list:
     """One ``bucket_kernel(*args, *parts)`` task per bucket over that
     bucket's part of every group in ``split_refs`` (group order). Returns
     bucket ``b``'s ``(block ref, row-count ref)`` at position ``b``, empty
     buckets included, so the blocks can ride as one co-partitioned group
-    of a later exchange."""
+    of a later exchange. With ``output_dir``, bucket ``b`` writes
+    ``part-<b>.parquet`` there instead (:func:`sink`)."""
     task = _counted_remote.options(name=bucket_kernel.__name__)
-    return [
-        task.remote(bucket_kernel, *args, *[grp[b] for grp in split_refs])
-        for b in range(len(split_refs[0]))
-    ]
+    out = []
+    for b in range(len(split_refs[0])):
+        path = None if output_dir is None else f"{output_dir}/part-{b:05d}.parquet"
+        out.append(task.remote(bucket_kernel, path, *args,
+                               *[grp[b] for grp in split_refs]))
+    return out
 
 
 def nonempty(counted: list):
@@ -252,10 +267,30 @@ def nonempty(counted: list):
     return rd.from_arrow_refs(refs or [counted[0][0]])
 
 
-def reduce(split_refs: list[list], bucket_kernel, args=()):
+def sink(split_refs: list[list], bucket_kernel, args, output_dir: str) -> list:
+    """:func:`bucket_tasks` writing each bucket's rows to ``output_dir``
+    (module docstring). Returns the buckets' row counts, in bucket order."""
+    from shaclex_ray.state.checkpoint import ensure_parquet_schema
+
+    os.makedirs(output_dir, exist_ok=True)
+    done = bucket_tasks(split_refs, bucket_kernel, args, output_dir)
+    rows = ray.get([n for _, n in done])
+    if not any(rows):
+        ensure_parquet_schema(output_dir, ray.get(done[0][0]))
+    return rows
+
+
+def reduce(split_refs: list[list], bucket_kernel, args=(),
+           output_dir: str | None = None):
     """:func:`bucket_tasks` as a Dataset of the non-empty buckets' blocks,
-    in bucket order (:func:`nonempty`)."""
-    return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
+    in bucket order (:func:`nonempty`); with ``output_dir``, the
+    :func:`sink`'s parts, read back lazily."""
+    if output_dir is None:
+        return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
+    import ray.data as rd
+
+    sink(split_refs, bucket_kernel, args, output_dir)
+    return rd.read_parquet(output_dir)
 
 
 # ------------------------------------------------------------------ join
@@ -391,7 +426,7 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
         # sorted build side from the object store (zero-copy)
         task = _counted_remote.options(name="_probe")
         return nonempty([
-            task.remote(_probe, blk, on, how, ref) for blk in pplan.inputs
+            task.remote(_probe, None, blk, on, how, ref) for blk in pplan.inputs
         ])
 
     nbuckets = max(pplan.buckets, bplan.buckets)

@@ -1,7 +1,7 @@
 """Entity linking + canonicalization (SURVEY.md A5/J9, the north-star ops).
 
-Blocking: a mention's key is ``lower(trim(surface))`` (``block_key``, the
-one definition, Arrow ``utf8_lower`` / ``utf8_trim_whitespace``), and the
+Blocking: a mention's key is ``lower(trim(surface))`` (``canonical_iris``,
+the one definition, Arrow ``utf8_lower`` / ``utf8_trim_whitespace``), and the
 mention links to the entity IRI ``ENT_NS + key``. Each mention has exactly
 one key, so each block is one entity: there is no component merge, and the
 canonical IRI is a row function of the mention IRI (``canonical_iris``) —
@@ -10,9 +10,9 @@ the rule the DuckDB twin of ``kg_entity_links`` states as
 in two blocks (aliases, token blocking) would need a merge again.
 
 Two consumers of the rule:
-  * ``build_entity_links``: the distinct mentions of the raw triples
-    (``harvest_mentions``) projected to (mention, canonical_iri) — the
-    ``entity_links`` output, a Dataset the driver never holds;
+  * ``build_entity_links``: one exchange keeping a (mention,
+    canonical_iri) row per distinct iri-kind ``ex:mentions`` object — the
+    ``entity_links`` output, written by its bucket tasks;
   * ``canonicalize``: the per-batch rewrite of ``subj`` and iri-kind
     ``obj_lex`` plus the entity metadata triples, run inside the dedup
     exchange's split tasks (stages/dedup.py), so no link table ships.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from shaclex_ray.stages import exchange
 from shaclex_ray.stages.extract import (
     C_ENTITY,
     ENT_NS,
@@ -34,78 +35,55 @@ from shaclex_ray.stages.extract import (
     RDF_TYPE,
     XSD_STRING,
 )
+from shaclex_ray.terms import TRIPLES_SCHEMA
 
 LINKS_SCHEMA = pa.schema(
     [("mention", pa.string()), ("canonical_iri", pa.string())]
 )
 
 
-def block_key(surfaces):
-    """The blocking key of mention surface forms: ``lower(trim(surface))``."""
-    return pc.utf8_lower(pc.utf8_trim_whitespace(surfaces))
-
-
 def canonical_iris(mention_iris):
     """The canonical entity IRI of each mention IRI: ``ENT_NS`` + the
-    blocking key of its surface (the IRI minus ``MENTION_NS``)."""
+    blocking key ``lower(trim(surface))`` of its surface (the IRI minus
+    ``MENTION_NS``)."""
     surfaces = pc.utf8_replace_slice(mention_iris, 0, len(MENTION_NS), "")
-    return pc.binary_join_element_wise(ENT_NS, block_key(surfaces), "")
+    key = pc.utf8_lower(pc.utf8_trim_whitespace(surfaces))
+    return pc.binary_join_element_wise(ENT_NS, key, "")
 
 
-def harvest_mentions(triples_ds):
-    """Distinct mention surfaces (the ``ex:mentions`` objects in
-    ``MENTION_NS``) with their blocking key."""
+def _link_split(tbl: pa.Table, nbuckets: int):
+    """Split kernel of ``build_entity_links``: the iri-kind ``ex:mentions``
+    objects in ``MENTION_NS`` (``canonicalize``'s mentions) as
+    ``LINKS_SCHEMA`` rows, distinct per mention, partitioned by its hash."""
+    from shaclex_ray.stages.dedup import _distinct_split_impl
 
-    def project(batch: pa.Table) -> pa.Table:
-        obj_lex = batch.column("obj_lex").combine_chunks()
-        mask = pc.and_(
-            pc.equal(batch.column("pred").combine_chunks(), P_MENTIONS),
-            pc.starts_with(obj_lex, MENTION_NS),
-        )
-        iris = pc.filter(obj_lex, mask)
-        surfaces = pc.utf8_replace_slice(iris, 0, len(MENTION_NS), "")
-        tbl = pa.table(
-            {"mention_iri": iris, "surface": surfaces,
-             "block_key": block_key(surfaces)}
-        )
-        # batch-local distinct (combiner) — surface/block_key are pure
-        # functions of mention_iri, so full-row distinct == mention
-        # distinct; Arrow group_by keeps it C++-side (no pandas round-trip)
-        return tbl.group_by(tbl.column_names, use_threads=False).aggregate([]).cast(
-            tbl.schema
-        )
-
-    from shaclex_ray.stages.dedup import distinct_rows_fast
-
-    # exact distinct via the one-move hash exchange: surface and block_key
-    # are functions of mention_iri, so full-row distinct == distinct
-    # mentions. (A groupby().map_groups here costs seconds of sort-shuffle
-    # + per-group Python overhead even when the projection is tiny.)
-    return distinct_rows_fast(
-        triples_ds.map_batches(project, batch_format="pyarrow"),
-        empty_schema=pa.schema(
-            [
-                ("mention_iri", pa.string()),
-                ("surface", pa.string()),
-                ("block_key", pa.string()),
-            ]
-        ),
+    obj_lex = tbl.column("obj_lex")
+    mask = pc.and_(
+        pc.and_(pc.equal(tbl.column("pred"), P_MENTIONS),
+                pc.equal(tbl.column("obj_kind"), "iri")),
+        pc.starts_with(obj_lex, MENTION_NS),
     )
+    iris = pc.filter(obj_lex, mask)
+    links = pa.table([iris, canonical_iris(iris)], schema=LINKS_SCHEMA)
+    return _distinct_split_impl(links, nbuckets, ["mention"], None, False)
 
 
-def build_entity_links(triples_ds):
-    """mention_iri -> canonical_iri links (``LINKS_SCHEMA``) as a lazy
-    Dataset, one row per distinct mention."""
-    return harvest_mentions(triples_ds).map_batches(
-        lambda b: pa.table(
-            {
-                "mention": b.column("mention_iri"),
-                "canonical_iri": pc.binary_join_element_wise(
-                    ENT_NS, b.column("block_key").combine_chunks(), ""
-                ),
-            }
-        ).cast(LINKS_SCHEMA),
-        batch_format="pyarrow",
+def build_entity_links(triples, output_dir: str | None = None):
+    """mention_iri -> canonical_iri links (``LINKS_SCHEMA``), one row per
+    distinct mention, from one exchange over ``triples``: raw triple
+    parquet files, which the split tasks read pruned, or a Dataset. With
+    ``output_dir`` the bucket tasks write the table there and it is read
+    back lazily (``exchange.reduce``)."""
+    from shaclex_ray.stages.dedup import _distinct_bucket_impl
+
+    if not isinstance(triples, list):
+        triples = triples.materialize()
+    cols = ["pred", "obj_kind", "obj_lex"]
+    split_refs = exchange.split(
+        _link_split, (), exchange.plan(triples, cols), TRIPLES_SCHEMA, cols
+    )
+    return exchange.reduce(
+        split_refs, _distinct_bucket_impl, (["mention"], None), output_dir
     )
 
 

@@ -9,13 +9,15 @@ manifest matches the input digest is skipped and its parquet is read back.
 
 Scan-shaped stages (embarrassingly parallel over input shards — no
 shuffle) additionally checkpoint per partition via ``run_partitioned``:
-each partition task writes its own parquet shard (tmp + atomic rename)
-and a lineage manifest ``<stage>.parts/<pid>.json`` recording the input
-file / row-group range / row slice, output rows and wall. A re-run after
+one plain Ray task per partition writes its own parquet shard (tmp +
+atomic rename) and a lineage manifest ``<stage>.parts/<pid>.json``
+recording the input file / row-group range / row slice, output rows and
+wall. A re-run after
 a mid-stage failure re-executes ONLY the partitions without a matching
 manifest — at 100 TB a stage that died at 90% restarts at 90%, not 0%.
-Shuffle stages (dedup exchange, validation fixpoint) stay stage-granular:
-an all-to-all either finished or it didn't.
+Shuffle stages (the link and dedup exchanges, whose bucket tasks write
+their parts through ``exchange.sink``, and the validation fixpoint) stay
+stage-granular: an all-to-all either finished or it didn't.
 
 Lineage columns (doc_id, span_idx) persist in the triple tables, so any
 output row can be traced to its source rows; the partition manifests
@@ -28,6 +30,8 @@ import json
 import os
 import time
 import uuid
+
+import ray
 
 
 def ensure_parquet_schema(path: str, schema) -> None:
@@ -47,6 +51,49 @@ def ensure_parquet_schema(path: str, schema) -> None:
     pq.write_table(schema.empty_table(), os.path.join(path, "part-empty.parquet"))
 
 
+def _run_part(produce_part, part: dict, digest: str, path: str,
+              parts_dir: str, tmp_dir: str) -> int:
+    """One partition of ``StageRunner.run_partitioned``: stream
+    ``produce_part(part)`` into ``<path>/part-<pid>.parquet`` via tmp +
+    atomic rename, then record its lineage manifest. Returns its rows."""
+    import pyarrow.parquet as pq
+
+    pt0 = time.perf_counter()
+    tmp = os.path.join(tmp_dir, f"{part['pid']}-{uuid.uuid4().hex}.parquet")
+    writer = None
+    rows = 0
+    try:
+        for tbl in produce_part(part):
+            if writer is None:
+                writer = pq.ParquetWriter(tmp, tbl.schema)
+            writer.write_table(tbl)
+            rows += tbl.num_rows
+    finally:
+        if writer is not None:
+            writer.close()
+    nbytes = 0
+    if writer is not None:
+        nbytes = os.path.getsize(tmp)
+        os.replace(tmp, os.path.join(path, f"part-{part['pid']}.parquet"))
+    manifest = dict(part)
+    manifest.update(
+        {
+            "digest": digest,
+            "rows": rows,
+            "out_bytes": nbytes,
+            "wall_sec": time.perf_counter() - pt0,
+        }
+    )
+    mtmp = os.path.join(tmp_dir, f"{part['pid']}-m.json")
+    with open(mtmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(mtmp, os.path.join(parts_dir, f"{part['pid']}.json"))
+    return rows
+
+
+_run_part_remote = ray.remote(_run_part)
+
+
 class StageRunner:
     def __init__(self, out_dir: str, resume: bool = True):
         self.out_dir = out_dir
@@ -57,44 +104,43 @@ class StageRunner:
     def _manifest_path(self, stage: str) -> str:
         return os.path.join(self.out_dir, stage, "_manifest.json")
 
-    def is_done(self, stage: str, digest: str) -> bool:
-        p = self._manifest_path(stage)
-        if not (self.resume and os.path.exists(p)):
-            return False
+    def _resumed(self, stage: str, digest: str) -> bool:
+        """Whether ``stage`` already finished for ``digest`` (and resuming
+        is on); its manifest then becomes its metrics. The manifest is
+        written last (``_finish``), so a finished stage has its parts."""
         try:
-            m = json.load(open(p))
-            return m.get("digest") == digest
+            manifest = json.load(open(self._manifest_path(stage)))
         except (OSError, ValueError):
             return False
+        if not (self.resume and manifest.get("digest") == digest):
+            return False
+        self.metrics[stage] = dict(manifest, resumed=True)
+        return True
 
-    def run(self, stage: str, digest: str, produce, read_back, empty_schema=None):
-        """``produce(path)`` writes the stage output and returns row count;
-        ``read_back(path)`` loads it. Completed stages are skipped.
-        ``empty_schema``: canonical output schema written as an empty part
-        when the stage produced zero rows (so pruned read-backs never hit
-        a file-less directory)."""
-        path = os.path.join(self.out_dir, stage)
-        if self.is_done(stage, digest):
-            if empty_schema is not None:
-                ensure_parquet_schema(path, empty_schema)
-            self.metrics[stage] = json.load(open(self._manifest_path(stage)))
-            self.metrics[stage]["resumed"] = True
-            return read_back(path)
-        # stale or partial output (digest mismatch / interrupted run) must
-        # not mix with the fresh write — clear the stage dir first
-        import shutil
-
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        t0 = time.perf_counter()
-        rows = produce(path)
-        wall = time.perf_counter() - t0
-        if empty_schema is not None:
-            ensure_parquet_schema(path, empty_schema)
-        manifest = {"stage": stage, "digest": digest, "rows": rows, "wall_sec": wall}
-        with open(self._manifest_path(stage), "w") as f:
+    def _finish(self, manifest: dict) -> None:
+        """Write a finished stage's ``manifest`` last; it is the metrics."""
+        with open(self._manifest_path(manifest["stage"]), "w") as f:
             json.dump(manifest, f)
-        self.metrics[stage] = manifest
+        self.metrics[manifest["stage"]] = manifest
+
+    def run(self, stage: str, digest: str, produce, read_back):
+        """``produce(path)`` writes the stage output (a typed empty part
+        when it has no rows, so pruned read-backs never hit a file-less
+        directory) and returns its row count; ``read_back(path)`` loads it.
+        Completed stages are skipped."""
+        path = os.path.join(self.out_dir, stage)
+        if not self._resumed(stage, digest):
+            # stale or partial output (digest mismatch / interrupted run)
+            # must not mix with the fresh write — clear the stage dir first
+            import shutil
+
+            shutil.rmtree(path, ignore_errors=True)
+            os.makedirs(path, exist_ok=True)
+            t0 = time.perf_counter()
+            rows = produce(path)
+            manifest = {"stage": stage, "digest": digest, "rows": rows,
+                        "wall_sec": time.perf_counter() - t0}
+            self._finish(manifest)
         return read_back(path)
 
     def run_partitioned(
@@ -109,23 +155,22 @@ class StageRunner:
         """Partition-granular resumable scan stage.
 
         ``parts``: descriptors, each with a unique ``"pid"`` string (plus
-        whatever ``produce_part`` needs). ``produce_part(part)`` runs inside
-        a Ray Data task and yields ``pyarrow.Table`` chunks for that
-        partition; this runner streams them into
-        ``<stage>/part-<pid>.parquet`` via tmp + atomic rename, then records
-        ``<stage>.parts/<pid>.json`` (lineage: the descriptor itself, rows,
-        bytes, wall, digest). Partitions whose manifest already matches the
-        digest are SKIPPED on resume; everything else (including renamed
-        data missing its manifest — a write that died between rename and
-        manifest) is re-run. Completion writes the stage-level manifest so
-        later resumes take the fast path.
+        whatever ``produce_part`` needs). ``produce_part(part)`` runs in
+        one plain Ray task per pending partition (``_run_part``) and
+        yields ``pyarrow.Table`` chunks for that partition; the task
+        streams them into ``<stage>/part-<pid>.parquet`` via tmp + atomic
+        rename, then records ``<stage>.parts/<pid>.json`` (lineage: the
+        descriptor itself, rows, bytes, wall, digest). A partition that
+        raises fails the stage with its error once every other partition
+        has finished; no stage manifest is written. Partitions whose
+        manifest already matches the digest are SKIPPED on resume;
+        everything else (including renamed data missing its manifest — a
+        write that died between rename and manifest) is re-run. Completion
+        writes the stage-level manifest so later resumes take the fast
+        path.
         """
         path = os.path.join(self.out_dir, stage)
-        if self.is_done(stage, digest):
-            if empty_schema is not None:
-                ensure_parquet_schema(path, empty_schema)
-            self.metrics[stage] = json.load(open(self._manifest_path(stage)))
-            self.metrics[stage]["resumed"] = True
+        if self._resumed(stage, digest):
             return read_back(path)
         parts_dir = path + ".parts"
         tmp_dir = path + ".tmp"
@@ -171,86 +216,28 @@ class StageRunner:
 
         pending = [p for p in parts if p["pid"] not in done]
         t0 = time.perf_counter()
-        if pending:
-            import pyarrow as pa
-
-            import ray.data as rd
-
-            def _run_one(batch: "pa.Table") -> "pa.Table":
-                import pyarrow.parquet as pq
-
-                rows_out = []
-                for part in batch.to_pylist():
-                    pt0 = time.perf_counter()
-                    tmp = os.path.join(
-                        tmp_dir, f"{part['pid']}-{uuid.uuid4().hex}.parquet"
-                    )
-                    writer = None
-                    rows = 0
-                    try:
-                        for tbl in produce_part(part):
-                            if writer is None:
-                                writer = pq.ParquetWriter(tmp, tbl.schema)
-                            writer.write_table(tbl)
-                            rows += tbl.num_rows
-                    finally:
-                        if writer is not None:
-                            writer.close()
-                    nbytes = 0
-                    if writer is not None:
-                        nbytes = os.path.getsize(tmp)
-                        os.replace(
-                            tmp, os.path.join(path, f"part-{part['pid']}.parquet")
-                        )
-                    manifest = dict(part)
-                    manifest.update(
-                        {
-                            "digest": digest,
-                            "rows": rows,
-                            "out_bytes": nbytes,
-                            "wall_sec": time.perf_counter() - pt0,
-                        }
-                    )
-                    mtmp = os.path.join(tmp_dir, f"{part['pid']}-m.json")
-                    with open(mtmp, "w") as f:
-                        json.dump(manifest, f)
-                    os.replace(mtmp, os.path.join(parts_dir, f"{part['pid']}.json"))
-                    rows_out.append({"pid": part["pid"], "rows": rows})
-                return pa.Table.from_pylist(
-                    rows_out,
-                    schema=pa.schema([("pid", pa.string()), ("rows", pa.int64())]),
-                )
-
-            # one block per partition → one retryable task per partition,
-            # scheduled with streaming backpressure across the cluster
-            (
-                rd.from_items(pending, override_num_blocks=len(pending))
-                .map_batches(_run_one, batch_size=None, batch_format="pyarrow")
-                .materialize()
+        refs = [
+            _run_part_remote.remote(
+                produce_part, part, digest, path, parts_dir, tmp_dir
             )
-        wall = time.perf_counter() - t0
+            for part in pending
+        ]
+        # every partition lands or fails before the stage reports: a
+        # failure leaves no task still writing, and the finished
+        # partitions' manifests let the re-run resume them
+        ray.wait(refs, num_returns=len(refs))
+        rows = sum(m.get("rows", 0) for m in done.values()) + sum(ray.get(refs))
         if empty_schema is not None:
             ensure_parquet_schema(path, empty_schema)
-        total_rows = 0
-        for f in os.listdir(parts_dir):
-            if f.endswith(".json"):
-                try:
-                    total_rows += json.load(open(os.path.join(parts_dir, f))).get(
-                        "rows", 0
-                    )
-                except (OSError, ValueError):
-                    pass
         manifest = {
             "stage": stage,
             "digest": digest,
-            "rows": total_rows,
-            "wall_sec": wall,
+            "rows": rows,
+            "wall_sec": time.perf_counter() - t0,
             "n_parts": len(parts),
             "parts_resumed": len(done),
         }
-        with open(self._manifest_path(stage), "w") as f:
-            json.dump(manifest, f)
-        self.metrics[stage] = manifest
+        self._finish(manifest)
         return read_back(path)
 
     def write_metrics(self):

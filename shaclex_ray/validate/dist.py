@@ -67,6 +67,7 @@ import ray
 
 from shaclex_ray.stages import exchange
 from shaclex_ray.stages.exchange import _ragged_arange, partition
+from shaclex_ray.state.checkpoint import ensure_parquet_schema
 from shaclex_ray.terms import RDF_TYPE, key_to_term, subj_to_key, term_key
 from shaclex_ray.validate.local import Graph, ShExValidator
 from shaclex_ray.validate.nodecheck import check_node_constraint, compile_pattern
@@ -1824,42 +1825,26 @@ class _Bucket:
             else:
                 del self.blocked_on[pair]
 
-    def _typing_table(self) -> pa.Table:
-        """The focus pairs' typing. A pair decided only because another
-        bucket asked for it (a shape, ``class:``, ``hop:`` or ``vshape:``
-        probe) is a protocol answer: one bucket answers the same probe
-        in-process and writes nothing, so writing it would make the
-        table depend on the bucket count."""
-        keys = sorted(k for k in self.typing if k in self.focus_flags)
-        return pa.table(
-            {
-                "node": pa.array([k[0] for k in keys], pa.string()),
-                "shape": pa.array([k[1] for k in keys], pa.string()),
-                "val": pa.array([self.typing[k] for k in keys], pa.string()),
-                "is_focus": pa.array([True] * len(keys), pa.bool_()),
-            }
-        )
-
-    def _report_table(self) -> pa.Table:
-        return _reports_to_table(self.reports)
-
     def collect(self):
-        return self._typing_table(), self.reports
+        return _typing_table(self.typing, self.focus_flags), self.reports
 
     def write_shard(self, out_dir: str) -> dict:
         """Actor-side result sink: each bucket writes its own typing/report
         parquet shard — the full tables never concat on the driver
-        (SURVEY.md §4.2 resumable-output layout)."""
+        (SURVEY.md §4.2 resumable-output layout). A table without rows
+        writes no shard (``exchange.sink``'s rule)."""
         import os
 
         import pyarrow.parquet as pq
 
-        os.makedirs(f"{out_dir}/typing", exist_ok=True)
-        os.makedirs(f"{out_dir}/report", exist_ok=True)
-        t = self._typing_table()
-        r = self._report_table()
-        pq.write_table(t, f"{out_dir}/typing/part-{self.bucket_id:05d}.parquet")
-        pq.write_table(r, f"{out_dir}/report/part-{self.bucket_id:05d}.parquet")
+        t = _typing_table(self.typing, self.focus_flags)
+        r = _reports_to_table(self.reports)
+        for sub, tbl in (("typing", t), ("report", r)):
+            os.makedirs(f"{out_dir}/{sub}", exist_ok=True)
+            if tbl.num_rows:
+                pq.write_table(
+                    tbl, f"{out_dir}/{sub}/part-{self.bucket_id:05d}.parquet"
+                )
         stats: dict[str, int] = {"violations": r.num_rows}
         for v in t.column("val").to_pylist():
             stats[v] = stats.get(v, 0) + 1
@@ -1867,6 +1852,23 @@ class _Bucket:
 
 
 BucketWorker = ray.remote(_Bucket)
+
+
+def _typing_table(typing: dict, focus) -> pa.Table:
+    """The ``focus`` pairs' typing, sorted. A pair decided only because
+    another bucket asked for it (a shape, ``class:``, ``hop:`` or
+    ``vshape:`` probe) is a protocol answer: one bucket answers the same
+    probe in-process and writes nothing, so writing it would make the
+    table depend on the bucket count."""
+    keys = sorted(k for k in typing if k in focus)
+    return pa.table(
+        {
+            "node": pa.array([k[0] for k in keys], pa.string()),
+            "shape": pa.array([k[1] for k in keys], pa.string()),
+            "val": pa.array([typing[k] for k in keys], pa.string()),
+            "is_focus": pa.array([True] * len(keys), pa.bool_()),
+        }
+    )
 
 
 def _reports_to_table(reports: list) -> pa.Table:
@@ -2408,6 +2410,9 @@ def distributed_validate(
     distributed_validate.last_stats = out
     import ray.data as rd
 
+    # a table no bucket had rows for gets one typed empty part
+    ensure_parquet_schema(f"{output_dir}/typing", _typing_table({}, ()).schema)
+    ensure_parquet_schema(f"{output_dir}/report", _reports_to_table([]).schema)
     return (
         rd.read_parquet(f"{output_dir}/typing"),
         rd.read_parquet(f"{output_dir}/report"),

@@ -3,7 +3,9 @@
 Pins: (1) the partitioned extract produces EXACTLY the streaming
 extract's rows; (2) a run that lost one partition (data + manifest) and
 the stage manifest re-runs ONLY that partition; (3) a digest change
-invalidates every partition; (4) data without a manifest is re-run.
+invalidates every partition; (4) data without a manifest is re-run;
+(5) a partition that raises fails its stage, and the re-run resumes the
+others.
 """
 
 import json
@@ -112,6 +114,36 @@ def test_digest_change_invalidates_all(ray_session, out_dir):
         assert pm["digest"] == "d2"
         assert pm["file"].endswith("documents.parquet")
         assert pm["rows"] > 0 and pm["wall_sec"] >= 0 and "rgs" in pm
+
+
+def test_failing_partition_fails_the_stage(ray_session, out_dir, tmp_path):
+    """A ``produce_part`` that raises on one partition makes
+    ``run_partitioned`` raise that error and write no stage manifest; a
+    re-run with a working ``produce_part`` resumes the other partitions
+    and gives the rows of a clean run."""
+    import ray.data as rd
+
+    from shaclex_ray.sources.documents import document_partitions
+    from shaclex_ray.stages.extract import extract_partition
+    from shaclex_ray.state.checkpoint import StageRunner
+
+    parts = document_partitions(SF, want=6)
+    victim = parts[2]["pid"]
+
+    def failing(part):
+        if part["pid"] == victim:
+            raise ValueError(f"partition {victim} failed")
+        return extract_partition(part)
+
+    with pytest.raises(ValueError, match=f"partition {victim} failed"):
+        StageRunner(out_dir).run_partitioned(
+            "triples_raw", "d1", parts, failing, lambda p: rd.read_parquet(p)
+        )
+    assert not os.path.exists(f"{out_dir}/triples_raw/_manifest.json")
+    runner, ds = _run_raw(out_dir)
+    assert runner.metrics["triples_raw"]["parts_resumed"] == len(parts) - 1
+    _, clean = _run_raw(str(tmp_path / "clean"))
+    pd.testing.assert_frame_equal(_norm(ds.to_pandas()), _norm(clean.to_pandas()))
 
 
 def test_lance_lane_gated(ray_session, tmp_path):

@@ -329,6 +329,41 @@ def test_canonical_rewrite_property_random_surfaces(ray_session, tmp_path):
     )
 
 
+def test_literal_mention_lookalike_is_not_linked(ray_session, tmp_path):
+    """A literal ``ex:mentions`` object spelled like a mention IRI is not
+    a mention: it gets no link row, from parquet files or a Dataset, and
+    the canonical table keeps it as it is (``canonicalize`` rewrites
+    iri-kind objects only)."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from shaclex_ray.stages.dedup import dedup_triples_fast_from_parquet
+    from shaclex_ray.stages.extract import (
+        DOC_NS, ENT_NS, MENTION_NS, P_MENTIONS, XSD_STRING,
+    )
+    from shaclex_ray.stages.link import build_entity_links
+    from shaclex_ray.terms import TRIPLES_SCHEMA
+
+    doc = DOC_NS + "d0"
+    literal = MENTION_NS + "LitOnly"
+    rows = [
+        (doc, P_MENTIONS, "iri", MENTION_NS + "Graph", "", "", "d0", 0),
+        (doc, P_MENTIONS, "literal", literal, XSD_STRING, "", "d0", 1),
+    ]
+    raw = pa.Table.from_pylist(
+        [dict(zip(TRIPLES_SCHEMA.names, r)) for r in rows], schema=TRIPLES_SCHEMA
+    )
+    pq.write_table(raw, tmp_path / "part-0.parquet")
+    want = {MENTION_NS + "Graph": ENT_NS + "graph"}
+    assert _links_dict(rd.from_arrow(raw)) == want
+    assert _links_dict([str(tmp_path / "part-0.parquet")]) == want
+
+    got = dedup_triples_fast_from_parquet(str(tmp_path), nbuckets=4).to_pandas()
+    lit = got[got["obj_kind"] == "literal"]
+    assert lit[lit["pred"] == P_MENTIONS]["obj_lex"].tolist() == [literal]
+    assert not got["subj"].str.endswith("litonly").any()
+
+
 def test_distinct_rows_null_identity_columns(ray_session):
     """Duplicate rows carrying nulls in identity columns must dedup (SQL
     DISTINCT: null == null), not crash — pc.not_equal yields null for

@@ -398,3 +398,56 @@ def test_typing_is_the_same_at_every_bucket_count(ray_session):
         outs.append((rows(typing), rows(report)))
     assert len(outs[0][0]) == 40 and outs[0][1]
     assert all(o == outs[0] for o in outs[1:])
+
+
+REPORT_COLS = [
+    "focus_node", "path", "value_lex", "source_shape", "component",
+    "severity", "message",
+]
+
+
+@pytest.mark.parametrize("nameless", [1, 0])
+def test_output_dir_writes_no_empty_shard(ray_session, tmp_path, nameless):
+    """With ``output_dir`` at 4 buckets, a bucket without violations writes
+    no report shard: every ``report/part-*.parquet`` has rows and every
+    block read back carries the report columns. An all-conformant graph
+    writes one typed empty part, so its report reads back with the report
+    schema (Ray reads a zero-row file as blocks without columns, so only
+    the Dataset's schema shows it)."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.terms import triples_to_table
+    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+
+    ttl = """
+    @prefix sh: <http://www.w3.org/ns/shacl#> .
+    @prefix ex: <http://ex.org/> .
+    ex:ThingShape a sh:NodeShape ;
+      sh:targetClass ex:Thing ;
+      sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+    """ + "\n".join(
+        f"ex:t{i} a ex:Thing ." + (f' ex:t{i} ex:name "t{i}" .' if i >= nameless else "")
+        for i in range(20)
+    )
+    triples = parse_turtle(ttl)
+    ds = rd.from_arrow(triples_to_table(triples))
+    schema = compile_shacl(triples)
+    out = str(tmp_path / "v")
+    typing, report = distributed_validate(
+        ds, "shacl", schema, resolve_shacl_targets(ds, schema), nbuckets=4,
+        output_dir=out,
+    )
+    parts = [pq.read_table(p) for p in sorted((tmp_path / "v" / "report").iterdir())]
+    assert report.schema().names == REPORT_COLS
+    assert report.count() == nameless and typing.count() == 20
+    if nameless:
+        assert len(parts) == 1 and parts[0].num_rows == 1
+        blocks = [ray.get(ref) for bundle in report.iter_internal_ref_bundles()
+                  for ref, _ in bundle.blocks]
+        assert all(b.column_names == REPORT_COLS for b in blocks)
+    else:
+        assert [(p.num_rows, p.column_names) for p in parts] == [(0, REPORT_COLS)]

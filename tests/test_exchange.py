@@ -4,7 +4,8 @@
     exchange's shape: 1 or 3 buckets, one split group or one per input.
 (b) Degenerate inputs: no inputs at all, groups of zero-column blocks,
     an empty parquet shard, and the single-bucket return.
-(c) ``partition`` keeps row order within each bucket.
+(c) ``partition`` keeps row order within each bucket, and the sink
+    writes one part per bucket with rows.
 (d) A guard: no module outside ``stages/exchange.py`` hand-rolls a
     split (``.options(num_returns=``), names a deleted knob or sizing
     rule, or reads the cluster's CPU count outside an allow-list, and no
@@ -85,7 +86,33 @@ def corpus(tmp_path_factory):
             ),
             events / f"part-{f}.parquet",
         )
+    _write_raw_triples(root / "triples_raw", rng)
     return str(root)
+
+
+def _write_raw_triples(root: pathlib.Path, rng) -> None:
+    """Four raw triple shards whose ``ex:mentions`` objects repeat within
+    and across shards, in surface variants that share a canonical IRI,
+    beside literals spelled like mention IRIs and other predicates."""
+    from shaclex_ray.stages.extract import DOC_NS, MENTION_NS, P_MENTIONS, P_TEXT
+    from shaclex_ray.terms import TRIPLES_SCHEMA
+
+    root.mkdir()
+    for f in range(4):
+        rows = []
+        for i in range(40):
+            doc = f"d{f}_{i}"
+            word = str(rng.choice(VOCAB))
+            surface = str(rng.choice([word, word.upper(), f" {word}"]))
+            kind, pred = [("iri", P_MENTIONS), ("literal", P_MENTIONS),
+                          ("iri", P_TEXT)][int(rng.integers(3))]
+            rows.append((DOC_NS + doc, pred, kind, MENTION_NS + surface,
+                         "", "", doc, i))
+        pq.write_table(
+            pa.Table.from_pylist([dict(zip(TRIPLES_SCHEMA.names, r)) for r in rows],
+                                 schema=TRIPLES_SCHEMA),
+            root / f"part-{f}.parquet",
+        )
 
 
 def _blocks():
@@ -108,6 +135,7 @@ def _op_results(op: str, corpus: str):
     from shaclex_ray.functions.substr import dedup_substring, trim_substring_spans
     from shaclex_ray.stages.dedup import distinct_rows_fast
     from shaclex_ray.stages.groupagg import grouped_aggregate_fast, grouped_topk
+    from shaclex_ray.stages.link import build_entity_links
 
     ds = rd.from_arrow(_blocks())
     if op == "distinct_rows_fast":
@@ -127,6 +155,10 @@ def _op_results(op: str, corpus: str):
         return dedup_substring(corpus)
     if op == "trim_substring_spans":
         return trim_substring_spans(corpus)
+    if op == "build_entity_links":
+        return build_entity_links(
+            sorted(str(p) for p in pathlib.Path(corpus, "triples_raw").glob("*.parquet"))
+        )
     assert op == "sample_balanced"
     return sample_balanced(corpus)  # n=None: a count exchange, then the sample
 
@@ -143,6 +175,7 @@ def _op_results(op: str, corpus: str):
         "dedup_substring",
         "trim_substring_spans",
         "sample_balanced",
+        "build_entity_links",
     ],
 )
 def test_output_invariant_to_exchange_shape(ray_session, corpus, monkeypatch, op):
@@ -313,6 +346,47 @@ def test_single_bucket_returns_a_table(ray_session):
     refs = exchange.split(kern, args, plan, SCHEMA, nbuckets=1)
     assert len(refs) == 1 and len(refs[0]) == 1
     assert isinstance(ray.get(refs[0][0]), pa.Table)
+
+
+def _bucket_of(key: str, nbuckets: int) -> int:
+    (kern, args), _ = _sum_split()
+    one = pa.table({"k": [key], "v": pa.array([1], pa.int64())})
+    return next(b for b, p in enumerate(kern(one, nbuckets, *args)) if p.num_rows)
+
+
+@pytest.mark.parametrize("nbuckets", [1, 3])
+def test_sink_writes_the_buckets_with_rows(ray_session, tmp_path, nbuckets):
+    """Two keys in two of three buckets: the sink writes one part per
+    bucket with rows, its row counts sum to the rows read back, and the
+    parts read back (``reduce`` with an ``output_dir``) hold the rows of
+    the block result."""
+    (kern, args), (bkern, bargs) = _sum_split()
+    other = next(k for k in "bcdefgh" if _bucket_of(k, 3) != _bucket_of("a", 3))
+    tbl = pa.table({"k": ["a", other] * 3, "v": pa.array(range(6), pa.int64())})
+    plan = exchange.Plan((ray.put(tbl),), rows=6, nbytes=96, groups=1,
+                         buckets=nbuckets, cpus=2)
+    refs = exchange.split(kern, args, plan, SCHEMA)
+    out = tmp_path / "out"
+    counts = exchange.sink(refs, bkern, bargs, str(out))
+    assert len(counts) == nbuckets and sum(n > 0 for n in counts) == min(nbuckets, 2)
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"part-{b:05d}.parquet" for b, n in enumerate(counts) if n
+    ]
+    assert sum(counts) == pq.read_table(out).num_rows == 2
+    back = exchange.reduce(refs, bkern, bargs, str(tmp_path / "again"))
+    assert _rows(back) == _rows(exchange.reduce(refs, bkern, bargs))
+
+
+def test_sink_of_nothing_writes_one_typed_empty_part(ray_session, tmp_path):
+    (kern, args), (bkern, bargs) = _sum_split()
+    refs = exchange.split(kern, args, exchange.plan([]), SCHEMA, nbuckets=3)
+    out = tmp_path / "out"
+    assert exchange.sink(refs, bkern, bargs, str(out)) == [0, 0, 0]
+    (part,) = out.iterdir()
+    tbl = pq.read_table(part)
+    assert tbl.num_rows == 0 and tbl.column_names == ["k", "s"]
+    back = exchange.reduce(refs, bkern, bargs, str(tmp_path / "again"))
+    assert back.count() == 0 and back.schema().names == ["k", "s"]
 
 
 # ------------------------------------------------------------ plan
