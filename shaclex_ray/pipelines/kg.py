@@ -34,7 +34,11 @@ from shaclex_ray.sources.documents import parquet_num_rows, read_documents
 from shaclex_ray.stages import dedup, exchange
 from shaclex_ray.stages.extract import extract_triples
 from shaclex_ray.stages.link import build_entity_links
-from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema
+from shaclex_ray.state.checkpoint import (
+    StageRunner,
+    ensure_parquet_schema,
+    read_parts,
+)
 from shaclex_ray.terms import TRIPLES_SCHEMA
 from shaclex_ray.validate.dist import ARC_COLS, distributed_validate
 
@@ -124,8 +128,7 @@ def run_kg_pipeline(
         return parquet_num_rows(f"{path}/shards")
 
     links = runner.run(
-        "entity_links", digest, produce_links,
-        lambda p: rd.read_parquet(f"{p}/shards"),
+        "entity_links", digest, produce_links, lambda p: read_parts(f"{p}/shards")
     )
 
     def produce_canonical(path):
@@ -144,7 +147,9 @@ def run_kg_pipeline(
         def produce_validation(path):
             schema = kg_schema()
             # one planned bucket validates as one task on a pooled worker
-            # (no actor spawn); more take one actor each from the warm pool
+            # (no actor spawn), which reads the shards itself, so
+            # distributed_validate plans them no second time; more take
+            # one actor each from the warm pool
             canonical = sorted(glob.glob(f"{out_dir}/triples_canonical/*.parquet"))
             nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
             # targets derive in-bucket (focus="shacl-targets"): the split
@@ -160,10 +165,7 @@ def run_kg_pipeline(
             return sum(v for k, v in stats.items() if k != "violations")
 
         def read_validation(path):
-            return (
-                rd.read_parquet(f"{path}/typing"),
-                rd.read_parquet(f"{path}/report"),
-            )
+            return read_parts(f"{path}/typing"), read_parts(f"{path}/report")
 
         typing, report = runner.run(
             "validation", digest, produce_validation, read_validation

@@ -287,10 +287,10 @@ def reduce(split_refs: list[list], bucket_kernel, args=(),
     :func:`sink`'s parts, read back lazily."""
     if output_dir is None:
         return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
-    import ray.data as rd
+    from shaclex_ray.state.checkpoint import read_parts
 
     sink(split_refs, bucket_kernel, args, output_dir)
-    return rd.read_parquet(output_dir)
+    return read_parts(output_dir)
 
 
 # ------------------------------------------------------------------ join

@@ -51,6 +51,22 @@ def ensure_parquet_schema(path: str, schema) -> None:
     pq.write_table(schema.empty_table(), os.path.join(path, "part-empty.parquet"))
 
 
+def read_parts(path: str):
+    """The parquet parts under ``path`` as a lazy Dataset. When their
+    footers count no rows, one empty block of their schema instead: Ray
+    reads a zero-row part as blocks without columns, so an all-empty
+    output would otherwise materialize with no schema at all."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
+    if files and not any(pq.read_metadata(f).num_rows for f in files):
+        return rd.from_arrow(pq.read_schema(files[0]).empty_table())
+    return rd.read_parquet(path)
+
+
 def _run_part(produce_part, part: dict, digest: str, path: str,
               parts_dir: str, tmp_dir: str) -> int:
     """One partition of ``StageRunner.run_partitioned``: stream

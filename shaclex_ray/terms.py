@@ -205,8 +205,8 @@ TYPING_SCHEMA = pa.schema(
     [
         pa.field("node", pa.string()),  # term key
         pa.field("shape", pa.string()),
-        pa.field("val", pa.string()),  # conforms | notConforms | unknown | inconsistent
-        pa.field("reason", pa.string()),
+        pa.field("val", pa.string()),  # conforms | notConforms | unknown | error:…
+        pa.field("is_focus", pa.bool_()),
     ]
 )
 

@@ -9,9 +9,19 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
     incoming arcs), so each focus node's neighborhood is co-located (J3)
   * each bucket is a **persistent** ``_Bucket`` (SURVEY.md A2: the one
     stateful stage the Dataset API can't express — partitioned state
-    reused across fixpoint rounds): it builds its neighborhood index once
-    and then evaluates (node, shape) pairs with the in-memory,
+    reused across fixpoint rounds). It keeps its arcs columnar, with
+    dictionary codes for their subjects (``LazyBucketGraph``), and
+    evaluates (node, shape) pairs with the in-memory,
     conformance-verified validator semantics
+  * pairs of a flat shape (SHACL pred-path property shapes, the ShEx
+    counting decomposition) stay Arrow/numpy from target derivation to
+    the shard: a columnar worklist per shape (``_FlatPairs``), one
+    kernel call per shape and round (``flat_eval_kernel``), verdicts and
+    report rows as columns, and a blocked pair's partial kept as arrays
+    and merged with its answers in one vectorized step
+    (``flat_resume``). No per-node index is built for them
+  * every other pair walks the per-focus Python path, which builds the
+    per-node sorted index (``_ArcIndex``) on its first lookup
   * a pair whose evaluation needs the conformance of a *remote* node
     (value-shape recursion J5 / sh:class of a value node) reports a
     dependency; the child's decided conformance is routed back as an
@@ -66,9 +76,16 @@ import pyarrow.compute as pc
 import ray
 
 from shaclex_ray.stages import exchange
-from shaclex_ray.stages.exchange import _ragged_arange, partition
-from shaclex_ray.state.checkpoint import ensure_parquet_schema
-from shaclex_ray.terms import RDF_TYPE, key_to_term, subj_to_key, term_key
+from shaclex_ray.stages.exchange import partition
+from shaclex_ray.state.checkpoint import ensure_parquet_schema, read_parts
+from shaclex_ray.terms import (
+    REPORT_SCHEMA,
+    RDF_TYPE,
+    TYPING_SCHEMA,
+    key_to_term,
+    subj_to_key,
+    term_key,
+)
 from shaclex_ray.validate.local import Graph, ShExValidator
 from shaclex_ray.validate.nodecheck import check_node_constraint, compile_pattern
 from shaclex_ray.validate.shacl_local import (
@@ -411,10 +428,16 @@ def _route_arcs(base: pa.Table, nbuckets: int, include_inverse: bool):
     """Split kernel of the one-time shuffle (``stages/exchange.py``):
     triples -> nbuckets arc sub-tables. Each sub-table carries a 'rev'
     column: false = outgoing arc stored at its subject's bucket, true =
-    reversed copy stored at its (IRI/bnode) object's bucket."""
+    reversed copy stored at its (IRI/bnode) object's bucket. One bucket
+    takes every arc: nothing is hashed or rendered."""
     base = base.combine_chunks()
     n = base.num_rows
     fwd = base.append_column("rev", pa.array(np.zeros(n, dtype=bool)))
+    if nbuckets == 1:
+        if not include_inverse:
+            return (fwd,)
+        rev = base.append_column("rev", pa.array(np.ones(n, dtype=bool)))
+        return (pa.concat_tables([fwd, rev]),)
     fwd_parts = partition(
         fwd, stable_bucket_array(base.column("subj"), nbuckets), nbuckets
     )
@@ -448,48 +471,25 @@ def _route_arcs(base: pa.Table, nbuckets: int, include_inverse: bool):
 
 
 class _ArcIndex:
-    """Arrow-native per-node arc index: rows stay COLUMNAR (sorted by a
-    dictionary-encoded node key; group boundaries from one int argsort);
-    Python tuples materialize only for the slice of an evaluated node.
-    Buckets above ``spill_rows`` spill to an Arrow IPC file and reopen
-    memory-mapped, so an oversized bucket pages through the OS cache
-    instead of dying on worker heap (SURVEY.md dist docstring: "page
-    buckets from the partitioned checkpoints")."""
+    """Per-node arc index over one direction's arcs: rows sorted by their
+    node code (one stable int argsort), group boundaries from
+    ``searchsorted``, and a key → code dict with one Python string per
+    DISTINCT node. Python tuples materialize only for the slice of an
+    evaluated node. Above ``spill_rows`` the sorted table spills to an
+    Arrow IPC file and reopens memory-mapped, so an oversized bucket pages
+    through the OS cache instead of dying on worker heap."""
 
-    def __init__(self, tbl: pa.Table, keys: pa.Array, spill_path: str | None, spill_rows: int):
-        dic = pc.dictionary_encode(keys)
-        codes = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    def __init__(self, tbl: pa.Table, codes: np.ndarray, keys: pa.Array,
+                 spill_path: str | None, spill_rows: int):
         order = np.argsort(codes, kind="stable")
         self._tbl = tbl.take(pa.array(order)).combine_chunks()
-        sorted_codes = codes[order]
-        nkeys = len(dic.dictionary)
-        self._starts = np.searchsorted(sorted_codes, np.arange(nkeys + 1))
-        # node-key → code lookup (one Python string per DISTINCT node, not
-        # per arc — the only eager Python materialization)
-        self._keys = dic.dictionary  # code → key (Arrow, zero-copy)
-        self._code = {k: i for i, k in enumerate(dic.dictionary.to_pylist())}
+        self._starts = np.searchsorted(codes[order], np.arange(len(keys) + 1))
+        self._code = {k: i for i, k in enumerate(keys.to_pylist())}
         if spill_path is not None and self._tbl.num_rows > spill_rows:
-            import pyarrow.feather as _feather
-
-            _feather.write_feather(self._tbl, spill_path, compression="uncompressed")
-            mm = pa.memory_map(spill_path)
-            self._tbl = pa.ipc.open_file(mm).read_all()  # zero-copy mmap view
+            self._tbl = _spill(self._tbl, spill_path)
 
     def keys(self):
         return self._code.keys()
-
-    @property
-    def table(self) -> pa.Table:
-        """The sorted columnar arc table (no node column — use
-        ``keys_of_rows`` to recover the node key of a row index)."""
-        return self._tbl
-
-    def keys_of_rows(self, rows: np.ndarray) -> pa.Array:
-        """Vectorized row-index → node-key lookup (rows into ``table``)."""
-        if len(rows) == 0:
-            return pa.array([], pa.string())
-        codes = np.searchsorted(self._starts, rows, side="right") - 1
-        return self._keys.take(pa.array(codes))
 
     def slice_of(self, key: str) -> pa.Table | None:
         i = self._code.get(key)
@@ -499,19 +499,42 @@ class _ArcIndex:
         return self._tbl.slice(s, e - s)
 
 
-# a bucket whose sorted arc table exceeds this many rows spills it to disk
-# and reopens it memory-mapped (``spill_rows`` overrides per call)
+def _spill(tbl: pa.Table, path: str) -> pa.Table:
+    """``tbl`` written to an uncompressed IPC file at ``path`` and read
+    back as a zero-copy memory-mapped view."""
+    import pyarrow.feather as _feather
+
+    _feather.write_feather(tbl, path, compression="uncompressed")
+    return pa.ipc.open_file(pa.memory_map(path)).read_all()
+
+
+def _np(arr) -> np.ndarray:
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    return arr.to_numpy(zero_copy_only=False)
+
+
+# a bucket whose forward arc table (or a per-node index) exceeds this many
+# rows spills it to disk and reopens it memory-mapped (``spill_rows``
+# overrides per call)
 BUCKET_SPILL_ROWS = 4_000_000
+
+_EMPTY_ARCS = pa.schema(list(ARC_SCHEMA) + [("rev", pa.bool_())]).empty_table()
 
 
 class LazyBucketGraph:
-    """Bucket-local neighborhood index, Arrow-native end-to-end.
+    """Bucket-local arcs, Arrow-native end-to-end.
 
-    Construction: one dictionary-encode + int argsort per direction (C
-    kernels); no up-front to_pylist of the arc columns. Python term
-    tuples build lazily per evaluated node from a zero-copy table slice
-    and are cached with a size cap (the 9.2M-row eager build was a 5-10×
-    memory blowup)."""
+    ``finalize`` keeps the forward arcs as one columnar table in input
+    order (``arcs``) and dictionary-encodes their raw subjects: ``codes``
+    is each arc's subject code, ``nodes`` the code → term key ('I…'/'B…')
+    column, rendered once per distinct subject. The flat kernel works on
+    these directly, gathering an entry's arcs by predicate
+    (``pred_rows``) and code (``positions``). The per-node sorted index
+    (``_ArcIndex``) is built only when something first asks for one node's
+    arcs (``arcs_out``/``arcs_in``: the per-focus path, a non-flat probe);
+    its Python term tuples build per evaluated node and are cached with a
+    size cap (the eager build was a 5-10× memory blowup)."""
 
     CACHE_CAP = 500_000  # cached nodes per direction before a coarse reset
 
@@ -524,56 +547,83 @@ class LazyBucketGraph:
     def add_part(self, tbl: pa.Table):
         self._parts.append(tbl)
 
+    def _spill_path(self, tag: str) -> str | None:
+        if self._spill_dir is None:
+            return None
+        import os as _os
+
+        _os.makedirs(self._spill_dir, exist_ok=True)
+        return _os.path.join(self._spill_dir, f"{tag}.arrow")
+
     def finalize(self):
         if self._finalized:
             return
         self._finalized = True
-        if self._parts:
-            t = pa.concat_tables(self._parts).combine_chunks()
-        else:
-            t = pa.table(
-                {
-                    "subj": pa.array([], pa.string()),
-                    "pred": pa.array([], pa.string()),
-                    "obj_kind": pa.array([], pa.string()),
-                    "obj_lex": pa.array([], pa.string()),
-                    "obj_dt": pa.array([], pa.string()),
-                    "obj_lang": pa.array([], pa.string()),
-                    "rev": pa.array([], pa.bool_()),
-                }
-            )
+        t = pa.concat_tables(self._parts or [_EMPTY_ARCS]).combine_chunks()
         self._parts = None
-        rev_mask = t.column("rev").combine_chunks()
-        n_rev = pc.sum(rev_mask).as_py() or 0
-        if n_rev == 0:
+        rev_mask = t.column("rev")
+        if not pc.sum(rev_mask).as_py():
             fwd, rev = t, t.slice(0, 0)
         else:
             fwd = t.filter(pc.invert(rev_mask))
             rev = t.filter(rev_mask)
-
-        import os as _os
-
-        def spath(tag):
-            if self._spill_dir is None:
-                return None
-            _os.makedirs(self._spill_dir, exist_ok=True)
-            return _os.path.join(self._spill_dir, f"{tag}.arrow")
-
-        fkeys = _subj_key_col(fwd.column("subj"))
-        self._fwd = _ArcIndex(
-            fwd.select(["pred", "obj_kind", "obj_lex", "obj_dt", "obj_lang"]),
-            fkeys,
-            spath("fwd"),
-            self._spill_rows,
-        )
-
-        rkeys = _obj_key_col(rev)
-        self._rev = _ArcIndex(
-            rev.select(["subj", "pred"]), rkeys, spath("rev"), self._spill_rows
-        )
-
+        fwd = fwd.select(ARC_COLS)
+        if fwd.num_rows > self._spill_rows and self._spill_dir is not None:
+            fwd = _spill(fwd, self._spill_path("fwd"))
+        dic = pc.dictionary_encode(fwd.column("subj").combine_chunks())
+        self.arcs = fwd
+        self.codes = _np(dic.indices)
+        self.nodes = _subj_key_col(dic.dictionary)
+        self._rev_arcs = rev.select(ARC_COLS)
+        pdic = pc.dictionary_encode(fwd.column("pred").combine_chunks())
+        self._preds = {p: i for i, p in enumerate(pdic.dictionary.to_pylist())}
+        self._pred_codes = _np(pdic.indices)
+        self._pred_rows: dict[str, np.ndarray] = {}
+        self._fwd_index = self._rev_index = None
         self._out_cache: dict[str, list] = {}
         self._in_cache: dict[str, list] = {}
+
+    def pred_rows(self, pred: str) -> np.ndarray:
+        """Indices into ``arcs`` of the arcs with predicate ``pred``."""
+        got = self._pred_rows.get(pred)
+        if got is None:
+            got = self._pred_rows[pred] = np.flatnonzero(
+                self._pred_codes == self._preds.get(pred, -1)
+            )
+        return got
+
+    def positions(self, keys: pa.Array) -> np.ndarray:
+        """Subject code → the node's position in ``keys`` (distinct term
+        keys), -1 for a subject not among them."""
+        codes = _np(pc.fill_null(pc.index_in(keys, value_set=self.nodes), -1))
+        pos = np.full(len(self.nodes), -1, dtype=np.int64)
+        have = codes >= 0
+        pos[codes[have]] = np.flatnonzero(have)
+        return pos
+
+    def keys_at(self, rows: np.ndarray) -> pa.Array:
+        """The subject term keys of the arcs at ``rows``."""
+        return self.nodes.take(pa.array(self.codes[rows]))
+
+    @property
+    def _fwd(self) -> _ArcIndex:
+        if self._fwd_index is None:
+            self._fwd_index = _ArcIndex(
+                self.arcs.select(ARC_COLS[1:]), self.codes, self.nodes,
+                self._spill_path("fwd-index"), self._spill_rows,
+            )
+        return self._fwd_index
+
+    @property
+    def _rev(self) -> _ArcIndex:
+        if self._rev_index is None:
+            rev = self._rev_arcs
+            dic = pc.dictionary_encode(_obj_key_col(rev))
+            self._rev_index = _ArcIndex(
+                rev.select(["subj", "pred"]), _np(dic.indices), dic.dictionary,
+                self._spill_path("rev"), self._spill_rows,
+            )
+        return self._rev_index
 
     def arcs_out(self, key: str) -> list:
         got = self._out_cache.get(key)
@@ -633,8 +683,9 @@ class LazyBucketGraph:
 # (``FlatShape``); one kernel evaluates it for ALL pending focus nodes of a
 # shape at once with Arrow/numpy kernels into per-(focus, entry) partials,
 # and each language's finalize rule turns a partial into a verdict and
-# report rows. A pair blocked on a cross-bucket probe keeps its partial and
-# resumes from it (``flat_resume``) — for both engines. The per-focus
+# report rows, all as columns (``PosRows``). A pair blocked on a
+# cross-bucket probe keeps its partial as arrays and resumes from it in
+# one vectorized merge (``flat_resume``) — for both engines. The per-focus
 # Python walk remains the semantics oracle and the fallback.
 
 from shaclex_ray.terms import SEP as _TSEP
@@ -680,7 +731,7 @@ class FlatShape(NamedTuple):
     else over all arcs; SHACL entries also carry ``source``, ``severity``
     and ``message`` for their report rows. ``finalize(entries, node_keys,
     partial)`` is the language's rule from a ``FlatPartial`` to
-    ``(conforms: bool[n], report rows per node)``."""
+    ``(conforms: bool[n], report rows as PosRows)``."""
 
     entries: list
     finalize: Callable
@@ -803,33 +854,24 @@ def flat_shacl_profile(schema: dict) -> dict[str, FlatShape]:
     return out
 
 
-def _report_row(e: dict, focus: str, component: str, value=None) -> dict:
-    return {
-        "focus": focus,
-        "path": e["pred"],
-        "value": value,
-        "component": component,
-        "severity": e["severity"],
-        "source": e["source"],
-        "message": e["message"],
-    }
-
-
 def _shacl_finalize(entries, node_keys, part):
     """SHACL: a count outside its entry's bounds is one more report row —
     sh:minCount / sh:maxCount count every arc, sh:hasValue the arcs
     holding the value — and a node conforms when it has no row."""
-    reports = [list(r) for r in part.rows]
+    keys = _as_keys(node_keys)
+    rows = [part.rows.table]
     max_count = _component_iri("MaxCount")
     for i, e in enumerate(entries):
         n = part.sat[:, i] if e["qualified"] else part.arcs[:, i]
         low = _component_iri("HasValue" if e["qualified"] else "MinCount")
-        for pos in np.flatnonzero(n < e["min"]):
-            reports[pos].append(_report_row(e, node_keys[pos], low))
+        rows.append(_row_table(e, keys, np.flatnonzero(n < e["min"]), low))
         if e["max"] != -1:
-            for pos in np.flatnonzero(n > e["max"]):
-                reports[pos].append(_report_row(e, node_keys[pos], max_count))
-    return np.array([not r for r in reports], dtype=bool), reports
+            rows.append(
+                _row_table(e, keys, np.flatnonzero(n > e["max"]), max_count)
+            )
+    rows = pa.concat_tables(rows)
+    flagged = np.bincount(_np(rows.column("pos")), minlength=len(keys))
+    return flagged == 0, PosRows(rows)
 
 
 def _subj_key_col(subj) -> pa.Array:
@@ -846,6 +888,8 @@ def _obj_key_col(sub: pa.Table) -> pa.Array:
     """Vectorized object term-key column ('I…'/'B…'/'L…')."""
     okind = sub.column("obj_kind").combine_chunks()
     olex = sub.column("obj_lex").combine_chunks()
+    if pc.unique(okind).to_pylist() == ["iri"]:  # one render, not three
+        return pc.binary_join_element_wise("I", olex, "")
     odt = sub.column("obj_dt").combine_chunks()
     olang = sub.column("obj_lang").combine_chunks()
     lit = pc.binary_join_element_wise(
@@ -1006,7 +1050,7 @@ def _shex_finalize(entries, node_keys, part):
     """ShEx (exactly ShExValidator._match_flat): an EXTRA predicate bounds
     only its satisfying arcs; any other needs every arc to satisfy and
     bounds them all. No report rows."""
-    ok = np.ones(len(node_keys), dtype=bool)
+    ok = np.ones(part.arcs.shape[0], dtype=bool)
     for i, e in enumerate(entries):
         arcs, sat = part.arcs[:, i], part.sat[:, i]
         n = sat if e["qualified"] else arcs
@@ -1021,38 +1065,91 @@ def _shex_finalize(entries, node_keys, part):
 _FLAT_PROFILES = {"shacl": flat_shacl_profile, "shex": flat_shex_profile}
 
 
+class PosRows:
+    """Rows of many nodes as ONE Arrow table whose int64 ``pos`` column is
+    the row's node position; ``rows[pos]`` is one node's rows as dicts
+    (without ``pos``), for callers that look at a single node."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    def __getitem__(self, pos: int) -> list[dict]:
+        t = self.table
+        return t.filter(pc.equal(t.column("pos"), pos)).drop_columns("pos").to_pylist()
+
+
+# a flat shape's report rows: one per failing value or out-of-bounds count
+_ROWS_SCHEMA = pa.schema(
+    [("pos", pa.int64())]
+    + [(c, pa.string()) for c in
+       ("focus", "path", "value", "component", "severity", "source", "message")]
+)
+# a blocked node's arcs whose probes wait for answers: ``open`` is a bit
+# mask of the entry's unanswered probe indices, ``passed`` whether the arc
+# passed its value checks and answered probes so far
+_PENDING_SCHEMA = pa.schema([
+    ("pos", pa.int64()), ("entry", pa.int64()), ("value", pa.string()),
+    ("passed", pa.bool_()), ("open", pa.int64()),
+])
+
+
+def _as_keys(node_keys) -> pa.Array:
+    if isinstance(node_keys, pa.ChunkedArray):
+        return node_keys.combine_chunks()
+    if isinstance(node_keys, pa.Array):
+        return node_keys
+    return pa.array(node_keys, pa.string())
+
+
+def _const(value, n: int) -> pa.Array:
+    return pa.repeat(pa.scalar(value, pa.string()), n)
+
+
+def _row_table(e: dict, keys: pa.Array, pos: np.ndarray, component: str,
+               values: pa.Array | None = None) -> pa.Table:
+    """Report rows of entry ``e`` for the nodes at ``pos`` (one per
+    element), with ``values`` (None: no value)."""
+    n = len(pos)
+    return pa.table(
+        [
+            pa.array(pos, pa.int64()), keys.take(pa.array(pos, pa.int64())),
+            _const(e["pred"], n),
+            pa.nulls(n, pa.string()) if values is None else values,
+            _const(component, n), _const(e["severity"], n),
+            _const(e["source"], n), _const(e["message"], n),
+        ],
+        schema=_ROWS_SCHEMA,
+    )
+
+
+def _concat(tables: list, schema: pa.Schema) -> pa.Table:
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _remap(tbl: pa.Table, to: np.ndarray) -> pa.Table:
+    """The rows of ``tbl`` whose ``pos`` maps to a position (``to[pos]``
+    >= 0), with ``pos`` rewritten to it."""
+    new = to[_np(tbl.column("pos"))]
+    keep = new >= 0
+    if not keep.all():
+        tbl, new = tbl.filter(pa.array(keep)), new[keep]
+    return tbl.set_column(0, "pos", pa.array(new, pa.int64()))
+
+
 class FlatPartial(NamedTuple):
     """A flat shape's evaluation of n focus nodes before its finalize
     rule. Per (focus, entry): ``arcs``, the arc count, and ``sat``, the
     arcs that pass every value check and every answered probe (int64
-    [n, entries]). Per focus: ``rows``, its failing-value report rows, and
-    ``pending``, its arcs with unanswered probes as ``{(entry, value key):
-    [arcs, passed so far, unanswered probe indices]}``."""
+    [n, entries]). ``rows``: the failing-value report rows; ``pending``:
+    the arcs whose probes are unanswered (``_PENDING_SCHEMA``) — both
+    ``PosRows`` over the n nodes."""
 
     arcs: np.ndarray
     sat: np.ndarray
-    rows: list
-    pending: list
-
-    def node(self, pos: int) -> "NodePartial":
-        """The one-node partial of node ``pos``."""
-        return NodePartial(
-            tuple(self.arcs[pos].tolist()),
-            tuple(self.sat[pos].tolist()),
-            self.rows[pos],
-            self.pending[pos],
-        )
-
-
-class NodePartial(NamedTuple):
-    """One node's ``FlatPartial`` in the form a blocked pair waits in:
-    the per-entry counts as tuples of ints (no arrays per pair), its
-    report rows and its pending arcs."""
-
-    arcs: tuple
-    sat: tuple
-    rows: list
-    pending: dict
+    rows: PosRows
+    pending: PosRows
 
 
 class _EntryArcs:
@@ -1144,76 +1241,61 @@ def _pattern_mask(pat: str, flags: str, arcs: _EntryArcs) -> np.ndarray:
     )
 
 
-def _add_rows(reports, e, node_keys, subj, component, ea, bad) -> None:
-    """Failing-value report rows of entry ``e`` for the arcs at ``bad``."""
-    if not len(bad):
-        return
-    values = ea.keys().take(pa.array(bad)).to_pylist()
-    for j, v in zip(bad, values):
-        reports[subj[j]].append(_report_row(e, node_keys[subj[j]], component, v))
-
-
 def flat_eval_kernel(
     profile: FlatShape,
-    node_keys: list[str],
+    node_keys,
     graph: "LazyBucketGraph",
     assumptions: dict,
     is_local_key,
     is_instance_fn,
 ):
-    """Vectorized evaluation of one flat shape for MANY focus nodes over
-    the bucket's columnar arc table: each node's arcs gather once, every
-    entry's value checks run as Arrow/numpy kernels and its probes once
-    per distinct value (assumption first, then the probe's bucket-local
-    answer), giving a ``FlatPartial``; the shape's finalize rule turns it
-    into verdicts and report rows. Returns ``(conforms: bool[n], report
-    rows per node, partial)``; a node with pending probes has no verdict
-    yet — it resumes through ``flat_resume``. Semantics are pinned to
-    ShaclValidator.validate_shape and ShExValidator (fuzzed in
-    tests/test_property.py)."""
+    """Vectorized evaluation of one flat shape for MANY distinct focus
+    nodes (term keys: a list or an Arrow array) over the bucket's columnar
+    arcs: an entry gathers its predicate's arcs whose subject is among the
+    nodes (``graph.pred_rows`` and ``graph.positions``, no per-node
+    index), its value checks run as Arrow/numpy kernels and its probes
+    once per distinct value (assumption first, then the probe's
+    bucket-local answer), giving a ``FlatPartial``; the shape's finalize
+    rule turns it into verdicts and report rows. Returns ``(conforms:
+    bool[n], report rows as PosRows, partial)``; a node with pending
+    probes has no verdict yet — it resumes through ``flat_resume``.
+    Semantics are pinned to ShaclValidator.validate_shape and
+    ShExValidator (fuzzed in tests/test_property.py)."""
     entries = profile.entries
-    idx = graph._fwd
-    n, k = len(node_keys), len(entries)
-
-    # gather each focus node's arc-row range from the sorted index —
-    # vectorized ragged-range expansion (no per-node np.arange)
-    codes = np.fromiter(
-        (idx._code.get(nk, -1) for nk in node_keys), dtype=np.int64, count=n
-    )
-    have = np.flatnonzero(codes >= 0)
-    starts = idx._starts[codes[have]]
-    lens = idx._starts[codes[have] + 1] - starts
-    arc_rows = np.repeat(starts, lens) + _ragged_arange(lens)
-    subj_of_row = np.repeat(have, lens)
-    preds = idx._tbl.column("pred").take(pa.array(arc_rows)).combine_chunks()
+    keys = _as_keys(node_keys)
+    n, k = len(keys), len(entries)
+    pos_of = graph.positions(keys)
 
     arcs = np.zeros((n, k), dtype=np.int64)
     sat = np.zeros((n, k), dtype=np.int64)
-    reports: list[list] = [[] for _ in range(n)]
-    pending: list[dict] = [{} for _ in range(n)]
+    rows: list[pa.Table] = []
+    pending: list[pa.Table] = []
     # (value key, probe shape) -> 1 / 0 / -1 (ask the home bucket)
     answers: dict[tuple[str, str], int] = {}
 
     for i, e in enumerate(entries):
-        # value-level work sees only THIS predicate's arcs: column takes
-        # shrink from |gathered rows| to |pred matches|
-        sel = np.flatnonzero(
-            pc.equal(preds, e["pred"]).to_numpy(zero_copy_only=False)
-        )
+        # value-level work sees only THIS predicate's arcs of these nodes
+        sel = graph.pred_rows(e["pred"])
+        subj = pos_of[graph.codes[sel]]
+        have = subj >= 0
+        sel, subj = sel[have], subj[have]
         if not len(sel):
             continue
-        subj = subj_of_row[sel]
         arcs[:, i] = np.bincount(subj, minlength=n)
-        ea = _EntryArcs(idx._tbl, arc_rows[sel])
+        ea = _EntryArcs(graph.arcs, sel)
+
+        def add_rows(component, bad):
+            if component is not None and len(bad):
+                rows.append(_row_table(e, keys, subj[bad], component,
+                                       ea.keys().take(pa.array(bad))))
+
         ok = np.ones(len(sel), dtype=bool)
         for op, param, component in e["checks"]:
             good = _check_mask(op, param, ea)
-            if component is not None:
-                _add_rows(reports, e, node_keys, subj, component, ea,
-                          np.flatnonzero(~good))
+            add_rows(component, np.flatnonzero(~good))
             ok &= good
-        open_ = []
-        for probe in e["probes"]:
+        open_ = np.zeros(len(sel), dtype=np.int64)
+        for p, probe in enumerate(e["probes"]):
             dvals, dcodes = ea.distinct()
             st = np.empty(len(dvals), dtype=np.int8)
             for d, v in enumerate(dvals):
@@ -1223,82 +1305,246 @@ def flat_eval_kernel(
                     a = assumptions.get(key)
                     if a is None:
                         a = probe.answer(v, graph, is_local_key, is_instance_fn)
-                    s = answers[key] = -1 if a is None else int(bool(a))
+                    s = answers[key] = _answer_code(a)
                 st[d] = s
             st = st[dcodes]
-            if probe.component is not None:
-                _add_rows(reports, e, node_keys, subj, probe.component, ea,
-                          np.flatnonzero(st == 0))
+            add_rows(probe.component, np.flatnonzero(st == 0))
             ok &= st != 0
-            open_.append(st < 0)
-        blocked = np.logical_or.reduce(open_) if open_ else np.zeros(len(sel), bool)
+            open_ |= (st < 0).astype(np.int64) << p
+        blocked = open_ != 0
         sat[:, i] = np.bincount(subj[ok & ~blocked], minlength=n)
-        if blocked.any():
-            dvals, dcodes = ea.distinct()
-            at = np.flatnonzero(blocked)
-            for pos, code, passed, opens in zip(
-                subj[at].tolist(), dcodes[at].tolist(), ok[at].tolist(),
-                np.stack(open_, axis=1)[at].tolist(),
-            ):
-                got = pending[pos].get((i, dvals[code]))
-                if got is None:
-                    pending[pos][(i, dvals[code])] = [
-                        1, passed, [p for p, o in enumerate(opens) if o]
-                    ]
-                else:
-                    got[0] += 1
+        at = np.flatnonzero(blocked)
+        if len(at):
+            pending.append(pa.table(
+                [pa.array(subj[at]), pa.array(np.full(len(at), i)),
+                 ea.keys().take(pa.array(at)), pa.array(ok[at]),
+                 pa.array(open_[at])],
+                schema=_PENDING_SCHEMA,
+            ))
 
-    part = FlatPartial(arcs, sat, reports, pending)
-    conforms, rows = profile.finalize(entries, node_keys, part)
-    return conforms, rows, part
+    part = FlatPartial(arcs, sat, PosRows(_concat(rows, _ROWS_SCHEMA)),
+                       PosRows(_concat(pending, _PENDING_SCHEMA)))
+    conforms, out_rows = profile.finalize(entries, keys, part)
+    return conforms, out_rows, part
 
 
-def flat_resume(profile: FlatShape, focus: str, node: NodePartial,
+def flat_resume(profile: FlatShape, node_keys, part: FlatPartial,
                 assumptions: dict) -> FlatPartial:
-    """Merge the answered probes into one node's partial: an arc whose
-    probes are all answered satisfies when it passed so far and every
-    answer is True; a False answer adds its report row (once per arc).
-    The result's pending keeps the probes still unanswered."""
-    rows, sat, still = list(node.rows), np.array([node.sat], np.int64), {}
-    for (i, v), (mult, ok, open_) in node.pending.items():
-        e = profile.entries[i]
-        left = []
-        for p in open_:
-            probe = e["probes"][p]
-            a = assumptions.get((v, probe.shape))
-            if a is None:
-                left.append(p)
-            elif not a:
-                ok = False
-                if probe.component is not None:
-                    rows += [
-                        _report_row(e, focus, probe.component, v)
-                        for _ in range(mult)
-                    ]
-        if left:
-            still[(i, v)] = [mult, ok, left]
-        elif ok:
-            sat[0, i] += mult
-    return FlatPartial(np.array([node.arcs], np.int64), sat, [rows], [still])
+    """Merge the answered probes into a partial in one vectorized step
+    per (entry, probe): an arc whose probes are all answered satisfies
+    when it passed so far and every answer is True; a False answer adds
+    its report row (once per arc). The result's pending keeps the arcs
+    with probes still unanswered. ``node_keys`` are the partial's nodes."""
+    pend = part.pending.table
+    if not pend.num_rows:
+        return part
+    pos, entry = _np(pend.column("pos")), _np(pend.column("entry"))
+    passed, open_ = _np(pend.column("passed")).copy(), _np(pend.column("open")).copy()
+    values = pend.column("value").combine_chunks()
+    keys = _as_keys(node_keys)
+    rows = [part.rows.table]
+    for e, p, probe, at in _open_probes(profile, entry, open_):
+        dic = pc.dictionary_encode(values.take(pa.array(at)))
+        got = np.array(
+            [_answer_code(assumptions.get((v, probe.shape)))
+             for v in dic.dictionary.to_pylist()],
+            dtype=np.int8,
+        )[_np(dic.indices)]
+        open_[at[got >= 0]] &= ~(1 << p)
+        no = at[got == 0]
+        passed[no] = False
+        if probe.component is not None and len(no):
+            rows.append(_row_table(e, keys, pos[no], probe.component,
+                                   values.take(pa.array(no))))
+    done = open_ == 0
+    sat = part.sat.copy()
+    np.add.at(sat, (pos[done & passed], entry[done & passed]), 1)
+    left = np.flatnonzero(~done)
+    pend = pa.table(
+        [pa.array(pos[left]), pa.array(entry[left]), values.take(pa.array(left)),
+         pa.array(passed[left]), pa.array(open_[left])],
+        schema=_PENDING_SCHEMA,
+    )
+    return FlatPartial(part.arcs, sat, PosRows(pa.concat_tables(rows)),
+                       PosRows(pend))
 
 
-def _pending_deps(profile: FlatShape, pending: dict) -> tuple:
-    """The sorted (value, shape) dependencies of one node's pending arcs."""
-    return tuple(sorted({
-        (v, profile.entries[i]["probes"][p].shape)
-        for (i, v), (_m, _ok, open_) in pending.items()
-        for p in open_
-    }))
+def _answer_code(a) -> int:
+    """An assumption as a probe state: -1 unanswered, 1 True, 0 False."""
+    return -1 if a is None else int(bool(a))
+
+
+def _open_probes(profile: FlatShape, entry: np.ndarray, open_: np.ndarray):
+    """``(entry dict, probe index, probe, pending arc indices)`` for each
+    probe that some pending arc still waits on."""
+    for i, e in enumerate(profile.entries):
+        for p, probe in enumerate(e["probes"]):
+            at = np.flatnonzero((entry == i) & ((open_ >> p) & 1).astype(bool))
+            if len(at):
+                yield e, p, probe, at
+
+
+def _pending_deps(profile: FlatShape, pending: PosRows) -> tuple:
+    """The sorted (value, shape) dependencies of pending arcs."""
+    pend = pending.table
+    values = pend.column("value")
+    deps = set()
+    for _e, _p, probe, at in _open_probes(
+        profile, _np(pend.column("entry")), _np(pend.column("open"))
+    ):
+        vals = pc.unique(values.take(pa.array(at))).to_pylist()
+        deps.update((v, probe.shape) for v in vals)
+    return tuple(sorted(deps))
+
+
+# a flat pair's state in its bucket's ``_FlatPairs``
+_PENDING, _BLOCKED, _DECIDED, _UNKNOWN = range(4)
+_VALS = pa.array(["conforms", "notConforms", "unknown"])
+
+
+class _FlatPairs:
+    """One flat shape's (node, shape) pairs in one bucket, as columns —
+    the columnar worklist. Position p is one distinct node key (``keys``);
+    ``focus``/``requested`` flag who asked for it; ``state`` moves
+    pending → (blocked →) decided. A blocked pair's partial waits in
+    ``arcs``/``sat`` and in the ``rows``/``pending`` tables (keyed by
+    position) until its probes' answers merge in (``flat_resume``); the
+    report rows of decided focus pairs collect in ``reports``."""
+
+    def __init__(self, profile: FlatShape):
+        k = len(profile.entries)
+        self.profile = profile
+        self.keys = pa.array([], pa.string())
+        self.focus = np.zeros(0, dtype=bool)
+        self.requested = np.zeros(0, dtype=bool)
+        self.state = np.zeros(0, dtype=np.int8)
+        self.conforms = np.zeros(0, dtype=bool)
+        self.arcs = np.zeros((0, k), dtype=np.int64)
+        self.sat = np.zeros((0, k), dtype=np.int64)
+        self.rows = _ROWS_SCHEMA.empty_table()
+        self.pending = _PENDING_SCHEMA.empty_table()
+        self.reports: list[pa.Table] = []
+
+    def add(self, nodes: pa.Array) -> np.ndarray:
+        """The positions of ``nodes``; unknown ones join as pending."""
+        where = pc.index_in(nodes, value_set=self.keys)
+        if where.null_count:
+            new = pc.unique(nodes.filter(pc.is_null(where)))
+            m = len(new)
+            self.keys = pa.concat_arrays([self.keys, new])
+            self.focus = np.concatenate([self.focus, np.zeros(m, bool)])
+            self.requested = np.concatenate([self.requested, np.zeros(m, bool)])
+            self.state = np.concatenate([self.state, np.zeros(m, np.int8)])
+            self.conforms = np.concatenate([self.conforms, np.zeros(m, bool)])
+            grow = np.zeros((m, self.arcs.shape[1]), np.int64)
+            self.arcs = np.concatenate([self.arcs, grow])
+            self.sat = np.concatenate([self.sat, grow])
+            where = pc.index_in(nodes, value_set=self.keys)
+        return _np(where).astype(np.int64)
+
+    def vals(self, at: np.ndarray) -> pa.Array:
+        """The typing value of the decided (or unknown) pairs at ``at``."""
+        code = np.where(self.conforms[at], 0, 1)
+        code[self.state[at] == _UNKNOWN] = 2
+        return _VALS.take(pa.array(code))
+
+    def answers(self, at: np.ndarray, sk: str) -> list:
+        """(node, shape, val) of the requested pairs among ``at``."""
+        at = at[self.requested[at]]
+        return [(nk, sk, v) for nk, v in zip(
+            self.keys.take(pa.array(at)).to_pylist(), self.vals(at).to_pylist()
+        )]
+
+    def step(self, graph, assumptions, is_local_key, is_instance_fn):
+        """One round: the blocked pairs merge the answers that arrived
+        (one ``flat_resume`` over the store), the pending pairs run the
+        kernel once, and every pair left without an unanswered probe
+        settles through the finalize rule. Returns the positions
+        decided."""
+        prof, n = self.profile, len(self.keys)
+        if (self.state == _BLOCKED).any():
+            part = flat_resume(
+                prof, self.keys,
+                FlatPartial(self.arcs, self.sat, PosRows(self.rows),
+                            PosRows(self.pending)),
+                assumptions,
+            )
+            self.sat, self.rows = part.sat, part.rows.table
+            self.pending = part.pending.table
+        fresh = np.flatnonzero(self.state == _PENDING)
+        if len(fresh):
+            _conforms, _rows, part = flat_eval_kernel(
+                prof, self.keys.take(pa.array(fresh)).to_pylist(), graph,
+                assumptions, is_local_key, is_instance_fn,
+            )
+            self.arcs[fresh], self.sat[fresh] = part.arcs, part.sat
+            self.rows = pa.concat_tables(
+                [self.rows, _remap(part.rows.table, fresh)])
+            self.pending = pa.concat_tables(
+                [self.pending, _remap(part.pending.table, fresh)])
+            self.state[fresh] = _BLOCKED
+        waiting = np.zeros(n, dtype=bool)
+        waiting[_np(self.pending.column("pos"))] = True
+        done = np.flatnonzero((self.state == _BLOCKED) & ~waiting)
+        to = np.full(n, -1, dtype=np.int64)
+        to[done] = np.arange(len(done))
+        conforms, rows = prof.finalize(
+            prof.entries, self.keys.take(pa.array(done)),
+            FlatPartial(self.arcs[done], self.sat[done],
+                        PosRows(_remap(self.rows, to)),
+                        PosRows(_PENDING_SCHEMA.empty_table())),
+        )
+        self.state[done], self.conforms[done] = _DECIDED, conforms
+        rows = _remap(rows.table, np.where(self.focus[done], done, -1))
+        if rows.num_rows:
+            self.reports.append(rows)
+        self.rows = _remap(self.rows, np.where(waiting, np.arange(n), -1))
+        return done
+
+    def deps(self) -> tuple:
+        """The (value, shape) dependencies the blocked pairs wait on."""
+        return _pending_deps(self.profile, PosRows(self.pending))
+
+    def open_count(self) -> int:
+        return int(np.count_nonzero(self.state < _DECIDED))
+
+    def mark_unknown(self) -> int:
+        left = self.state < _DECIDED
+        self.state[left] = _UNKNOWN
+        self.rows = _ROWS_SCHEMA.empty_table()
+        self.pending = _PENDING_SCHEMA.empty_table()
+        return int(np.count_nonzero(left))
+
+    def typing(self, sk: str) -> pa.Table:
+        at = np.flatnonzero(self.focus)
+        return pa.table(
+            [self.keys.take(pa.array(at)), _const(sk, len(at)), self.vals(at),
+             pa.repeat(pa.scalar(True), len(at))],
+            schema=TYPING_SCHEMA,
+        )
+
+    def report(self) -> pa.Table:
+        return _concat(self.reports, _ROWS_SCHEMA)
 
 
 class _Bucket:
-    """Persistent per-bucket evaluator: the neighborhood index AND the
-    bucket's pending worklist live here across rounds (schema compiled once
-    per bucket — SURVEY.md A1/A2). The driver only routes the (small)
-    cross-bucket dependency traffic, so its per-round work is
-    O(#dependencies + #buckets), independent of focus-pair count. A plain
-    class: the fleet runs it as the pooled ``BucketWorker`` actor, the
-    single-bucket regime as an object inside one task. Either way one
+    """Persistent per-bucket evaluator: the bucket's arcs AND its worklist
+    live here across rounds (schema compiled once per bucket — SURVEY.md
+    A1/A2). The driver only routes the (small) cross-bucket dependency
+    traffic, so its per-round work is O(#dependencies + #buckets),
+    independent of focus-pair count.
+
+    Two worklists. Pairs of a flat shape stay columnar from target
+    derivation to the shard: one ``_FlatPairs`` per shape holds their node
+    keys, flags, states, verdicts and blocked partials as arrays, one
+    kernel call per shape and round evaluates the pending ones and one
+    vectorized merge resumes the blocked ones. Every other pair (a
+    non-flat shape, a ``class:``/``hop:``/``vshape:`` probe) walks the
+    per-focus Python path over dicts (``pending``, ``typing``, …), which
+    builds the graph's per-node index on first use.
+
+    A plain class: the fleet runs it as the pooled ``BucketWorker`` actor,
+    the single-bucket regime as an object inside one task. Either way one
     validation call is ``open`` … ``release``: a reused process carries
     nothing from one call to the next."""
 
@@ -1320,6 +1566,7 @@ class _Bucket:
         self.graph = LazyBucketGraph(
             spill_dir=self._spill_dir, spill_rows=spill_rows
         )
+        # the per-focus path's worklist (pairs of non-flat shapes)
         self.pending: dict[tuple[str, str], bool] = {}
         self.typing: dict[tuple[str, str], str] = {}
         self.focus_flags: dict[tuple[str, str], bool] = {}
@@ -1334,11 +1581,12 @@ class _Bucket:
         # node-key -> is-local memo (the scalar stable-hash is ~50µs; value
         # nodes repeat heavily across focus pairs)
         self._local_cache: dict[str, bool] = {}
-        # flat-shape check lists (compiled lazily once per call)
+        # flat-shape check lists (compiled lazily once per call) and the
+        # columnar worklist of their pairs, one store per shape
         self._flat_profiles: dict[str, FlatShape] | None = None
-        # blocked flat pair -> its NodePartial: later rounds resume from
-        # here instead of re-running the kernel
-        self._flat_partial: dict[tuple[str, str], NodePartial] = {}
+        self._pairs: dict[str, _FlatPairs] = {}
+        # class key -> the local nodes typed with it or a subclass
+        self._instances: dict[str, set] = {}
         return bucket_id
 
     def load(self, *parts: pa.Table) -> int:
@@ -1370,16 +1618,14 @@ class _Bucket:
 
     def subclass_rows(self) -> pa.Table:
         """(child_key, parent_key) pairs from this bucket's forward arcs."""
-        idx_obj = self.graph._fwd
-        t = idx_obj.table
-        mask = pc.equal(t.column("pred"), RDFS_SUBCLASS).combine_chunks()
-        rows = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
+        g = self.graph
+        rows = g.pred_rows(RDFS_SUBCLASS)
         if len(rows) == 0:
             return pa.table(
                 {"child": pa.array([], pa.string()), "parent": pa.array([], pa.string())}
             )
-        child = idx_obj.keys_of_rows(rows)
-        sub = t.take(pa.array(rows))
+        child = g.keys_at(rows)
+        sub = g.arcs.take(pa.array(rows))
         parent = pc.binary_join_element_wise(
             pc.if_else(
                 pc.equal(sub.column("obj_kind").combine_chunks(), "iri"), "I", "B"
@@ -1395,37 +1641,20 @@ class _Bucket:
         driver to route. ``closure`` is the subclass closure the schema
         was shipped without (it needed the subclass rows first)."""
         self.schema["subclass_closure"] = closure
-        idx_obj = self.graph._fwd
-        t = idx_obj.table
-        pred = t.column("pred")
+        g = self.graph
+        t = g.arcs
         for cls_iris, sk in spec["class_targets"]:
-            mask = pc.and_(
-                pc.equal(pred, RDF_TYPE),
-                pc.is_in(
-                    t.column("obj_lex"), value_set=pa.array(sorted(cls_iris))
-                ),
-            ).combine_chunks()
-            rows = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
-            keys = idx_obj.keys_of_rows(rows)
-            self.submit(
-                pa.table(
-                    {"node": keys, "shape": pa.array([sk] * len(keys), pa.string())}
-                ),
-                True,
+            rows = g.pred_rows(RDF_TYPE)
+            hit = pc.is_in(
+                t.column("obj_lex").take(pa.array(rows)),
+                value_set=pa.array(sorted(cls_iris)),
             )
+            self.submit_nodes(g.keys_at(rows[_np(hit)]), sk, True)
         for p, sk in spec["subjects_of"]:
-            mask = pc.equal(pred, p).combine_chunks()
-            rows = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
-            keys = idx_obj.keys_of_rows(rows)
-            self.submit(
-                pa.table(
-                    {"node": keys, "shape": pa.array([sk] * len(keys), pa.string())}
-                ),
-                True,
-            )
+            self.submit_nodes(g.keys_at(g.pred_rows(p)), sk, True)
         remote_parts: list[pa.Table] = []
         for p, sk in spec["objects_of"]:
-            sub = t.filter(pc.equal(pred, p))
+            sub = t.take(pa.array(g.pred_rows(p)))
             keys = _obj_key_col(sub)
             remote_parts.append(
                 pa.table(
@@ -1449,8 +1678,8 @@ class _Bucket:
         Dataset with a scan of the already-resident bucket index."""
         from shaclex_ray.terms import obj_cols, term_key
 
-        idx_obj = self.graph._fwd
-        t = idx_obj.table
+        g = self.graph
+        t = g.arcs
         pred = t.column("pred")
         remote: list[pa.Table] = []
         for a in assocs:
@@ -1460,28 +1689,13 @@ class _Bucket:
                     k, lx, _dt, _lg = obj_cols(a["obj"])
                     mask = pc.and_(mask, pc.equal(t.column("obj_kind"), k))
                     mask = pc.and_(mask, pc.equal(t.column("obj_lex"), lx))
-                rows = np.nonzero(
-                    mask.combine_chunks().to_numpy(zero_copy_only=False)
-                )[0]
-                keys = idx_obj.keys_of_rows(rows)
-                self.submit(
-                    pa.table(
-                        {
-                            "node": keys,
-                            "shape": pa.array([a["shape"]] * len(keys), pa.string()),
-                        }
-                    ),
-                    True,
-                )
+                rows = np.flatnonzero(_np(mask))
+                self.submit_nodes(g.keys_at(rows), a["shape"], True)
             else:  # focus_obj
-                rows = np.nonzero(
-                    mask.combine_chunks().to_numpy(zero_copy_only=False)
-                )[0]
+                rows = np.flatnonzero(_np(mask))
                 if a.get("subj") is not None:
                     skey = term_key(a["subj"])
-                    keys = idx_obj.keys_of_rows(rows)
-                    keep = pc.equal(keys, skey).to_numpy(zero_copy_only=False)
-                    rows = rows[keep]
+                    rows = rows[_np(pc.equal(g.keys_at(rows), skey))]
                 sub = t.take(pa.array(rows))
                 keys = _obj_key_col(sub)
                 remote.append(
@@ -1500,16 +1714,43 @@ class _Bucket:
             )
         return pa.concat_tables(remote)
 
+    def _flat(self) -> dict[str, FlatShape]:
+        if self._flat_profiles is None:
+            self._flat_profiles = (
+                {} if self.schema.get("_no_flat")
+                else _FLAT_PROFILES[self.engine](self.schema)
+            )
+        return self._flat_profiles
+
     def submit(self, tasks: pa.Table, is_focus: bool) -> list:
         """Enqueue (node, shape) pairs; idempotent (already-known pairs are
         skipped), so upstream dedup of focus pairs is unnecessary — the
         worklist IS the dedup. Non-focus submissions are *requests* from
         other buckets: only those pairs' answers ever travel back through
         the driver. Returns already-decided requested pairs immediately."""
+        shapes = tasks.column("shape")
         already = []
-        for nk, sk in zip(
-            tasks.column("node").to_pylist(), tasks.column("shape").to_pylist()
-        ):
+        for sk in pc.unique(shapes).to_pylist():
+            nodes = tasks.column("node").filter(pc.equal(shapes, sk))
+            already += self.submit_nodes(nodes.combine_chunks(), sk, is_focus)
+        return already
+
+    def submit_nodes(self, nodes: pa.Array, sk: str, is_focus: bool) -> list:
+        """``submit`` for the pairs of one shape: a flat shape's go to its
+        columnar store in one step, the others one by one."""
+        prof = self._flat().get(sk)
+        if prof is not None:
+            store = self._pairs.get(sk)
+            if store is None:
+                store = self._pairs[sk] = _FlatPairs(prof)
+            at = store.add(nodes)
+            if is_focus:
+                store.focus[at] = True
+                return []
+            store.requested[at] = True
+            return store.answers(np.unique(at[store.state[at] == _DECIDED]), sk)
+        already = []
+        for nk in nodes.to_pylist():
             key = (nk, sk)
             if not is_focus:
                 self.requested.add(key)
@@ -1543,62 +1784,23 @@ class _Bucket:
             else:
                 del self.blocked_on[pair]
 
-    def _flat_round(self, keys, is_local_key, decided, all_deps):
-        """Evaluate unblocked pending pairs of flat shapes, for either
-        engine. A pair with a stored partial resumes from it: its answered
-        probes merge in and the shape's finalize rule runs again — no
-        kernel re-run over its arcs. The others run the kernel, once per
-        shape. A pair whose partial still waits on probes stores it and
-        blocks on them (identical dep combinations share ONE set object —
-        millions of pairs block on a handful of hub values)."""
-        profiles = self._flat_profiles
-        done = []  # (pair, profile, conforms, reports, partial, position)
-        fresh: dict[str, list] = {}
-        for key in keys:
-            part = self._flat_partial.pop(key, None)
-            if part is None:
-                fresh.setdefault(key[1], []).append(key[0])
-                continue
-            prof = profiles[key[1]]
-            part = flat_resume(prof, key[0], part, self.assumptions)
-            conforms, reports = prof.finalize(prof.entries, [key[0]], part)
-            done.append((key, prof, conforms, reports, part, 0))
-        for sk, nks in sorted(fresh.items()):
-            prof = profiles[sk]
-            conforms, reports, part = flat_eval_kernel(
-                prof, nks, self.graph, self.assumptions, is_local_key,
-                self._local_is_instance,
-            )
-            done.extend(
-                ((nk, sk), prof, conforms, reports, part, pos)
-                for pos, nk in enumerate(nks)
-            )
-        interned: dict[tuple, set] = {}
-        for key, prof, conforms, reports, part, pos in done:
-            if part.pending[pos]:
-                sig = _pending_deps(prof, part.pending[pos])
-                shared = interned.get(sig)
-                if shared is None:
-                    shared = interned[sig] = set(sig)
-                    all_deps |= {d for d in shared if d not in self.assumptions}
-                self.blocked_on[key] = shared
-                self._flat_partial[key] = part.node(pos)
-                continue
-            self.typing[key] = "conforms" if conforms[pos] else "notConforms"
-            decided.append(key)
-            if key in self.focus_flags:
-                self.reports.extend(reports[pos])
-
     def _local_is_instance(self, node_key: str, cls_key: str) -> bool:
-        closure = set(
-            self.schema.get("subclass_closure", {}).get(cls_key, [cls_key])
-        )
-        from shaclex_ray.terms import term_key as _tk
-
-        for p, o in self.graph.arcs_out(node_key):
-            if p == RDF_TYPE and _tk(o) in closure:
-                return True
-        return False
+        """sh:class for a local node, from the bucket's rdf:type arcs: the
+        nodes typed with the class or a subclass are found once per class,
+        with Arrow kernels (no per-node index)."""
+        inst = self._instances.get(cls_key)
+        if inst is None:
+            closure = self.schema.get("subclass_closure", {}).get(cls_key, [cls_key])
+            g = self.graph
+            rows = g.pred_rows(RDF_TYPE)
+            hit = pc.is_in(
+                _obj_key_col(g.arcs.take(pa.array(rows))),
+                value_set=pa.array(closure, pa.string()),
+            )
+            inst = self._instances[cls_key] = set(
+                g.keys_at(rows[_np(hit)]).to_pylist()
+            )
+        return node_key in inst
 
     def run_round(self):
         """Evaluate every pending pair against local arcs + assumptions.
@@ -1635,23 +1837,18 @@ class _Bucket:
         decided = []
         all_deps: set = set()
 
-        # vectorized flat pass: pending pairs of flat shapes evaluate in
-        # bulk with Arrow/numpy kernels (per-focus Python walk only for
-        # the rest)
-        flat: list = []
-        if not self.schema.get("_no_flat"):
-            if self._flat_profiles is None:
-                self._flat_profiles = _FLAT_PROFILES[self.engine](self.schema)
-            flat = [
-                key for key in self.pending
-                if key[1] in self._flat_profiles and key not in self.blocked_on
-            ]
-            self._flat_round(flat, is_local_key, decided, all_deps)
-        flat_handled = set(flat)
+        # columnar flat pass: each flat shape's pairs resume or run the
+        # kernel in bulk; the per-focus Python walk takes the rest
+        n_flat, answered = 0, []
+        for sk, store in sorted(self._pairs.items()):
+            done = store.step(
+                self.graph, assumptions, is_local_key, self._local_is_instance
+            )
+            n_flat += len(done)
+            answered += store.answers(done, sk)
+            all_deps.update(d for d in store.deps() if d not in assumptions)
 
         for key in list(self.pending):
-            if key in flat_handled:
-                continue
             if key in self.blocked_on:
                 all_deps |= self.blocked_on[key]
                 continue  # still waiting on the same unanswered children
@@ -1664,9 +1861,7 @@ class _Bucket:
 
             try:
                 if shape_key.startswith("class:"):
-                    cls_key = shape_key[len("class:") :]
-                    v = _DistShacl(self.schema, self.graph, assumptions, is_local_key, record)
-                    ok = ShaclValidator._is_instance(v, nk, cls_key)
+                    ok = self._local_is_instance(nk, shape_key[len("class:") :])
                     self.typing[key] = "conforms" if ok else "notConforms"
                     decided.append(key)
                     continue
@@ -1776,10 +1971,13 @@ class _Bucket:
         # only dep-requested answers travel to the driver — the rest of the
         # typing stays actor-side (driver memory is O(#cross-bucket deps),
         # not O(#focus pairs))
-        answered = [
+        answered += [
             (k[0], k[1], self.typing[k]) for k in decided if k in self.requested
         ]
-        return len(decided), len(self.pending), sorted(all_deps), answered
+        n_pending = len(self.pending) + sum(
+            store.open_count() for store in self._pairs.values()
+        )
+        return len(decided) + n_flat, n_pending, sorted(all_deps), answered
 
     def release(self) -> None:
         """End the call: remove the spill directory, drop every piece of
@@ -1800,14 +1998,13 @@ class _Bucket:
     def mark_pending_unknown(self) -> int:
         """Loop-exit fallback: pairs the fixpoint could not decide become
         val='unknown' (result_json/_summary treat them as not valid)."""
-        n = 0
+        n = sum(store.mark_unknown() for store in self._pairs.values())
         for key in list(self.pending):
             if key not in self.typing:
                 self.typing[key] = "unknown"
                 n += 1
         self.pending.clear()
         self.blocked_on.clear()
-        self._flat_partial.clear()
         return n
 
     def assume_deps(self, deps: list):
@@ -1825,8 +2022,36 @@ class _Bucket:
             else:
                 del self.blocked_on[pair]
 
+    def _typing(self) -> pa.Table:
+        """The focus pairs' typing, sorted by (node, shape). A pair decided
+        only because another bucket asked for it (a shape, ``class:``,
+        ``hop:`` or ``vshape:`` probe) is a protocol answer: one bucket
+        answers the same probe in-process and writes nothing, so writing
+        it would make the table depend on the bucket count."""
+        keys = [k for k in self.typing if k in self.focus_flags]
+        walked = pa.table(
+            [
+                pa.array([k[0] for k in keys], pa.string()),
+                pa.array([k[1] for k in keys], pa.string()),
+                pa.array([self.typing[k] for k in keys], pa.string()),
+                pa.repeat(pa.scalar(True), len(keys)),
+            ],
+            schema=TYPING_SCHEMA,
+        )
+        parts = [store.typing(sk) for sk, store in self._pairs.items()]
+        return pa.concat_tables(parts + [walked]).sort_by(
+            [("node", "ascending"), ("shape", "ascending")]
+        )
+
+    def _report(self) -> pa.Table:
+        walked = pa.Table.from_pylist(self.reports, schema=_ROWS_SCHEMA.remove(0))
+        return pa.concat_tables(
+            [_report_table(store.report()) for store in self._pairs.values()]
+            + [_report_table(walked)]
+        )
+
     def collect(self):
-        return _typing_table(self.typing, self.focus_flags), self.reports
+        return self._typing(), self._report()
 
     def write_shard(self, out_dir: str) -> dict:
         """Actor-side result sink: each bucket writes its own typing/report
@@ -1837,51 +2062,33 @@ class _Bucket:
 
         import pyarrow.parquet as pq
 
-        t = _typing_table(self.typing, self.focus_flags)
-        r = _reports_to_table(self.reports)
+        t, r = self.collect()
         for sub, tbl in (("typing", t), ("report", r)):
             os.makedirs(f"{out_dir}/{sub}", exist_ok=True)
             if tbl.num_rows:
                 pq.write_table(
                     tbl, f"{out_dir}/{sub}/part-{self.bucket_id:05d}.parquet"
                 )
+        counts = pc.value_counts(t.column("val").combine_chunks())
         stats: dict[str, int] = {"violations": r.num_rows}
-        for v in t.column("val").to_pylist():
-            stats[v] = stats.get(v, 0) + 1
+        stats.update(zip(counts.field("values").to_pylist(),
+                         counts.field("counts").to_pylist()))
         return stats
 
 
 BucketWorker = ray.remote(_Bucket)
 
-
-def _typing_table(typing: dict, focus) -> pa.Table:
-    """The ``focus`` pairs' typing, sorted. A pair decided only because
-    another bucket asked for it (a shape, ``class:``, ``hop:`` or
-    ``vshape:`` probe) is a protocol answer: one bucket answers the same
-    probe in-process and writes nothing, so writing it would make the
-    table depend on the bucket count."""
-    keys = sorted(k for k in typing if k in focus)
+def _report_table(rows: pa.Table) -> pa.Table:
+    """Report rows (``_ROWS_SCHEMA``'s fields) in the report table's
+    columns; a row without a path or value has ''."""
     return pa.table(
-        {
-            "node": pa.array([k[0] for k in keys], pa.string()),
-            "shape": pa.array([k[1] for k in keys], pa.string()),
-            "val": pa.array([typing[k] for k in keys], pa.string()),
-            "is_focus": pa.array([True] * len(keys), pa.bool_()),
-        }
-    )
-
-
-def _reports_to_table(reports: list) -> pa.Table:
-    return pa.table(
-        {
-            "focus_node": pa.array([r["focus"] for r in reports], pa.string()),
-            "path": pa.array([r["path"] or "" for r in reports], pa.string()),
-            "value_lex": pa.array([r["value"] or "" for r in reports], pa.string()),
-            "source_shape": pa.array([r["source"] for r in reports], pa.string()),
-            "component": pa.array([r["component"] for r in reports], pa.string()),
-            "severity": pa.array([r["severity"] for r in reports], pa.string()),
-            "message": pa.array([r["message"] for r in reports], pa.string()),
-        }
+        [
+            rows.column("focus"), pc.fill_null(rows.column("path"), ""),
+            pc.fill_null(rows.column("value"), ""), rows.column("source"),
+            rows.column("component"), rows.column("severity"),
+            rows.column("message"),
+        ],
+        schema=REPORT_SCHEMA,
     )
 
 
@@ -2124,11 +2331,10 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
         return stats, dep_state
 
     collected = every("collect")
-    typing_tbl = pa.concat_tables([c[0] for c in collected])
-    reports: list[dict] = []
-    for c in collected:
-        reports.extend(c[1])
-    return (typing_tbl, _reports_to_table(reports)), dep_state
+    return (
+        pa.concat_tables([c[0] for c in collected]),
+        pa.concat_tables([c[1] for c in collected]),
+    ), dep_state
 
 
 class _ActorPool:
@@ -2367,14 +2573,15 @@ def distributed_validate(
     # plan the input FIRST (parquet footers and one sampled row group, or
     # block metadata — cheap), so an auto fleet (nbuckets=None) scales
     # with the bytes it moves: a small corpus runs as one task, a large
-    # one on the whole cluster
+    # one on the whole cluster. One bucket over parquet shards needs no
+    # plan: its task reads the files itself
     if parquet_path is not None:
         import glob as _glob
 
         files = sorted(_glob.glob(f"{parquet_path}/*.parquet"))
         if not files:
             raise FileNotFoundError(f"no parquet shards under {parquet_path}")
-        plan = exchange.plan(files, ARC_COLS)
+        plan = None if nbuckets == 1 else exchange.plan(files, ARC_COLS)
     else:
         files = None
         plan = exchange.plan(triples_ds.materialize())
@@ -2408,15 +2615,10 @@ def distributed_validate(
     if output_dir is None:
         return out
     distributed_validate.last_stats = out
-    import ray.data as rd
-
     # a table no bucket had rows for gets one typed empty part
-    ensure_parquet_schema(f"{output_dir}/typing", _typing_table({}, ()).schema)
-    ensure_parquet_schema(f"{output_dir}/report", _reports_to_table([]).schema)
-    return (
-        rd.read_parquet(f"{output_dir}/typing"),
-        rd.read_parquet(f"{output_dir}/report"),
-    )
+    ensure_parquet_schema(f"{output_dir}/typing", TYPING_SCHEMA)
+    ensure_parquet_schema(f"{output_dir}/report", REPORT_SCHEMA)
+    return read_parts(f"{output_dir}/typing"), read_parts(f"{output_dir}/report")
 
 
 # ---------------------------------------------------------------------------

@@ -647,3 +647,153 @@ def test_vectorized_reverse_key_render_matches_scalar(ray_session):
     # forward copies still route by subject, and nothing was lost
     total = sum(p.num_rows for p in parts)
     assert total == 2 * n
+
+
+def _kg_graph(n: int = 30):
+    """A KG-shaped graph: documents with lang/source/mentions, entities
+    with a surface; every fifth document lacks a mention, every seventh
+    mentions an untyped node, every eleventh entity lacks its surface."""
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.terms import triples_to_table
+
+    lines = ["@prefix ex: <http://ex.org/> ."]
+    for i in range(n):
+        doc = f'ex:d{i} a ex:Document ; ex:lang "en" ; ex:source "s{i % 3}"'
+        if i % 5:
+            doc += f" ; ex:mentions ex:e{i % 9}"
+        if i % 7 == 0:
+            doc += " ; ex:mentions ex:loose"
+        lines.append(doc + " .")
+    for j in range(9):
+        lines.append(f"ex:e{j} a ex:Entity" + ("" if j % 11 == 3 else f' ; ex:surface "e{j}"') + " .")
+    triples = parse_turtle("\n".join(lines))
+    return triples, triples_to_table(triples)
+
+
+def _local_shacl(schema, triples, focus):
+    """(node, shape) -> conforms, by the in-memory validator."""
+    from shaclex_ray.validate.local import Graph
+    from shaclex_ray.validate.shacl_local import ShaclValidator
+
+    v = ShaclValidator(schema, Graph(triples))
+    return {(nk, sk): not v.validate_shape(nk, sk) for nk, sk in focus}
+
+
+def test_single_bucket_kg_validation_builds_no_node_index(monkeypatch):
+    """At one bucket the KG schema's shapes are all flat: the columnar
+    path validates them without the per-node sorted index (``_ArcIndex``
+    raises here), and its verdicts equal the in-memory validator's."""
+    from shaclex_ray.pipelines.kg import kg_schema
+    from shaclex_ray.validate import dist
+
+    triples, tbl = _kg_graph()
+
+    def no_index(*_a, **_k):
+        raise AssertionError("per-node index built")
+
+    monkeypatch.setattr(dist, "_ArcIndex", no_index)
+    schema = kg_schema()
+    (typing, report), _state = dist._run_single_bucket(
+        schema, "shacl", False, None, None, "shacl-targets", 12, None, 1, tbl
+    )
+    got = {
+        (n, s): v == "conforms"
+        for n, s, v in zip(*[typing.column(c).to_pylist() for c in ("node", "shape", "val")])
+    }
+    assert len(got) == 39 and report.num_rows
+    assert got == _local_shacl(kg_schema(), triples, got)
+    assert {v for v in got.values()} == {True, False}
+
+
+def test_single_bucket_non_flat_shape_uses_node_index():
+    """A non-flat shape (sh:node, a closed shape) takes the per-focus path
+    over the per-node index, next to a flat one, and still validates
+    correctly at one bucket."""
+    from shaclex_ray.pipelines.kg import KG_SHAPES_TTL
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.validate import dist
+
+    ttl = KG_SHAPES_TTL + """
+    ex:NamedShape a sh:NodeShape ; sh:closed true ;
+      sh:ignoredProperties ( <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ) ;
+      sh:property [ sh:path ex:surface ; sh:minCount 1 ] .
+    ex:EntityShape sh:node ex:NamedShape .
+    """
+    triples, tbl = _kg_graph()
+
+    def schema():
+        return compile_shacl(parse_turtle(ttl))
+
+    assert "Ihttp://ex.org/EntityShape" not in dist.flat_shacl_profile(schema())
+    (typing, _report), _state = dist._run_single_bucket(
+        schema(), "shacl", False, None, None, "shacl-targets", 12, None, 1, tbl
+    )
+    got = {
+        (n, s): v == "conforms"
+        for n, s, v in zip(*[typing.column(c).to_pylist() for c in ("node", "shape", "val")])
+    }
+    assert len(got) == 39
+    assert got == _local_shacl(schema(), triples, got)
+    ents = {n: ok for (n, s), ok in got.items() if s.endswith("EntityShape")}
+    assert ents["Ihttp://ex.org/e3"] is False and ents["Ihttp://ex.org/e1"] is True
+
+
+def test_route_arcs_one_bucket_takes_every_arc_in_order():
+    """At one bucket ``_route_arcs`` hashes nothing: bucket 0 holds the
+    forward arcs in input order, then (inverse copies on) the reversed
+    copies in input order — the rows a multi-bucket split spreads over
+    its buckets."""
+    from shaclex_ray.stages.exchange import run_split
+    from shaclex_ray.validate import dist
+
+    _triples, tbl = _kg_graph(12)
+    arcs = tbl.select(dist.ARC_COLS)
+    n = arcs.num_rows
+
+    def rows(t):
+        return sorted(zip(*[t.column(c).to_pylist() for c in t.column_names]))
+
+    for inverse in (False, True):
+        (one,) = dist._route_arcs(arcs, 1, inverse)
+        flags = [False] * n + ([True] * n if inverse else [])
+        want = pa.concat_tables([arcs] * (2 if inverse else 1))
+        assert one.select(dist.ARC_COLS).equals(want)
+        assert one.column("rev").to_pylist() == flags
+        many = run_split(dist._route_arcs, (inverse,), 3, dist.ARC_SCHEMA,
+                         dist.ARC_COLS, arcs)
+        assert rows(one) == rows(pa.concat_tables(many))
+
+
+def test_all_conformant_report_materializes_with_its_columns(ray_session, tmp_path):
+    """An all-conformant graph's report comes back from
+    ``distributed_validate(output_dir=...)`` as a Dataset whose
+    materialized blocks keep the report columns (Ray reads a zero-row
+    part as blocks without columns)."""
+    import ray.data as rd
+
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.validate.dist import REPORT_SCHEMA, distributed_validate
+
+    ttl = """
+    @prefix sh: <http://www.w3.org/ns/shacl#> .
+    @prefix ex: <http://ex.org/> .
+    ex:ThingShape a sh:NodeShape ;
+      sh:targetClass ex:Thing ;
+      sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+    """ + "\n".join(f'ex:t{i} a ex:Thing ; ex:name "t{i}" .' for i in range(8))
+    from shaclex_ray.terms import triples_to_table
+
+    triples = parse_turtle(ttl)
+    for nb in (1, 2):
+        out = str(tmp_path / f"v{nb}")
+        typing, report = distributed_validate(
+            rd.from_arrow(triples_to_table(triples)), "shacl",
+            compile_shacl(triples), "shacl-targets", nbuckets=nb, output_dir=out,
+        )
+        got = report.materialize()
+        assert got.count() == 0
+        assert got.schema() is not None
+        assert got.schema().names == REPORT_SCHEMA.names
+        assert typing.count() == 8

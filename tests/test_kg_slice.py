@@ -119,3 +119,34 @@ def test_pipeline_layer_hooks(ray_session, tmp_path, monkeypatch):
         "build_entity_links": 1,
         "distributed_validate": 1,
     }
+
+
+def test_validation_input_planned_once(ray_session, tmp_path, monkeypatch):
+    """run_kg_pipeline plans the canonical shards once: at one planned
+    bucket the validation task reads the shards itself, so
+    distributed_validate does not plan them a second time on the driver.
+    The pipeline still passes the fleet size as an int ``nbuckets`` (the
+    benchmark's tracer reads that keyword)."""
+    from shaclex_ray.pipelines import kg
+    from shaclex_ray.stages import exchange
+
+    planned, fleets = [], []
+    plan, validate = exchange.plan, kg.distributed_validate
+
+    def counting(inputs, *args, **kwargs):
+        if isinstance(inputs, (list, tuple)):
+            planned.append(tuple(inputs))
+        return plan(inputs, *args, **kwargs)
+
+    def watched(*args, **kwargs):
+        fleets.append(kwargs.get("nbuckets"))
+        out = validate(*args, **kwargs)
+        watched.__dict__.update(validate.__dict__)
+        return out
+
+    monkeypatch.setattr(exchange, "plan", counting)
+    monkeypatch.setattr(kg, "distributed_validate", watched)
+    kg.run_kg_pipeline(SF, str(tmp_path), resume=False)
+    canonical = [p for p in planned if any("triples_canonical" in f for f in p)]
+    assert fleets == [1]
+    assert len(canonical) == 1, planned

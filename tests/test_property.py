@@ -450,13 +450,13 @@ def _check_resume(profile, focus_key, g, is_instance, data):
         return False
 
     _c, _r, part = flat_eval_kernel(profile, [focus_key], g, {}, remote, is_instance)
-    deps = _pending_deps(profile, part.pending[0])
+    deps = _pending_deps(profile, part.pending)
     answers = {d: data.draw(st.booleans()) for d in deps}
     first = {d: a for d, a in answers.items() if data.draw(st.booleans())}
 
-    resumed = flat_resume(profile, focus_key, part.node(0), first)
-    assert set(_pending_deps(profile, resumed.pending[0])) == set(deps) - set(first)
-    resumed = flat_resume(profile, focus_key, resumed.node(0), answers)
+    resumed = flat_resume(profile, [focus_key], part, first)
+    assert set(_pending_deps(profile, resumed.pending)) == set(deps) - set(first)
+    resumed = flat_resume(profile, [focus_key], resumed, answers)
     assert not resumed.pending[0]
     conforms, rows = profile.finalize(profile.entries, [focus_key], resumed)
 
