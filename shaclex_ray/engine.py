@@ -32,9 +32,11 @@ ENGINES = ("shex", "shacl")  # the registry (reference: ShEx, SHACLex, …)
 def _split_shapemap(assocs: list[dict]):
     """Concrete node selectors → a small (node, shape) table; pattern
     selectors ({FOCUS p o} / {s p FOCUS}) → resolved IN-BUCKET by the
-    validators (BucketWorker.derive_focus), so the input Dataset is
-    scanned exactly once — by the bucket split. Returns either the
-    concrete table or ("shex-patterns", pattern_assocs, concrete)."""
+    rule SHACL targets also compile to (``_Bucket.derive_focus``, exact
+    term keys), so the input Dataset is scanned exactly once — by the
+    bucket split. Returns either the concrete table or
+    ("shex-patterns", pattern_assocs, concrete): two of
+    ``distributed_validate``'s three focus forms."""
     pairs: set[tuple[str, str]] = set()
     patterns = []
     for a in assocs:

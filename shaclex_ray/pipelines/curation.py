@@ -26,11 +26,34 @@ import hashlib
 import os
 
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pyarrow.compute as pc
 import ray.data as rd
 
+from shaclex_ray.sources.documents import parquet_num_rows
 from shaclex_ray.stages import exchange
-from shaclex_ray.state.checkpoint import StageRunner
+from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema, read_parts
+
+# the stages' output schemas: an all-rejected stage writes one typed
+# empty part of its schema (``StageRunner.run``'s contract)
+CURATED_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("text", pa.string()), ("lang", pa.string()),
+     ("source", pa.string()), ("split", pa.string())]
+)
+TRIMMED_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("text", pa.string()), ("ntok", pa.int64()),
+     ("ntok_cut", pa.int64())]
+)
+PACKED_SCHEMA = pa.schema(
+    [("chunk_id", pa.int64()), ("doc_id", pa.int64()),
+     ("begin_in_chunk", pa.int64()), ("ntok_in_chunk", pa.int64())]
+)
+
+
+def _finish(path: str, schema: pa.Schema) -> int:
+    """The rows a stage wrote under ``path``; a stage that wrote none
+    gets one typed empty part."""
+    ensure_parquet_schema(path, schema)
+    return parquet_num_rows(path)
 
 
 def _input_digest(sf_dir: str, knobs: str) -> str:
@@ -105,19 +128,9 @@ def run_curation_pipeline(
 
         out = joined.map_batches(kept_only, batch_format="pyarrow")
         out.write_parquet(path, partition_cols=["split"])
-        import glob
+        return _finish(path, CURATED_SCHEMA)
 
-        total = 0
-        for f in glob.glob(f"{path}/**/*.parquet", recursive=True):
-            total += pq.read_metadata(f).num_rows
-        return total
-
-    curated = runner.run(
-        "curated",
-        digest,
-        produce_curated,
-        lambda p: rd.read_parquet(p),
-    )
+    curated = runner.run("curated", digest, produce_curated, read_parts)
 
     pack_src = os.path.join(out_dir, "curated", "split=train")
     if substring_dedup:
@@ -126,93 +139,32 @@ def run_curation_pipeline(
             from shaclex_ray.functions.substr import trim_substring_spans
 
             train_dir = os.path.join(out_dir, "curated", "split=train")
-            if not os.path.isdir(train_dir):
-                import pyarrow.parquet as _pq
+            if os.path.isdir(train_dir):
 
-                _pq.write_table(
-                    pa.schema(
-                        [
-                            ("doc_id", pa.int64()),
-                            ("text", pa.string()),
-                            ("ntok", pa.int64()),
-                            ("ntok_cut", pa.int64()),
-                        ]
-                    ).empty_table(),
-                    os.path.join(path, "part-0.parquet"),
-                )
-                return 0
-            def drop_empty(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as _pc
+                def drop_empty(batch: pa.Table) -> pa.Table:
+                    return batch.filter(pc.greater(batch.column("ntok"), 0))
 
-                return batch.filter(_pc.greater(batch.column("ntok"), 0))
-
-            trimmed = trim_substring_spans(
-                docs_path=train_dir, k=substring_k
-            ).map_batches(drop_empty, batch_format="pyarrow")
-            trimmed.write_parquet(path)
-            import glob
-
-            import pyarrow.parquet as _pq
-
-            return sum(
-                _pq.read_metadata(f).num_rows
-                for f in glob.glob(f"{path}/**/*.parquet", recursive=True)
-            )
+                trim_substring_spans(
+                    docs_path=train_dir, k=substring_k
+                ).map_batches(drop_empty, batch_format="pyarrow").write_parquet(path)
+            return _finish(path, TRIMMED_SCHEMA)
 
         runner.run(
-            "trimmed",
-            f"{digest}|ssk={substring_k}",
-            produce_trimmed,
-            lambda p: rd.read_parquet(p),
+            "trimmed", f"{digest}|ssk={substring_k}", produce_trimmed, read_parts
         )
         pack_src = os.path.join(out_dir, "trimmed")
 
     def produce_packed(path):
-        import glob as _glob
-
-        import pyarrow.parquet as _pq2
-
-        train_dir = pack_src
-        # n_in only gates the all-empty short-circuit, so stop at the
-        # first non-empty footer instead of summing every part file
-        n_in = 0
-        if os.path.isdir(train_dir):
-            for f in _glob.glob(f"{train_dir}/**/*.parquet", recursive=True):
-                n_in = _pq2.read_metadata(f).num_rows
-                if n_in:
-                    break
-        if n_in == 0:
-            # nothing survived curation into train: an empty packed table
-            import pyarrow.parquet as _pq
-
-            _pq.write_table(
-                pa.schema(
-                    [
-                        ("chunk_id", pa.int64()),
-                        ("doc_id", pa.int64()),
-                        ("begin_in_chunk", pa.int64()),
-                        ("ntok_in_chunk", pa.int64()),
-                    ]
-                ).empty_table(),
-                os.path.join(path, "part-0.parquet"),
-            )
-            return 0
-        packed = pack_sequences(capacity=capacity, docs_path=train_dir)
-        packed.write_parquet(path)
-        import pyarrow.parquet as _pq
-
-        import glob
-
-        return sum(
-            _pq.read_metadata(f).num_rows
-            for f in glob.glob(f"{path}/**/*.parquet", recursive=True)
-        )
+        # nothing survived curation into train: only the empty packed table
+        if os.path.isdir(pack_src) and parquet_num_rows(pack_src):
+            pack_sequences(capacity=capacity, docs_path=pack_src).write_parquet(path)
+        return _finish(path, PACKED_SCHEMA)
 
     packed = runner.run(
         "packed",
         f"{digest}|cap={capacity}|ss={int(substring_dedup)}k{substring_k}",
         produce_packed,
-        lambda p: rd.read_parquet(p),
+        read_parts,
     )
 
     n_chunks = runner.metrics.get("packed", {}).get("rows", 0)

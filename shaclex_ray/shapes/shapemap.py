@@ -10,10 +10,12 @@ doc/grammars/shapeMapGrammar.bnf:21-44 and ValidationTrigger.scala:45-95:
     obj/subj     ::= node | '_'   (wildcard)
 
 Selector resolution ("fixShapeMap", invoked at ShExSchema.scala:55) runs
-in the validation buckets: the engine passes pattern associations as a
-``("shex-patterns", …)`` focus lane and ``validate/dist._Bucket.derive_focus``
-filters each bucket's arc index on the bound predicate/object (or
-subject/predicate) and projects the FOCUS side.
+in the validation buckets: the engine passes pattern associations as the
+``("shex-patterns", assocs, concrete)`` focus form, and
+``validate/dist._Bucket.derive_focus`` — the one matcher SHACL target
+declarations also compile to — selects each bucket's arcs on the
+predicate and the bound object (or subject) by exact term key and
+projects the FOCUS side.
 """
 
 from __future__ import annotations

@@ -13,8 +13,14 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
     dictionary codes for their subjects (``LazyBucketGraph``), and
     evaluates (node, shape) pairs with the in-memory,
     conformance-verified validator semantics
+  * the focus pairs resolve in the buckets, by one rule: SHACL target
+    declarations compile to the same patterns as ShEx shapemap selectors
+    (``{FOCUS p o}`` / ``{s p FOCUS}``), matched on exact term keys
+    against each bucket's arcs (``_Bucket.derive_focus``). Subject-side
+    pairs enqueue where they live; only object-side and concrete pairs
+    cross the driver
   * pairs of a flat shape (SHACL pred-path property shapes, the ShEx
-    counting decomposition) stay Arrow/numpy from target derivation to
+    counting decomposition) stay Arrow/numpy from focus resolution to
     the shard: a columnar worklist per shape (``_FlatPairs``), one
     kernel call per shape and round (``flat_eval_kernel``), verdicts and
     report rows as columns, and a blocked pair's partial kept as arrays
@@ -83,7 +89,6 @@ from shaclex_ray.terms import (
     RDF_TYPE,
     TYPING_SCHEMA,
     key_to_term,
-    subj_to_key,
     term_key,
 )
 from shaclex_ray.validate.local import Graph, ShExValidator
@@ -296,7 +301,7 @@ class _DistShEx(ShExValidator):
 _REMOTE_NC_COMPONENT = "__remote_nonconform__"
 
 
-def _remote_marker(focus_key: str, shape_key: str) -> dict:
+def _remote_placeholder(focus_key: str, shape_key: str) -> dict:
     """Placeholder result for a remote nested property-shape violation:
     counts toward the parent's non-conformance but is filtered from the
     report table (the value node's home bucket reports the real rows)."""
@@ -355,7 +360,7 @@ class _DistShacl(ShaclValidator):
             if not self.reporting:
                 # probe context: only the boolean matters
                 ok = self.conforms(focus_key, shape_key)
-                return [] if ok else [_remote_marker(focus_key, shape_key)]
+                return [] if ok else [_remote_placeholder(focus_key, shape_key)]
             pseudo = "vshape:" + shape_key
             a = self.assumptions.get((focus_key, pseudo))
             if isinstance(a, list):
@@ -604,6 +609,10 @@ class LazyBucketGraph:
     def keys_at(self, rows: np.ndarray) -> pa.Array:
         """The subject term keys of the arcs at ``rows``."""
         return self.nodes.take(pa.array(self.codes[rows]))
+
+    def obj_keys_at(self, rows: np.ndarray) -> pa.Array:
+        """The object term keys of the arcs at ``rows``."""
+        return _obj_key_col(self.arcs.select(ARC_COLS[2:]).take(pa.array(rows)))
 
     @property
     def _fwd(self) -> _ArcIndex:
@@ -1534,8 +1543,8 @@ class _Bucket:
     traffic, so its per-round work is O(#dependencies + #buckets),
     independent of focus-pair count.
 
-    Two worklists. Pairs of a flat shape stay columnar from target
-    derivation to the shard: one ``_FlatPairs`` per shape holds their node
+    Two worklists. Pairs of a flat shape stay columnar from focus
+    resolution to the shard: one ``_FlatPairs`` per shape holds their node
     keys, flags, states, verdicts and blocked partials as arrays, one
     kernel call per shape and round evaluates the pending ones and one
     vectorized merge resumes the blocked ones. Every other pair (a
@@ -1609,109 +1618,48 @@ class _Bucket:
         gc.freeze()
         return n
 
-    # ---- in-bucket SHACL target derivation (focus_tasks="shacl-targets"):
-    # the bucket holds every outgoing arc of its subjects, so subject-side
-    # targets (targetClass / implicit class / targetSubjectsOf) resolve and
-    # enqueue LOCALLY; only rdfs:subClassOf rows (tiny) and
-    # targetObjectsOf pairs (object nodes may live elsewhere) return to
-    # the driver. Replaces a full second scan of the input Dataset.
+    # ---- in-bucket focus resolution (fixShapeMap, ShapeMaps.scala
+    # semantics). Shapemap selectors and compiled SHACL target
+    # declarations are the same patterns: ``("focus_subj", p, objs, shape)``
+    # selects the subjects of ``p`` arcs, ``("focus_obj", p, subjs, shape)``
+    # their objects, each kept to a bound end's term keys when given
+    # (None: any). The bucket holds every outgoing arc of its subjects, so
+    # subject-side pairs enqueue LOCALLY and completely; object-side ones
+    # (an object's home bucket may differ) return to the driver.
 
     def subclass_rows(self) -> pa.Table:
-        """(child_key, parent_key) pairs from this bucket's forward arcs."""
-        g = self.graph
-        rows = g.pred_rows(RDFS_SUBCLASS)
-        if len(rows) == 0:
-            return pa.table(
-                {"child": pa.array([], pa.string()), "parent": pa.array([], pa.string())}
-            )
-        child = g.keys_at(rows)
-        sub = g.arcs.take(pa.array(rows))
-        parent = pc.binary_join_element_wise(
-            pc.if_else(
-                pc.equal(sub.column("obj_kind").combine_chunks(), "iri"), "I", "B"
-            ),
-            sub.column("obj_lex").combine_chunks(),
-            "",
+        """(child, parent) term keys of this bucket's rdfs:subClassOf arcs."""
+        rows = self.graph.pred_rows(RDFS_SUBCLASS)
+        return pa.table(
+            {"child": self.graph.keys_at(rows), "parent": self.graph.obj_keys_at(rows)}
         )
-        return pa.table({"child": child, "parent": parent})
 
-    def derive_targets(self, spec: dict, closure: dict) -> pa.Table:
-        """Scan the local arc index for target matches; enqueue local
-        (subject-side) pairs directly, return object-side pairs for the
-        driver to route. ``closure`` is the subclass closure the schema
-        was shipped without (it needed the subclass rows first)."""
-        self.schema["subclass_closure"] = closure
+    def _arc_rows(self, pred: str, objs=None, subjs=None) -> np.ndarray:
+        """Rows of the local ``pred`` arcs whose object term key is in
+        ``objs`` and whose subject term key is in ``subjs`` (None: any)."""
         g = self.graph
-        t = g.arcs
-        for cls_iris, sk in spec["class_targets"]:
-            rows = g.pred_rows(RDF_TYPE)
-            hit = pc.is_in(
-                t.column("obj_lex").take(pa.array(rows)),
-                value_set=pa.array(sorted(cls_iris)),
-            )
-            self.submit_nodes(g.keys_at(rows[_np(hit)]), sk, True)
-        for p, sk in spec["subjects_of"]:
-            self.submit_nodes(g.keys_at(g.pred_rows(p)), sk, True)
-        remote_parts: list[pa.Table] = []
-        for p, sk in spec["objects_of"]:
-            sub = t.take(pa.array(g.pred_rows(p)))
-            keys = _obj_key_col(sub)
-            remote_parts.append(
-                pa.table(
-                    {"node": keys, "shape": pa.array([sk] * len(keys), pa.string())}
-                )
-            )
-        if not remote_parts:
-            return pa.table(
-                {"node": pa.array([], pa.string()), "shape": pa.array([], pa.string())}
-            )
-        return pa.concat_tables(remote_parts)
+        rows = g.pred_rows(pred)
+        for keys, bound in ((g.obj_keys_at, objs), (g.keys_at, subjs)):
+            if bound is not None:
+                hit = pc.is_in(keys(rows), value_set=pa.array(bound, pa.string()))
+                rows = rows[_np(hit)]
+        return rows
 
-    def derive_focus(self, assocs: list[dict]) -> pa.Table:
-        """In-bucket shapemap pattern resolution (fixShapeMap,
-        ShapeMaps.scala semantics): ``{FOCUS p o}`` matches are SUBJECTS of
-        local arcs — every outgoing arc lives in its subject's home
-        bucket, so they enqueue locally and completely. ``{s p FOCUS}``
-        matches are OBJECTS, whose home bucket may differ — those pairs
-        return to the driver for routing (mirrors targetObjectsOf in
-        derive_targets). Replaces a full second scan of the input
-        Dataset with a scan of the already-resident bucket index."""
-        from shaclex_ray.terms import obj_cols, term_key
-
-        g = self.graph
-        t = g.arcs
-        pred = t.column("pred")
-        remote: list[pa.Table] = []
-        for a in assocs:
-            mask = pc.equal(pred, a["pred"])
-            if a["kind"] == "focus_subj":
-                if a.get("obj") is not None:
-                    k, lx, _dt, _lg = obj_cols(a["obj"])
-                    mask = pc.and_(mask, pc.equal(t.column("obj_kind"), k))
-                    mask = pc.and_(mask, pc.equal(t.column("obj_lex"), lx))
-                rows = np.flatnonzero(_np(mask))
-                self.submit_nodes(g.keys_at(rows), a["shape"], True)
-            else:  # focus_obj
-                rows = np.flatnonzero(_np(mask))
-                if a.get("subj") is not None:
-                    skey = term_key(a["subj"])
-                    rows = rows[_np(pc.equal(g.keys_at(rows), skey))]
-                sub = t.take(pa.array(rows))
-                keys = _obj_key_col(sub)
-                remote.append(
-                    pa.table(
-                        {
-                            "node": keys,
-                            "shape": pa.array(
-                                [a["shape"]] * len(keys), pa.string()
-                            ),
-                        }
-                    )
-                )
-        if not remote:
-            return pa.table(
-                {"node": pa.array([], pa.string()), "shape": pa.array([], pa.string())}
-            )
+    def derive_focus(self, patterns: list, closure: dict | None) -> pa.Table:
+        """Resolve ``patterns`` against the local arcs: enqueue the
+        subject-side pairs, return the object-side ones for the driver to
+        route. ``closure`` is the subclass closure a SHACL schema was
+        shipped without (it needed every bucket's subclass rows first)."""
+        if closure is not None:
+            self.schema["subclass_closure"] = closure
+        remote = [_pairs_table([], [])]
+        for kind, pred, bound, sk in patterns:
+            if kind == "focus_subj":
+                rows = self._arc_rows(pred, objs=bound)
+                self.submit_nodes(self.graph.keys_at(rows), sk, True)
+            else:
+                nodes = self.graph.obj_keys_at(self._arc_rows(pred, subjs=bound))
+                remote.append(_pairs_table(nodes, _const(sk, len(nodes))))
         return pa.concat_tables(remote)
 
     def _flat(self) -> dict[str, FlatShape]:
@@ -1785,21 +1733,14 @@ class _Bucket:
                 del self.blocked_on[pair]
 
     def _local_is_instance(self, node_key: str, cls_key: str) -> bool:
-        """sh:class for a local node, from the bucket's rdf:type arcs: the
-        nodes typed with the class or a subclass are found once per class,
-        with Arrow kernels (no per-node index)."""
+        """sh:class for a local node by the class-target rule: the local
+        subjects typed with a key in the class's subclass closure, found
+        once per class (no per-node index)."""
         inst = self._instances.get(cls_key)
         if inst is None:
             closure = self.schema.get("subclass_closure", {}).get(cls_key, [cls_key])
-            g = self.graph
-            rows = g.pred_rows(RDF_TYPE)
-            hit = pc.is_in(
-                _obj_key_col(g.arcs.take(pa.array(rows))),
-                value_set=pa.array(closure, pa.string()),
-            )
-            inst = self._instances[cls_key] = set(
-                g.keys_at(rows[_np(hit)]).to_pylist()
-            )
+            rows = self._arc_rows(RDF_TYPE, objs=closure)
+            inst = self._instances[cls_key] = set(self.graph.keys_at(rows).to_pylist())
         return node_key in inst
 
     def run_round(self):
@@ -2109,53 +2050,46 @@ def _route_tasks(tasks: pa.Table, nbuckets: int) -> dict[int, pa.Table]:
     return {b: part for b, part in enumerate(parts) if part.num_rows}
 
 
-def _submit_focus_dataset(focus_ds, workers, nbuckets: int) -> None:
-    """Stream a focus Dataset straight into the bucket actors: each read
-    task routes its batch and blocks on acceptance (backpressure). The
-    focus set NEVER materializes on the driver — submit() dedups
-    actor-side, so no global drop_duplicates pass is needed."""
-
-    def route(batch: pa.Table) -> pa.Table:
-        refs = [
-            workers[b].submit.remote(tbl, True)
-            for b, tbl in _route_tasks(batch, nbuckets).items()
-        ]
-        if refs:
-            ray.get(refs)
-        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
-
-    # consume with a tiny aggregate — only per-batch counts reach the driver
-    focus_ds.map_batches(route, batch_format="pyarrow").sum("n")
+def _pairs_table(nodes, shapes) -> pa.Table:
+    return pa.table(
+        {"node": pa.array(nodes, pa.string()), "shape": pa.array(shapes, pa.string())}
+    )
 
 
-def _marker():
-    """``mark(label)`` prints the seconds since the previous mark when
-    SHACLEX_DIST_DEBUG is set."""
-    import os as _os
-    import time as _time
-
-    dbg = _os.environ.get("SHACLEX_DIST_DEBUG")
-    t0 = _time.perf_counter()
-
-    def mark(label):
-        nonlocal t0
-        if dbg:
-            print(f"[dist] {label}: {_time.perf_counter() - t0:.2f}s", flush=True)
-        t0 = _time.perf_counter()
-
-    return mark
+def _focus_patterns(focus_tasks):
+    """``distributed_validate``'s focus forms as ``(patterns, concrete)``
+    (``_Bucket.derive_focus``'s patterns and a (node, shape) table): a
+    table is all concrete pairs; a ``("shex-patterns", assocs, concrete)``
+    tuple's selectors become patterns whose bound end is a term key.
+    ``"shacl-targets"`` gives None: its patterns compile from the target
+    declarations once the buckets are loaded (``_target_patterns``)."""
+    if isinstance(focus_tasks, str) and focus_tasks == "shacl-targets":
+        return None
+    if isinstance(focus_tasks, pa.Table):
+        return [], focus_tasks
+    if isinstance(focus_tasks, tuple) and focus_tasks[:1] == ("shex-patterns",):
+        _, assocs, concrete = focus_tasks
+        patterns = []
+        for a in assocs:
+            end = a.get("obj" if a["kind"] == "focus_subj" else "subj")
+            bound = None if end is None else [term_key(end)]
+            patterns.append((a["kind"], a["pred"], bound, a["shape"]))
+        return patterns, concrete
+    raise TypeError(
+        "focus_tasks must be 'shacl-targets', a (node, shape) pa.Table or a "
+        f"('shex-patterns', assocs, concrete) tuple, not {type(focus_tasks).__name__}"
+    )
 
 
 def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
-         output_dir, mark):
+         output_dir):
     """The BSP driver loop, written once for both transports.
 
     ``call(b, method, *args)`` invokes bucket ``b``'s method: an actor
     call returning a ref in the fleet, a plain method call in the
     single-bucket task. ``get`` resolves a list of what ``call`` returned
     (``ray.get``, or the identity). ``load_refs`` are the buckets' issued
-    ``load`` calls; ``focus_tasks`` is None when the focus pairs were
-    already submitted. Returns ``(result, dep_state)``: the summed shard
+    ``load`` calls. Returns ``(result, dep_state)``: the summed shard
     stats when ``output_dir`` is given, else the (typing, report) tables.
     """
 
@@ -2170,50 +2104,18 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
             ]
         )
 
-    # initial focus submission (vectorized routing; worklists live in the
-    # buckets). In the fleet, submit calls queue behind load in each
-    # actor's mailbox, so the focus-resolution scan OVERLAPS the bucket
-    # index builds.
-    if isinstance(focus_tasks, str) and focus_tasks == "shacl-targets":
-        # in-bucket target derivation: every bucket already holds all
-        # outgoing arcs of its subjects, so subject-side targets resolve
-        # where they live — no second scan of the input Dataset. Only the
-        # (tiny) rdfs:subClassOf rows and targetObjectsOf pairs cross the
-        # driver.
-        get(load_refs)
-        mark("load")
-        sub_tbl = pa.concat_tables(every("subclass_rows"))
-        children: dict[str, set[str]] = {}
-        for child, parent in zip(
-            sub_tbl.column("child").to_pylist(), sub_tbl.column("parent").to_pylist()
-        ):
-            children.setdefault(parent, set()).add(child)
-        spec, node_pairs = _build_target_spec(schema, children)
-        remote_parts = every("derive_targets", spec, schema["subclass_closure"])
-        extra = pa.table(
-            {
-                "node": pa.array([p[0] for p in node_pairs], pa.string()),
-                "shape": pa.array([p[1] for p in node_pairs], pa.string()),
-            }
-        )
-        submit(pa.concat_tables([extra] + remote_parts), True)
-        mark("targets+submit")
-    elif isinstance(focus_tasks, tuple) and focus_tasks[0] == "shex-patterns":
-        # in-bucket shapemap pattern resolution: subject-side matches
-        # enqueue where they live; only object-side matches (plus the
-        # concrete node-selector pairs) cross the driver. No second scan
-        # of the input Dataset.
-        _, passocs, concrete = focus_tasks
-        get(load_refs)
-        mark("load")
-        remote_parts = every("derive_focus", passocs)
-        submit(pa.concat_tables([concrete] + remote_parts), True)
-        mark("focus+submit")
-    else:
-        if focus_tasks is not None:
-            submit(focus_tasks, True)
-        get(load_refs)
-        mark("load+submit")
+    # the focus step: every bucket resolves the patterns against its loaded
+    # arcs, so the input is scanned once, by the split. Only the object-side
+    # and concrete pairs cross the driver; a SHACL run first compiles its
+    # targets, which needs the (tiny) rdfs:subClassOf rows of every bucket
+    get(load_refs)
+    focus = _focus_patterns(focus_tasks)
+    closure = None
+    if focus is None:
+        focus = _target_patterns(schema, pa.concat_tables(every("subclass_rows")))
+        closure = schema["subclass_closure"]
+    patterns, concrete = focus
+    submit(pa.concat_tables([concrete] + every("derive_focus", patterns, closure)), True)
 
     # ---- driver loop: only dependency traffic crosses the driver
     need_by: dict[tuple[str, str], set[int]] = {}
@@ -2248,12 +2150,7 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
         # an already-decided pair returns its answer immediately
         if new_child_tasks:
             uniq = sorted(set(new_child_tasks))
-            tbl = pa.table(
-                {
-                    "node": pa.array([c[0] for c in uniq], pa.string()),
-                    "shape": pa.array([c[1] for c in uniq], pa.string()),
-                }
-            )
+            tbl = _pairs_table([c[0] for c in uniq], [c[1] for c in uniq])
             for already in submit(tbl, False):
                 for nk, sk, val in already:
                     answered_vals[(nk, sk)] = val
@@ -2288,7 +2185,6 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
                 forwarded.discard((child, b))
             answered_vals.pop(child, None)
 
-        mark(f"round{rounds} decided={total_decided} pending={total_pending}")
         if total_pending == 0 and not new_child_tasks:
             break
         if progress:
@@ -2316,9 +2212,7 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
     }
 
     # anything still pending is UNDECIDED — surface it, don't drop it
-    n_unknown = sum(every("mark_pending_unknown"))
-    if n_unknown:
-        mark(f"WARNING: {n_unknown} pairs left unknown")
+    every("mark_pending_unknown")
 
     if output_dir is not None:
         # bucket-side sink: each bucket writes its own shard; only
@@ -2327,7 +2221,6 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
         for s in every("write_shard", output_dir):
             for k, v in s.items():
                 stats[k] = stats.get(k, 0) + v
-        mark("write_shards")
         return stats, dep_state
 
     collected = every("collect")
@@ -2393,7 +2286,7 @@ def _discard(workers: list) -> None:
 
 
 def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
-               plan, focus_tasks, max_rounds, output_dir, mark):
+               plan, focus_tasks, max_rounds, output_dir):
     """``nbuckets > 1``: one pooled ``BucketWorker`` actor per bucket, fed
     by one split-task exchange, driven through actor handles."""
     schema_ref = ray.put(schema)
@@ -2419,7 +2312,6 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
             num_returns=len(split_refs) * nbuckets,
             fetch_local=False,
         )
-        mark("split")
         for b, ref in enumerate(opens):
             try:
                 ray.get(ref)
@@ -2427,21 +2319,14 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
                 # a pooled actor died while idle: replace it
                 workers[b] = BucketWorker.remote()
                 ray.get(open_bucket(b))
-        mark("warmup")
         load_refs = [
             workers[b].load.remote(*[blk[b] for blk in split_refs])
             for b in range(nbuckets)
         ]
-        if not isinstance(focus_tasks, (str, tuple, pa.Table)):
-            # Ray Dataset: streamed task→actor, no driver materialization
-            # (after every open returned: those calls come from other
-            # callers, whose order against ours Ray does not keep)
-            _submit_focus_dataset(focus_tasks, workers, nbuckets)
-            focus_tasks = None
         out = _bsp(
             lambda b, method, *args: getattr(workers[b], method).remote(*args),
             ray.get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
-            output_dir, mark,
+            output_dir,
         )
         ray.get([w.release.remote() for w in workers])
     except BaseException:
@@ -2452,36 +2337,28 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
 
 
 def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
-                       focus_tasks, max_rounds, output_dir, n_arc_blocks,
-                       *blocks):
+                       focus_tasks, max_rounds, output_dir, *blocks):
     """``nbuckets == 1``: the whole fixpoint in this process, one
     ``_Bucket`` driven by the same loop as the fleet through plain method
-    calls. ``blocks`` holds the input's triple blocks (``n_arc_blocks`` of
-    them, when ``files`` is None) followed by, when ``focus_tasks`` is
-    None, the blocks of a focus Dataset.
+    calls. ``blocks`` holds the input's triple blocks when ``files`` is
+    None.
 
     Runs as one Ray task on a pooled worker that later tasks reuse, so it
     always ``release``s the bucket: spill directory removed, GC
     unfrozen."""
-    mark = _marker()
     bucket = _Bucket()
     try:
         bucket.open(schema, engine, 1, 0, spill_rows)
         (arcs,) = exchange.run_split(
             _route_arcs, (include_inverse,), 1, ARC_SCHEMA, ARC_COLS,
-            *(files if files is not None else blocks[:n_arc_blocks]),
+            *(files or blocks),
         )
-        mark("read+split")
         load_refs = [bucket.load(arcs)]
         del arcs  # the index owns the arcs now; free the split's copy
-        if focus_tasks is None:
-            for blk in blocks[n_arc_blocks:]:
-                if blk.num_rows:
-                    bucket.submit(blk, True)
         return _bsp(
             lambda _b, method, *args: getattr(bucket, method)(*args),
             lambda results: results, 1, schema, focus_tasks, load_refs,
-            max_rounds, output_dir, mark,
+            max_rounds, output_dir,
         )
     finally:
         bucket.release()
@@ -2504,10 +2381,12 @@ def distributed_validate(
 ):
     """Run the BSP typing fixpoint.
 
-    ``focus_tasks``: pa.Table(node: term key, shape: shape key) for small
-    shapemaps, or a Ray Dataset of the same schema (never
-    driver-materialized), or ``"shacl-targets"`` / a ``("shex-patterns",
-    assocs, concrete)`` tuple for in-bucket focus derivation.
+    ``focus_tasks`` is one of three forms, all resolved in the buckets'
+    one focus step (``_bsp``): ``"shacl-targets"`` (the schema's SHACL
+    target declarations), a ``("shex-patterns", assocs, concrete)`` tuple
+    (shapemap pattern selectors plus a concrete (node, shape) table) or a
+    (node, shape) pa.Table of term and shape keys. Anything else raises
+    ``TypeError``.
     Returns (typing, report) as pyarrow Tables — unless ``output_dir`` is
     given, in which case each bucket writes its own parquet shard under
     ``{output_dir}/typing`` and ``{output_dir}/report`` and the return
@@ -2525,7 +2404,7 @@ def distributed_validate(
     call releases and kills its actors. Each call re-reads its input and
     recompiles its schema: nothing computed in one call reaches the next.
     """
-    mark = _marker()
+    _focus_patterns(focus_tasks)  # a bad focus form fails before any work
     if engine == "shex":
         # EXTERNAL shapes with an attached resolver schema merge in here on
         # the driver: the extern definition replaces the ShapeExternal under
@@ -2587,29 +2466,20 @@ def distributed_validate(
         plan = exchange.plan(triples_ds.materialize())
     nbuckets = nbuckets or plan.fleet
     distributed_validate.last_nbuckets = nbuckets
-    mark("materialize")
 
     # the one regime choice
     if nbuckets == 1:
-        focus_refs = []
-        if not isinstance(focus_tasks, (str, tuple, pa.Table)):
-            # a focus Dataset materializes BEFORE the task starts: its
-            # blocks become task arguments (never concatenated here), and
-            # no Ray Data task waits for a CPU the validation task holds
-            focus_refs = focus_tasks.materialize().to_arrow_refs()
-            focus_tasks = None
         arc_refs = [] if files else list(plan.inputs)
         out, dep_state = ray.get(
             _single_bucket_task.remote(
                 schema, engine, include_inverse, spill_rows, files,
-                focus_tasks, max_rounds, output_dir, len(arc_refs),
-                *arc_refs, *focus_refs,
+                focus_tasks, max_rounds, output_dir, *arc_refs,
             )
         )
     else:
         out, dep_state = _run_fleet(
             schema, engine, nbuckets, include_inverse, spill_rows, plan,
-            focus_tasks, max_rounds, output_dir, mark,
+            focus_tasks, max_rounds, output_dir,
         )
     distributed_validate.last_dep_state = dep_state
     if output_dir is None:
@@ -2622,12 +2492,22 @@ def distributed_validate(
 
 
 # ---------------------------------------------------------------------------
-# SHACL target resolution over the triples Dataset (SURVEY.md J2)
+# SHACL target declarations as focus patterns (SURVEY.md J2)
 
-def _build_target_spec(schema: dict, children: dict[str, set[str]]):
-    """Turn the schema's target declarations + the subclass-children map
-    into a scan spec. Attaches ``subclass_closure`` to ``schema`` (the
-    sh:class components need it) and returns ``(spec, node_pairs)``."""
+def _target_patterns(schema: dict, subclass_rows: pa.Table):
+    """Compile the schema's target declarations into ``(patterns,
+    concrete)`` for ``_Bucket.derive_focus``, given every bucket's
+    (child, parent) rdfs:subClassOf rows: a class target (explicit or
+    implicit) selects the subjects of rdf:type arcs whose object is in
+    the class's subclass closure, targetSubjectsOf / targetObjectsOf the
+    subjects / objects of their predicate, targetNode its node. Attaches
+    ``subclass_closure`` to ``schema`` (the sh:class components need it)."""
+    children: dict[str, set[str]] = {}
+    for child, parent in zip(
+        subclass_rows.column("child").to_pylist(),
+        subclass_rows.column("parent").to_pylist(),
+    ):
+        children.setdefault(parent, set()).add(child)
 
     def closure(cls_key: str) -> list[str]:
         seen = {cls_key}
@@ -2640,112 +2520,24 @@ def _build_target_spec(schema: dict, children: dict[str, set[str]]):
                     frontier.append(ch)
         return sorted(seen)
 
-    class_targets: list[tuple[str, str]] = []
-    node_pairs: list[tuple[str, str]] = []
-    subjects_of: list[tuple[str, str]] = []
-    objects_of: list[tuple[str, str]] = []
-    closures: dict[str, list[str]] = {}
+    patterns, nodes, node_shapes = [], [], []
     for skey in schema["with_targets"]:
         shape = schema["shapes"][skey]
-        for kind, val in shape["targets"]:
+        implicit = [("class", skey)] if shape["implicit_class"] else []
+        for kind, val in [*shape["targets"], *implicit]:
             if kind == "node":
-                node_pairs.append((val, skey))
+                nodes.append(val)
+                node_shapes.append(skey)
             elif kind == "class":
-                class_targets.append((val, skey))
-                closures[val] = closure(val)
+                patterns.append(("focus_subj", RDF_TYPE, closure(val), skey))
             elif kind == "subjectsOf":
-                subjects_of.append((val, skey))
+                patterns.append(("focus_subj", val, None, skey))
             elif kind == "objectsOf":
-                objects_of.append((val, skey))
-        if shape["implicit_class"]:
-            class_targets.append((skey, skey))
-            closures[skey] = closure(skey)
+                patterns.append(("focus_obj", val, None, skey))
     schema["subclass_closure"] = {
         ck: closure(ck) for ck in _all_class_params(schema)
     }
-
-    spec = {
-        "class_targets": [
-            (set("".join(c[1:]) for c in closures[ck]), sk) for ck, sk in class_targets
-        ],
-        "subjects_of": subjects_of,
-        "objects_of": objects_of,
-    }
-    return spec, node_pairs
-
-
-def resolve_shacl_targets(triples_ds, schema: dict):
-    """Resolve SHACL targets into a *streaming* focus Dataset of
-    (node term key, shape key) pairs — the focus set never materializes on
-    the driver (it is submitted task→actor and deduped in the bucket
-    worklists). Only the rdfs:subClassOf rows (class hierarchy — tiny) are
-    collected driver-side to attach the subclass closure to the schema.
-
-    ``distributed_validate(..., focus_tasks="shacl-targets")`` derives the
-    same pairs IN-BUCKET from the already-loaded arc index (no second scan
-    of the input); this Dataset variant remains for callers validating a
-    Dataset without loading buckets, and as the equivalence oracle for the
-    in-bucket path (tests pin both to identical typing)."""
-
-    def _sub_filter(batch: pa.Table) -> pa.Table:
-        mask = pc.equal(batch.column("pred"), RDFS_SUBCLASS)
-        sub = batch.filter(mask)
-        return sub.select(["subj", "obj_kind", "obj_lex"])
-
-    sub_rows = triples_ds.map_batches(_sub_filter, batch_format="pyarrow").take_all()
-    children: dict[str, set[str]] = {}
-    for r in sub_rows:
-        child = subj_to_key(r["subj"])
-        parent = "I" + r["obj_lex"] if r["obj_kind"] == "iri" else "B" + r["obj_lex"]
-        children.setdefault(parent, set()).add(child)
-
-    spec, node_pairs = _build_target_spec(schema, children)
-
-    def find_targets(batch: pa.Table) -> pa.Table:
-        parts = []
-        pred = batch.column("pred")
-        for cls_iris, sk in spec["class_targets"]:
-            mask = pc.and_(
-                pc.equal(pred, RDF_TYPE),
-                pc.is_in(batch.column("obj_lex"), value_set=pa.array(sorted(cls_iris))),
-            )
-            keys = _subj_key_col(pc.filter(batch.column("subj"), mask))
-            parts.append(
-                pa.table({"node": keys, "shape": pa.array([sk] * len(keys), pa.string())})
-            )
-        for p, sk in spec["subjects_of"]:
-            keys = _subj_key_col(pc.filter(batch.column("subj"), pc.equal(pred, p)))
-            parts.append(
-                pa.table({"node": keys, "shape": pa.array([sk] * len(keys), pa.string())})
-            )
-        for p, sk in spec["objects_of"]:
-            sub = batch.filter(pc.equal(pred, p))
-            keys = _obj_key_col(sub)
-            parts.append(
-                pa.table({"node": keys, "shape": pa.array([sk] * len(keys), pa.string())})
-            )
-        if not parts:
-            return pa.table(
-                {"node": pa.array([], pa.string()), "shape": pa.array([], pa.string())}
-            )
-        out = pa.concat_tables(parts)
-        # batch-local dedup (combiner); Arrow group_by keeps it C++-side
-        return out.group_by(out.column_names, use_threads=False).aggregate([]).cast(
-            out.schema
-        )
-
-    import ray.data as rd
-
-    targets_ds = triples_ds.map_batches(find_targets, batch_format="pyarrow")
-    extra = pa.table(
-        {
-            "node": pa.array([p[0] for p in node_pairs], pa.string()),
-            "shape": pa.array([p[1] for p in node_pairs], pa.string()),
-        }
-    )
-    if extra.num_rows:
-        targets_ds = targets_ds.union(rd.from_arrow(extra))
-    return targets_ds
+    return patterns, _pairs_table(nodes, node_shapes)
 
 
 def _all_class_params(schema: dict) -> set[str]:

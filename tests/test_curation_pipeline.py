@@ -179,3 +179,23 @@ run_curation_pipeline({SF!r}, {str(one)!r}, capacity=128)
     four = run_curation_pipeline(SF, str(tmp_path / "four"), capacity=128)
     got = _curated_rows(rd.read_parquet(str(one / "curated")))
     assert got == _curated_rows(four["curated"]) and len(got) > 0
+
+
+def test_curation_pipeline_all_rejected(ray_session, tmp_path):
+    """A run whose gates reject every document still writes each stage
+    as a typed empty part: nothing is kept or packed, and the curated and
+    packed outputs read back with their columns."""
+    from shaclex_ray.pipelines.curation import run_curation_pipeline
+
+    out = run_curation_pipeline(
+        SF, str(tmp_path / "out"), capacity=128, min_tokens=10**9,
+        substring_dedup=True,
+    )
+    assert out["kept"] == 0 and out["chunks"] == 0
+    curated = out["curated"].materialize()
+    packed = out["packed"].materialize()
+    assert curated.count() == 0 and packed.count() == 0
+    assert curated.schema().names == ["doc_id", "text", "lang", "source", "split"]
+    assert packed.schema().names == [
+        "chunk_id", "doc_id", "begin_in_chunk", "ntok_in_chunk",
+    ]

@@ -67,10 +67,20 @@ ex:ClassShape a sh:NodeShape ;
 ex:ObjShape a sh:NodeShape ;
   sh:targetObjectsOf ex:knows ;
   sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+ex:SubjShape a sh:NodeShape ;
+  sh:targetSubjectsOf ex:age ;
+  sh:property [ sh:path ex:age ; sh:datatype xsd:integer ] .
+ex:NodeShapeT a sh:NodeShape ;
+  sh:targetNode ex:e ;
+  sh:property [ sh:path ex:knows ; sh:maxCount 0 ] .
+ex:Robot a sh:NodeShape, rdfs:Class ;
+  sh:property [ sh:path ex:name ; sh:minCount 1 ] .
 ex:Student rdfs:subClassOf ex:Person .
-ex:a a ex:Person ; ex:name "A" ; ex:knows ex:b , ex:e .
+ex:a a ex:Person ; ex:name "A" ; ex:age 3 ; ex:knows ex:b , ex:e .
 ex:b a ex:Student .
+ex:c ex:age "old" .
 ex:e ex:name "E" .
+ex:r1 a ex:Robot .
 """
 
 
@@ -141,25 +151,20 @@ def _cycle_case(_tmp_path):
     return run
 
 
-def _shacl_case(ttl: str, dataset_focus: bool):
+def _shacl_case(ttl: str):
     def case(_tmp_path):
         import ray.data as rd
 
         from shaclex_ray.rdfio import parse_turtle
         from shaclex_ray.shapes.shacl import compile_shacl
         from shaclex_ray.terms import triples_to_table
-        from shaclex_ray.validate.dist import resolve_shacl_targets
 
         triples = parse_turtle(ttl)
         ds = rd.from_arrow(triples_to_table(triples))
 
         def run(dv, nb):
             schema = compile_shacl(triples)
-            focus = (
-                resolve_shacl_targets(ds, schema) if dataset_focus
-                else "shacl-targets"
-            )
-            return dv(ds, "shacl", schema, focus, nbuckets=nb)
+            return dv(ds, "shacl", schema, "shacl-targets", nbuckets=nb)
 
         return run
 
@@ -181,10 +186,10 @@ class _NoActors:
     [
         _kg_case,
         _cycle_case,
-        _shacl_case(_INVERSE_TTL, dataset_focus=False),
-        _shacl_case(_TARGETS_TTL, dataset_focus=True),
+        _shacl_case(_INVERSE_TTL),
+        _shacl_case(_TARGETS_TTL),
     ],
-    ids=["kg_checkpoint", "shex_cycle", "inverse_path", "dataset_focus"],
+    ids=["kg_checkpoint", "shex_cycle", "inverse_path", "all_targets"],
 )
 def test_regime_parity(ray_session, tmp_path, monkeypatch, make_case):
     """One task (nbuckets=1, no actor) and the actor fleet (nbuckets=4)
@@ -244,7 +249,7 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
 
     monkeypatch.setattr(dist._Bucket, "run_round", watched_round)
     schema, triples = _hygiene_input()
-    args = (schema, "shacl", False, None, None, "shacl-targets", 12, None, 1, triples)
+    args = (schema, "shacl", False, None, None, "shacl-targets", 12, None, triples)
     if fail:
         with pytest.raises(RuntimeError, match="bucket failure"):
             dist._run_single_bucket(*args)

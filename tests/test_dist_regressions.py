@@ -258,7 +258,7 @@ def test_flat_shacl_vectorized_parity(ray_session, tmp_path):
     import ray.data as rd
 
     from shaclex_ray.pipelines.kg import kg_schema, run_kg_pipeline
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     out = run_kg_pipeline("/root/testdata/sf0.001", str(tmp_path), validate=False)
     tm = out["triples"].materialize()
@@ -267,8 +267,7 @@ def test_flat_shacl_vectorized_parity(ray_session, tmp_path):
         schema = kg_schema()
         if no_flat:
             schema["_no_flat"] = True
-        focus = resolve_shacl_targets(tm, schema)
-        return distributed_validate(tm, "shacl", schema, focus, nbuckets=4)
+        return distributed_validate(tm, "shacl", schema, "shacl-targets", nbuckets=4)
 
     t1, r1 = run(False)
     t2, r2 = run(True)
@@ -308,7 +307,7 @@ def test_nested_property_shape_report_multiplicity(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -323,8 +322,7 @@ def test_nested_property_shape_report_multiplicity(ray_session):
     triples = parse_turtle(ttl)
     ds = rd.from_arrow(triples_to_table(triples))
     schema = compile_shacl(triples)
-    focus = resolve_shacl_targets(ds, schema)
-    _t, rep = distributed_validate(ds, "shacl", schema, focus, nbuckets=4)
+    _t, rep = distributed_validate(ds, "shacl", schema, "shacl-targets", nbuckets=4)
     rows = sorted(
         (a, b.split("#")[-1])
         for a, b in zip(
@@ -404,7 +402,7 @@ def test_flat_partial_class_violation_rows(ray_session):
 
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -432,8 +430,7 @@ def test_flat_partial_class_violation_rows(ray_session):
         schema = compile_shacl(parse_turtle(ttl))
         if no_flat:
             schema["_no_flat"] = True
-        focus = resolve_shacl_targets(ds, schema)
-        return distributed_validate(ds, "shacl", schema, focus, nbuckets=4)
+        return distributed_validate(ds, "shacl", schema, "shacl-targets", nbuckets=4)
 
     t1, r1 = run(False)
     t2, r2 = run(True)
@@ -481,8 +478,7 @@ def _validate_in_process(schema, engine, triples, focus, nbuckets):
         loads = [bucket.load(part) for bucket, part in zip(buckets, parts)]
         (typing, _report), _state = dist._bsp(
             lambda b, method, *args: getattr(buckets[b], method)(*args),
-            lambda results: results, nbuckets, schema, focus, loads, 12,
-            None, dist._marker(),
+            lambda results: results, nbuckets, schema, focus, loads, 12, None,
         )
     finally:
         for bucket in buckets:
@@ -694,7 +690,7 @@ def test_single_bucket_kg_validation_builds_no_node_index(monkeypatch):
     monkeypatch.setattr(dist, "_ArcIndex", no_index)
     schema = kg_schema()
     (typing, report), _state = dist._run_single_bucket(
-        schema, "shacl", False, None, None, "shacl-targets", 12, None, 1, tbl
+        schema, "shacl", False, None, None, "shacl-targets", 12, None, tbl
     )
     got = {
         (n, s): v == "conforms"
@@ -727,7 +723,7 @@ def test_single_bucket_non_flat_shape_uses_node_index():
 
     assert "Ihttp://ex.org/EntityShape" not in dist.flat_shacl_profile(schema())
     (typing, _report), _state = dist._run_single_bucket(
-        schema(), "shacl", False, None, None, "shacl-targets", 12, None, 1, tbl
+        schema(), "shacl", False, None, None, "shacl-targets", 12, None, tbl
     )
     got = {
         (n, s): v == "conforms"

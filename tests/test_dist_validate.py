@@ -70,7 +70,7 @@ def test_dist_shacl_matches_local(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
     from shaclex_ray.validate.local import Graph
     from shaclex_ray.validate.shacl_local import ShaclValidator
 
@@ -99,9 +99,8 @@ def test_dist_shacl_matches_local(ray_session):
 
         ds = rd.from_arrow(triples_to_table(triples))
         schema2 = compile_shacl(triples)
-        focus = resolve_shacl_targets(ds, schema2)
         _typing, rep = distributed_validate(
-            ds, "shacl", schema2, focus, nbuckets=4, include_inverse=True
+            ds, "shacl", schema2, "shacl-targets", nbuckets=4, include_inverse=True
         )
         dset = sorted(
             zip(rep.column("focus_node").to_pylist(), rep.column("component").to_pylist())
@@ -121,7 +120,7 @@ def test_dist_shacl_multihop_paths(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
     from shaclex_ray.validate.local import Graph
     from shaclex_ray.validate.shacl_local import ShaclValidator
 
@@ -145,8 +144,7 @@ def test_dist_shacl_multihop_paths(ray_session):
 
         ds = rd.from_arrow(triples_to_table(triples))
         schema2 = compile_shacl(triples)
-        focus = resolve_shacl_targets(ds, schema2)
-        _typing, rep = distributed_validate(ds, "shacl", schema2, focus, nbuckets=4)
+        _typing, rep = distributed_validate(ds, "shacl", schema2, "shacl-targets", nbuckets=4)
         dset = sorted(
             zip(rep.column("focus_node").to_pylist(), rep.column("component").to_pylist())
         )
@@ -164,7 +162,7 @@ def test_dist_shacl_node_probe_not_reported(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -179,8 +177,7 @@ def test_dist_shacl_node_probe_not_reported(ray_session):
     triples = parse_turtle(ttl)
     ds = rd.from_arrow(triples_to_table(triples))
     schema = compile_shacl(triples)
-    focus = resolve_shacl_targets(ds, schema)
-    _typing, rep = distributed_validate(ds, "shacl", schema, focus, nbuckets=4)
+    _typing, rep = distributed_validate(ds, "shacl", schema, "shacl-targets", nbuckets=4)
     comps = sorted(c.split("#")[-1] for c in rep.column("component").to_pylist())
     assert comps == ["NodeConstraintComponent"], comps
 
@@ -194,7 +191,7 @@ def test_dist_inverse_complex_path(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
     from shaclex_ray.validate.local import Graph
     from shaclex_ray.validate.shacl_local import ShaclValidator
 
@@ -227,8 +224,7 @@ def test_dist_inverse_complex_path(ray_session):
 
     ds = rd.from_arrow(triples_to_table(triples))
     schema = compile_shacl(triples)
-    focus = resolve_shacl_targets(ds, schema)
-    typing, rep = distributed_validate(ds, "shacl", schema, focus, nbuckets=4)
+    typing, rep = distributed_validate(ds, "shacl", schema, "shacl-targets", nbuckets=4)
     dset = sorted(
         zip(rep.column("focus_node").to_pylist(), rep.column("component").to_pylist())
     )
@@ -238,17 +234,22 @@ def test_dist_inverse_complex_path(ray_session):
 
 
 def test_in_bucket_targets_equivalence(ray_session):
-    """focus_tasks="shacl-targets" (in-bucket derivation, no second input
-    scan) produces the identical typing and report as the Dataset-scan
-    resolve_shacl_targets path, across every target kind: targetClass
-    (with an rdfs:subClassOf hop), implicit class, targetNode,
-    targetSubjectsOf and targetObjectsOf."""
+    """focus_tasks="shacl-targets" selects exactly the in-memory
+    validator's focus nodes (``ShaclValidator.focus_nodes``, the
+    conformance-verified oracle) with its verdicts and report rows, at 1
+    and 4 buckets, across every target kind: targetClass (with an
+    rdfs:subClassOf hop), a blank-node class, implicit class, targetNode,
+    targetSubjectsOf and targetObjectsOf. Class objects match by exact
+    term key: a literal rdf:type object spelling a class IRI, and an IRI
+    spelling a blank node's label, type nothing."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
+    from shaclex_ray.validate.local import Graph
+    from shaclex_ray.validate.shacl_local import ShaclValidator
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -267,44 +268,64 @@ def test_in_bucket_targets_equivalence(ray_session):
     ex:NodeShapeT a sh:NodeShape ;
       sh:targetNode ex:d ;
       sh:property [ sh:path ex:name ; sh:maxCount 0 ] .
+    ex:BlankShape a sh:NodeShape ;
+      sh:targetClass _:k ;
+      sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+    ex:Robot a sh:NodeShape, rdfs:Class ;
+      sh:property [ sh:path ex:name ; sh:minCount 1 ] .
     ex:Student rdfs:subClassOf ex:Person .
     ex:a a ex:Person ; ex:name "A" ; ex:age 3 ; ex:knows ex:b .
     ex:b a ex:Student .
     ex:c ex:age "old" .
     ex:d ex:name "D" .
+    ex:lit a "http://ex.org/Person" .
+    ex:f a _:k .
+    ex:h a <k> .
+    ex:r1 a ex:Robot .
+    ex:r2 a ex:Robot ; ex:name "R" .
     """
     triples = parse_turtle(ttl)
     ds = rd.from_arrow(triples_to_table(triples))
 
-    schema1 = compile_shacl(triples)
-    focus = resolve_shacl_targets(ds, schema1)
-    typ1, rep1 = distributed_validate(ds, "shacl", schema1, focus, nbuckets=4)
+    local = ShaclValidator(compile_shacl(triples), Graph(triples))
+    want = {
+        (nk, sk): not local.validate_shape(nk, sk)
+        for sk in local.schema["with_targets"]
+        for nk in local.focus_nodes(local.schema["shapes"][sk])
+    }
+    want_report = sorted((r["focus"], r["component"]) for r in local.validate_all()[1])
+    foci = {nk for nk, _sk in want}
+    assert {"Ihttp://ex.org/b", "Ihttp://ex.org/f", "Ihttp://ex.org/r1"} <= foci
+    assert not foci & {"Ihttp://ex.org/lit", "Ihttp://ex.org/h"}
 
-    schema2 = compile_shacl(triples)
-    typ2, rep2 = distributed_validate(
-        ds, "shacl", schema2, "shacl-targets", nbuckets=4
-    )
-
-    def typing_set(t):
-        f = t.filter(t.column("is_focus"))
-        return sorted(
-            zip(
-                f.column("node").to_pylist(),
-                f.column("shape").to_pylist(),
-                f.column("val").to_pylist(),
-            )
+    for nb in (1, 4):
+        typing, report = distributed_validate(
+            ds, "shacl", compile_shacl(triples), "shacl-targets", nbuckets=nb
         )
+        f = typing.filter(typing.column("is_focus"))
+        got = {
+            (n, s): v == "conforms"
+            for n, s, v in zip(*[f.column(c).to_pylist() for c in ("node", "shape", "val")])
+        }
+        assert got == want, nb
+        got_report = sorted(
+            zip(report.column("focus_node").to_pylist(), report.column("component").to_pylist())
+        )
+        assert got_report == want_report, nb
 
-    s1, s2 = typing_set(typ1), typing_set(typ2)
-    assert s1 == s2
-    assert len(s1) >= 5  # b via subclass, a (class+subj), c (subj), a.knows obj b, d
-    r1 = sorted(
-        zip(rep1.column("focus_node").to_pylist(), rep1.column("component").to_pylist())
-    )
-    r2 = sorted(
-        zip(rep2.column("focus_node").to_pylist(), rep2.column("component").to_pylist())
-    )
-    assert r1 == r2 and len(r1) >= 2  # c datatype, b name minCount, d maxCount
+
+def test_focus_forms(ray_session):
+    """``distributed_validate`` takes three focus forms; any other value,
+    a Ray Dataset of pairs included, raises ``TypeError`` before any
+    work."""
+    import ray.data as rd
+
+    from shaclex_ray.validate.dist import distributed_validate
+
+    pairs = pa.table({"node": ["Ihttp://e/n"], "shape": ["http://e/S"]})
+    for bad in (rd.from_arrow(pairs), "shex-patterns", ("patterns", [], pairs)):
+        with pytest.raises(TypeError, match="focus_tasks"):
+            distributed_validate(None, "shex", {"shapes": {}}, bad, nbuckets=1)
 
 
 def test_auto_fleet_sizing(ray_session, monkeypatch):
@@ -366,7 +387,7 @@ def test_typing_is_the_same_at_every_bucket_count(ray_session):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -393,8 +414,7 @@ def test_typing_is_the_same_at_every_bucket_count(ray_session):
     outs = []
     for nb in (1, 2, 4, 8):
         schema = compile_shacl(triples)
-        focus = resolve_shacl_targets(ds, schema)
-        typing, report = distributed_validate(ds, "shacl", schema, focus, nbuckets=nb)
+        typing, report = distributed_validate(ds, "shacl", schema, "shacl-targets", nbuckets=nb)
         outs.append((rows(typing), rows(report)))
     assert len(outs[0][0]) == 40 and outs[0][1]
     assert all(o == outs[0] for o in outs[1:])
@@ -421,7 +441,7 @@ def test_output_dir_writes_no_empty_shard(ray_session, tmp_path, nameless):
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
     from shaclex_ray.terms import triples_to_table
-    from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+    from shaclex_ray.validate.dist import distributed_validate
 
     ttl = """
     @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -438,7 +458,7 @@ def test_output_dir_writes_no_empty_shard(ray_session, tmp_path, nameless):
     schema = compile_shacl(triples)
     out = str(tmp_path / "v")
     typing, report = distributed_validate(
-        ds, "shacl", schema, resolve_shacl_targets(ds, schema), nbuckets=4,
+        ds, "shacl", schema, "shacl-targets", nbuckets=4,
         output_dir=out,
     )
     parts = [pq.read_table(p) for p in sorted((tmp_path / "v" / "report").iterdir())]

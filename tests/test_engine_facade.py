@@ -219,3 +219,37 @@ def test_pattern_shapemap_in_bucket_focus(rd):
     foci = {r["node"] for r in typing.to_pylist() if r["is_focus"]}
     assert foci == {"Ihttp://example.org/bob", "Ihttp://example.org/dave"}
     assert summary["conformant"] == 2
+
+
+@pytest.mark.parametrize("nbuckets", [1, 4])
+def test_pattern_shapemap_matches_exact_literal(rd, nbuckets):
+    """A bound literal in a pattern selector matches by its whole term
+    key: ``{FOCUS :age "5"^^xsd:integer}`` selects the subject of the
+    typed literal only, not those of ``"5"`` or ``"5"@en``."""
+    from shaclex_ray.engine import validate_shex
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.terms import triples_to_table
+
+    ttl = """
+    @prefix : <http://example.org/> .
+    @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+    :x :age "5"^^xsd:integer .
+    :y :age "5" .
+    :z :age "5"@en .
+    """
+    schema = """
+    prefix : <http://example.org/>
+    :S { :age . }
+    """
+    prefixes = {
+        "": "http://example.org/",
+        "xsd": "http://www.w3.org/2001/XMLSchema#",
+    }
+    ds = rd.from_arrow(triples_to_table(parse_turtle(ttl)))
+    typing, summary = validate_shex(
+        ds, schema, '{FOCUS :age "5"^^xsd:integer}@:S', prefixes=prefixes,
+        nbuckets=nbuckets,
+    )
+    foci = {r["node"] for r in typing.to_pylist() if r["is_focus"]}
+    assert foci == {"Ihttp://example.org/x"}
+    assert summary["conformant"] == 1

@@ -641,7 +641,7 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN"
         r"|REL_BCAST_THRESHOLD|JACCARD_BCAST_THRESHOLD|INFER_BCAST_THRESHOLD"
         r"|REP_VERDICT_BCAST_ROWS|DECON_BCAST_THRESHOLD|DEDUP_CC_THRESHOLD"
-        r"|REP_DUP_RATIO|ROUND_DEBUG|ROUND_PROFILE)"
+        r"|REP_DUP_RATIO|ROUND_DEBUG|ROUND_PROFILE|DIST_DEBUG)"
         r"|\b(SPLIT_ROWS|TASK_ROWS|BUCKET_ROWS|BAND_BUCKET_ROWS|USER_BUCKET_ROWS"
         r"|DECON_BCAST_ROWS|DECON_GRAMS_PER_DOC|group_count|default_buckets)\b"
     )

@@ -19,7 +19,7 @@ from shaclex_ray.rdfio import parse_turtle
 from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.shapes.shexj import load_shexj_file
 from shaclex_ray.terms import term_key, triples_to_table
-from shaclex_ray.validate.dist import distributed_validate, resolve_shacl_targets
+from shaclex_ray.validate.dist import distributed_validate
 from shaclex_ray.validate.local import Graph
 from shaclex_ray.validate.shacl_local import ShaclValidator
 
@@ -130,8 +130,7 @@ for f in load_shacl_cases():
         lset = sorted((r["focus"], r["component"]) for r in lres)
         ds = rd.from_arrow(triples_to_table(triples))
         schema2 = compile_shacl(triples)
-        focus = resolve_shacl_targets(ds, schema2)
-        _typing, rep = distributed_validate(ds, "shacl", schema2, focus,
+        _typing, rep = distributed_validate(ds, "shacl", schema2, "shacl-targets",
                                             nbuckets=4, include_inverse=True)
         dset = sorted(zip(rep.column("focus_node").to_pylist(),
                           rep.column("component").to_pylist()))
