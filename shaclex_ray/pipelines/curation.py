@@ -31,7 +31,11 @@ import ray.data as rd
 
 from shaclex_ray.sources.documents import parquet_num_rows
 from shaclex_ray.stages import exchange
-from shaclex_ray.state.checkpoint import StageRunner, ensure_parquet_schema, read_parts
+from shaclex_ray.state.checkpoint import (
+    StageOutputs,
+    StageRunner,
+    ensure_parquet_schema,
+)
 
 # the stages' output schemas: an all-rejected stage writes one typed
 # empty part of its schema (``StageRunner.run``'s contract)
@@ -81,9 +85,10 @@ def run_curation_pipeline(
     substring_dedup: bool = False,
     substring_k: int = 8,
 ):
-    """Checkpointed end-to-end curation run. Returns handles:
-    ``{"curated": Dataset, "packed": Dataset, "kept": int, "chunks": int,
-    "metrics": {...}}``.
+    """Checkpointed end-to-end curation run. Returns a ``StageOutputs``
+    mapping: ``kept``, ``chunks`` and ``metrics`` as values, and the
+    ``curated`` and ``packed`` Datasets, each read from its stage
+    directory on first access.
 
     ``substring_dedup=True`` inserts a span-trim stage between curation
     and packing: duplicated k-token spans across the curated train shard
@@ -130,16 +135,16 @@ def run_curation_pipeline(
         out.write_parquet(path, partition_cols=["split"])
         return _finish(path, CURATED_SCHEMA)
 
-    curated = runner.run("curated", digest, produce_curated, read_parts)
+    curated_dir = runner.run("curated", digest, produce_curated)
 
-    pack_src = os.path.join(out_dir, "curated", "split=train")
+    train_dir = pack_src = os.path.join(curated_dir, "split=train")
     if substring_dedup:
 
         def produce_trimmed(path):
             from shaclex_ray.functions.substr import trim_substring_spans
 
-            train_dir = os.path.join(out_dir, "curated", "split=train")
-            if os.path.isdir(train_dir):
+            # nothing survived curation into train: only the empty table
+            if parquet_num_rows(train_dir):
 
                 def drop_empty(batch: pa.Table) -> pa.Table:
                     return batch.filter(pc.greater(batch.column("ntok"), 0))
@@ -149,29 +154,27 @@ def run_curation_pipeline(
                 ).map_batches(drop_empty, batch_format="pyarrow").write_parquet(path)
             return _finish(path, TRIMMED_SCHEMA)
 
-        runner.run(
-            "trimmed", f"{digest}|ssk={substring_k}", produce_trimmed, read_parts
+        pack_src = runner.run(
+            "trimmed", f"{digest}|ssk={substring_k}", produce_trimmed
         )
-        pack_src = os.path.join(out_dir, "trimmed")
 
     def produce_packed(path):
         # nothing survived curation into train: only the empty packed table
-        if os.path.isdir(pack_src) and parquet_num_rows(pack_src):
+        if parquet_num_rows(pack_src):
             pack_sequences(capacity=capacity, docs_path=pack_src).write_parquet(path)
         return _finish(path, PACKED_SCHEMA)
 
-    packed = runner.run(
+    packed_dir = runner.run(
         "packed",
         f"{digest}|cap={capacity}|ss={int(substring_dedup)}k{substring_k}",
         produce_packed,
-        read_parts,
     )
 
-    n_chunks = runner.metrics.get("packed", {}).get("rows", 0)
-    return {
-        "curated": curated,
-        "packed": packed,
-        "kept": runner.metrics.get("curated", {}).get("rows", 0),
-        "chunks": n_chunks,
-        "metrics": runner.metrics,
-    }
+    return StageOutputs(
+        {
+            "kept": runner.metrics.get("curated", {}).get("rows", 0),
+            "chunks": runner.metrics.get("packed", {}).get("rows", 0),
+            "metrics": runner.metrics,
+        },
+        {"curated": curated_dir, "packed": packed_dir},
+    )

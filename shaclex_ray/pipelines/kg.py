@@ -26,8 +26,6 @@ import glob
 import hashlib
 import os
 
-import ray.data as rd
-
 from shaclex_ray.rdfio import parse_turtle
 from shaclex_ray.shapes.shacl import compile_shacl
 from shaclex_ray.sources.documents import parquet_num_rows, read_documents
@@ -35,9 +33,9 @@ from shaclex_ray.stages import dedup, exchange
 from shaclex_ray.stages.extract import extract_triples
 from shaclex_ray.stages.link import build_entity_links
 from shaclex_ray.state.checkpoint import (
+    StageOutputs,
     StageRunner,
     ensure_parquet_schema,
-    read_parts,
 )
 from shaclex_ray.terms import TRIPLES_SCHEMA
 from shaclex_ray.validate.dist import ARC_COLS, distributed_validate
@@ -79,7 +77,10 @@ def run_kg_pipeline(
     validate: bool = True,
     resume: bool = True,
 ):
-    """Checkpointed end-to-end run. Returns dict of result handles.
+    """Checkpointed end-to-end run. Returns a ``StageOutputs`` mapping:
+    ``metrics`` (per-stage manifests), and the ``triples``, ``links`` and,
+    when validating, ``typing`` and ``report`` Datasets, each read from
+    its stage directory on first access.
 
     ``exchange.plan`` sizes the canonical dedup's buckets and the
     validation's fleet from the bytes each one moves; ``nbuckets``
@@ -103,12 +104,11 @@ def run_kg_pipeline(
         from shaclex_ray.sources.documents import document_partitions
         from shaclex_ray.stages.extract import extract_partition
 
-        runner.run_partitioned(
+        raw_dir = runner.run_partitioned(
             "triples_raw",
             digest,
             document_partitions(sf_dir),
             extract_partition,
-            lambda p: rd.read_parquet(p),
             empty_schema=TRIPLES_SCHEMA,
         )
     else:
@@ -118,30 +118,26 @@ def run_kg_pipeline(
             ensure_parquet_schema(path, TRIPLES_SCHEMA)
             return parquet_num_rows(path)
 
-        runner.run("triples_raw", digest, produce_raw, lambda p: rd.read_parquet(p))
+        raw_dir = runner.run("triples_raw", digest, produce_raw)
 
     def produce_links(path):
         # split tasks read the raw shards pruned; bucket tasks write the
-        # links checkpoint as shards (a typed empty part when none)
-        raw = sorted(glob.glob(f"{out_dir}/triples_raw/*.parquet"))
-        build_entity_links(raw, output_dir=f"{path}/shards")
-        return parquet_num_rows(f"{path}/shards")
+        # links checkpoint as shards (a typed empty part when none) and
+        # count their rows
+        raw = sorted(glob.glob(f"{raw_dir}/*.parquet"))
+        return build_entity_links(raw, output_dir=f"{path}/shards")
 
-    links = runner.run(
-        "entity_links", digest, produce_links, lambda p: read_parts(f"{p}/shards")
-    )
+    links_dir = runner.run("entity_links", digest, produce_links)
 
     def produce_canonical(path):
         dedup.dedup_triples_fast_from_parquet(
-            f"{out_dir}/triples_raw", nbuckets=nbuckets, output_dir=path
+            raw_dir, nbuckets=nbuckets, output_dir=path
         )
         return parquet_num_rows(path)
 
-    triples = runner.run(
-        "triples_canonical", digest, produce_canonical, lambda p: rd.read_parquet(p)
-    )
+    canonical_dir = runner.run("triples_canonical", digest, produce_canonical)
 
-    out = {"triples": triples, "links": links, "metrics": runner.metrics}
+    dirs = {"triples": canonical_dir, "links": f"{links_dir}/shards"}
     if validate:
 
         def produce_validation(path):
@@ -150,27 +146,19 @@ def run_kg_pipeline(
             # (no actor spawn), which reads the shards itself, so
             # distributed_validate plans them no second time; more take
             # one actor each from the warm pool
-            canonical = sorted(glob.glob(f"{out_dir}/triples_canonical/*.parquet"))
+            canonical = sorted(glob.glob(f"{canonical_dir}/*.parquet"))
             nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
             # targets derive in-bucket (focus="shacl-targets"): the split
             # scan is the ONLY pass over the triples; the buckets write
             # their own typing/report shards — the full tables never
             # concat on the driver
-            distributed_validate(
-                triples, "shacl", schema, "shacl-targets",
-                nbuckets=nb, output_dir=path,
-                parquet_path=f"{out_dir}/triples_canonical",
+            stats = distributed_validate(
+                None, "shacl", schema, "shacl-targets",
+                nbuckets=nb, output_dir=path, parquet_path=canonical_dir,
             )
-            stats = distributed_validate.last_stats
             return sum(v for k, v in stats.items() if k != "violations")
 
-        def read_validation(path):
-            return read_parts(f"{path}/typing"), read_parts(f"{path}/report")
-
-        typing, report = runner.run(
-            "validation", digest, produce_validation, read_validation
-        )
-        out["typing"] = typing
-        out["report"] = report
+        val_dir = runner.run("validation", digest, produce_validation)
+        dirs.update(typing=f"{val_dir}/typing", report=f"{val_dir}/report")
     runner.write_metrics()
-    return out
+    return StageOutputs({"metrics": runner.metrics}, dirs)

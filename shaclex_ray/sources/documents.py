@@ -317,9 +317,11 @@ def parquet_files(path: str) -> list[str]:
 def parquet_num_rows(path: str) -> int:
     """Row count of a parquet file OR directory of files — pure metadata
     reads, no data scan (join fan-outs and size-adaptive switches size
-    themselves with this)."""
+    themselves with this). A path that does not exist holds 0 rows."""
     import pyarrow.parquet as pq
 
+    if not os.path.exists(path):
+        return 0
     return sum(pq.read_metadata(f).num_rows for f in parquet_files(path))
 
 

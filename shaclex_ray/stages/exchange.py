@@ -284,7 +284,11 @@ def reduce(split_refs: list[list], bucket_kernel, args=(),
            output_dir: str | None = None):
     """:func:`bucket_tasks` as a Dataset of the non-empty buckets' blocks,
     in bucket order (:func:`nonempty`); with ``output_dir``, the
-    :func:`sink`'s parts, read back lazily."""
+    :func:`sink`'s parts as a lazy ``read_parts`` Dataset. Only the
+    canonical dedup (``dedup_triples_fast_from_parquet``) takes that
+    form: the benchmark's tracer materializes what it returns. Every
+    other sink caller keeps the row counts :func:`sink` returns and
+    builds no Dataset."""
     if output_dir is None:
         return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
     from shaclex_ray.state.checkpoint import read_parts

@@ -71,9 +71,9 @@ def _link_split(tbl: pa.Table, nbuckets: int):
 def build_entity_links(triples, output_dir: str | None = None):
     """mention_iri -> canonical_iri links (``LINKS_SCHEMA``), one row per
     distinct mention, from one exchange over ``triples``: raw triple
-    parquet files, which the split tasks read pruned, or a Dataset. With
-    ``output_dir`` the bucket tasks write the table there and it is read
-    back lazily (``exchange.reduce``)."""
+    parquet files, which the split tasks read pruned, or a Dataset.
+    Returns the table as a Dataset or, with ``output_dir``, its row
+    count: the bucket tasks write it there (``exchange.sink``)."""
     from shaclex_ray.stages.dedup import _distinct_bucket_impl
 
     if not isinstance(triples, list):
@@ -82,9 +82,10 @@ def build_entity_links(triples, output_dir: str | None = None):
     split_refs = exchange.split(
         _link_split, (), exchange.plan(triples, cols), TRIPLES_SCHEMA, cols
     )
-    return exchange.reduce(
-        split_refs, _distinct_bucket_impl, (["mention"], None), output_dir
-    )
+    args = (["mention"], None)
+    if output_dir is None:
+        return exchange.reduce(split_refs, _distinct_bucket_impl, args)
+    return sum(exchange.sink(split_refs, _distinct_bucket_impl, args, output_dir))
 
 
 def entity_triples(canon: pa.Array) -> pa.Table:

@@ -5,7 +5,11 @@ per-partition checkpoints with per-partition lineage + metrics").
 Each pipeline stage writes its output as a parquet directory
 ``<out_dir>/<stage>/`` plus ``<out_dir>/<stage>/_manifest.json`` recording
 an input digest, row count and wall time. On resume, a stage whose
-manifest matches the input digest is skipped and its parquet is read back.
+manifest matches the input digest is skipped. A pipeline returns its
+outputs as one ``StageOutputs`` mapping: the eager values (metrics, row
+counts) plus each stage's output directory, read (``read_parts``) on
+first access only, so a caller that never reads a stage builds no
+Dataset for it.
 
 Scan-shaped stages (embarrassingly parallel over input shards — no
 shuffle) additionally checkpoint per partition via ``run_partitioned``:
@@ -30,6 +34,7 @@ import json
 import os
 import time
 import uuid
+from collections.abc import Mapping
 
 import ray
 
@@ -65,6 +70,34 @@ def read_parts(path: str):
     if files and not any(pq.read_metadata(f).num_rows for f in files):
         return rd.from_arrow(pq.read_schema(files[0]).empty_table())
     return rd.read_parquet(path)
+
+
+class StageOutputs(Mapping):
+    """A pipeline's result, read-only: ``values`` (metrics, row counts)
+    as given, and each key of ``dirs`` as the ``read_parts`` Dataset of
+    its stage output directory, built on the first ``out[key]`` and
+    cached. ``in``, ``keys()`` and ``len`` read nothing."""
+
+    def __init__(self, values: dict, dirs: dict[str, str]):
+        self._values = dict(values)
+        self._dirs = dict(dirs)
+        self._read: dict = {}
+
+    def __getitem__(self, key):
+        if key in self._values:
+            return self._values[key]
+        if key not in self._read:
+            self._read[key] = read_parts(self._dirs[key])
+        return self._read[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._values or key in self._dirs
+
+    def __iter__(self):
+        return iter([*self._values, *self._dirs])
+
+    def __len__(self) -> int:
+        return len(self._values) + len(self._dirs)
 
 
 def _run_part(produce_part, part: dict, digest: str, path: str,
@@ -139,11 +172,11 @@ class StageRunner:
             json.dump(manifest, f)
         self.metrics[manifest["stage"]] = manifest
 
-    def run(self, stage: str, digest: str, produce, read_back):
+    def run(self, stage: str, digest: str, produce) -> str:
         """``produce(path)`` writes the stage output (a typed empty part
-        when it has no rows, so pruned read-backs never hit a file-less
-        directory) and returns its row count; ``read_back(path)`` loads it.
-        Completed stages are skipped."""
+        when it has no rows, so pruned reads never hit a file-less
+        directory) and returns its row count. Completed stages are
+        skipped. Returns the stage's output directory."""
         path = os.path.join(self.out_dir, stage)
         if not self._resumed(stage, digest):
             # stale or partial output (digest mismatch / interrupted run)
@@ -157,7 +190,7 @@ class StageRunner:
             manifest = {"stage": stage, "digest": digest, "rows": rows,
                         "wall_sec": time.perf_counter() - t0}
             self._finish(manifest)
-        return read_back(path)
+        return path
 
     def run_partitioned(
         self,
@@ -165,9 +198,8 @@ class StageRunner:
         digest: str,
         parts: list[dict],
         produce_part,
-        read_back,
         empty_schema=None,
-    ):
+    ) -> str:
         """Partition-granular resumable scan stage.
 
         ``parts``: descriptors, each with a unique ``"pid"`` string (plus
@@ -183,11 +215,11 @@ class StageRunner:
         everything else (including renamed data missing its manifest — a
         write that died between rename and manifest) is re-run. Completion
         writes the stage-level manifest so later resumes take the fast
-        path.
+        path. Returns the stage's output directory.
         """
         path = os.path.join(self.out_dir, stage)
         if self._resumed(stage, digest):
-            return read_back(path)
+            return path
         parts_dir = path + ".parts"
         tmp_dir = path + ".tmp"
         for d in (path, parts_dir, tmp_dir):
@@ -254,7 +286,7 @@ class StageRunner:
             "parts_resumed": len(done),
         }
         self._finish(manifest)
-        return read_back(path)
+        return path
 
     def write_metrics(self):
         with open(os.path.join(self.out_dir, "stage_metrics.json"), "w") as f:

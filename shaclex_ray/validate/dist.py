@@ -83,7 +83,7 @@ import ray
 
 from shaclex_ray.stages import exchange
 from shaclex_ray.stages.exchange import partition
-from shaclex_ray.state.checkpoint import ensure_parquet_schema, read_parts
+from shaclex_ray.state.checkpoint import ensure_parquet_schema
 from shaclex_ray.terms import (
     REPORT_SCHEMA,
     RDF_TYPE,
@@ -2389,9 +2389,12 @@ def distributed_validate(
     ``TypeError``.
     Returns (typing, report) as pyarrow Tables — unless ``output_dir`` is
     given, in which case each bucket writes its own parquet shard under
-    ``{output_dir}/typing`` and ``{output_dir}/report`` and the return
-    value is (typing_ds, report_ds) lazily read back plus the summary
-    stats are attached to ``distributed_validate.last_stats``.
+    ``{output_dir}/typing`` and ``{output_dir}/report`` (a table no
+    bucket had rows for gets one typed empty part) and the return value
+    is the summary stats: typing rows per verdict (``val``) plus the
+    report rows as ``violations``.
+    The stats are also kept as ``distributed_validate.last_stats``, which
+    the benchmark's tracer reads.
 
     Two transports share one driver loop (``_bsp``), chosen here from
     ``nbuckets`` (given, or ``exchange.plan``'s fleet size for the
@@ -2488,7 +2491,7 @@ def distributed_validate(
     # a table no bucket had rows for gets one typed empty part
     ensure_parquet_schema(f"{output_dir}/typing", TYPING_SCHEMA)
     ensure_parquet_schema(f"{output_dir}/report", REPORT_SCHEMA)
-    return read_parts(f"{output_dir}/typing"), read_parts(f"{output_dir}/report")
+    return out
 
 
 # ---------------------------------------------------------------------------

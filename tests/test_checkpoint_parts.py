@@ -32,21 +32,18 @@ def out_dir(tmp_path):
 
 
 def _run_raw(out_dir, digest="d1"):
-    import ray.data as rd
-
     from shaclex_ray.sources.documents import document_partitions
     from shaclex_ray.stages.extract import extract_partition
-    from shaclex_ray.state.checkpoint import StageRunner
+    from shaclex_ray.state.checkpoint import StageRunner, read_parts
 
     runner = StageRunner(out_dir)
-    ds = runner.run_partitioned(
+    path = runner.run_partitioned(
         "triples_raw",
         digest,
         document_partitions(SF, want=6),
         extract_partition,
-        lambda p: rd.read_parquet(p),
     )
-    return runner, ds
+    return runner, read_parts(path)
 
 
 def test_partitioned_equals_streaming(ray_session, out_dir):
@@ -121,8 +118,6 @@ def test_failing_partition_fails_the_stage(ray_session, out_dir, tmp_path):
     ``run_partitioned`` raise that error and write no stage manifest; a
     re-run with a working ``produce_part`` resumes the other partitions
     and gives the rows of a clean run."""
-    import ray.data as rd
-
     from shaclex_ray.sources.documents import document_partitions
     from shaclex_ray.stages.extract import extract_partition
     from shaclex_ray.state.checkpoint import StageRunner
@@ -136,9 +131,7 @@ def test_failing_partition_fails_the_stage(ray_session, out_dir, tmp_path):
         return extract_partition(part)
 
     with pytest.raises(ValueError, match=f"partition {victim} failed"):
-        StageRunner(out_dir).run_partitioned(
-            "triples_raw", "d1", parts, failing, lambda p: rd.read_parquet(p)
-        )
+        StageRunner(out_dir).run_partitioned("triples_raw", "d1", parts, failing)
     assert not os.path.exists(f"{out_dir}/triples_raw/_manifest.json")
     runner, ds = _run_raw(out_dir)
     assert runner.metrics["triples_raw"]["parts_resumed"] == len(parts) - 1
@@ -170,3 +163,23 @@ def test_lance_lane_gated(ray_session, tmp_path):
     # parquet lane untouched
     (sf / "documents.lance").rmdir()
     assert read_documents(str(sf)).count() == 500
+
+
+def test_stage_outputs_read_on_first_access(tmp_path, monkeypatch):
+    """``StageOutputs`` answers ``in``, ``keys()``, ``len`` and ``get`` of
+    a missing key without reading; a stage key reads its directory once
+    (``read_parts``) and caches the Dataset; the mapping is read-only."""
+    from shaclex_ray.state import checkpoint
+
+    reads = []
+    monkeypatch.setattr(checkpoint, "read_parts", lambda p: reads.append(p) or object())
+    out = checkpoint.StageOutputs({"metrics": {"s": {}}}, {"s": str(tmp_path)})
+    assert "s" in out and "metrics" in out and "x" not in out
+    assert list(out) == ["metrics", "s"] and len(out) == 2
+    assert out.get("x") is None and reads == []
+    assert out["metrics"] == {"s": {}} and reads == []
+    assert out["s"] is out["s"] and reads == [str(tmp_path)]
+    with pytest.raises(KeyError):
+        out["x"]
+    with pytest.raises(TypeError):
+        out["s"] = 1

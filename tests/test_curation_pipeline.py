@@ -38,6 +38,10 @@ def test_curation_pipeline_end_to_end(ray_session):
 
     shutil.rmtree(OUT, ignore_errors=True)
     out = _run()
+    # the outputs come back through one mapping: counts as values, each
+    # stage output read from its directory on first access, then cached
+    assert sorted(out) == ["chunks", "curated", "kept", "metrics", "packed"]
+    assert out["curated"] is out["curated"] and out["packed"] is out["packed"]
 
     verdicts = curate_corpus(SF).to_pandas()
     kept = verdicts[verdicts.keep]
@@ -199,3 +203,36 @@ def test_curation_pipeline_all_rejected(ray_session, tmp_path):
     assert packed.schema().names == [
         "chunk_id", "doc_id", "begin_in_chunk", "ntok_in_chunk",
     ]
+
+
+def test_curation_pipeline_all_rejected_packs_an_empty_part(ray_session, tmp_path):
+    """With nothing curated into train, the packed stage packs nothing:
+    it writes one typed empty part, records 0 rows, and reads back
+    through the outputs mapping with its columns; a resumed rerun
+    returns the same."""
+    from shaclex_ray.pipelines.curation import PACKED_SCHEMA, run_curation_pipeline
+
+    out_dir = str(tmp_path / "out")
+    for _ in range(2):
+        out = run_curation_pipeline(SF, out_dir, capacity=128, min_tokens=10**9)
+        assert out["metrics"]["packed"]["rows"] == 0 and out["chunks"] == 0
+        parts = glob.glob(f"{out_dir}/packed/*.parquet")
+        assert [os.path.basename(p) for p in parts] == ["part-empty.parquet"]
+        assert pq.read_schema(parts[0]).names == PACKED_SCHEMA.names
+        packed = out["packed"].materialize()
+        assert packed.count() == 0 and packed.schema().names == PACKED_SCHEMA.names
+    assert out["metrics"]["packed"].get("resumed") is True
+
+
+def test_parquet_num_rows_of_a_missing_path(tmp_path):
+    """A path that does not exist holds 0 rows; a directory and a file
+    count their footers."""
+    import pyarrow as pa
+
+    from shaclex_ray.sources.documents import parquet_num_rows
+
+    assert parquet_num_rows(str(tmp_path / "missing")) == 0
+    assert parquet_num_rows(str(tmp_path / "missing" / "split=train")) == 0
+    pq.write_table(pa.table({"x": [1, 2, 3]}), str(tmp_path / "a.parquet"))
+    assert parquet_num_rows(str(tmp_path)) == 3
+    assert parquet_num_rows(str(tmp_path / "a.parquet")) == 3

@@ -762,14 +762,15 @@ def test_route_arcs_one_bucket_takes_every_arc_in_order():
 
 
 def test_all_conformant_report_materializes_with_its_columns(ray_session, tmp_path):
-    """An all-conformant graph's report comes back from
-    ``distributed_validate(output_dir=...)`` as a Dataset whose
-    materialized blocks keep the report columns (Ray reads a zero-row
-    part as blocks without columns)."""
+    """An all-conformant graph's report, written by
+    ``distributed_validate(output_dir=...)``, reads back (``read_parts``)
+    as a Dataset whose materialized blocks keep the report columns (Ray
+    reads a zero-row part as blocks without columns)."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
     from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.state.checkpoint import read_parts
     from shaclex_ray.validate.dist import REPORT_SCHEMA, distributed_validate
 
     ttl = """
@@ -784,10 +785,11 @@ def test_all_conformant_report_materializes_with_its_columns(ray_session, tmp_pa
     triples = parse_turtle(ttl)
     for nb in (1, 2):
         out = str(tmp_path / f"v{nb}")
-        typing, report = distributed_validate(
+        distributed_validate(
             rd.from_arrow(triples_to_table(triples)), "shacl",
             compile_shacl(triples), "shacl-targets", nbuckets=nb, output_dir=out,
         )
+        typing, report = read_parts(f"{out}/typing"), read_parts(f"{out}/report")
         got = report.materialize()
         assert got.count() == 0
         assert got.schema() is not None

@@ -65,6 +65,10 @@ def test_extract_dedup_link(docs_ds, tmp_path):
     assert links == links2
 
     out = run_kg_pipeline(SF, str(tmp_path), nbuckets=4, validate=False)
+    # no validation stage: no report or typing output (the CLI prints
+    # None violations)
+    assert "report" not in out and "typing" not in out
+    assert sorted(out) == ["links", "metrics", "triples"]
     assert rows(out["links"]) == links
     dd = out["triples"]
     n_dd = dd.count()
@@ -150,3 +154,52 @@ def test_validation_input_planned_once(ray_session, tmp_path, monkeypatch):
     canonical = [p for p in planned if any("triples_canonical" in f for f in p)]
     assert fleets == [1]
     assert len(canonical) == 1, planned
+
+
+def test_outputs_are_read_on_first_access(ray_session, tmp_path, monkeypatch):
+    """A KG run whose outputs nobody reads builds one Ray Data datasource:
+    the canonical dedup's (the benchmark's tracer materializes it).
+    Asking ``in``, ``keys()``, ``len`` or ``get`` of a missing key reads
+    nothing; each stage output, on first access and on a resumed rerun,
+    equals ``read_parts`` of its stage directory and is cached."""
+    import ray.data
+
+    from shaclex_ray.pipelines.kg import run_kg_pipeline
+    from shaclex_ray.state.checkpoint import read_parts
+
+    calls = []
+    orig = ray.data.read_parquet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0] if args else kwargs.get("paths"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", counting)
+    out_dir = str(tmp_path / "kg")
+    out = run_kg_pipeline(SF, out_dir, resume=False)
+    assert calls == [f"{out_dir}/triples_canonical"]
+    assert "report" in out and "typing" in out and "nope" not in out
+    assert sorted(out.keys()) == ["links", "metrics", "report", "triples", "typing"]
+    assert len(out) == 5 and out.get("nope") is None
+    assert len(calls) == 1
+
+    dirs = {
+        "triples": f"{out_dir}/triples_canonical",
+        "links": f"{out_dir}/entity_links/shards",
+        "typing": f"{out_dir}/validation/typing",
+        "report": f"{out_dir}/validation/report",
+    }
+
+    def rows(ds):
+        return sorted(map(repr, ds.to_pandas().to_dict("records")))
+
+    for resume in (False, True):
+        if resume:
+            out = run_kg_pipeline(SF, out_dir, resume=True)
+            assert all(m.get("resumed") for m in out["metrics"].values())
+        for key, path in dirs.items():
+            got = out[key]
+            assert got is out[key]
+            want = rows(read_parts(path))
+            assert want and rows(got) == want, key
+
