@@ -199,12 +199,11 @@ def _q_kg_entity_links(sf_dir: str):
 
 
 def _q_kg_triples_per_pred(sf_dir: str):
-    import pyarrow as pa
+    from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
-    from ray.data.aggregate import Count
-
-    ds = _q_kg_triples(sf_dir)
-    return ds.groupby("pred").aggregate(Count(alias_name="n"))
+    return grouped_aggregate_fast(
+        _q_kg_triples(sf_dir), ["pred"], [("pred", "count")], ["n"]
+    )
 
 
 def _q_kg_doc_entity_counts(sf_dir: str):

@@ -69,7 +69,7 @@ def main(argv=None):
     v.add_argument("--shapemap")
     v.add_argument("--trigger", default=None)
     v.add_argument("--result-format", default="text", choices=("text", "json", "report-nt"))
-    v.add_argument("--nbuckets", type=int, default=8)
+    v.add_argument("--nbuckets", type=int, default=None)
     v.add_argument("--clingo-file", help="write the ASP grounding of the validation problem (Main.scala --clingoFile)")
     v.add_argument("--show-clingo", action="store_true", help="print the ASP grounding (Main.scala --showClingo)")
 

@@ -4,17 +4,19 @@ doc_id order and split the token stream into fixed-capacity chunks
 span chunks; the output maps every (doc, chunk) overlap with its token
 span, so a chunk's contents are exactly reconstructible.
 
-Distributed shape — the ordered PREFIX-SUM pattern:
-  1. one vectorized pass computes per-doc token counts,
-  2. docs range-partition by doc_id (dense ids → bucket arithmetic, no
-     sampling pass) and each bucket reduces to ONE partial-sum row,
-  3. the driver exclusive-scans the B bucket sums (B ≈ cluster size,
-     never the data size) and broadcasts the base offsets,
-  4. a second vectorized pass sorts each bucket locally, cumsums, adds
-     its base, and explodes the chunk overlaps.
-Two narrow scans + a B-row driver step — no global sort, no shuffle of
-the token payload. The DuckDB oracle is a window cumsum + generate_series
-(exact BIGINT arithmetic), so the whole operator hash-checks.
+Distributed shape — the ordered PREFIX-SUM pattern, on the one exchange
+(``stages/exchange.py``):
+  1. split tasks compute per-doc token counts and range-partition them
+     by doc_id (dense ids → bucket arithmetic over the footer statistics'
+     bounds, no sampling pass);
+  2. one tiny task per bucket sums its token counts, and the driver
+     exclusive-scans the B sums into base offsets;
+  3. one bucket task per bucket sorts it, cumsums, adds its base and
+     explodes the chunk overlaps — returned as a Dataset, or written as
+     the bucket's shard (``output_dir=``, ``exchange.sink``).
+No global sort, no shuffle of the token payload, a B-int driver step.
+The DuckDB oracle is a window cumsum + generate_series (exact BIGINT
+arithmetic), so the whole operator hash-checks.
 
 No reference counterpart (weso/shaclex is a validator); this belongs to
 the training-data operator family graded alongside SURVEY §2.
@@ -22,46 +24,101 @@ the training-data operator family graded alongside SURVEY §2.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
+
+from shaclex_ray.sources.documents import parquet_files
+from shaclex_ray.stages import exchange
+
+DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+PACKED_SCHEMA = pa.schema(
+    [("chunk_id", pa.int64()), ("doc_id", pa.int64()),
+     ("begin_in_chunk", pa.int64()), ("ntok_in_chunk", pa.int64())]
+)
 
 
-def _token_counts(batch: pa.Table) -> pa.Table:
-    toks = pc.split_pattern(
-        pc.fill_null(batch.column("text").combine_chunks(), ""), " "
-    )
+def _bucket_ids(ids: np.ndarray, lo: int, span: int, nbuckets: int) -> np.ndarray:
+    """The range bucket of each doc_id: ``[lo, lo + span)`` cut into
+    ``nbuckets`` equal ranges, in doc_id order."""
+    return (ids - lo) * nbuckets // span
+
+
+def _count_split(tbl: pa.Table, nbuckets: int, lo: int, span: int):
+    """Split kernel: (doc_id, ntok) per doc, in its doc_id range bucket."""
+    toks = pc.split_pattern(pc.fill_null(tbl.column("text"), ""), " ")
+    counts = pa.table({
+        "doc_id": pc.cast(tbl.column("doc_id"), pa.int64()),
+        "ntok": pc.cast(pc.list_value_length(toks), pa.int64()),
+    })
+    ids = counts.column("doc_id").to_numpy()
+    return exchange.partition(counts, _bucket_ids(ids, lo, span, nbuckets),
+                              nbuckets)
+
+
+@ray.remote
+def _ntok_sum(*parts: pa.Table) -> int:
+    return sum(pc.sum(t.column("ntok")).as_py() or 0 for t in parts)
+
+
+def _explode(capacity: int, lo: int, span: int, bases: np.ndarray,
+             *parts: pa.Table) -> pa.Table:
+    """Bucket kernel: the bucket's docs in doc_id order, their token
+    offsets from the bucket's base, and one row per (doc, chunk)
+    overlap."""
+    tbl = pa.concat_tables(parts)
+    ids = tbl.column("doc_id").to_numpy()
+    ntok = tbl.column("ntok").to_numpy()
+    order = np.argsort(ids, kind="stable")
+    ids, ntok = ids[order], ntok[order]
+    base = bases[_bucket_ids(ids[0], lo, span, len(bases))] if len(ids) else 0
+    ends = np.cumsum(ntok) + base
+    starts = ends - ntok
+    nz = ntok > 0  # empty docs occupy no chunk
+    ids, starts, ends = ids[nz], starts[nz], ends[nz]
+    first_chunk = starts // capacity
+    spans = (ends - 1) // capacity - first_chunk + 1
+    doc_of = np.repeat(np.arange(len(ids)), spans)
+    chunk = first_chunk[doc_of] + exchange._ragged_arange(spans)
+    cstart = chunk * capacity
+    seg_start = np.maximum(starts[doc_of], cstart)
+    seg_end = np.minimum(ends[doc_of], cstart + capacity)
     return pa.table(
-        {
-            "doc_id": batch.column("doc_id"),
-            "ntok": pc.cast(pc.list_value_length(toks), pa.int64()),
-        }
+        [chunk, ids[doc_of], seg_start - cstart, seg_end - seg_start],
+        schema=PACKED_SCHEMA,
     )
 
 
-def _doc_id_bounds(path: str) -> tuple[int | None, int | None]:
-    """(min, max) of doc_id from parquet row-group statistics — a pure
-    metadata read. (None, None) when any row group lacks stats."""
-    import glob
-    import os
+@ray.remote
+def _scan_bounds(files: list[str]) -> tuple[int | None, int | None]:
+    """(min, max) of doc_id over ``files``, read from the column itself."""
+    mm = [pc.min_max(pq.read_table(f, columns=["doc_id"]).column(0)) for f in files]
+    lo = [m["min"].as_py() for m in mm if m["min"].is_valid]
+    hi = [m["max"].as_py() for m in mm if m["max"].is_valid]
+    return (min(lo), max(hi)) if lo else (None, None)
 
-    import pyarrow.parquet as pq
 
-    files = sorted(glob.glob(f"{path}/*.parquet")) if os.path.isdir(path) else [path]
+def _doc_id_bounds(files: list[str]) -> tuple[int | None, int | None]:
+    """(min, max) of doc_id over parquet ``files`` from the row-group
+    statistics — a metadata read; when a row group with rows lacks them,
+    one task reads the doc_id column. (None, None) when there are no
+    rows."""
     lo = hi = None
     for f in files:
-        meta = pq.ParquetFile(f).metadata
-        idx = {meta.schema.column(i).name: i for i in range(meta.num_columns)}
-        ci = idx.get("doc_id")
-        if ci is None:
-            return None, None
+        meta = pq.read_metadata(f)
+        col = meta.schema.names.index("doc_id")
         for rg in range(meta.num_row_groups):
-            st = meta.row_group(rg).column(ci).statistics
+            group = meta.row_group(rg)
+            if not group.num_rows:
+                continue
+            st = group.column(col).statistics
             if st is None or not st.has_min_max:
-                return None, None
+                return ray.get(_scan_bounds.remote(files))
             lo = st.min if lo is None else min(lo, st.min)
             hi = st.max if hi is None else max(hi, st.max)
     return lo, hi
@@ -70,8 +127,8 @@ def _doc_id_bounds(path: str) -> tuple[int | None, int | None]:
 def pack_sequences(
     sf_dir: str | None = None,
     capacity: int = 512,
-    nbuckets: int | None = None,
     docs_path: str | None = None,
+    output_dir: str | None = None,
 ):
     """documents.parquet -> (chunk_id, doc_id, begin_in_chunk, ntok_in_chunk)
 
@@ -80,100 +137,29 @@ def pack_sequences(
     the input (doc_id order), independent of partitioning.
 
     ``docs_path`` overrides the default ``<sf_dir>/documents.parquet`` —
-    the curation pipeline packs its curated-train shard this way."""
-    if nbuckets is None:
-        nbuckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    the curation pipeline packs its curated-train shard this way. Returns
+    the packing as a Dataset or, with ``output_dir``, its row count: the
+    bucket tasks write it there, and an empty or missing input writes one
+    typed empty part (``exchange.sink``)."""
     if docs_path is None:
         docs_path = f"{sf_dir}/documents.parquet"
-
-    docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
-    counts = docs.map_batches(_token_counts, batch_format="pyarrow")
-
-    # dense int64 doc_ids → range buckets by arithmetic (no quantile pass);
-    # min/max come from parquet row-group STATISTICS — metadata only, no
-    # data scan (falls back to one aggregate pass when stats are absent)
-    lo, hi = _doc_id_bounds(docs_path)
-    if lo is None:
-        from ray.data.aggregate import Max, Min
-
-        lo_hi = counts.aggregate(Min("doc_id"), Max("doc_id"))
-        lo, hi = lo_hi["min(doc_id)"], lo_hi["max(doc_id)"]
-    if lo is None or hi is None:
-        # fully-empty corpus (no row groups, no rows) — the empty packing
-        import ray.data as _rd
-
-        return _rd.from_arrow(
-            pa.schema(
-                [
-                    ("chunk_id", pa.int64()),
-                    ("doc_id", pa.int64()),
-                    ("begin_in_chunk", pa.int64()),
-                    ("ntok_in_chunk", pa.int64()),
-                ]
-            ).empty_table()
-        )
-    span = max(1, hi - lo + 1)
-    nb = min(nbuckets, span)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        b = (
-            (batch.column("doc_id").combine_chunks().to_numpy() - lo)
-            * nb
-            // span
-        ).astype(np.int64)
-        return batch.append_column("bucket", pa.array(b))
-
-    bucketed = counts.map_batches(bucketize, batch_format="pyarrow").materialize()
-
-    # one partial-sum row per bucket → driver-side exclusive scan (B rows)
-    from ray.data.aggregate import Sum
-
-    totals = {
-        r["bucket"]: r["sum(ntok)"]
-        for r in bucketed.groupby("bucket").aggregate(Sum("ntok")).take_all()
-    }
-    base = np.zeros(nb + 1, dtype=np.int64)
-    for b in range(nb):
-        base[b + 1] = base[b] + totals.get(b, 0)
-    base_ref = ray.put(base)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        """Per-bucket: local ordered cumsum + chunk-overlap explosion.
-        map_groups hands us one bucket per call; everything inside is
-        numpy-vectorized."""
-        bases = ray.get(base_ref)
-        ids = batch.column("doc_id").combine_chunks().to_numpy()
-        ntok = batch.column("ntok").combine_chunks().to_numpy()
-        order = np.argsort(ids, kind="stable")
-        ids, ntok = ids[order], ntok[order]
-        bkt = int(batch.column("bucket")[0].as_py())
-        ends = np.cumsum(ntok) + bases[bkt]
-        starts = ends - ntok
-        nz = ntok > 0  # empty docs occupy no chunk
-        ids, ntok, starts, ends = ids[nz], ntok[nz], starts[nz], ends[nz]
-        first_chunk = starts // capacity
-        last_chunk = (ends - 1) // capacity
-        spans = (last_chunk - first_chunk + 1).astype(np.int64)
-        total = int(spans.sum())
-        doc_of = np.repeat(np.arange(len(ids)), spans)
-        rel = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(spans)[:-1]]), spans
-        )
-        chunk = first_chunk[doc_of] + rel
-        cstart = chunk * capacity
-        cend = cstart + capacity
-        seg_start = np.maximum(starts[doc_of], cstart)
-        seg_end = np.minimum(ends[doc_of], cend)
-        return pa.table(
-            {
-                "chunk_id": pa.array(chunk, pa.int64()),
-                "doc_id": pa.array(ids[doc_of], pa.int64()),
-                "begin_in_chunk": pa.array(seg_start - cstart, pa.int64()),
-                "ntok_in_chunk": pa.array(seg_end - seg_start, pa.int64()),
-            }
-        )
-
-    return bucketed.groupby("bucket").map_groups(explode, batch_format="pyarrow")
+    files = parquet_files(docs_path) if os.path.exists(docs_path) else []
+    lo, hi = _doc_id_bounds(files)
+    if lo is None:  # no rows: one empty bucket
+        lo, hi = 0, 0
+    cols = DOCS_SCHEMA.names
+    plan = exchange.plan(files, cols)
+    span = hi - lo + 1
+    nb = min(plan.buckets, span)
+    split_refs = exchange.split(_count_split, (lo, span), plan, DOCS_SCHEMA,
+                                cols, nbuckets=nb)
+    sums = ray.get([_ntok_sum.remote(*[g[b] for g in split_refs])
+                    for b in range(nb)])
+    bases = np.cumsum([0] + sums[:-1])
+    args = (capacity, lo, span, bases)
+    if output_dir is None:
+        return exchange.reduce(split_refs, _explode, args)
+    return sum(exchange.sink(split_refs, _explode, args, output_dir))
 
 
 def pack_sequences_sql(capacity: int = 512) -> str:

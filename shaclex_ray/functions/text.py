@@ -175,18 +175,16 @@ def _term_partials_batch(batch: pa.Table) -> pa.Table:
 
 def term_stats(sf_dir: str):
     """Corpus-level term statistics: total occurrences (tf) and document
-    frequency (df) per term. Partial-aggregate per batch, then one small
-    groupby-sum over |vocab| rows — the shuffle never sees per-token rows."""
-    from ray.data.aggregate import Sum
+    frequency (df) per term. Partial-aggregate per batch, then one
+    grouped sum over |vocab| rows (``grouped_aggregate_fast``) — the
+    exchange never sees per-token rows."""
+    from shaclex_ray.stages.groupagg import grouped_aggregate_fast
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     partials = ds.map_batches(_term_partials_batch, batch_format="pyarrow")
-    agg = partials.groupby("term").aggregate(Sum("tf"), Sum("df"))
-
-    def _rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["term", "tf", "df"])
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return grouped_aggregate_fast(
+        partials, ["term"], [("tf", "sum"), ("df", "sum")], ["tf", "df"]
+    )
 
 
 def repetition_batch(batch: pa.Table) -> pa.Table:

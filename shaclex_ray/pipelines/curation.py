@@ -15,9 +15,10 @@ never as one giant file.
 
 Scale shape: the verdict join is the pipeline's single corpus-sized
 exchange beyond what curate_corpus itself does (the dedup verdict is
-global by nature); gates/split are batch-local, packing is the two-scan
-ordered prefix-sum. Nothing materializes the corpus on the driver —
-stage outputs stream to parquet under backpressure.
+global by nature); gates/split are batch-local, packing is the ordered
+prefix-sum on the one exchange, whose bucket tasks write the packed
+shards. Nothing materializes the corpus on the driver — stage outputs
+stream to parquet under backpressure.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ CURATED_SCHEMA = pa.schema(
 TRIMMED_SCHEMA = pa.schema(
     [("doc_id", pa.int64()), ("text", pa.string()), ("ntok", pa.int64()),
      ("ntok_cut", pa.int64())]
-)
-PACKED_SCHEMA = pa.schema(
-    [("chunk_id", pa.int64()), ("doc_id", pa.int64()),
-     ("begin_in_chunk", pa.int64()), ("ntok_in_chunk", pa.int64())]
 )
 
 
@@ -159,10 +156,8 @@ def run_curation_pipeline(
         )
 
     def produce_packed(path):
-        # nothing survived curation into train: only the empty packed table
-        if parquet_num_rows(pack_src):
-            pack_sequences(capacity=capacity, docs_path=pack_src).write_parquet(path)
-        return _finish(path, PACKED_SCHEMA)
+        return pack_sequences(capacity=capacity, docs_path=pack_src,
+                              output_dir=path)
 
     packed_dir = runner.run(
         "packed",

@@ -1,9 +1,10 @@
 """The one hash exchange: split tasks partition rows into buckets, then
 one bucket task per bucket merges them.
 
-Every set-at-a-time operator of the engine (triple dedup, grouped
-aggregates and top-k, validation bucketing, curation, events) moves its
-rows through this module. A site supplies only its semantic kernels:
+Every set-at-a-time operator of the engine (triple dedup, entity
+links, grouped aggregates and top-k, validation bucketing, curation,
+sequence packing, events) moves its rows through this module; no module
+groups with Ray Data's sort-based ``groupby``. A site supplies only its semantic kernels:
 
   * a split kernel ``kernel(tbl, nbuckets, *args)`` that runs the
     map-side combine on one group's rows, computes a bucket id per row

@@ -1,7 +1,7 @@
 """Vectorized grouped aggregation via the one-move hash exchange.
 
-Replaces ``groupby(key).map_groups(fn)`` reductions — which pay one
-Python call per distinct key (per *document* / per *node* at corpus
+Replaces Ray Data's sort-based ``groupby``/``map_groups`` reductions —
+which pay one Python call per distinct key (per *document* / per *node* at corpus
 scale) plus a sort-based shuffle — with:
 
   1. split tasks: map-side PARTIAL aggregation (Arrow

@@ -1557,10 +1557,7 @@ class _Bucket:
     validation call is ``open`` … ``release``: a reused process carries
     nothing from one call to the next."""
 
-    def open(
-        self, schema: dict, engine: str, nbuckets: int, bucket_id: int,
-        spill_rows: int | None = None,
-    ) -> int:
+    def open(self, schema: dict, engine: str, nbuckets: int, bucket_id: int) -> int:
         """Take one call's state. Returns the bucket id (the fleet waits
         on it as the actor's warmup)."""
         self.schema = schema
@@ -1572,9 +1569,7 @@ class _Bucket:
         # oversized buckets spill their sorted arc table here and reopen
         # memory-mapped (degrade to OS paging instead of dying on heap)
         self._spill_dir = tempfile.mkdtemp(prefix=f"shaclex-b{bucket_id}-")
-        self.graph = LazyBucketGraph(
-            spill_dir=self._spill_dir, spill_rows=spill_rows
-        )
+        self.graph = LazyBucketGraph(spill_dir=self._spill_dir)
         # the per-focus path's worklist (pairs of non-flat shapes)
         self.pending: dict[tuple[str, str], bool] = {}
         self.typing: dict[tuple[str, str], str] = {}
@@ -2285,14 +2280,14 @@ def _discard(workers: list) -> None:
         ray.kill(w)
 
 
-def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
-               plan, focus_tasks, max_rounds, output_dir):
+def _run_fleet(schema, engine, nbuckets, include_inverse, plan, focus_tasks,
+               max_rounds, output_dir):
     """``nbuckets > 1``: one pooled ``BucketWorker`` actor per bucket, fed
     by one split-task exchange, driven through actor handles."""
     schema_ref = ray.put(schema)
 
     def open_bucket(b):
-        return workers[b].open.remote(schema_ref, engine, nbuckets, b, spill_rows)
+        return workers[b].open.remote(schema_ref, engine, nbuckets, b)
 
     workers = _POOL.checkout(nbuckets)
     try:
@@ -2336,8 +2331,8 @@ def _run_fleet(schema, engine, nbuckets, include_inverse, spill_rows,
     return out
 
 
-def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
-                       focus_tasks, max_rounds, output_dir, *blocks):
+def _run_single_bucket(schema, engine, include_inverse, files, focus_tasks,
+                       max_rounds, output_dir, *blocks):
     """``nbuckets == 1``: the whole fixpoint in this process, one
     ``_Bucket`` driven by the same loop as the fleet through plain method
     calls. ``blocks`` holds the input's triple blocks when ``files`` is
@@ -2348,7 +2343,7 @@ def _run_single_bucket(schema, engine, include_inverse, spill_rows, files,
     unfrozen."""
     bucket = _Bucket()
     try:
-        bucket.open(schema, engine, 1, 0, spill_rows)
+        bucket.open(schema, engine, 1, 0)
         (arcs,) = exchange.run_split(
             _route_arcs, (include_inverse,), 1, ARC_SCHEMA, ARC_COLS,
             *(files or blocks),
@@ -2372,11 +2367,10 @@ def distributed_validate(
     engine: str,
     schema: dict,
     focus_tasks,
-    nbuckets: int | None = 32,
+    nbuckets: int | None = None,
     include_inverse: bool = False,
     max_rounds: int = 12,
     output_dir: str | None = None,
-    spill_rows: int | None = None,
     parquet_path: str | None = None,
 ):
     """Run the BSP typing fixpoint.
@@ -2475,14 +2469,14 @@ def distributed_validate(
         arc_refs = [] if files else list(plan.inputs)
         out, dep_state = ray.get(
             _single_bucket_task.remote(
-                schema, engine, include_inverse, spill_rows, files,
-                focus_tasks, max_rounds, output_dir, *arc_refs,
+                schema, engine, include_inverse, files, focus_tasks,
+                max_rounds, output_dir, *arc_refs,
             )
         )
     else:
         out, dep_state = _run_fleet(
-            schema, engine, nbuckets, include_inverse, spill_rows, plan,
-            focus_tasks, max_rounds, output_dir,
+            schema, engine, nbuckets, include_inverse, plan, focus_tasks,
+            max_rounds, output_dir,
         )
     distributed_validate.last_dep_state = dep_state
     if output_dir is None:

@@ -210,7 +210,8 @@ def test_curation_pipeline_all_rejected_packs_an_empty_part(ray_session, tmp_pat
     it writes one typed empty part, records 0 rows, and reads back
     through the outputs mapping with its columns; a resumed rerun
     returns the same."""
-    from shaclex_ray.pipelines.curation import PACKED_SCHEMA, run_curation_pipeline
+    from shaclex_ray.functions.pack import PACKED_SCHEMA
+    from shaclex_ray.pipelines.curation import run_curation_pipeline
 
     out_dir = str(tmp_path / "out")
     for _ in range(2):

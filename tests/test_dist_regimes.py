@@ -249,7 +249,7 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
 
     monkeypatch.setattr(dist._Bucket, "run_round", watched_round)
     schema, triples = _hygiene_input()
-    args = (schema, "shacl", False, None, None, "shacl-targets", 12, None, triples)
+    args = (schema, "shacl", False, None, "shacl-targets", 12, None, triples)
     if fail:
         with pytest.raises(RuntimeError, match="bucket failure"):
             dist._run_single_bucket(*args)

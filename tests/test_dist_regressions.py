@@ -690,7 +690,7 @@ def test_single_bucket_kg_validation_builds_no_node_index(monkeypatch):
     monkeypatch.setattr(dist, "_ArcIndex", no_index)
     schema = kg_schema()
     (typing, report), _state = dist._run_single_bucket(
-        schema, "shacl", False, None, None, "shacl-targets", 12, None, tbl
+        schema, "shacl", False, None, "shacl-targets", 12, None, tbl
     )
     got = {
         (n, s): v == "conforms"
@@ -723,7 +723,7 @@ def test_single_bucket_non_flat_shape_uses_node_index():
 
     assert "Ihttp://ex.org/EntityShape" not in dist.flat_shacl_profile(schema())
     (typing, _report), _state = dist._run_single_bucket(
-        schema(), "shacl", False, None, None, "shacl-targets", 12, None, tbl
+        schema(), "shacl", False, None, "shacl-targets", 12, None, tbl
     )
     got = {
         (n, s): v == "conforms"

@@ -9,7 +9,8 @@
 (d) A guard: no module outside ``stages/exchange.py`` hand-rolls a
     split (``.options(num_returns=``), names a deleted knob or sizing
     rule, or reads the cluster's CPU count outside an allow-list, and no
-    module calls Ray Data's ``Dataset.join``.
+    module calls Ray Data's ``Dataset.join`` or groups with its
+    ``groupby``.
 (e) ``exchange.join`` against an Arrow hash-join reference, under both
     placements.
 """
@@ -615,12 +616,11 @@ def test_join_rejects_a_repeated_column(ray_session):
 # ------------------------------------------------------------ guard
 
 # the modules that may read the cluster's CPU count, and how often: the
-# exchange plan, the validation actor-pool cap, pack's range buckets, the
-# document partitions, and the sparql, multimodal and bpe concurrency
+# exchange plan, the validation actor-pool cap, the document partitions,
+# and the sparql, multimodal and bpe concurrency
 CPU_READERS = {
     "stages/exchange.py": 1,
     "validate/dist.py": 1,
-    "functions/pack.py": 1,
     "sources/documents.py": 2,
     "sources/sparql.py": 1,
     "functions/multimodal.py": 3,
@@ -635,7 +635,9 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
     is the one sizing rule), and no module joins Datasets with Ray Data's
     ``Dataset.join`` (``exchange.join`` is the one join): no
     ``.join(<expr>, "inner"|"left_outer"|…`` call, chained ones included,
-    and no ``num_partitions=`` sizing."""
+    and no ``num_partitions=`` sizing. No module, ``__ray_entry__.py``
+    included, groups with Ray Data's sort-based shuffle: no
+    ``.groupby(``/``.map_groups(`` call and no ``ray.data.aggregate``."""
     knobs = re.compile(
         r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
         r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN"
@@ -651,10 +653,16 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         r"\.join\((?:[^(),]|\([^()]*\))*,\s*\"(inner|left_outer|right_outer"
         r"|full_outer|left_semi|right_semi|left_anti|right_anti)\""
     )
+    ray_groupby = re.compile(r"\.groupby\(|\.map_groups\(|ray\.data\.aggregate")
     offenders = []
+    entry = PKG.parent / "__ray_entry__.py"
+    if ray_groupby.search(entry.read_text()):
+        offenders.append("__ray_entry__.py: Ray Data groupby")
     for path in sorted(PKG.rglob("*.py")):
         src = path.read_text()
         rel = path.relative_to(PKG).as_posix()
+        if ray_groupby.search(src):
+            offenders.append(f"{rel}: Ray Data groupby")
         if ".options(num_returns=" in src and rel != "stages/exchange.py":
             offenders.append(f"{rel}: hand-rolled split")
         if knobs.search(src):
