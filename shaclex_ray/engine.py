@@ -9,8 +9,8 @@
 read_ntriples/read_turtle_files, or read_parquet of a triple table).
 Schemas accepted as ShExC text / ShExJ dict / SHACL Turtle text / compiled
 dict. Every call runs the distributed BSP fixpoint (``validate/dist.py``):
-a small graph plans to one bucket and runs as one pooled Ray task, a
-larger one on a fleet of bucket actors. The in-memory
+a small graph plans to one bucket and runs as one Ray task, a larger
+one as plain round tasks per bucket. The in-memory
 conformance-verified validators are its semantics oracle.
 """
 

@@ -389,12 +389,13 @@ def _ivf_stride(sf_dir: str, nlist: int) -> int:
 
 
 def ivf_centroids(sf_dir: str, nlist: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic data-sampled centroids: the vectors at vec_id ==
-    cid * stride for cid in [0, nlist), stride = N // nlist (N from
-    parquet metadata — free). One streamed, vectorized filter pass over
-    (vec_id, embedding); the centroid table is nlist rows — broadcastable
-    by construction, exactly like an IVF codebook out of k-means (which
-    can slot in here without changing any downstream shape)."""
+    """Deterministic data-sampled centroids, raw (not normalized): the
+    vectors at vec_id == cid * stride for cid in [0, nlist), stride =
+    N // nlist (N from parquet metadata — free). One streamed, vectorized
+    filter pass over (vec_id, embedding); the centroid table is nlist
+    rows — broadcastable by construction, exactly like an IVF codebook
+    out of k-means (which can slot in here without changing any
+    downstream shape)."""
     import pyarrow.parquet as pq
 
     stride = _ivf_stride(sf_dir, nlist)
@@ -414,22 +415,15 @@ def ivf_centroids(sf_dir: str, nlist: int = 16) -> tuple[np.ndarray, np.ndarray]
     cids = np.concatenate(ids_parts) // stride
     cm = np.vstack(emb_parts)
     order = np.argsort(cids)
-    norm, _ = _normalize_rows(cm[order])
-    return cids[order], norm
+    return cids[order], cm[order]
 
 
-def _ivf_assign(emb: np.ndarray, cm_norm: np.ndarray) -> np.ndarray:
-    """Nearest-centroid list id by cosine; argmax takes the SMALLEST
-    centroid id on ties (matches the SQL twin's ORDER BY cos DESC, cid).
-    Zero-norm vectors OR centroids score -1 (the engine cosine policy)."""
-    embn, ez = _normalize_rows(emb)
-    sims = embn @ cm_norm.T
-    if ez.any():
-        sims[ez, :] = -1.0
-    cz = ~cm_norm.any(axis=1)
-    if cz.any():
-        sims[:, cz] = -1.0
-    return np.argmax(sims, axis=1).astype(np.int64)
+def _ivf_assign(emb: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    """Nearest-centroid list id by cosine (``_cosine``: dot-then-divide,
+    clamped, zero-norm sides score -1 — so exact ties are the SQL twin's
+    ties); argmax takes the SMALLEST centroid id on ties (matches the
+    twin's ORDER BY cos DESC, cid)."""
+    return np.argmax(_cosine(emb, cm), axis=1).astype(np.int64)
 
 
 def _codebook(sf_dir: str, nlist: int, codebook: str) -> np.ndarray:
@@ -738,20 +732,20 @@ def kmeans_codebook(
 ) -> np.ndarray:
     """Distributed spherical k-means refinement of the IVF codebook.
 
-    Init = the deterministic sampled centroids (``ivf_centroids``). Each
-    iteration broadcasts the normalized codebook once (``ray.put``); every
-    batch computes assignments with one matmul and emits per-centroid
-    PARTIALS (vector sum + count) — nlist rows per block, so the reduce
-    side is bounded by the codebook × block count, never the corpus. The
-    driver accumulates partials in a content-sorted order (stable float
-    summation independent of task completion order) and renormalizes;
-    empty clusters keep their previous centroid. Deterministic given the
-    input layout. Slots into ``ivf_lists`` / ``build_ivf_index`` /
-    ``ivf_topk`` via ``codebook='kmeans'`` without changing any
-    downstream shape (pytest-pinned against a single-process numpy
-    reference — iterative, so no SQL twin; the SQL-oracled queries keep
-    the sampled codebook)."""
-    _, cm = ivf_centroids(sf_dir, nlist)
+    Init = the deterministic sampled centroids (``ivf_centroids``),
+    normalized. Each iteration broadcasts the normalized codebook once
+    (``ray.put``); every batch computes assignments with one matmul and
+    emits per-centroid PARTIALS (vector sum + count) — nlist rows per
+    block, so the reduce side is bounded by the codebook × block count,
+    never the corpus. The driver accumulates partials in a content-sorted
+    order (stable float summation independent of task completion order)
+    and renormalizes; empty clusters keep their previous centroid.
+    Deterministic given the input layout. Slots into ``ivf_lists`` /
+    ``build_ivf_index`` / ``ivf_topk`` via ``codebook='kmeans'`` without
+    changing any downstream shape (pytest-pinned against a single-process
+    numpy reference — iterative, so no SQL twin; the SQL-oracled queries
+    keep the sampled codebook)."""
+    cm, _ = _normalize_rows(ivf_centroids(sf_dir, nlist)[1])
     dim = cm.shape[1]
 
     for _ in range(iters):

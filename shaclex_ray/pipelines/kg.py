@@ -142,10 +142,9 @@ def run_kg_pipeline(
 
         def produce_validation(path):
             schema = kg_schema()
-            # one planned bucket validates as one task on a pooled worker
-            # (no actor spawn), which reads the shards itself, so
-            # distributed_validate plans them no second time; more take
-            # one actor each from the warm pool
+            # one planned bucket validates as one task, which reads the
+            # shards itself, so distributed_validate plans them no second
+            # time; more run as round tasks over the object store
             canonical = sorted(glob.glob(f"{canonical_dir}/*.parquet"))
             nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
             # targets derive in-bucket (focus="shacl-targets"): the split

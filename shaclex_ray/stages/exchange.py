@@ -48,9 +48,9 @@ bucket count across several splits (the two sides of a join, a
 co-partitioned pair) plans each input and passes the larger count to
 :func:`split` as ``nbuckets``.
 
-``fleet`` sizes an actor fleet (the validation buckets): its actors all
-hold their buckets at once, so the memory bound buys nothing there, and
-actors past the CPU count only add worker processes. The bounds are on
+``fleet`` sizes the validation fleet: its buckets' graphs all live at
+once, so the memory bound buys nothing there, and buckets past the CPU
+count only queue their round tasks. The bounds are on
 task memory, not on the driver: past ``cluster CPUs × MAX_TASK_BYTES``
 groups and buckets both grow with the data, so the ``groups × buckets``
 ref matrix that :func:`split` returns to the driver grows with its
@@ -127,7 +127,7 @@ class Plan:
 
     @property
     def fleet(self) -> int:
-        """Buckets for an actor fleet (module docstring)."""
+        """Buckets for the validation fleet (module docstring)."""
         return min(self.buckets, self.cpus)
 
     @property

@@ -7,9 +7,10 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
   * ONE explicit hash shuffle routes every triple to the bucket of its
     subject (plus, optionally, a reversed copy to its object's bucket for
     incoming arcs), so each focus node's neighborhood is co-located (J3)
-  * each bucket is a **persistent** ``_Bucket`` (SURVEY.md A2: the one
-    stateful stage the Dataset API can't express — partitioned state
-    reused across fixpoint rounds). It keeps its arcs columnar, with
+  * each bucket is a ``_Bucket`` whose state lasts across the fixpoint
+    rounds (SURVEY.md A2: partitioned state reused across rounds). It
+    reads its arcs once into a graph that does not change after loading,
+    kept columnar, with
     dictionary codes for their subjects (``LazyBucketGraph``), and
     evaluates (node, shape) pairs with the in-memory,
     conformance-verified validator semantics
@@ -26,36 +27,37 @@ modules/slang/src/main/scala/es/weso/slang/ValidateND.scala:44-122):
     report rows as columns, and a blocked pair's partial kept as arrays
     and merged with its answers in one vectorized step
     (``flat_resume``). No per-node index is built for them
-  * every other pair walks the per-focus Python path, which builds the
-    per-node sorted index (``_ArcIndex``) on its first lookup
+  * every other pair walks the per-focus Python path over the per-node
+    sorted index (``_ArcIndex``), built on its first lookup (in a fleet,
+    at load: ``_load_bucket``)
   * a pair whose evaluation needs the conformance of a *remote* node
     (value-shape recursion J5 / sh:class of a value node) reports a
     dependency; the child's decided conformance is routed back as an
     assumption the next round (the typing-join G9). Per-round traffic is
-    only tasks + assumptions — the arc data never moves again
+    only tasks + assumptions — the arc data is partitioned once
   * rounds repeat until no pair flips; unresolved cross-bucket cycles then
     close coinductively (assume conforms — the greatest-fixpoint reading,
     ValidateND.scala:51-54)
 
-Two transports, one driver loop (``_bsp``, written against a call/get
-pair), chosen in ``distributed_validate`` from ``nbuckets``:
+One driver loop (``_bsp``, written against a call/get pair), two ways
+to run it, chosen in ``distributed_validate`` from ``nbuckets``:
 
-  * ``nbuckets > 1``: one ``BucketWorker`` actor per bucket (the
-    ``_Bucket`` class as a Ray actor), fed by the one hash exchange's
-    split tasks (``stages/exchange.split``) and called through actor
-    handles. The actors come from a session-scoped pool (``_ActorPool``):
-    a warm call spawns nothing, a successful one checks its actors back
-    in, a failed one releases and kills them. Only the processes are
-    reused — each call ``open``s and ``release``s its buckets
+  * ``nbuckets > 1``: plain Ray tasks over the object store, fed by the
+    one hash exchange's split tasks (``stages/exchange.split``). One load
+    task per bucket returns the bucket's finalized graph and its call
+    state (the worklists, without the graph) as two objects; every later
+    call on the bucket is one task of (graph, state, method, args) that
+    returns the next state and the method's result. The state chain
+    orders a bucket's calls, and a call is a pure function of its
+    inputs, so Ray's task retry covers a lost worker
   * ``nbuckets == 1``: the whole fixpoint — file read, split, load, focus
-    derivation, rounds, cycle-break, output — runs as ONE Ray task on a
-    pooled, already-warm worker that calls its ``_Bucket`` in-process: no
-    actor spawn, which at a small corpus was half the validation time
+    derivation, rounds, cycle-break, output — runs as ONE Ray task that
+    calls its ``_Bucket`` in-process: no state crosses the object store
 
 Driver-side state is O(|focus pairs| + |distinct dependencies|); arcs (the
-100-TB side) are partitioned once and live in the buckets (sized via
-``nbuckets`` so a bucket fits a worker's heap; at larger scale the same
-buckets would page from the partitioned parquet checkpoints).
+100-TB side) are partitioned once and live in the buckets' graphs (sized
+via ``nbuckets`` so a bucket fits a worker's heap; a fleet's graphs live
+in the object store, which spills under pressure).
 
 Supported distributed: full ShEx semantics (reversed arc copies are
 enabled automatically when the schema has inverse constraints); SHACL
@@ -70,7 +72,6 @@ over every path constructor), so no construct needs a global node scan.
 from __future__ import annotations
 
 import re
-import threading
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -531,9 +532,10 @@ class LazyBucketGraph:
     """Bucket-local arcs, Arrow-native end-to-end.
 
     ``finalize`` keeps the forward arcs as one columnar table in input
-    order (``arcs``) and dictionary-encodes their raw subjects: ``codes``
-    is each arc's subject code, ``nodes`` the code → term key ('I…'/'B…')
-    column, rendered once per distinct subject. The flat kernel works on
+    order (``arcs``) and dictionary-encodes their raw subjects in place
+    of a subject column: ``codes`` is each arc's subject code, ``nodes``
+    the code → term key ('I…'/'B…') column, rendered once per distinct
+    subject. The flat kernel works on
     these directly, gathering an entry's arcs by predicate
     (``pred_rows``) and code (``positions``). The per-node sorted index
     (``_ArcIndex``) is built only when something first asks for one node's
@@ -576,7 +578,7 @@ class LazyBucketGraph:
         if fwd.num_rows > self._spill_rows and self._spill_dir is not None:
             fwd = _spill(fwd, self._spill_path("fwd"))
         dic = pc.dictionary_encode(fwd.column("subj").combine_chunks())
-        self.arcs = fwd
+        self.arcs = fwd.select(ARC_COLS[1:])  # the subjects live on as codes
         self.codes = _np(dic.indices)
         self.nodes = _subj_key_col(dic.dictionary)
         self._rev_arcs = rev.select(ARC_COLS)
@@ -618,7 +620,7 @@ class LazyBucketGraph:
     def _fwd(self) -> _ArcIndex:
         if self._fwd_index is None:
             self._fwd_index = _ArcIndex(
-                self.arcs.select(ARC_COLS[1:]), self.codes, self.nodes,
+                self.arcs, self.codes, self.nodes,
                 self._spill_path("fwd-index"), self._spill_rows,
             )
         return self._fwd_index
@@ -1434,6 +1436,14 @@ class _FlatPairs:
         self.pending = _PENDING_SCHEMA.empty_table()
         self.reports: list[pa.Table] = []
 
+    def __setstate__(self, state: dict):
+        # arrays Ray deserializes are read-only views of the object store,
+        # and the worklist updates its flags and partials in place
+        self.__dict__.update(
+            (k, v.copy() if isinstance(v, np.ndarray) else v)
+            for k, v in state.items()
+        )
+
     def add(self, nodes: pa.Array) -> np.ndarray:
         """The positions of ``nodes``; unknown ones join as pending."""
         where = pc.index_in(nodes, value_set=self.keys)
@@ -1537,11 +1547,11 @@ class _FlatPairs:
 
 
 class _Bucket:
-    """Persistent per-bucket evaluator: the bucket's arcs AND its worklist
-    live here across rounds (schema compiled once per bucket — SURVEY.md
-    A1/A2). The driver only routes the (small) cross-bucket dependency
-    traffic, so its per-round work is O(#dependencies + #buckets),
-    independent of focus-pair count.
+    """Per-bucket evaluator of one validation call: the bucket's arcs
+    (``graph``) AND its worklist last across rounds (schema compiled once
+    per bucket — SURVEY.md A1/A2). The driver only routes the (small)
+    cross-bucket dependency traffic, so its per-round work is
+    O(#dependencies + #buckets), independent of focus-pair count.
 
     Two worklists. Pairs of a flat shape stay columnar from focus
     resolution to the shard: one ``_FlatPairs`` per shape holds their node
@@ -1552,30 +1562,26 @@ class _Bucket:
     per-focus Python path over dicts (``pending``, ``typing``, …), which
     builds the graph's per-node index on first use.
 
-    A plain class: the fleet runs it as the pooled ``BucketWorker`` actor,
-    the single-bucket regime as an object inside one task. Either way one
-    validation call is ``open`` … ``release``: a reused process carries
-    nothing from one call to the next."""
+    A plain object: the single-bucket task calls it in-process; the fleet
+    ships it between plain tasks as the bucket's state, with ``graph``
+    held apart (``_load_bucket``, ``_call_bucket``). ``spill_dir`` is
+    where an oversized bucket spills its sorted arc tables and reopens
+    them memory-mapped (OS paging instead of dying on heap); None keeps
+    them on heap."""
 
-    def open(self, schema: dict, engine: str, nbuckets: int, bucket_id: int) -> int:
-        """Take one call's state. Returns the bucket id (the fleet waits
-        on it as the actor's warmup)."""
+    def __init__(self, schema: dict, engine: str, nbuckets: int, bucket_id: int,
+                 spill_dir: str | None = None):
         self.schema = schema
         self.engine = engine
         self.nbuckets = nbuckets
         self.bucket_id = bucket_id
-        import tempfile
-
-        # oversized buckets spill their sorted arc table here and reopen
-        # memory-mapped (degrade to OS paging instead of dying on heap)
-        self._spill_dir = tempfile.mkdtemp(prefix=f"shaclex-b{bucket_id}-")
-        self.graph = LazyBucketGraph(spill_dir=self._spill_dir)
+        self.graph = LazyBucketGraph(spill_dir=spill_dir)
         # the per-focus path's worklist (pairs of non-flat shapes)
         self.pending: dict[tuple[str, str], bool] = {}
         self.typing: dict[tuple[str, str], str] = {}
         self.focus_flags: dict[tuple[str, str], bool] = {}
         # pairs other buckets asked for — ONLY their answers cross the
-        # driver (the focus typing never leaves the actor until collect)
+        # driver (the focus typing never leaves the bucket until collect)
         self.requested: set[tuple[str, str]] = set()
         self.assumptions: dict[tuple[str, str], bool] = {}
         self.reports: list[dict] = []
@@ -1591,7 +1597,6 @@ class _Bucket:
         self._pairs: dict[str, _FlatPairs] = {}
         # class key -> the local nodes typed with it or a subclass
         self._instances: dict[str, set] = {}
-        return bucket_id
 
     def load(self, *parts: pa.Table) -> int:
         n = 0
@@ -1599,19 +1604,20 @@ class _Bucket:
             self.graph.add_part(tbl)
             n += tbl.num_rows
         self.graph.finalize()
-        # the index (plus whatever a REUSED worker process carried in from
-        # earlier task executions) is long-lived: freeze it out of the
-        # cyclic GC so the round kernels' allocations don't pay repeated
-        # gen2 scans over static objects. (Measured: modest — the dominant
-        # round cost was transient page-fault volume in the flat kernels,
-        # fixed by the column-at-a-time takes in flat_eval_kernel.) No
-        # gc.collect() first: a full collection of a warm worker's heap
-        # costs ~0.1 s, the whole floor of a small validation. Both
-        # transports run on reused processes, so ``release`` unfreezes.
-        import gc
-
-        gc.freeze()
         return n
+
+    def walks(self) -> bool:
+        """Whether a pair can take the per-focus path, which looks up
+        nodes in the graph's per-node index: some node shape (ShEx: some
+        label, inline shape or start shape) has no flat profile."""
+        shapes = self.schema.get("shapes", {})
+        if self.engine == "shacl":
+            keys = {k for k, sh in shapes.items() if not sh or sh.get("path") is None}
+        elif self.schema.get("start") is not None:
+            return True
+        else:
+            keys = set(shapes) | set(self.schema.get("inline", {}))
+        return not keys <= self._flat().keys()
 
     # ---- in-bucket focus resolution (fixShapeMap, ShapeMaps.scala
     # semantics). Shapemap selectors and compiled SHACL target
@@ -1905,7 +1911,7 @@ class _Bucket:
             self.pending.pop(key, None)
             self.blocked_on.pop(key, None)
         # only dep-requested answers travel to the driver — the rest of the
-        # typing stays actor-side (driver memory is O(#cross-bucket deps),
+        # typing stays bucket-side (driver memory is O(#cross-bucket deps),
         # not O(#focus pairs))
         answered += [
             (k[0], k[1], self.typing[k]) for k in decided if k in self.requested
@@ -1914,22 +1920,6 @@ class _Bucket:
             store.open_count() for store in self._pairs.values()
         )
         return len(decided) + n_flat, n_pending, sorted(all_deps), answered
-
-    def release(self) -> None:
-        """End the call: remove the spill directory, drop every piece of
-        call state (index, worklists, typing, reports) and unfreeze the GC
-        that ``load`` froze. Safe on a partly opened bucket. The fleet
-        calls it before an actor goes back to the pool, and before a kill
-        on failure (``ray.kill`` skips destructors); the single-bucket
-        task in a ``finally``."""
-        import gc
-        import shutil
-
-        spill_dir = self.__dict__.get("_spill_dir")
-        if spill_dir:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-        self.__dict__.clear()
-        gc.unfreeze()
 
     def mark_pending_unknown(self) -> int:
         """Loop-exit fallback: pairs the fixpoint could not decide become
@@ -1990,7 +1980,7 @@ class _Bucket:
         return self._typing(), self._report()
 
     def write_shard(self, out_dir: str) -> dict:
-        """Actor-side result sink: each bucket writes its own typing/report
+        """Bucket-side result sink: each bucket writes its own typing/report
         parquet shard — the full tables never concat on the driver
         (SURVEY.md §4.2 resumable-output layout). A table without rows
         writes no shard (``exchange.sink``'s rule)."""
@@ -2011,8 +2001,6 @@ class _Bucket:
                          counts.field("counts").to_pylist()))
         return stats
 
-
-BucketWorker = ray.remote(_Bucket)
 
 def _report_table(rows: pa.Table) -> pa.Table:
     """Report rows (``_ROWS_SCHEMA``'s fields) in the report table's
@@ -2078,10 +2066,10 @@ def _focus_patterns(focus_tasks):
 
 def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
          output_dir):
-    """The BSP driver loop, written once for both transports.
+    """The BSP driver loop, written once for the fleet and the single task.
 
-    ``call(b, method, *args)`` invokes bucket ``b``'s method: an actor
-    call returning a ref in the fleet, a plain method call in the
+    ``call(b, method, *args)`` invokes bucket ``b``'s method: a round
+    task returning a ref in the fleet, a plain method call in the
     single-bucket task. ``get`` resolves a list of what ``call`` returned
     (``ray.get``, or the identity). ``load_refs`` are the buckets' issued
     ``load`` calls. Returns ``(result, dep_state)``: the summed shard
@@ -2225,110 +2213,59 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
     ), dep_state
 
 
-class _ActorPool:
-    """Idle ``BucketWorker`` actors kept warm between fleet calls.
-
-    Only the worker processes are reused: a call ``open``s every actor it
-    checks out and ``release``s it before check-in, so no state crosses
-    calls. A checkout is exclusive (under the lock); the pool belongs to
-    one Ray session and is dropped when the session changes; at most
-    cluster-CPU-count actors wait idle (extras are killed at check-in). A
-    failed call never checks its actors in (``_discard``)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._idle: list = []
-        self._session = None
-
-    def checkout(self, n: int) -> list:
-        """``n`` actors: idle ones first, spawns for the rest."""
-        ctx = ray.get_runtime_context()
-        session = (ctx.get_job_id(), ctx.get_node_id())
-        with self._lock:
-            if session != self._session:
-                # the old session's actors died with it: forget, never call
-                self._idle, self._session = [], session
-            taken, self._idle = self._idle[:n], self._idle[n:]
-        # default actor semantics: num_cpus=1 for placement, 0 reserved
-        # while alive — a large fleet never deadlocks a small cluster, and
-        # idle actors hold no CPU
-        return taken + [BucketWorker.remote() for _ in range(n - len(taken))]
-
-    def checkin(self, workers: list) -> None:
-        cap = int(ray.cluster_resources().get("CPU", 1))
-        with self._lock:
-            room = max(0, cap - len(self._idle))
-            self._idle += workers[:room]
-        for w in workers[room:]:
-            ray.kill(w)
+def _load_bucket(bucket: _Bucket, *parts: pa.Table):
+    """Fleet load task: ``bucket`` reads its split parts. Returns its
+    finalized graph, its call state (the bucket without the graph) and
+    its arc count, as three objects. The graph is final from here on, so
+    when a pair may walk the per-focus path the per-node indexes are
+    built now: an index a round task built would die with the task. No
+    spill dir: the graph lives in the object store, which spills."""
+    rows = bucket.load(*parts)
+    graph = bucket.__dict__.pop("graph")
+    if bucket.walks():
+        graph._fwd, graph._rev  # each property builds its index on first use
+    return graph, bucket, rows
 
 
-_POOL = _ActorPool()
+def _call_bucket(graph: LazyBucketGraph, bucket: _Bucket, method: str, *args):
+    """Fleet round task: one ``_bsp`` call of ``method`` on the bucket
+    state ``bucket`` over its ``graph``. Returns the next state and the
+    method's result. A pure function of its arguments, so Ray may rerun
+    it when its worker dies."""
+    bucket.graph = graph
+    out = getattr(bucket, method)(*args)
+    del bucket.graph
+    return bucket, out
 
-# how long the failure path waits for the actors' ``release`` before it
-# kills them (an actor still busy with a round is killed unreleased)
-_RELEASE_WAIT_S = 10.0
 
-
-def _discard(workers: list) -> None:
-    """Failure path: release the actors that still answer — ``ray.kill``
-    skips destructors, so a killed bucket would leak its spill dir — then
-    kill all of them; none goes back to the pool."""
-    refs = [w.release.remote() for w in workers]
-    ray.wait(refs, num_returns=len(refs), timeout=_RELEASE_WAIT_S)
-    for w in workers:
-        ray.kill(w)
+_load_task = ray.remote(num_returns=3)(_load_bucket)
+_call_task = ray.remote(num_returns=2)(_call_bucket)
 
 
 def _run_fleet(schema, engine, nbuckets, include_inverse, plan, focus_tasks,
                max_rounds, output_dir):
-    """``nbuckets > 1``: one pooled ``BucketWorker`` actor per bucket, fed
-    by one split-task exchange, driven through actor handles."""
-    schema_ref = ray.put(schema)
-
-    def open_bucket(b):
-        return workers[b].open.remote(schema_ref, engine, nbuckets, b)
-
-    workers = _POOL.checkout(nbuckets)
-    try:
-        # open before the split: a cold pool's worker-process startup (the
-        # dominant fixed cost at high bucket counts) overlaps the split
-        opens = [open_bucket(b) for b in range(nbuckets)]
-
-        # ---- one-time shuffle: block groups -> per-bucket parts -> actors.
-        # File inputs are read by the split tasks themselves (storage →
-        # task heap, no object-store staging).
-        split_refs = exchange.split(
-            _route_arcs, (include_inverse,), plan, ARC_SCHEMA, ARC_COLS,
-            nbuckets=nbuckets,
+    """``nbuckets > 1``: one split-task exchange, one load task per
+    bucket, then one ``_call_task`` per bucket call. ``states[b]`` is the
+    ref of bucket ``b``'s latest state: each call takes it and replaces
+    it, so a bucket's calls run in the order made and a call whose result
+    nobody reads (``add_assumptions``) still lands before the next."""
+    split_refs = exchange.split(
+        _route_arcs, (include_inverse,), plan, ARC_SCHEMA, ARC_COLS,
+        nbuckets=nbuckets,
+    )
+    graphs, states, load_refs = map(list, zip(*(
+        _load_task.remote(
+            _Bucket(schema, engine, nbuckets, b), *[blk[b] for blk in split_refs]
         )
-        ray.wait(
-            [r for blk in split_refs for r in blk],
-            num_returns=len(split_refs) * nbuckets,
-            fetch_local=False,
-        )
-        for b, ref in enumerate(opens):
-            try:
-                ray.get(ref)
-            except ray.exceptions.RayActorError:
-                # a pooled actor died while idle: replace it
-                workers[b] = BucketWorker.remote()
-                ray.get(open_bucket(b))
-        load_refs = [
-            workers[b].load.remote(*[blk[b] for blk in split_refs])
-            for b in range(nbuckets)
-        ]
-        out = _bsp(
-            lambda b, method, *args: getattr(workers[b], method).remote(*args),
-            ray.get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
-            output_dir,
-        )
-        ray.get([w.release.remote() for w in workers])
-    except BaseException:
-        _discard(workers)
-        raise
-    _POOL.checkin(workers)
-    return out
+        for b in range(nbuckets)
+    )))
+
+    def call(b, method, *args):
+        states[b], out = _call_task.remote(graphs[b], states[b], method, *args)
+        return out
+
+    return _bsp(call, ray.get, nbuckets, schema, focus_tasks, load_refs,
+                max_rounds, output_dir)
 
 
 def _run_single_bucket(schema, engine, include_inverse, files, focus_tasks,
@@ -2338,25 +2275,37 @@ def _run_single_bucket(schema, engine, include_inverse, files, focus_tasks,
     calls. ``blocks`` holds the input's triple blocks when ``files`` is
     None.
 
-    Runs as one Ray task on a pooled worker that later tasks reuse, so it
-    always ``release``s the bucket: spill directory removed, GC
-    unfrozen."""
-    bucket = _Bucket()
+    Runs as one Ray task on a worker that later tasks reuse, so it
+    leaves the worker as it found it: GC unfrozen, spill directory
+    removed."""
+    import gc
+    import shutil
+    import tempfile
+
+    spill_dir = tempfile.mkdtemp(prefix="shaclex-b0-")
     try:
-        bucket.open(schema, engine, 1, 0)
+        bucket = _Bucket(schema, engine, 1, 0, spill_dir)
         (arcs,) = exchange.run_split(
             _route_arcs, (include_inverse,), 1, ARC_SCHEMA, ARC_COLS,
             *(files or blocks),
         )
         load_refs = [bucket.load(arcs)]
         del arcs  # the index owns the arcs now; free the split's copy
+        # the loaded graph is long-lived: freeze it (and whatever the
+        # reused worker carried in) out of the cyclic GC, so the round
+        # kernels' allocations don't pay repeated gen2 scans over static
+        # objects. No gc.collect() first: a full collection of a warm
+        # worker's heap costs ~0.1 s, the whole floor of a small
+        # validation
+        gc.freeze()
         return _bsp(
             lambda _b, method, *args: getattr(bucket, method)(*args),
             lambda results: results, 1, schema, focus_tasks, load_refs,
             max_rounds, output_dir,
         )
     finally:
-        bucket.release()
+        gc.unfreeze()
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 _single_bucket_task = ray.remote(_run_single_bucket)
@@ -2390,16 +2339,15 @@ def distributed_validate(
     The stats are also kept as ``distributed_validate.last_stats``, which
     the benchmark's tracer reads.
 
-    Two transports share one driver loop (``_bsp``), chosen here from
+    One driver loop (``_bsp``) runs in one of two ways, chosen here from
     ``nbuckets`` (given, or ``exchange.plan``'s fleet size for the
     input's arc columns: its bucket count, capped at the CPU count): at
     ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
-    derivation, rounds, output — runs as ONE task on a pooled worker
-    (no actor spawn); above it, one ``BucketWorker`` actor per bucket,
-    checked out of a session-scoped pool (spawned only when the pool
-    lacks them) and checked back in after a successful call; a failed
-    call releases and kills its actors. Each call re-reads its input and
-    recompiles its schema: nothing computed in one call reaches the next.
+    derivation, rounds, output — runs as ONE task; above it, as plain
+    tasks: one load task per bucket, then one task per bucket call, with
+    each bucket's graph and state in the object store (``_run_fleet``).
+    Each call re-reads its input and recompiles its schema: nothing
+    computed in one call reaches the next.
     """
     _focus_patterns(focus_tasks)  # a bad focus form fails before any work
     if engine == "shex":

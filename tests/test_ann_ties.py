@@ -34,7 +34,21 @@ def _parallel(i: int) -> list[float]:
     return [c * x for x in u]
 
 
-@pytest.fixture(scope="module", params=[_constant, _parallel], ids=["constant", "parallel"])
+def _two_directions(i: int) -> list[float]:
+    # c·u on two directions, c in -5..11: every vector ties exactly with
+    # the centroids on its ray, whose norms differ, so the IVF codebook
+    # side (nearest-centroid list and probe order) ties only when it
+    # divides after the dot product like list_cosine_similarity
+    u = [1.0, 2.0, 3.0] if i % 2 else [2.0, -1.0, 5.0]
+    c = float((i * 5) % 17 - 5)
+    return [c * x for x in u] + [0.0] * (DIM - 3)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[_constant, _parallel, _two_directions],
+    ids=["constant", "parallel", "two_directions"],
+)
 def tie_sf(request, tmp_path_factory):
     out = tmp_path_factory.mktemp(f"ties_{request.param.__name__}")
     emb = [request.param(i) for i in range(ROWS)]

@@ -1,17 +1,19 @@
-"""The two transports of distributed_validate.
+"""The two ways distributed_validate runs its fixpoint.
 
-``nbuckets == 1`` runs the whole fixpoint as one task on a pooled worker
-(``_run_single_bucket``); ``nbuckets > 1`` runs one ``BucketWorker``
-actor per bucket, taken from a session-scoped actor pool. Both are driven
-by the same loop, so they must agree on every input and focus form, and
-each must leave the process it borrowed as it found it: a warm actor
-gives the same answers as a fresh one.
+``nbuckets == 1`` runs the whole fixpoint as one task
+(``_run_single_bucket``); ``nbuckets > 1`` runs plain tasks over the
+object store: one load task per bucket, then one task per bucket call
+(``_run_fleet``). Both are driven by the same loop, so they must agree on
+every input and focus form at every bucket count, and a fleet call must
+give the same answers however often, concurrently or after whatever
+failure it runs.
 """
 
 import gc
 import glob
 import os
 import tempfile
+import threading
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -171,16 +173,6 @@ def _shacl_case(ttl: str):
     return case
 
 
-class _NoActors:
-    """Stands in for BucketWorker: any actor spawn fails the test."""
-
-    def remote(self, *_a, **_k):
-        raise AssertionError("the single-bucket regime spawned an actor")
-
-    def options(self, *_a, **_k):
-        return self
-
-
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -191,25 +183,19 @@ class _NoActors:
     ],
     ids=["kg_checkpoint", "shex_cycle", "inverse_path", "all_targets"],
 )
-def test_regime_parity(ray_session, tmp_path, monkeypatch, make_case):
-    """One task (nbuckets=1, no actor) and the actor fleet (nbuckets=4)
-    give the same focus typing and the same report multiset."""
+def test_regime_parity(ray_session, tmp_path, make_case):
+    """One task (nbuckets=1) and fleets of 2, 4 and 8 buckets give the
+    same focus typing and the same report multiset, with every pair
+    decided."""
     from shaclex_ray.validate import dist
 
     dv = dist.distributed_validate
     run = make_case(tmp_path)
     results = {}
-    for nb in (4, 1):
+    for nb in (1, 2, 4, 8):
         for attr in ("last_nbuckets", "last_stats", "last_dep_state"):
             dv.__dict__.pop(attr, None)
-        idle = list(dist._POOL._idle)
-        with monkeypatch.context() as m:
-            if nb == 1:
-                m.setattr(dist, "BucketWorker", _NoActors())
-            typing, report = run(dv, nb)
-        if nb == 1:
-            # the fleet's call left actors idle; one task never takes one
-            assert idle and _same_handles(dist._POOL._idle, idle)
+        typing, report = run(dv, nb)
         assert dv.last_nbuckets == nb
         assert set(dv.last_dep_state) == {"need_by", "answered_vals", "forwarded"}
         if make_case is _kg_case:
@@ -219,7 +205,8 @@ def test_regime_parity(ray_session, tmp_path, monkeypatch, make_case):
         # every pair is decided; the ring closes coinductively
         assert results[nb][0], "no focus typing"
         assert "unknown" not in {val for _n, _s, val in results[nb][0]}
-    assert results[1] == results[4]
+    for nb in (2, 4, 8):
+        assert results[nb] == results[1], f"nbuckets={nb} differs from one task"
 
 
 def _hygiene_input():
@@ -233,7 +220,7 @@ def _hygiene_input():
 
 @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
 def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
-    """The in-process runner unfreezes the GC that ``load`` froze and
+    """The in-process runner unfreezes the GC it froze after the load and
     removes its spill directory, also when a bucket method raises."""
     from shaclex_ray.validate import dist
 
@@ -242,7 +229,7 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
     run_round = dist._Bucket.run_round
 
     def watched_round(self):
-        seen.append((gc.get_freeze_count(), self._spill_dir))
+        seen.append((gc.get_freeze_count(), self.graph._spill_dir))
         if fail:
             raise RuntimeError("bucket failure")
         return run_round(self)
@@ -257,55 +244,14 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
         (typing, report), dep_state = dist._run_single_bucket(*args)
         assert typing.num_rows and report.num_rows
         assert dep_state == {"need_by": 0, "answered_vals": 0, "forwarded": 0}
-    # while it ran, load() had frozen the GC and the spill dir was here
+    # while it ran, the GC was frozen and the spill dir was here
     frozen, spill_dir = seen[0]
     assert frozen > 0 and spill_dir.startswith(str(tmp_path))
     assert gc.get_freeze_count() == 0
     assert not list(tmp_path.glob("shaclex-b0-*"))
 
 
-# ------------------------------------------------------------ actor pool
-
-
-def _same_handles(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
-class _CountingWorker:
-    """Wraps BucketWorker and counts actor spawns."""
-
-    def __init__(self, real):
-        self.real, self.spawned = real, 0
-
-    def remote(self, *a, **k):
-        self.spawned += 1
-        return self.real.remote(*a, **k)
-
-
-@pytest.fixture
-def pool(ray_session, monkeypatch):
-    """A fresh, empty actor pool for the test, a spawn counter, and a log
-    of every checkout's handles; the pool's actors are killed after."""
-    import ray
-
-    from shaclex_ray.validate import dist
-
-    fresh = dist._ActorPool()
-    counter = _CountingWorker(dist.BucketWorker)
-    checkouts = []
-    checkout = fresh.checkout
-
-    def logged(n):
-        workers = checkout(n)
-        checkouts.append(list(workers))
-        return workers
-
-    monkeypatch.setattr(fresh, "checkout", logged)
-    monkeypatch.setattr(dist, "_POOL", fresh)
-    monkeypatch.setattr(dist, "BucketWorker", counter)
-    yield fresh, counter, checkouts
-    for w in fresh._idle:
-        ray.kill(w)
+# ------------------------------------------------------------ fleet calls
 
 
 def _fleet_rows(out) -> tuple:
@@ -320,67 +266,55 @@ def _spill_dirs() -> set:
     return set(glob.glob(os.path.join(tempfile.gettempdir(), "shaclex-b*")))
 
 
-def _fresh_fleet(tmp_path, make_case, nb=4):
-    """The case's fleet output from a pool of its own (all spawned)."""
-    import ray
+@pytest.mark.parametrize("closed", [False, True], ids=["flat", "walked"])
+def test_load_task_builds_the_index_for_walked_shapes(closed):
+    """A fleet graph is final once loaded: the load task builds the
+    per-node index when a shape takes the per-focus path (a closed ShEx
+    shape has no flat profile) and not for flat shapes, and the state it
+    returns holds no graph."""
+    import copy
 
+    from shaclex_ray.terms import triples_to_table
     from shaclex_ray.validate import dist
 
-    own = dist._ActorPool()
-    real = dist._POOL
-    dist._POOL = own
-    try:
-        out = _fleet_rows(make_case(tmp_path)(dist.distributed_validate, nb))
-    finally:
-        dist._POOL = real
-        for w in own._idle:
-            ray.kill(w)
-    return out
+    schema = copy.deepcopy(_CYCLE_SCHEMA)
+    schema["shapes"]["http://ex.org/S"]["closed"] = closed
+    arcs = triples_to_table(_ring_triples(12)).select(dist.ARC_COLS)
+    (part,) = dist._route_arcs(arcs, 1, False)
+    graph, state, rows = dist._load_bucket(dist._Bucket(schema, "shex", 1, 0), part)
+    assert rows == arcs.num_rows
+    assert "graph" not in vars(state)
+    assert (graph._fwd_index is not None) is closed
 
 
-def test_pool_reuses_actors_across_calls(pool, tmp_path):
-    """Back-to-back fleet calls with different engines and schemas: the
-    later calls spawn nothing and match a fresh fleet's output."""
+def test_repeated_fleet_calls_agree(ray_session, tmp_path):
+    """Back-to-back fleet calls with different engines and schemas: a
+    repeated call gives what the first one gave."""
     from shaclex_ray.validate import dist
 
-    fresh, counter, _ = pool
     dv = dist.distributed_validate
-    kg_first = _fleet_rows(_kg_case(tmp_path)(dv, 4))
-    assert counter.spawned == 4
-    cycle_warm = _fleet_rows(_cycle_case(tmp_path)(dv, 4))
-    kg_warm = _fleet_rows(_kg_case(tmp_path)(dv, 4))
-    assert counter.spawned == 4, "a warm call spawned an actor"
-    assert len(fresh._idle) == 4
-    assert kg_warm == kg_first
-    assert cycle_warm == _fresh_fleet(tmp_path, _cycle_case)
+    kg, cycle = _kg_case(tmp_path), _cycle_case(tmp_path)
+    kg_first = _fleet_rows(kg(dv, 4))
+    cycle_first = _fleet_rows(cycle(dv, 4))
+    assert _fleet_rows(kg(dv, 4)) == kg_first
+    assert _fleet_rows(cycle(dv, 4)) == cycle_first
 
 
-def test_idle_pooled_actor_holds_no_state(pool, tmp_path):
-    """Checked in after a call, an actor keeps no bucket state, no frozen
-    GC generation and no spill dir."""
-    import ray
-
+def test_fleet_call_leaves_no_spill_dir(ray_session, tmp_path):
+    """A fleet call's graphs live in the object store: it leaves no
+    bucket spill dir behind."""
     from shaclex_ray.validate import dist
 
-    fresh, _, _ = pool
     before = _spill_dirs()
     _kg_case(tmp_path)(dist.distributed_validate, 4)
-    assert len(fresh._idle) == 4
-    for w in fresh._idle:
-        state, frozen = ray.get(
-            w.__ray_call__.remote(lambda self: (vars(self), gc.get_freeze_count()))
-        )
-        assert state == {} and frozen == 0
     assert _spill_dirs() <= before
 
 
-def test_failed_fleet_call_releases_and_kills(pool, tmp_path):
+def test_failed_fleet_call_leaves_nothing_behind(ray_session, tmp_path):
     """A fleet call that raises (its output dir is a regular file) leaves
-    no spill dir behind and returns none of its actors to the pool; the
-    next call spawns afresh and matches a fresh fleet."""
+    no spill dir behind, and the next call matches one made before it."""
     from shaclex_ray.validate import dist
 
-    fresh, counter, checkouts = pool
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     run = _cycle_case(tmp_path)
@@ -388,110 +322,77 @@ def test_failed_fleet_call_releases_and_kills(pool, tmp_path):
     def into_file(*args, **kw):
         return dist.distributed_validate(*args, output_dir=str(not_a_dir), **kw)
 
+    first = _fleet_rows(run(dist.distributed_validate, 2))
     before = _spill_dirs()
     with pytest.raises(NotADirectoryError):
         run(into_file, 2)
     assert _spill_dirs() <= before
-    assert fresh._idle == [] and counter.spawned == 2
-    failed = checkouts[-1]
-    out = _fleet_rows(run(dist.distributed_validate, 2))
-    assert counter.spawned == 4
-    assert not any(w is f for w in fresh._idle for f in failed)
-    assert out == _fresh_fleet(tmp_path, _cycle_case, nb=2)
+    assert _fleet_rows(run(dist.distributed_validate, 2)) == first
 
 
-def test_pool_recovers_from_a_dead_actor(pool, tmp_path):
-    """An idle actor killed between calls is replaced: the next call
-    succeeds with the same output, and the dead handle never returns to
-    the pool."""
+def test_round_task_retried_after_worker_death(ray_session, tmp_path, monkeypatch):
+    """The worker of one round task dies (``os._exit``) on the task's
+    first attempt; a marker file lets the retry through. Ray reruns the
+    task from its unchanged inputs, and the output equals an undisturbed
+    run's."""
     import ray
 
     from shaclex_ray.validate import dist
 
-    fresh, counter, _ = pool
     run = _cycle_case(tmp_path)
-    first = _fleet_rows(run(dist.distributed_validate, 4))
-    victim = fresh._idle[1]
-    ray.kill(victim)
-    with pytest.raises(ray.exceptions.RayActorError):
-        ray.get(victim.__ray_call__.remote(lambda self: None))
-    assert _fleet_rows(run(dist.distributed_validate, 4)) == first
-    assert counter.spawned == 5
-    assert len(fresh._idle) == 4
-    assert not any(w is victim for w in fresh._idle)
+    calm = _fleet_rows(run(dist.distributed_validate, 4))
+    marker = str(tmp_path / "died")
+    call_bucket = dist._call_bucket
+
+    def dies_once(graph, bucket, method, *args):
+        if method == "run_round" and bucket.bucket_id == 1:
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+        return call_bucket(graph, bucket, method, *args)
+
+    monkeypatch.setattr(dist, "_call_task", ray.remote(num_returns=2)(dies_once))
+    assert _fleet_rows(run(dist.distributed_validate, 4)) == calm
+    assert os.path.exists(marker), "no round task died"
 
 
-def test_pool_dropped_on_session_change(pool, tmp_path):
-    """After ray.shutdown() and ray.init() in the same driver the pool
-    hands out no actor of the old session, and the call validates as a
-    fresh fleet does."""
+def test_fleet_call_after_session_restart(ray_session, tmp_path):
+    """After ray.shutdown() and ray.init() in the same driver a fleet
+    call validates as it did in the old session."""
     import ray
 
     from shaclex_ray.validate import dist
     from tests.conftest import RAY_INIT_KWARGS
 
-    fresh, counter, checkouts = pool
     first = _fleet_rows(_cycle_case(tmp_path)(dist.distributed_validate, 4))
-    old = list(fresh._idle)
-    assert len(old) == 4
     ray.shutdown()
     ray.init(**RAY_INIT_KWARGS)
     # the case's Dataset lives in the session's object store: rebuild it
     out = _fleet_rows(_cycle_case(tmp_path)(dist.distributed_validate, 4))
-    assert counter.spawned == 8
-    assert not any(w is o for w in checkouts[-1] for o in old)
-    assert not any(w is o for w in fresh._idle for o in old)
     assert out == first
 
 
-def test_pool_checkout_is_exclusive_under_threads(ray_session, monkeypatch):
-    """Many threads checking actors out and in at once never share one,
-    and the idle set stays within the CPU cap."""
-    import random
-    import sys
-    import threading
-    import time
-
-    import ray
-
+def test_concurrent_fleet_calls_match_serial(ray_session, tmp_path):
+    """Two fleet calls from two driver threads at once give what each
+    gives alone."""
     from shaclex_ray.validate import dist
 
-    class _Token:
-        def remote(self):
-            return object()
+    dv = dist.distributed_validate
+    cases = {"kg": _kg_case(tmp_path), "cycle": _cycle_case(tmp_path)}
+    serial = {name: _fleet_rows(run(dv, 4)) for name, run in cases.items()}
+    got, errors = {}, []
 
-    fresh = dist._ActorPool()
-    monkeypatch.setattr(dist, "BucketWorker", _Token())
-    monkeypatch.setattr(dist.ray, "kill", lambda _w: None)
-    cap = int(ray.cluster_resources()["CPU"])
-    held: set = set()
-    held_lock = threading.Lock()
-    errors = []
+    def call(name):
+        try:
+            got[name] = _fleet_rows(cases[name](dv, 4))
+        except Exception as e:  # surfaced below
+            errors.append(e)
 
-    def worker(seed):
-        rng = random.Random(seed)
-        for _ in range(100):
-            workers = fresh.checkout(rng.randint(1, cap))
-            with held_lock:
-                if any(id(w) in held for w in workers):
-                    errors.append("an actor was checked out twice")
-                held.update(id(w) for w in workers)
-            time.sleep(0)  # hold them while other threads check out
-            with held_lock:
-                held.difference_update(id(w) for w in workers)
-            fresh.checkin(workers)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
+    threads = [threading.Thread(target=call, args=(name,)) for name in cases]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
     assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(fresh._idle) <= cap
-    assert len({id(w) for w in fresh._idle}) == len(fresh._idle)
+    assert not errors, errors
+    assert got == serial

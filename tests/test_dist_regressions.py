@@ -471,18 +471,12 @@ def _validate_in_process(schema, engine, triples, focus, nbuckets):
         dist._route_arcs, (False,), nbuckets, dist.ARC_SCHEMA, dist.ARC_COLS,
         triples,
     )
-    buckets = [dist._Bucket() for _ in range(nbuckets)]
-    try:
-        for b, bucket in enumerate(buckets):
-            bucket.open(schema, engine, nbuckets, b)
-        loads = [bucket.load(part) for bucket, part in zip(buckets, parts)]
-        (typing, _report), _state = dist._bsp(
-            lambda b, method, *args: getattr(buckets[b], method)(*args),
-            lambda results: results, nbuckets, schema, focus, loads, 12, None,
-        )
-    finally:
-        for bucket in buckets:
-            bucket.release()
+    buckets = [dist._Bucket(schema, engine, nbuckets, b) for b in range(nbuckets)]
+    loads = [bucket.load(part) for bucket, part in zip(buckets, parts)]
+    (typing, _report), _state = dist._bsp(
+        lambda b, method, *args: getattr(buckets[b], method)(*args),
+        lambda results: results, nbuckets, schema, focus, loads, 12, None,
+    )
     return sorted(
         zip(
             typing.column("node").to_pylist(),

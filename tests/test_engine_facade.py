@@ -173,7 +173,7 @@ def test_ntriples_roundtrip(rd, tmp_path):
 
 
 def test_pattern_shapemap_in_bucket_focus(rd):
-    """Pattern selectors resolve IN-BUCKET (BucketWorker.derive_focus):
+    """Pattern selectors resolve IN-BUCKET (_Bucket.derive_focus):
     {FOCUS p o} matches subjects locally; {s p FOCUS} matches objects and
     routes via the driver. Pins both directions plus mixing with a
     concrete node selector (reference fixShapeMap, ShapeMaps semantics)."""

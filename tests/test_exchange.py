@@ -15,6 +15,7 @@
     placements.
 """
 
+import ast
 import pathlib
 import re
 
@@ -616,16 +617,47 @@ def test_join_rejects_a_repeated_column(ray_session):
 # ------------------------------------------------------------ guard
 
 # the modules that may read the cluster's CPU count, and how often: the
-# exchange plan, the validation actor-pool cap, the document partitions,
-# and the sparql, multimodal and bpe concurrency
+# exchange plan, the document partitions, and the sparql, multimodal and
+# bpe concurrency
 CPU_READERS = {
     "stages/exchange.py": 1,
-    "validate/dist.py": 1,
     "sources/documents.py": 2,
     "sources/sparql.py": 1,
     "functions/multimodal.py": 3,
     "functions/bpe.py": 1,
 }
+
+
+def _ray_actor_classes(src: str) -> list[str]:
+    """The classes ``src`` makes Ray actors of: ``ray.remote(<Class>)``
+    with a class defined in ``src``, or ``@ray.remote`` (bare or called)
+    above a ``class``."""
+    tree = ast.parse(src)
+    classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+
+    def is_ray_remote(node) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (isinstance(node, ast.Attribute) and node.attr == "remote"
+                and isinstance(node.value, ast.Name) and node.value.id == "ray")
+
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ClassDef) and any(map(is_ray_remote, n.decorator_list)):
+            found.append(n.name)
+        elif (isinstance(n, ast.Call) and is_ray_remote(n.func)
+              and any(isinstance(a, ast.Name) and a.id in classes for a in n.args)):
+            found += [a.id for a in n.args if isinstance(a, ast.Name)]
+    return found
+
+
+def test_actor_class_detector():
+    assert _ray_actor_classes("import ray\nclass A: pass\nW = ray.remote(A)") == ["A"]
+    assert _ray_actor_classes("import ray\n@ray.remote\nclass B: pass") == ["B"]
+    assert _ray_actor_classes(
+        "import ray\n@ray.remote(num_cpus=0)\nclass C: pass") == ["C"]
+    assert _ray_actor_classes(
+        "import ray\ndef f(): pass\nt = ray.remote(num_returns=2)(f)") == []
 
 
 def test_no_hand_rolled_exchange_or_deleted_knob():
@@ -637,7 +669,11 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
     ``.join(<expr>, "inner"|"left_outer"|…`` call, chained ones included,
     and no ``num_partitions=`` sizing. No module, ``__ray_entry__.py``
     included, groups with Ray Data's sort-based shuffle: no
-    ``.groupby(``/``.map_groups(`` call and no ``ray.data.aggregate``."""
+    ``.groupby(``/``.map_groups(`` call and no ``ray.data.aggregate``.
+    No module makes a Ray actor class (``ray.remote(<Class>)`` or
+    ``@ray.remote`` above a ``class``): state that lasts across calls
+    travels as task arguments, as validation's bucket state does, and
+    the deleted actor pool's names are named nowhere."""
     knobs = re.compile(
         r"SHACLEX_(SPLIT_ROWS|USER_BUCKET_ROWS|BAND_BUCKET_ROWS"
         r"|BUCKET_ROWS|BUCKET_SPILL_ROWS|LINK_DIST_THRESHOLD|BPE_MAX_WORD_LEN"
@@ -645,7 +681,8 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         r"|REP_VERDICT_BCAST_ROWS|DECON_BCAST_THRESHOLD|DEDUP_CC_THRESHOLD"
         r"|REP_DUP_RATIO|ROUND_DEBUG|ROUND_PROFILE|DIST_DEBUG)"
         r"|\b(SPLIT_ROWS|TASK_ROWS|BUCKET_ROWS|BAND_BUCKET_ROWS|USER_BUCKET_ROWS"
-        r"|DECON_BCAST_ROWS|DECON_GRAMS_PER_DOC|group_count|default_buckets)\b"
+        r"|DECON_BCAST_ROWS|DECON_GRAMS_PER_DOC|group_count|default_buckets"
+        r"|_ActorPool|BucketWorker|_RELEASE_WAIT_S)\b"
     )
     # the join type is the second argument; the first may span lines and
     # hold one level of parentheses
@@ -666,7 +703,9 @@ def test_no_hand_rolled_exchange_or_deleted_knob():
         if ".options(num_returns=" in src and rel != "stages/exchange.py":
             offenders.append(f"{rel}: hand-rolled split")
         if knobs.search(src):
-            offenders.append(f"{rel}: reads a deleted knob")
+            offenders.append(f"{rel}: names a deleted knob or the actor pool")
+        for cls in _ray_actor_classes(src):
+            offenders.append(f"{rel}: Ray actor class {cls}")
         if ds_join.search(src):
             offenders.append(f"{rel}: Dataset.join")
         if "num_partitions=" in src:

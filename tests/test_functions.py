@@ -696,6 +696,7 @@ def test_kmeans_codebook_matches_numpy_reference(ray_session):
     got = kmeans_codebook(SF, nlist=nlist, iters=iters)
 
     _, cm = ivf_centroids(SF, nlist)
+    cm = cm / np.maximum(np.linalg.norm(cm, axis=1, keepdims=True), 1e-12)
     emb = _list_to_matrix(
         pq.read_table(f"{SF}/embeddings.parquet", columns=["embedding"]).column(
             "embedding"
