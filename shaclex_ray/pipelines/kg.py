@@ -5,6 +5,12 @@
   validate in-pipeline against SHACL shapes (distributed BSP fixpoint) →
   typing + validation-report tables
 
+``triples_raw`` is pre-canonical (mention IRIs, not entity IRIs) and
+holds the two mention relations, ``doc ex:mentions m`` and ``m rdf:type
+ex:Mention``, combined per extract batch: one row per distinct triple of
+the batch with its least (doc_id, span_idx) witness, so the canonical
+dedup gives the table it gives over one row per entity span.
+
 Every checkpointed stage writes its shards from the tasks that compute
 them: plain partition tasks, ``exchange.sink`` bucket tasks, validation
 buckets. Canonicalize + dedup is one file-granular hash exchange

@@ -97,6 +97,7 @@ TASK_BYTES = 30_000_000  # bytes that justify one more split group or bucket
 MAX_TASK_BYTES = 300_000_000  # most bytes one split group or bucket carries
 BCAST_BYTES = 64 << 20  # an input smaller than this is broadcast
 _SAMPLE_ROWS = 65_536  # rows a parquet input's bytes per row are read from
+_SAMPLE_BATCH = 4_096  # rows decoded at once while sampling; divides _SAMPLE_ROWS
 
 
 def partition(tbl: pa.Table, bucket_ids, nbuckets: int) -> tuple[pa.Table, ...]:
@@ -145,9 +146,15 @@ def _parquet_size(files, columns) -> tuple[int, int]:
         if not per_row and pf.metadata.num_rows:
             rg = next(i for i in range(pf.metadata.num_row_groups)
                       if pf.metadata.row_group(i).num_rows)
-            sample = next(pf.iter_batches(_SAMPLE_ROWS, row_groups=[rg],
-                                          columns=columns))
-            per_row = sample.nbytes / sample.num_rows
+            # streamed in small batches, so the driver never holds the
+            # whole sample decoded at once
+            n = nbytes = 0
+            for b in pf.iter_batches(_SAMPLE_BATCH, row_groups=[rg],
+                                     columns=columns):
+                n, nbytes = n + b.num_rows, nbytes + b.nbytes
+                if n >= _SAMPLE_ROWS:
+                    break
+            per_row = nbytes / n
     return rows, math.ceil(rows * per_row)
 
 

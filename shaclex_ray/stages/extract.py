@@ -7,10 +7,19 @@ then emit deterministic candidate triples per span kind, carrying
 checkable after any downstream shuffle. No reference counterpart — the
 reference starts from parsed RDF (Main.scala:253-274); these rules define
 our deterministic oracle semantics.
+
+The two entity-span relations, ``doc ex:mentions m`` and ``m rdf:type
+ex:Mention``, leave a batch already combined (``_mention_tables``): one
+row per distinct identity in the batch, carrying its least (doc_id,
+span_idx) witness. The raw triples stay pre-canonical (mention IRIs, not
+entity IRIs), and the canonical stage's least-witness distinct gives the
+same table as over one row per span; only which duplicates reach it
+depends on how the documents were batched.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -59,6 +68,49 @@ def _tbl(subj, pred, okind, olex, odt, olang, doc, span) -> pa.Table:
             else pa.array([span] * n, pa.int32()),
         }
     )
+
+
+def _least_rows(keys, witness) -> np.ndarray:
+    """Row indices of the least-``witness`` row of each distinct ``keys``
+    tuple (integer arrays, compared in order), in row order: one integer
+    ``lexsort`` and the first row of each run."""
+    order = np.lexsort(tuple(reversed(keys + witness)))
+    first = np.ones(len(order), dtype=bool)
+    same = np.ones(len(order) - 1, dtype=bool)
+    for k in keys:
+        ko = k[order]
+        same &= ko[1:] == ko[:-1]
+    first[1:] = ~same
+    return np.sort(order[first])
+
+
+def _mention_tables(text, parents, offset, doc_ids, doc_iris):
+    """The two entity-span relations of a batch, combined within it:
+
+      * ``doc ex:mentions m``: one row per (doc_id, mention text), the
+        least ``span_idx`` kept;
+      * ``m rdf:type ex:Mention``: one row per mention text, the least
+        (``doc_id``, ``span_idx``) kept, ``doc_id`` ranked in the byte
+        order of the dedup's witness sort.
+
+    Every dropped row is a duplicate identity with a greater witness, so
+    the canonical dedup's least-witness distinct is unchanged."""
+    codes = pc.dictionary_encode(text, null_encoding="encode")
+    mention = codes.indices.to_numpy()
+    mention_iris = pc.binary_join_element_wise(MENTION_NS, codes.dictionary, "")
+    doc = pc.rank(doc_ids, tiebreaker="dense").to_numpy()[parents]
+    span = offset.to_numpy()
+
+    keep = _least_rows([doc, mention], [span])
+    rows = pa.array(parents[keep])
+    mentions = _tbl(pc.take(doc_iris, rows), P_MENTIONS, "iri",
+                    pc.take(mention_iris, mention[keep]), "", "",
+                    pc.take(doc_ids, rows), pa.array(span[keep]))
+    keep = _least_rows([mention], [doc, span])
+    types = _tbl(pc.take(mention_iris, mention[keep]), RDF_TYPE, "iri",
+                 C_MENTION, "", "", pc.take(doc_ids, pa.array(parents[keep])),
+                 pa.array(span[keep]))
+    return mentions, types
 
 
 def extract_triples_batch(batch: pa.Table) -> pa.Table:
@@ -126,33 +178,13 @@ def extract_triples_batch(batch: pa.Table) -> pa.Table:
 
         emask = pc.equal(kind, "entity")
         if pc.any(emask).as_py():
-            mention_iris = pc.binary_join_element_wise(
-                MENTION_NS, pc.filter(text, emask), ""
-            )
-            parts.append(
-                _tbl(
-                    pc.filter(span_doc_iris, emask),
-                    P_MENTIONS,
-                    "iri",
-                    mention_iris,
-                    "",
-                    "",
-                    pc.filter(span_doc_ids, emask),
-                    pc.filter(offset, emask),
-                )
-            )
-            parts.append(
-                _tbl(
-                    mention_iris,
-                    RDF_TYPE,
-                    "iri",
-                    C_MENTION,
-                    "",
-                    "",
-                    pc.filter(span_doc_ids, emask),
-                    pc.filter(offset, emask),
-                )
-            )
+            parts.extend(_mention_tables(
+                pc.filter(text, emask),
+                pc.filter(parents, emask).to_numpy(),
+                pc.filter(offset, emask),
+                doc_ids,
+                doc_iris,
+            ))
 
         mmask = pc.equal(kind, "image")
         if pc.any(mmask).as_py():
@@ -195,8 +227,10 @@ def extract_partition(part: dict):
     """Per-partition extraction generator for the checkpointed pipeline
     (state/checkpoint.py run_partitioned): stream the partition's document
     batches through the same vectorized span + triple kernels the
-    Dataset path uses, yielding triple tables. Identical rows to
-    ``extract_triples(read_documents(...))`` — pinned by
+    Dataset path uses, yielding triple tables. The same rows as
+    ``extract_triples(read_documents(...))`` except for the two mention
+    relations, which each path combines per its own batches; their
+    least-witness distinct is equal — pinned by
     tests/test_checkpoint_parts.py."""
     from shaclex_ray.sources.documents import (
         build_spans_batch_vec,

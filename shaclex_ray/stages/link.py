@@ -54,7 +54,8 @@ def canonical_iris(mention_iris):
 def _link_split(tbl: pa.Table, nbuckets: int):
     """Split kernel of ``build_entity_links``: the iri-kind ``ex:mentions``
     objects in ``MENTION_NS`` (``canonicalize``'s mentions) as
-    ``LINKS_SCHEMA`` rows, distinct per mention, partitioned by its hash."""
+    ``LINKS_SCHEMA`` rows, distinct per mention, partitioned by its hash.
+    The rule runs once per distinct mention IRI of the group."""
     from shaclex_ray.stages.dedup import _distinct_split_impl
 
     obj_lex = tbl.column("obj_lex")
@@ -63,7 +64,7 @@ def _link_split(tbl: pa.Table, nbuckets: int):
                 pc.equal(tbl.column("obj_kind"), "iri")),
         pc.starts_with(obj_lex, MENTION_NS),
     )
-    iris = pc.filter(obj_lex, mask)
+    iris = pc.unique(pc.filter(obj_lex, mask))
     links = pa.table([iris, canonical_iris(iris)], schema=LINKS_SCHEMA)
     return _distinct_split_impl(links, nbuckets, ["mention"], None, False)
 

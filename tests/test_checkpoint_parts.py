@@ -1,7 +1,8 @@
 """Per-partition checkpointing (state/checkpoint.py run_partitioned).
 
-Pins: (1) the partitioned extract produces EXACTLY the streaming
-extract's rows; (2) a run that lost one partition (data + manifest) and
+Pins: (1) the partitioned extract produces the streaming extract's
+rows (the mention relations, combined per batch, up to the least-witness
+distinct); (2) a run that lost one partition (data + manifest) and
 the stage manifest re-runs ONLY that partition; (3) a digest change
 invalidates every partition; (4) data without a manifest is re-run;
 (5) a partition that raises fails its stage, and the re-run resumes the
@@ -46,14 +47,35 @@ def _run_raw(out_dir, digest="d1"):
     return runner, read_parts(path)
 
 
+def _mention_relations(df: pd.DataFrame) -> pd.Series:
+    from shaclex_ray.stages.extract import C_MENTION, P_MENTIONS, RDF_TYPE
+
+    return (df["pred"] == P_MENTIONS) | (
+        (df["pred"] == RDF_TYPE) & (df["obj_lex"] == C_MENTION)
+    )
+
+
 def test_partitioned_equals_streaming(ray_session, out_dir):
+    """Every row equal, except that the two mention relations are
+    combined per extract batch and the two paths batch differently:
+    those compare after the least-witness distinct."""
     from shaclex_ray.sources.documents import read_documents
     from shaclex_ray.stages.extract import extract_triples
+    from shaclex_ray.terms import TRIPLE_ID_COLS
 
     _, ds = _run_raw(out_dir)
-    want = _norm(extract_triples(read_documents(SF)).to_pandas())
-    got = _norm(ds.to_pandas())
-    pd.testing.assert_frame_equal(got, want)
+    want = extract_triples(read_documents(SF)).to_pandas()
+    got = ds.to_pandas()
+    mw, mg = _mention_relations(want), _mention_relations(got)
+    assert mw.any()
+    pd.testing.assert_frame_equal(_norm(got[~mg]), _norm(want[~mw]))
+
+    def least_witness(df):
+        return _norm(df.sort_values(TRIPLE_ID_COLS + ["doc_id", "span_idx"])
+                     .drop_duplicates(subset=TRIPLE_ID_COLS))
+
+    pd.testing.assert_frame_equal(least_witness(got[mg]),
+                                  least_witness(want[mw]))
 
 
 def test_partition_level_resume(ray_session, out_dir):

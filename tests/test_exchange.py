@@ -16,6 +16,7 @@
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -484,6 +485,31 @@ def test_plan_scales_with_row_width(ray_session, tmp_path, monkeypatch):
     assert ratio / 2 <= fat.buckets / narrow.buckets <= ratio * 2
     per_task = [p.nbytes / p.buckets for p in (narrow, fat)]
     assert max(per_task) <= 2 * min(per_task), per_task
+
+
+@pytest.mark.parametrize("empty_first", [False, True])
+def test_parquet_sample_is_streamed_with_the_same_estimate(tmp_path, empty_first):
+    """``_parquet_size`` decodes its sample in small batches, and its
+    estimate equals the one from decoding the same rows (the first
+    ``_SAMPLE_ROWS`` of the first non-empty row group) as one batch: on
+    a file of several row groups, one of them larger than the sample,
+    and on one whose first row group is empty."""
+    tbl = _triples(150_000, 12)
+    path = str(tmp_path / "t.parquet")
+    with pq.ParquetWriter(path, tbl.schema) as w:
+        if empty_first:
+            w.write_table(tbl.slice(0, 0))
+        w.write_table(tbl, row_group_size=70_000)
+    pf = pq.ParquetFile(path)
+    sizes = [pf.metadata.row_group(i).num_rows
+             for i in range(pf.metadata.num_row_groups)]
+    assert sizes == [0] * empty_first + [70_000, 70_000, 10_000]
+    cols = ["subj", "obj_lex", "span_idx"]
+    one = next(pf.iter_batches(exchange._SAMPLE_ROWS, row_groups=[empty_first],
+                               columns=cols))
+    assert one.num_rows == exchange._SAMPLE_ROWS
+    want = math.ceil(tbl.num_rows * one.nbytes / one.num_rows)
+    assert exchange._parquet_size([path], cols) == (tbl.num_rows, want)
 
 
 # ------------------------------------------------------------ partition
