@@ -88,9 +88,11 @@ def run_kg_pipeline(
     when validating, ``typing`` and ``report`` Datasets, each read from
     its stage directory on first access.
 
-    ``exchange.plan`` sizes the canonical dedup's buckets and the
-    validation's fleet from the bytes each one moves; ``nbuckets``
-    overrides both."""
+    ``exchange.plan`` sizes every exchange from the bytes it moves: the
+    entity links' and the canonical dedup's split groups and buckets on
+    the exchange's task grain (``TASK_BYTES``), the validation's fleet on
+    its own coarser one (``FLEET_BYTES``). ``nbuckets`` overrides the
+    canonical dedup's buckets and the fleet."""
     runner = StageRunner(out_dir, resume=resume)
     # digest covers inputs AND code/shape revision, so stale checkpoints
     # from an older engine version are never resumed

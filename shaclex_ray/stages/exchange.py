@@ -35,7 +35,7 @@ Plan rule — the only one::
                     ceil(nbytes / MAX_TASK_BYTES))
     groups    = clamp(tasks, 1, len(inputs))
     buckets   = tasks
-    fleet     = min(buckets, cluster CPUs)
+    fleet     = min(cluster CPUs, max(1, ceil(nbytes / FLEET_BYTES)))
     broadcast = nbytes < BCAST_BYTES
 
 The first term spreads the work over up to the cluster's CPUs, but a
@@ -48,10 +48,14 @@ bucket count across several splits (the two sides of a join, a
 co-partitioned pair) plans each input and passes the larger count to
 :func:`split` as ``nbuckets``.
 
-``fleet`` sizes the validation fleet: its buckets' graphs all live at
-once, so the memory bound buys nothing there, and buckets past the CPU
-count only queue their round tasks. The bounds are on
-task memory, not on the driver: past ``cluster CPUs × MAX_TASK_BYTES``
+``fleet`` sizes the validation fleet on a grain of its own. A fleet
+bucket is not one task but a load task and a chain of round tasks
+(about ten object-store calls per bucket), so it pays for a second
+bucket only at a coarser grain: one per ``FLEET_BYTES``. Its buckets'
+graphs all live at once, so the memory bound buys nothing there, and
+buckets past the CPU count only queue their round tasks.
+
+The bounds are on task memory, not on the driver: past ``cluster CPUs × MAX_TASK_BYTES``
 groups and buckets both grow with the data, so the ``groups × buckets``
 ref matrix that :func:`split` returns to the driver grows with its
 square (100 TB in at least 330k files: ~330k × 330k refs). A recursive
@@ -68,8 +72,20 @@ first ``_SAMPLE_ROWS`` rows of the first non-empty one). The footer's own
 (dictionary and run-length pages), 3–10× below the Arrow size for KG
 triples (raw triples 14.8 vs 146.9 B/row, canonical 59.4 vs 158.0 at
 sf0.01), so the same table would plan apart as files and as blocks.
-``TASK_BYTES`` and ``MAX_TASK_BYTES`` are the former row targets (200k
-and 2M rows) at the ~150 B/row of KG triples.
+
+The grains are measured, in a warm 2-CPU session. A canonical split
+task costs about 12 ms on a 10-row shard (a bucket task about 10 ms);
+on kg_small's raw triples (17.6 MB) it takes 170 ms, so the kernel,
+parquet read included, costs about 9 ns/B, and a task's fixed cost buys
+about 1.3 MB of kernel work. At ``TASK_BYTES`` = 4 MB a task spends a
+quarter of its time on fixed cost (12 of 48 ms). A sweep of 2, 4 and
+8 MB gives the same plans at 2 CPUs on both perfbench workloads; at 4
+CPUs warm-run walls stay within 3% of each other, 4 MB ahead on
+kg_small. ``FLEET_BYTES`` stays at 30 MB: in a prototype whose fleet
+followed the 4 MB grain, both workloads' fleets went to 2 buckets and
+validation slowed from 0.08 to about 0.4 s on kg_small (12.8 MB
+canonical) and from 0.15–0.20 to about 0.37 s on kg_scaled (25.3 MB). ``MAX_TASK_BYTES`` is 2M rows at the
+~150 B/row of KG triples.
 
 :func:`join` is the engine's one equi-join, built on the same exchange.
 Its probe kernel sorts the build side by key and finds each probe row's
@@ -93,7 +109,8 @@ import pyarrow.parquet as pq
 
 import ray
 
-TASK_BYTES = 30_000_000  # bytes that justify one more split group or bucket
+TASK_BYTES = 4_000_000  # bytes that justify one more split group or bucket
+FLEET_BYTES = 30_000_000  # bytes that justify one more validation bucket
 MAX_TASK_BYTES = 300_000_000  # most bytes one split group or bucket carries
 BCAST_BYTES = 64 << 20  # an input smaller than this is broadcast
 _SAMPLE_ROWS = 65_536  # rows a parquet input's bytes per row are read from
@@ -128,8 +145,9 @@ class Plan:
 
     @property
     def fleet(self) -> int:
-        """Buckets for the validation fleet (module docstring)."""
-        return min(self.buckets, self.cpus)
+        """Buckets for the validation fleet: one per ``FLEET_BYTES``, up
+        to the CPU count (module docstring)."""
+        return min(self.cpus, max(1, math.ceil(self.nbytes / FLEET_BYTES)))
 
     @property
     def broadcast(self) -> bool:

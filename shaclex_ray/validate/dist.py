@@ -2341,7 +2341,8 @@ def distributed_validate(
 
     One driver loop (``_bsp``) runs in one of two ways, chosen here from
     ``nbuckets`` (given, or ``exchange.plan``'s fleet size for the
-    input's arc columns: its bucket count, capped at the CPU count): at
+    input's arc columns: one bucket per ``FLEET_BYTES``, capped at the
+    CPU count, a coarser grain than the exchange's tasks): at
     ``nbuckets == 1`` the whole fixpoint — read, split, load, focus
     derivation, rounds, output — runs as ONE task; above it, as plain
     tasks: one load task per bucket, then one task per bucket call, with

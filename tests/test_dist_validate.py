@@ -330,10 +330,11 @@ def test_focus_forms(ray_session):
 
 def test_auto_fleet_sizing(ray_session, monkeypatch):
     """nbuckets=None sizes the bucket fleet with ``exchange.plan`` (one
-    bucket per ``TASK_BYTES``, up to the cluster CPUs): a tiny corpus
-    runs as one bucket (one task, no actor), a smaller byte target
-    scales the fleet up, and a memory bound that asks for more buckets
-    than CPUs leaves the fleet at the CPU count."""
+    bucket per ``FLEET_BYTES``, up to the cluster CPUs): a tiny corpus
+    runs as one bucket (one task), the exchange's own task grain
+    (``TASK_BYTES``) leaves it there, a smaller fleet grain scales the
+    fleet up, and a memory bound that asks for more buckets than CPUs
+    leaves the fleet at the CPU count."""
     import ray.data as rd
 
     from shaclex_ray.rdfio import parse_turtle
@@ -363,11 +364,16 @@ def test_auto_fleet_sizing(ray_session, monkeypatch):
     )
 
     typing, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
-    assert distributed_validate.last_nbuckets == 1  # 10 rows << TASK_BYTES
+    assert distributed_validate.last_nbuckets == 1  # 10 rows << FLEET_BYTES
     assert "conforms" in typing.column("val").to_pylist()
 
-    # one byte per bucket: the 4-CPU session cap binds
+    # one byte per exchange task: the plan spreads, the fleet does not
     monkeypatch.setattr(exchange, "TASK_BYTES", 1)
+    distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
+    assert distributed_validate.last_nbuckets == 1
+
+    # one byte per fleet bucket: the 4-CPU session cap binds
+    monkeypatch.setattr(exchange, "FLEET_BYTES", 1)
     typing2, _ = distributed_validate(ds, "shex", copy.deepcopy(schema), focus, nbuckets=None)
     assert distributed_validate.last_nbuckets == 4
     assert typing2.column("val").to_pylist() == typing.column("val").to_pylist()

@@ -445,11 +445,26 @@ def test_plan_is_the_same_for_shards_and_blocks(ray_session, tmp_path, monkeypat
     assert len(a.inputs) == 4 and all(isinstance(x, str) for x in a.inputs)
 
 
+def test_plan_spreads_a_few_task_grains_over_the_cpus(ray_session, tmp_path):
+    """Triple shards of about 2.5 × ``TASK_BYTES`` at their real size (no
+    constant patched) plan one split group and one bucket per task grain,
+    up to the CPUs and the files, while the validation fleet, on its
+    coarser ``FLEET_BYTES`` grain, stays one bucket."""
+    ncpu = int(ray.cluster_resources()["CPU"])
+    files = _shards(_triples(68_500, 12), 8, tmp_path / "t")
+    p = exchange.plan(files)
+    assert 2 * exchange.TASK_BYTES < p.nbytes < 3 * exchange.TASK_BYTES, p.nbytes
+    want = min(ncpu, math.ceil(p.nbytes / exchange.TASK_BYTES), len(files))
+    assert p.groups == p.buckets == want > 1
+    assert p.fleet == 1
+
+
 def test_plan_cpu_cap_and_memory_bound(ray_session, tmp_path, monkeypatch):
     """A small ``TASK_BYTES`` spreads the work up to the cluster's CPUs
     and no further; a small ``MAX_TASK_BYTES`` takes the count past the
-    CPUs so no task holds more than it, but not an actor fleet's; groups
-    never exceed the inputs."""
+    CPUs so no task holds more than it; neither moves the validation
+    fleet, which a small ``FLEET_BYTES`` spreads up to the CPUs only;
+    groups never exceed the inputs."""
     ncpu = int(ray.cluster_resources()["CPU"])
     files = _shards(_triples(6000, 12), 12, tmp_path / "t")
     base = exchange.plan(files)
@@ -462,7 +477,9 @@ def test_plan_cpu_cap_and_memory_bound(ray_session, tmp_path, monkeypatch):
     assert mem.buckets == -(-base.nbytes // (base.nbytes // (2 * ncpu))) > ncpu
     assert mem.nbytes / mem.buckets <= exchange.MAX_TASK_BYTES
     assert mem.groups == min(12, mem.buckets)
-    assert cpu.fleet == mem.fleet == ncpu  # an actor fleet stops at the CPUs
+    assert base.fleet == cpu.fleet == mem.fleet == 1  # the fleet's own grain
+    monkeypatch.setattr(exchange, "FLEET_BYTES", 1)
+    assert exchange.plan(files).fleet == ncpu  # the fleet stops at the CPUs
     monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes)
     assert not exchange.plan(files).broadcast
     monkeypatch.setattr(exchange, "BCAST_BYTES", base.nbytes + 1)
