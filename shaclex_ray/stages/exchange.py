@@ -55,10 +55,11 @@ bucket only at a coarser grain: one per ``FLEET_BYTES``. Its buckets'
 graphs all live at once, so the memory bound buys nothing there, and
 buckets past the CPU count only queue their round tasks.
 
-The bounds are on task memory, not on the driver: past ``cluster CPUs × MAX_TASK_BYTES``
-groups and buckets both grow with the data, so the ``groups × buckets``
-ref matrix that :func:`split` returns to the driver grows with its
-square (100 TB in at least 330k files: ~330k × 330k refs). A recursive
+The bounds are on task memory, not on the driver: past ``cluster CPUs
+× MAX_TASK_BYTES`` groups and buckets both grow with the data, so the
+``groups × buckets`` ref matrix that :func:`split` returns to the
+driver grows with its square (100 TB in at least 330k files: ~330k ×
+330k refs). A recursive
 exchange — split into at most the CPU count of buckets, then split each
 bucket again — is the remedy when inputs reach that size.
 
@@ -81,11 +82,11 @@ about 1.3 MB of kernel work. At ``TASK_BYTES`` = 4 MB a task spends a
 quarter of its time on fixed cost (12 of 48 ms). A sweep of 2, 4 and
 8 MB gives the same plans at 2 CPUs on both perfbench workloads; at 4
 CPUs warm-run walls stay within 3% of each other, 4 MB ahead on
-kg_small. ``FLEET_BYTES`` stays at 30 MB: in a prototype whose fleet
-followed the 4 MB grain, both workloads' fleets went to 2 buckets and
-validation slowed from 0.08 to about 0.4 s on kg_small (12.8 MB
-canonical) and from 0.15–0.20 to about 0.37 s on kg_scaled (25.3 MB). ``MAX_TASK_BYTES`` is 2M rows at the
-~150 B/row of KG triples.
+kg_small. ``FLEET_BYTES`` stays at 30 MB: on the 4 MB grain both
+workloads' fleets would go to 2 buckets, and validation takes 0.38 s
+at 2 buckets against 0.12 s at 1 on kg_small (12.8 MB canonical), 0.45
+against 0.22 s on kg_scaled (25.3 MB).
+``MAX_TASK_BYTES`` is 2M rows at the ~150 B/row of KG triples.
 
 :func:`join` is the engine's one equi-join, built on the same exchange.
 Its probe kernel sorts the build side by key and finds each probe row's
