@@ -49,9 +49,10 @@ co-partitioned pair) plans each input and passes the larger count to
 :func:`split` as ``nbuckets``.
 
 ``fleet`` sizes the validation fleet on a grain of its own. A fleet
-bucket is not one task but a load task and a chain of round tasks
-(about ten object-store calls per bucket), so it pays for a second
-bucket only at a coarser grain: one per ``FLEET_BYTES``. Its buckets'
+bucket is not one task but a load task and a chain of object-store
+calls (focus derivation, one per fixpoint round, a finishing one: five
+at sf0.1's three rounds), so it pays for a second bucket only at a
+coarser grain: one per ``FLEET_BYTES``. Its buckets'
 graphs all live at once, so the memory bound buys nothing there, and
 buckets past the CPU count only queue their round tasks.
 

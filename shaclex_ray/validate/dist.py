@@ -45,8 +45,9 @@ to run it, chosen in ``distributed_validate`` from ``nbuckets``:
   * ``nbuckets > 1``: plain Ray tasks over the object store, fed by the
     one hash exchange's split tasks (``stages/exchange.split``). One load
     task per bucket returns the bucket's finalized graph and its call
-    state (the worklists, without the graph) as two objects; every later
-    call on the bucket is one task of (graph, state, method, args) that
+    state (the worklists, without the graph) as separate objects; every
+    later call on the bucket — ``derive_focus``, one ``run_round`` per
+    round, ``finish`` — is one task of (graph, state, method, args) that
     returns the next state and the method's result. The state chain
     orders a bucket's calls, and a call is a pure function of its
     inputs, so Ray's task retry covers a lost worker
@@ -71,6 +72,7 @@ over every path constructor), so no construct needs a global node scan.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import partial
 from typing import Callable, NamedTuple
@@ -1527,13 +1529,6 @@ class _FlatPairs:
     def open_count(self) -> int:
         return int(np.count_nonzero(self.state < _DECIDED))
 
-    def mark_unknown(self) -> int:
-        left = self.state < _DECIDED
-        self.state[left] = _UNKNOWN
-        self.rows = _ROWS_SCHEMA.empty_table()
-        self.pending = _PENDING_SCHEMA.empty_table()
-        return int(np.count_nonzero(left))
-
     def typing(self, sk: str) -> pa.Table:
         at = np.flatnonzero(self.focus)
         return pa.table(
@@ -1562,6 +1557,9 @@ class _Bucket:
     per-focus Python path over dicts (``pending``, ``typing``, …), which
     builds the graph's per-node index on first use.
 
+    The driver's calls (``_bsp``): ``load``, ``derive_focus``, one
+    ``run_round`` per round and ``finish``.
+
     A plain object: the single-bucket task calls it in-process; the fleet
     ships it between plain tasks as the bucket's state, with ``graph``
     held apart (``_load_bucket``, ``_call_bucket``). ``spill_dir`` is
@@ -1581,16 +1579,13 @@ class _Bucket:
         self.typing: dict[tuple[str, str], str] = {}
         self.focus_flags: dict[tuple[str, str], bool] = {}
         # pairs other buckets asked for — ONLY their answers cross the
-        # driver (the focus typing never leaves the bucket until collect)
+        # driver (the focus typing never leaves the bucket until finish)
         self.requested: set[tuple[str, str]] = set()
         self.assumptions: dict[tuple[str, str], bool] = {}
         self.reports: list[dict] = []
         # pair -> unanswered deps it is blocked on (skip re-evaluation until
         # one of them gets an assumption — semi-naive delta, SURVEY.md §7.4)
         self.blocked_on: dict[tuple[str, str], set] = {}
-        # node-key -> is-local memo (the scalar stable-hash is ~50µs; value
-        # nodes repeat heavily across focus pairs)
-        self._local_cache: dict[str, bool] = {}
         # flat-shape check lists (compiled lazily once per call) and the
         # columnar worklist of their pairs, one store per shape
         self._flat_profiles: dict[str, FlatShape] | None = None
@@ -1598,13 +1593,17 @@ class _Bucket:
         # class key -> the local nodes typed with it or a subclass
         self._instances: dict[str, set] = {}
 
-    def load(self, *parts: pa.Table) -> int:
-        n = 0
+    def load(self, *parts: pa.Table) -> pa.Table:
+        """Read the split parts into the graph. Returns the (child,
+        parent) term keys of the bucket's rdfs:subClassOf arcs, which a
+        SHACL run compiles its targets from."""
         for tbl in parts:
             self.graph.add_part(tbl)
-            n += tbl.num_rows
         self.graph.finalize()
-        return n
+        rows = self.graph.pred_rows(RDFS_SUBCLASS)
+        return pa.table(
+            {"child": self.graph.keys_at(rows), "parent": self.graph.obj_keys_at(rows)}
+        )
 
     def walks(self) -> bool:
         """Whether a pair can take the per-focus path, which looks up
@@ -1627,13 +1626,6 @@ class _Bucket:
     # (None: any). The bucket holds every outgoing arc of its subjects, so
     # subject-side pairs enqueue LOCALLY and completely; object-side ones
     # (an object's home bucket may differ) return to the driver.
-
-    def subclass_rows(self) -> pa.Table:
-        """(child, parent) term keys of this bucket's rdfs:subClassOf arcs."""
-        rows = self.graph.pred_rows(RDFS_SUBCLASS)
-        return pa.table(
-            {"child": self.graph.keys_at(rows), "parent": self.graph.obj_keys_at(rows)}
-        )
 
     def _arc_rows(self, pred: str, objs=None, subjs=None) -> np.ndarray:
         """Rows of the local ``pred`` arcs whose object term key is in
@@ -1713,26 +1705,6 @@ class _Bucket:
                 self.focus_flags[key] = True
         return already
 
-    def add_assumptions(self, asms: list):
-        for nk, sk, val in asms:
-            if isinstance(val, str) and val.startswith("vals:"):
-                import json as _json
-
-                val = _json.loads(val[5:])  # hop answer: value-key list
-            elif isinstance(val, str) and val.startswith("rows:"):
-                import json as _json
-
-                val = _json.loads(val[5:])  # vshape answer: report rows
-            self.assumptions[(nk, sk)] = val
-        answered = {(nk, sk) for nk, sk, _v in asms}
-        # non-mutating subtraction: dep sets may be shared across pairs
-        for pair in list(self.blocked_on):
-            remaining = self.blocked_on[pair] - answered
-            if remaining:
-                self.blocked_on[pair] = remaining
-            else:
-                del self.blocked_on[pair]
-
     def _local_is_instance(self, node_key: str, cls_key: str) -> bool:
         """sh:class for a local node by the class-target rule: the local
         subjects typed with a key in the class's subclass closure, found
@@ -1744,18 +1716,45 @@ class _Bucket:
             inst = self._instances[cls_key] = set(self.graph.keys_at(rows).to_pylist())
         return node_key in inst
 
-    def run_round(self):
-        """Evaluate every pending pair against local arcs + assumptions.
+    def run_round(self, focus, requests, assumptions: list, assume: list):
+        """One round: the cycle-break list ``assume`` closes its
+        unanswered (node, shape) deps as conforming, path hops with an
+        empty value set (coinductive close, ValidateND.scala:51-54
+        reading); the forwarded (node, shape, val) ``assumptions`` land;
+        the routed ``focus`` pairs and other buckets' ``requests``
+        ((node, shape) tables, None for none) enqueue; then every pending
+        pair evaluates against local arcs + assumptions.
         Returns (n_decided, n_pending, deps, answered):
           deps     — still-unanswered (child_node, child_shape) this bucket
                      needs from other buckets
-          answered — (node, shape, val) decided this round (the driver
-                     forwards the ones other buckets wait on)
+          answered — (node, shape, val) of the requested pairs decided this
+                     round, or before the request came (the driver
+                     forwards them)
         """
+        for nk, sk in assume:
+            self.assumptions.setdefault((nk, sk), [] if sk.startswith("hop:") else True)
+        for nk, sk, val in assumptions:
+            if isinstance(val, str) and val.startswith(("vals:", "rows:")):
+                val = json.loads(val[5:])  # hop value keys / vshape report rows
+            self.assumptions[(nk, sk)] = val
+        got = {(nk, sk) for nk, sk in assume} | {(nk, sk) for nk, sk, _v in assumptions}
+        # non-mutating subtraction: dep sets may be shared across pairs
+        for pair in list(self.blocked_on) if got else ():
+            remaining = self.blocked_on[pair] - got
+            if remaining:
+                self.blocked_on[pair] = remaining
+            else:
+                del self.blocked_on[pair]
+        if focus is not None:
+            self.submit(focus, True)
+        answered = [] if requests is None else self.submit(requests, False)
+
         nb = self.nbuckets
         me = self.bucket_id
         assumptions = self.assumptions
-        cache = self._local_cache
+        # node-key -> is-local memo for this round (the scalar stable-hash
+        # is ~50µs; value nodes repeat heavily across focus pairs)
+        cache: dict[str, bool] = {}
 
         # literals have no outgoing arcs, so without inverse constraints any
         # bucket evaluates them correctly (term-local fast path); WITH
@@ -1781,7 +1780,7 @@ class _Bucket:
 
         # columnar flat pass: each flat shape's pairs resume or run the
         # kernel in bulk; the per-focus Python walk takes the rest
-        n_flat, answered = 0, []
+        n_flat = 0
         for sk, store in sorted(self._pairs.items()):
             done = store.step(
                 self.graph, assumptions, is_local_key, self._local_is_instance
@@ -1822,9 +1821,7 @@ class _Bucket:
                             for p, s in self.graph.arcs_in(nk)
                             if p == pred
                         ]
-                    import json as _json
-
-                    self.typing[key] = "vals:" + _json.dumps(sorted(set(vals)))
+                    self.typing[key] = "vals:" + json.dumps(sorted(set(vals)))
                     decided.append(key)
                     continue
                 if shape_key.startswith("vshape:"):
@@ -1841,13 +1838,11 @@ class _Bucket:
                     )
                     rres = v.validate_shape(nk, real_key)
                     if not v.provisional:
-                        import json as _json
-
                         rows = [
                             r for r in rres
                             if r["component"] != _REMOTE_NC_COMPONENT
                         ]
-                        self.typing[key] = "rows:" + _json.dumps(rows)
+                        self.typing[key] = "rows:" + json.dumps(rows)
                         decided.append(key)
                 elif self.engine == "shex":
                     v = _DistShEx(self.schema, self.graph, assumptions, is_local_term, record)
@@ -1921,33 +1916,6 @@ class _Bucket:
         )
         return len(decided) + n_flat, n_pending, sorted(all_deps), answered
 
-    def mark_pending_unknown(self) -> int:
-        """Loop-exit fallback: pairs the fixpoint could not decide become
-        val='unknown' (result_json/_summary treat them as not valid)."""
-        n = sum(store.mark_unknown() for store in self._pairs.values())
-        for key in list(self.pending):
-            if key not in self.typing:
-                self.typing[key] = "unknown"
-                n += 1
-        self.pending.clear()
-        self.blocked_on.clear()
-        return n
-
-    def assume_deps(self, deps: list):
-        """Cycle-breaking: treat listed unanswered deps as conforming
-        (coinductive close, ValidateND.scala:51-54 reading); unanswered
-        path hops close with an empty value set."""
-        for nk, sk in deps:
-            default = [] if sk.startswith("hop:") else True
-            self.assumptions.setdefault((nk, sk), default)
-        answered = set(map(tuple, deps))
-        for pair in list(self.blocked_on):
-            remaining = self.blocked_on[pair] - answered
-            if remaining:
-                self.blocked_on[pair] = remaining
-            else:
-                del self.blocked_on[pair]
-
     def _typing(self) -> pa.Table:
         """The focus pairs' typing, sorted by (node, shape). A pair decided
         only because another bucket asked for it (a shape, ``class:``,
@@ -1976,24 +1944,30 @@ class _Bucket:
             + [_report_table(walked)]
         )
 
-    def collect(self):
-        return self._typing(), self._report()
-
-    def write_shard(self, out_dir: str) -> dict:
-        """Bucket-side result sink: each bucket writes its own typing/report
-        parquet shard — the full tables never concat on the driver
-        (SURVEY.md §4.2 resumable-output layout). A table without rows
-        writes no shard (``exchange.sink``'s rule)."""
+    def finish(self, output_dir: str | None):
+        """The last call: pairs the fixpoint could not decide become
+        val='unknown' (result_json/_summary treat them as not valid).
+        Returns the (typing, report) tables, or, given ``output_dir``,
+        writes them as the bucket's own parquet shard — the full tables
+        never concat on the driver (SURVEY.md §4.2; a table without rows
+        writes no shard, ``exchange.sink``'s rule) — and returns the typing
+        rows per verdict plus the report rows as ``violations``."""
+        for store in self._pairs.values():
+            store.state[store.state < _DECIDED] = _UNKNOWN
+        for key in self.pending:
+            self.typing[key] = "unknown"
+        t, r = self._typing(), self._report()
+        if output_dir is None:
+            return t, r
         import os
 
         import pyarrow.parquet as pq
 
-        t, r = self.collect()
         for sub, tbl in (("typing", t), ("report", r)):
-            os.makedirs(f"{out_dir}/{sub}", exist_ok=True)
+            os.makedirs(f"{output_dir}/{sub}", exist_ok=True)
             if tbl.num_rows:
                 pq.write_table(
-                    tbl, f"{out_dir}/{sub}/part-{self.bucket_id:05d}.parquet"
+                    tbl, f"{output_dir}/{sub}/part-{self.bucket_id:05d}.parquet"
                 )
         counts = pc.value_counts(t.column("val").combine_chunks())
         stats: dict[str, int] = {"violations": r.num_rows}
@@ -2072,33 +2046,38 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
     task returning a ref in the fleet, a plain method call in the
     single-bucket task. ``get`` resolves a list of what ``call`` returned
     (``ray.get``, or the identity). ``load_refs`` are the buckets' issued
-    ``load`` calls. Returns ``(result, dep_state)``: the summed shard
-    stats when ``output_dir`` is given, else the (typing, report) tables.
+    ``load`` calls, which give their rdfs:subClassOf rows.
+
+    After its load a bucket receives ``derive_focus``, then ONE
+    ``run_round`` per round, then ``finish``: rounds + 2 calls. A round's
+    bookkeeping fills per-bucket outboxes — routed focus pairs, new
+    requests, answers to forward, the cycle-break list — that the next
+    round's call carries, so a round costs one blocking ``get``. Returns
+    ``(result, dep_state)``: the summed shard stats when ``output_dir``
+    is given, else the (typing, report) tables.
     """
 
     def every(method, *args):
         return get([call(b, method, *args) for b in range(nbuckets)])
 
-    def submit(tbl: pa.Table, is_focus: bool) -> list:
-        return get(
-            [
-                call(b, "submit", sub, is_focus)
-                for b, sub in _route_tasks(tbl, nbuckets).items()
-            ]
-        )
-
     # the focus step: every bucket resolves the patterns against its loaded
     # arcs, so the input is scanned once, by the split. Only the object-side
     # and concrete pairs cross the driver; a SHACL run first compiles its
     # targets, which needs the (tiny) rdfs:subClassOf rows of every bucket
-    get(load_refs)
+    subclass_rows = get(load_refs)
     focus = _focus_patterns(focus_tasks)
     closure = None
     if focus is None:
-        focus = _target_patterns(schema, pa.concat_tables(every("subclass_rows")))
+        focus = _target_patterns(schema, pa.concat_tables(subclass_rows))
         closure = schema["subclass_closure"]
     patterns, concrete = focus
-    submit(pa.concat_tables([concrete] + every("derive_focus", patterns, closure)), True)
+    focus_out = _route_tasks(
+        pa.concat_tables([concrete] + every("derive_focus", patterns, closure)),
+        nbuckets,
+    )
+    requests_out: dict[int, pa.Table] = {}
+    answers_out: dict[int, list] = {}
+    assume: list = []
 
     # ---- driver loop: only dependency traffic crosses the driver
     need_by: dict[tuple[str, str], set[int]] = {}
@@ -2115,30 +2094,35 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
     just_broke = False
     while rounds < 100_000:  # safety valve; real exits are below
         rounds += 1
-        results = every("run_round")
+        results = get([
+            call(b, "run_round", focus_out.get(b), requests_out.get(b),
+                 answers_out.get(b, []), assume)
+            for b in range(nbuckets)
+        ])
+        focus_out, answers_out, assume = {}, {}, []
         total_decided = sum(r[0] for r in results)
         total_pending = sum(r[1] for r in results)
-        new_child_tasks: list[tuple[str, str]] = []
         progress = total_decided > 0
-        for b, (_nd, _np, deps, answered) in enumerate(results):
+        # every bucket's answers first: a child answered anywhere this
+        # round is forwarded now, not requested again
+        for _nd, _np, _deps, answered in results:
             for nk, sk, val in answered:
                 answered_vals[(nk, sk)] = val
+        new_child_tasks: set[tuple[str, str]] = set()
+        for b, (_nd, _np, deps, _answered) in enumerate(results):
             for child in deps:
                 if b not in need_by.setdefault(child, set()):
                     need_by[child].add(b)
                     progress = True
                 if child not in answered_vals:
-                    new_child_tasks.append(child)
-        # route newly-requested child pairs to their buckets; a request for
-        # an already-decided pair returns its answer immediately
-        if new_child_tasks:
-            uniq = sorted(set(new_child_tasks))
-            tbl = _pairs_table([c[0] for c in uniq], [c[1] for c in uniq])
-            for already in submit(tbl, False):
-                for nk, sk, val in already:
-                    answered_vals[(nk, sk)] = val
+                    new_child_tasks.add(child)
+        # newly-requested child pairs go to their buckets with the next
+        # round; a request for an already-decided pair is answered there
+        uniq = sorted(new_child_tasks)
+        requests_out = _route_tasks(
+            _pairs_table([c[0] for c in uniq], [c[1] for c in uniq]), nbuckets
+        )
         # forward decided answers to the buckets waiting on them
-        fwd: dict[int, list] = {}
         done_children: list = []
         for child, buckets in need_by.items():
             val = answered_vals.get(child)
@@ -2154,15 +2138,13 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
                         if child[1].startswith(("hop:", "vshape:"))
                         else (val == "conforms")
                     )
-                    fwd.setdefault(b, []).append((child[0], child[1], payload))
+                    answers_out.setdefault(b, []).append((child[0], child[1], payload))
                     progress = True
             done_children.append(child)  # every requester now forwarded
-        for b, asms in fwd.items():
-            call(b, "add_assumptions", asms)
         # evict fully-forwarded deps: driver state stays O(in-flight deps),
         # not O(all deps ever). A LATE request for an evicted child is
-        # answered straight from its bucket's typing on submit(), so
-        # nothing is lost by forgetting it here.
+        # answered from its bucket's typing in the round that carries it,
+        # so nothing is lost by forgetting it here.
         for child in done_children:
             for b in need_by.pop(child):
                 forwarded.discard((child, b))
@@ -2177,10 +2159,11 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
         stalls += 1
         unresolved = sorted(c for c in need_by if c not in answered_vals)
         if unresolved and not just_broke:
-            # cross-bucket cycle: close coinductively (assume conforms).
-            # Repeated breaks are allowed as long as each one unblocks
-            # progress — a break that moves nothing ends the loop.
-            every("assume_deps", unresolved)
+            # cross-bucket cycle: close coinductively (assume conforms) in
+            # the next round. Repeated breaks are allowed as long as each
+            # one unblocks progress — a break that moves nothing ends the
+            # loop.
+            assume = unresolved
             just_broke = True
             continue
         if just_broke or not unresolved or stalls >= max(2, max_rounds):
@@ -2194,37 +2177,35 @@ def _bsp(call, get, nbuckets, schema, focus_tasks, load_refs, max_rounds,
         "forwarded": len(forwarded),
     }
 
-    # anything still pending is UNDECIDED — surface it, don't drop it
-    every("mark_pending_unknown")
-
+    # anything still pending is UNDECIDED — surfaced, not dropped. With an
+    # output dir each bucket writes its own shard and only per-bucket
+    # summary counts reach the driver
+    finished = every("finish", output_dir)
     if output_dir is not None:
-        # bucket-side sink: each bucket writes its own shard; only
-        # per-bucket summary counts reach the driver
         stats: dict[str, int] = {}
-        for s in every("write_shard", output_dir):
+        for s in finished:
             for k, v in s.items():
                 stats[k] = stats.get(k, 0) + v
         return stats, dep_state
-
-    collected = every("collect")
     return (
-        pa.concat_tables([c[0] for c in collected]),
-        pa.concat_tables([c[1] for c in collected]),
+        pa.concat_tables([f[0] for f in finished]),
+        pa.concat_tables([f[1] for f in finished]),
     ), dep_state
 
 
 def _load_bucket(bucket: _Bucket, *parts: pa.Table):
     """Fleet load task: ``bucket`` reads its split parts. Returns its
     finalized graph, its call state (the bucket without the graph) and
-    its arc count, as three objects. The graph is final from here on, so
+    its rdfs:subClassOf rows, as three objects. The graph is final from
+    here on, so
     when a pair may walk the per-focus path the per-node indexes are
     built now: an index a round task built would die with the task. No
     spill dir: the graph lives in the object store, which spills."""
-    rows = bucket.load(*parts)
+    subclass_rows = bucket.load(*parts)
     graph = bucket.__dict__.pop("graph")
     if bucket.walks():
         graph._fwd, graph._rev  # each property builds its index on first use
-    return graph, bucket, rows
+    return graph, bucket, subclass_rows
 
 
 def _call_bucket(graph: LazyBucketGraph, bucket: _Bucket, method: str, *args):
@@ -2245,10 +2226,10 @@ _call_task = ray.remote(num_returns=2)(_call_bucket)
 def _run_fleet(schema, engine, nbuckets, include_inverse, plan, focus_tasks,
                max_rounds, output_dir):
     """``nbuckets > 1``: one split-task exchange, one load task per
-    bucket, then one ``_call_task`` per bucket call. ``states[b]`` is the
-    ref of bucket ``b``'s latest state: each call takes it and replaces
-    it, so a bucket's calls run in the order made and a call whose result
-    nobody reads (``add_assumptions``) still lands before the next."""
+    bucket, then one ``_call_task`` per bucket call — ``derive_focus``,
+    one ``run_round`` per round and ``finish`` (``_bsp``). ``states[b]`` is
+    the ref of bucket ``b``'s latest state: each call takes it and
+    replaces it, so a bucket's calls run in the order made."""
     split_refs = exchange.split(
         _route_arcs, (include_inverse,), plan, ARC_SCHEMA, ARC_COLS,
         nbuckets=nbuckets,
@@ -2347,6 +2328,8 @@ def distributed_validate(
     derivation, rounds, output — runs as ONE task; above it, as plain
     tasks: one load task per bucket, then one task per bucket call, with
     each bucket's graph and state in the object store (``_run_fleet``).
+    After its load a bucket gets rounds + 2 calls: ``derive_focus``, one
+    ``run_round`` per round, ``finish``.
     Each call re-reads its input and recompiles its schema: nothing
     computed in one call reaches the next.
     """

@@ -139,7 +139,7 @@ def _cycle_case(_tmp_path):
 
     triples = _ring_triples(12)
     ring_keys = [term_key(t[0]) for t in triples[:12]]
-    # the ring must really cross buckets at nbuckets=4 (assume_deps path)
+    # the ring must really cross buckets at nbuckets=4 (cycle-break path)
     assert len({node_key_bucket(k, 4) for k in ring_keys}) > 1
     nodes = ring_keys + ["Ihttp://ex.org/m0", "Ihttp://ex.org/m1"]
     focus = pa.table({"node": nodes, "shape": ["http://ex.org/S"] * len(nodes)})
@@ -228,11 +228,11 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
     seen = []
     run_round = dist._Bucket.run_round
 
-    def watched_round(self):
+    def watched_round(self, *args):
         seen.append((gc.get_freeze_count(), self.graph._spill_dir))
         if fail:
             raise RuntimeError("bucket failure")
-        return run_round(self)
+        return run_round(self, *args)
 
     monkeypatch.setattr(dist._Bucket, "run_round", watched_round)
     schema, triples = _hygiene_input()
@@ -252,6 +252,85 @@ def test_single_bucket_runner_restores_worker(tmp_path, monkeypatch, fail):
 
 
 # ------------------------------------------------------------ fleet calls
+
+
+def _fleet_in_process(engine, schema, focus, nbuckets, *inputs):
+    """The fleet's protocol in this process: ``_load_bucket`` per bucket,
+    then every ``_bsp`` call through ``_call_bucket`` on the state the
+    bucket's previous call returned. Returns the (typing, report) tables
+    and, per bucket, the methods it received after its load and whether
+    a returned state held the is-local memo."""
+    from collections import Counter
+
+    from shaclex_ray.stages.exchange import run_split
+    from shaclex_ray.validate import dist
+
+    if engine == "shex":
+        dist.register_inline_shapes(schema)
+    schema["_has_inverse"] = dist.schema_has_inverse(engine, schema)
+    parts = run_split(
+        dist._route_arcs, (schema["_has_inverse"],), nbuckets, dist.ARC_SCHEMA,
+        dist.ARC_COLS, *inputs,
+    )
+    graphs, states, loads = map(list, zip(*(
+        dist._load_bucket(dist._Bucket(schema, engine, nbuckets, b), part)
+        for b, part in enumerate(parts)
+    )))
+    calls = [Counter() for _ in range(nbuckets)]
+    memo = [False] * nbuckets
+
+    def call(b, method, *args):
+        calls[b][method] += 1
+        states[b], out = dist._call_bucket(graphs[b], states[b], method, *args)
+        memo[b] |= "_local_cache" in vars(states[b])
+        return out
+
+    out, _dep_state = dist._bsp(
+        call, lambda results: results, nbuckets, schema, focus, loads, 12, None
+    )
+    return out, calls, memo
+
+
+@pytest.mark.parametrize("case", ["kg", "ring"])
+def test_one_bucket_call_per_round(ray_session, tmp_path, case):
+    """A bucket receives ``derive_focus``, one ``run_round`` per round and
+    ``finish`` after its load — every bucket the same number of rounds —
+    no returned state carries the is-local memo, and 2 and 4 buckets give
+    the typing and report of one."""
+    import copy
+
+    from shaclex_ray.terms import triples_to_table
+
+    if case == "kg":
+        from shaclex_ray.pipelines.kg import kg_schema, run_kg_pipeline
+
+        out = str(tmp_path / "kg")
+        run_kg_pipeline(SF, out, validate=False)
+        args = ("shacl", kg_schema(), "shacl-targets")
+        inputs = sorted(glob.glob(f"{out}/triples_canonical/*.parquet"))
+    else:
+        nodes = [f"Ihttp://ex.org/r{i}" for i in range(12)]
+        nodes += ["Ihttp://ex.org/m0", "Ihttp://ex.org/m1"]
+        focus = pa.table({"node": nodes, "shape": ["http://ex.org/S"] * len(nodes)})
+        args = ("shex", _CYCLE_SCHEMA, focus)
+        inputs = [triples_to_table(_ring_triples(12))]
+
+    def run(nb):
+        engine, schema, focus = args
+        return _fleet_in_process(engine, copy.deepcopy(schema), focus, nb, *inputs)
+
+    one, _calls, _memo = run(1)
+    want = _fleet_rows(one)
+    assert want[0]
+    for nb in (2, 4):
+        out, calls, memo = run(nb)
+        rounds = calls[0]["run_round"]
+        assert rounds >= (2 if case == "ring" else 1)
+        for b, got in enumerate(calls):
+            assert got["run_round"] == rounds, (nb, b, got)
+            assert sum(got.values()) <= rounds + 2, (nb, b, got)
+        assert not any(memo), (nb, memo)
+        assert _fleet_rows(out) == want, nb
 
 
 def _fleet_rows(out) -> tuple:
@@ -281,8 +360,11 @@ def test_load_task_builds_the_index_for_walked_shapes(closed):
     schema["shapes"]["http://ex.org/S"]["closed"] = closed
     arcs = triples_to_table(_ring_triples(12)).select(dist.ARC_COLS)
     (part,) = dist._route_arcs(arcs, 1, False)
-    graph, state, rows = dist._load_bucket(dist._Bucket(schema, "shex", 1, 0), part)
-    assert rows == arcs.num_rows
+    graph, state, subclass_rows = dist._load_bucket(
+        dist._Bucket(schema, "shex", 1, 0), part
+    )
+    assert graph.arcs.num_rows == arcs.num_rows
+    assert subclass_rows.num_rows == 0
     assert "graph" not in vars(state)
     assert (graph._fwd_index is not None) is closed
 

@@ -10,6 +10,7 @@
 """
 
 import pyarrow as pa
+import pytest
 
 
 def _chain_schema(depth: int) -> dict:
@@ -565,6 +566,93 @@ def test_flat_shex_refs_resume_without_kernel_rerun(monkeypatch):
         focus.column("node").to_pylist()
     )
     assert set(runs.values()) == {1}, runs
+
+
+def _late_request_case():
+    """f:S -> g:R -> k:Q -> c:T is a chain of requests, and h:H asks for
+    c:T at once: c:T is decided, forwarded to h's bucket and evicted from
+    the driver two rounds before k:Q, evaluated in another bucket, asks
+    for it again. c fails T, so a lost or defaulted answer shows."""
+    from shaclex_ray.terms import iri, literal, triples_to_table
+
+    def shape(label, pred, ve):
+        return {
+            "type": "Shape", "id": f"http://e/{label}",
+            "expression": {
+                "type": "TripleConstraint", "predicate": f"http://e/{pred}",
+                "valueExpr": ve, "min": 1, "max": 1,
+            },
+        }
+
+    integer = {"type": "NodeConstraint",
+               "datatype": "http://www.w3.org/2001/XMLSchema#integer"}
+    shapes = [
+        shape("S", "a", "http://e/R"), shape("R", "b", "http://e/Q"),
+        shape("Q", "c", "http://e/T"), shape("H", "c", "http://e/T"),
+        shape("T", "v", integer),
+    ]
+    schema = {"start": None, "te_refs": {}, "imports": [],
+              "shapes": {s["id"]: s for s in shapes}}
+    e = "http://e/"
+    triples = [
+        (iri(e + "f1"), e + "a", iri(e + "g2")),
+        (iri(e + "g2"), e + "b", iri(e + "k3")),
+        (iri(e + "k3"), e + "c", iri(e + "c0")),
+        (iri(e + "h0"), e + "c", iri(e + "c0")),
+        (iri(e + "c0"), e + "v", literal("x")),
+        (iri(e + "n0"), e + "v", literal("5", integer["datatype"])),
+    ]
+    focus = pa.table({
+        "node": ["Ihttp://e/f1", "Ihttp://e/h0", "Ihttp://e/n0"],
+        "shape": ["http://e/S", "http://e/H", "http://e/T"],
+    })
+    return schema, triples_to_table(triples), focus
+
+
+@pytest.mark.parametrize(
+    "flat, late_at", [(True, (2, 4, 8)), (False, (4, 8))], ids=["flat", "walked"]
+)
+def test_late_request_for_an_evicted_answer(monkeypatch, flat, late_at):
+    """A request for a pair whose answer the driver already forwarded and
+    evicted is answered by the pair's bucket from its typing (the
+    'already decided' branch of ``submit_nodes``), and the typing equals
+    one bucket's. A flat ShEx ref is always a request; on the per-focus
+    path a local ref is evaluated in place, so there the late request
+    needs c, k and h in three buckets."""
+    import copy
+
+    from shaclex_ray.validate import dist
+
+    schema, triples, focus = _late_request_case()
+    # the bucket layout the case needs (k shares c's bucket at 2)
+    layout = {nb: [dist.node_key_bucket(f"Ihttp://e/{n}", nb)
+                   for n in ("c0", "k3", "h0", "g2", "f1")] for nb in (2, 4, 8)}
+    assert layout == {2: [1, 1, 0, 0, 1], 4: [1, 3, 0, 0, 1], 8: [1, 7, 0, 4, 5]}
+    if not flat:
+        schema["_no_flat"] = True
+
+    late = []
+    submit_nodes = dist._Bucket.submit_nodes
+
+    def watched(self, nodes, sk, is_focus):
+        out = submit_nodes(self, nodes, sk, is_focus)
+        if not is_focus:
+            late.extend(out)
+        return out
+
+    monkeypatch.setattr(dist._Bucket, "submit_nodes", watched)
+    one = _validate_in_process(copy.deepcopy(schema), "shex", triples, focus, 1)
+    assert one == [
+        ("Ihttp://e/f1", "http://e/S", "notConforms"),
+        ("Ihttp://e/h0", "http://e/H", "notConforms"),
+        ("Ihttp://e/n0", "http://e/T", "conforms"),
+    ]
+    for nb in (2, 4, 8):
+        late.clear()
+        got = _validate_in_process(copy.deepcopy(schema), "shex", triples, focus, nb)
+        assert got == one, nb
+        if nb in late_at:
+            assert late == [("Ihttp://e/c0", "http://e/T", "notConforms")], nb
 
 
 def test_vectorized_reverse_key_render_matches_scalar(ray_session):
