@@ -17,7 +17,9 @@ buckets. Canonicalize + dedup is one file-granular hash exchange
 (``dedup_triples_fast_from_parquet``) over the raw triple shards: the
 canonical IRI is a row function of the mention IRI (stages/link.py), so
 the rewrite runs inside the exchange's split tasks and reads nothing from
-the ``entity_links`` checkpoint, an output of its own.
+the ``entity_links`` checkpoint, an output of its own. Its bucket tasks
+keep their blocks too, and validation takes them by reference in the
+same run; the shards are the checkpoint a resumed run validates from.
 
 Stage outputs checkpoint to partitioned parquet with manifests
 (state/checkpoint.py), so a failed run resumes from the last finished
@@ -137,11 +139,16 @@ def run_kg_pipeline(
 
     links_dir = runner.run("entity_links", digest, produce_links)
 
+    # the canonical dedup's blocks when that stage runs in this call:
+    # validation takes them by reference, and its shards stay the
+    # checkpoint a resumed run reads
+    handoff = {}
+
     def produce_canonical(path):
-        dedup.dedup_triples_fast_from_parquet(
+        handoff["canonical"] = dedup.dedup_triples_fast_from_parquet(
             raw_dir, nbuckets=nbuckets, output_dir=path
         )
-        return parquet_num_rows(path)
+        return handoff["canonical"].rows
 
     canonical_dir = runner.run("triples_canonical", digest, produce_canonical)
 
@@ -150,22 +157,31 @@ def run_kg_pipeline(
 
         def produce_validation(path):
             schema = kg_schema()
-            # one planned bucket validates as one task, which reads the
-            # shards itself, so distributed_validate plans them no second
-            # time; more run as round tasks over the object store
-            canonical = sorted(glob.glob(f"{canonical_dir}/*.parquet"))
-            nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
+            # the fleet is sized here, so the keyword stays an int: from
+            # the bytes the dedup's bucket tasks reported, or, for a
+            # resumed canonical stage, from its shards' footers and one
+            # sampled row group. One bucket validates as one task that
+            # takes the blocks (or reads the shards) itself
+            canonical = handoff.get("canonical")
+            if canonical is None:
+                shards = sorted(glob.glob(f"{canonical_dir}/*.parquet"))
+                nb = nbuckets or exchange.plan(shards, ARC_COLS).fleet
+                triples, parquet_path = None, canonical_dir
+            else:
+                nb = nbuckets or exchange.plan(canonical, ARC_COLS).fleet
+                triples, parquet_path = canonical, None
             # targets derive in-bucket (focus="shacl-targets"): the split
             # scan is the ONLY pass over the triples; the buckets write
             # their own typing/report shards — the full tables never
             # concat on the driver
             stats = distributed_validate(
-                None, "shacl", schema, "shacl-targets",
-                nbuckets=nb, output_dir=path, parquet_path=canonical_dir,
+                triples, "shacl", schema, "shacl-targets",
+                nbuckets=nb, output_dir=path, parquet_path=parquet_path,
             )
             return sum(v for k, v in stats.items() if k != "violations")
 
         val_dir = runner.run("validation", digest, produce_validation)
         dirs.update(typing=f"{val_dir}/typing", report=f"{val_dir}/report")
+    handoff.clear()  # the blocks leave the object store once validated
     runner.write_metrics()
     return StageOutputs({"metrics": runner.metrics}, dirs)

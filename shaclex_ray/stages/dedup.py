@@ -217,7 +217,8 @@ def dedup_triples_fast_from_parquet(path: str, nbuckets: int | None = None,
                                     output_dir: str | None = None):
     """Distinct canonical triples of a parquet directory (the KG
     pipeline's canonical stage), keeping the least (doc_id, span_idx)
-    witness; with ``output_dir``, written there (``exchange.reduce``).
+    witness; with ``output_dir``, also written there, and returned as an
+    ``exchange.Sunk`` of the same blocks (``exchange.reduce``).
 
     File-granular: each split task reads its own shard files (storage →
     task heap, no object-store staging), canonicalizes them

@@ -23,11 +23,16 @@ the caller's ``schema.empty_table()`` so its partials stay typed, and
 unwraps Ray's single return at one bucket. :func:`reduce` fans bucket
 ``b``'s parts into one task and wraps the non-empty results as a
 Dataset; :func:`bucket_tasks` keeps every bucket's block, for a caller
-that co-partitions them against a later split.
+that co-partitions them against a later split. Each bucket task also
+returns a report, its row count and each column's Arrow bytes, which
+the driver reads without fetching the block.
 
-:func:`sink` (:func:`reduce` with an ``output_dir``) is the one writer:
-each bucket task writes its rows as ``part-<b>.parquet`` and returns its
-row count; only an all-empty output gets one typed empty part.
+:func:`sink` is the one writer: each bucket task writes its rows as
+``part-<b>.parquet``; only an all-empty output gets one typed empty
+part. :func:`reduce` with an ``output_dir`` writes the same parts and
+also keeps the blocks, as a :class:`Sunk`: the next stage takes the
+table by reference, and the parts are the checkpoint a resumed run
+reads.
 
 Plan rule — the only one::
 
@@ -54,7 +59,11 @@ calls (focus derivation, one per fixpoint round, a finishing one: five
 at sf0.1's three rounds), so it pays for a second bucket only at a
 coarser grain: one per ``FLEET_BYTES``. Its buckets'
 graphs all live at once, so the memory bound buys nothing there, and
-buckets past the CPU count only queue their round tasks.
+buckets past the CPU count only queue their round tasks. The KG
+pipeline sizes its fleet from the exact Arrow bytes of the triples' arc
+columns that the canonical dedup's bucket tasks report (a
+:class:`Sunk`), so the driver decodes no sample; only a resumed run,
+whose canonical table is on disk, sizes it from the shards.
 
 The bounds are on task memory, not on the driver: past ``cluster CPUs
 × MAX_TASK_BYTES`` groups and buckets both grow with the data, so the
@@ -67,9 +76,10 @@ bucket again — is the remedy when inputs reach that size.
 The rule counts bytes, not rows, because memory and work scale with
 bytes: a corpus whose literals are ten times wider gets about ten times
 the tasks at the same rows. ``nbytes`` is the Arrow (in-memory) size:
-Ray's block metadata for blocks, and for parquet the footer row counts
-times the Arrow bytes per row of a sample read from one row group (the
-first ``_SAMPLE_ROWS`` rows of the first non-empty one). The footer's own
+Ray's block metadata for blocks, the bucket tasks' reports for a
+:class:`Sunk`, and for parquet the footer row counts times the Arrow
+bytes per row of a sample read from one row group (the first
+``_SAMPLE_ROWS`` rows of the first non-empty one). The footer's own
 ``total_uncompressed_size`` is not used: it is the *encoded* size
 (dictionary and run-length pages), 3–10× below the Arrow size for KG
 triples (raw triples 14.8 vs 146.9 B/row, canonical 59.4 vs 158.0 at
@@ -180,11 +190,16 @@ def _parquet_size(files, columns) -> tuple[int, int]:
 
 def plan(inputs, columns=None) -> Plan:
     """Measure and size one exchange input (module docstring): parquet
-    paths, read for ``columns``, or a materialized Dataset, whose block
-    metadata gives rows and bytes."""
+    paths, read for ``columns``; a materialized Dataset, whose block
+    metadata gives rows and bytes; or a :class:`Sunk`, whose bucket
+    tasks reported the bytes of ``columns``."""
     if isinstance(inputs, (list, tuple)):
         refs = tuple(inputs)
         rows, nbytes = _parquet_size(refs, columns)
+    elif isinstance(inputs, Sunk):
+        refs, rows = inputs.refs, inputs.rows
+        nbytes = sum(b for c, b in inputs.column_bytes.items()
+                     if columns is None or c in columns)
     else:
         blocks = _row_blocks(inputs)
         refs = tuple(ref for ref, _ in blocks)
@@ -250,79 +265,109 @@ def split(kernel, args, plan: Plan, schema: pa.Schema, columns=None,
     return out
 
 
-def _counted(kernel, path, *args):
-    """``kernel(*args)`` and its row count, a second return that
-    :func:`nonempty` and :func:`sink` read without fetching the block.
-    With a ``path``, the block is written there if it has rows, and its
-    schema is returned in its place."""
+def _counted(kernel, path, keep, *args):
+    """``kernel(*args)`` and its report, a second return that
+    :func:`nonempty` and :func:`sink` read without fetching the block:
+    its row count and each column's Arrow bytes. With a ``path``, the
+    block is written there if it has rows; unless ``keep``, its schema is
+    returned in its place."""
     tbl = kernel(*args)
-    if path is None:
-        return tbl, tbl.num_rows
-    if tbl.num_rows:
+    if path is not None and tbl.num_rows:
         pq.write_table(tbl, path)
-    return tbl.schema, tbl.num_rows
+    report = tbl.num_rows, {c: tbl.column(c).nbytes for c in tbl.column_names}
+    return (tbl if keep else tbl.schema), report
 
 
 _counted_remote = ray.remote(num_returns=2)(_counted)
 
 
 def bucket_tasks(split_refs: list[list], bucket_kernel, args=(),
-                 output_dir: str | None = None) -> list:
+                 output_dir: str | None = None, keep: bool = True) -> list:
     """One ``bucket_kernel(*args, *parts)`` task per bucket over that
     bucket's part of every group in ``split_refs`` (group order). Returns
-    bucket ``b``'s ``(block ref, row-count ref)`` at position ``b``, empty
+    bucket ``b``'s ``(block ref, report ref)`` at position ``b``, empty
     buckets included, so the blocks can ride as one co-partitioned group
-    of a later exchange. With ``output_dir``, bucket ``b`` writes
-    ``part-<b>.parquet`` there instead (:func:`sink`)."""
+    of a later exchange. With ``output_dir``, bucket ``b`` also writes
+    ``part-<b>.parquet`` there (:func:`sink`), and unless ``keep`` its
+    block ref holds the block's schema only."""
     task = _counted_remote.options(name=bucket_kernel.__name__)
     out = []
     for b in range(len(split_refs[0])):
         path = None if output_dir is None else f"{output_dir}/part-{b:05d}.parquet"
-        out.append(task.remote(bucket_kernel, path, *args,
+        out.append(task.remote(bucket_kernel, path, keep or path is None, *args,
                                *[grp[b] for grp in split_refs]))
     return out
 
 
 def nonempty(counted: list):
-    """A Dataset of the blocks of ``counted`` (``(block ref, row-count
+    """A Dataset of the blocks of ``counted`` (``(block ref, report
     ref)`` pairs) that hold rows, in order, or of the first block alone
     when none does. (``map_batches`` turns a zero-row block into one
     without columns.)"""
     import ray.data as rd
 
-    rows = ray.get([n for _, n in counted])
+    rows = [n for n, _ in ray.get([r for _, r in counted])]
     refs = [ref for (ref, _), n in zip(counted, rows) if n]
     return rd.from_arrow_refs(refs or [counted[0][0]])
+
+
+def _write(split_refs, bucket_kernel, args, output_dir, keep):
+    """:func:`bucket_tasks` writing to ``output_dir``: the ``(block ref,
+    report ref)`` pairs and the reports, once every part is written (a
+    typed empty part when no bucket has rows)."""
+    from shaclex_ray.state.checkpoint import ensure_parquet_schema
+
+    os.makedirs(output_dir, exist_ok=True)
+    done = bucket_tasks(split_refs, bucket_kernel, args, output_dir, keep)
+    reports = ray.get([r for _, r in done])
+    if not any(n for n, _ in reports):
+        first = ray.get(done[0][0])
+        ensure_parquet_schema(output_dir, first.schema if keep else first)
+    return done, reports
 
 
 def sink(split_refs: list[list], bucket_kernel, args, output_dir: str) -> list:
     """:func:`bucket_tasks` writing each bucket's rows to ``output_dir``
     (module docstring). Returns the buckets' row counts, in bucket order."""
-    from shaclex_ray.state.checkpoint import ensure_parquet_schema
+    _done, reports = _write(split_refs, bucket_kernel, args, output_dir, False)
+    return [n for n, _ in reports]
 
-    os.makedirs(output_dir, exist_ok=True)
-    done = bucket_tasks(split_refs, bucket_kernel, args, output_dir)
-    rows = ray.get([n for _, n in done])
-    if not any(rows):
-        ensure_parquet_schema(output_dir, ray.get(done[0][0]))
-    return rows
+
+@dataclass(frozen=True)
+class Sunk:
+    """What :func:`reduce` with an ``output_dir`` hands on: the refs of
+    the blocks with rows, in bucket order (the parts written hold the
+    same rows: they are the checkpoint), their rows, and each column's
+    Arrow bytes summed over the buckets, as the bucket tasks reported
+    them. :func:`plan` sizes it from those bytes, and a task takes its
+    blocks as arguments: no Dataset is built."""
+
+    refs: tuple
+    rows: int
+    column_bytes: dict
+
+    def materialize(self) -> Sunk:
+        """Itself, as for a materialized Dataset: its blocks are in the
+        object store already."""
+        return self
 
 
 def reduce(split_refs: list[list], bucket_kernel, args=(),
            output_dir: str | None = None):
     """:func:`bucket_tasks` as a Dataset of the non-empty buckets' blocks,
-    in bucket order (:func:`nonempty`); with ``output_dir``, the
-    :func:`sink`'s parts as a lazy ``read_parts`` Dataset. Only the
-    canonical dedup (``dedup_triples_fast_from_parquet``) takes that
-    form: the benchmark's tracer materializes what it returns. Every
-    other sink caller keeps the row counts :func:`sink` returns and
-    builds no Dataset."""
+    in bucket order (:func:`nonempty`). With ``output_dir``, each bucket
+    task also writes its part there, as :func:`sink`'s do, and the
+    result is a :class:`Sunk` of the same blocks: a later stage takes the
+    table by reference and the parts serve a resumed run."""
     if output_dir is None:
         return nonempty(bucket_tasks(split_refs, bucket_kernel, args))
-    from shaclex_ray.state.checkpoint import read_parts
-
-    sink(split_refs, bucket_kernel, args, output_dir)
-    return read_parts(output_dir)
+    done, reports = _write(split_refs, bucket_kernel, args, output_dir, True)
+    nbytes: dict[str, int] = {}
+    for _n, cols in reports:
+        for c, b in cols.items():
+            nbytes[c] = nbytes.get(c, 0) + b
+    refs = tuple(ref for (ref, _), (n, _) in zip(done, reports) if n)
+    return Sunk(refs, sum(n for n, _ in reports), nbytes)
 
 
 # ------------------------------------------------------------------ join
@@ -458,7 +503,8 @@ def join(probe, build, on, build_on=None, how: str = "inner"):
         # sorted build side from the object store (zero-copy)
         task = _counted_remote.options(name="_probe")
         return nonempty([
-            task.remote(_probe, None, blk, on, how, ref) for blk in pplan.inputs
+            task.remote(_probe, None, True, blk, on, how, ref)
+            for blk in pplan.inputs
         ])
 
     nbuckets = max(pplan.buckets, bplan.buckets)

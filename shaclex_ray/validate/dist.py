@@ -137,6 +137,56 @@ def node_key_bucket(nk: str, nbuckets: int) -> int:
     return stable_bucket(nk, nbuckets)
 
 
+def node_key_bucket_array(keys, nbuckets: int) -> np.ndarray:
+    """``node_key_bucket`` of many term keys (a list or an Arrow array)
+    in one vectorized hash: an IRI key hashes without its 'I', a blank
+    node as '_:' + its label, a literal as its whole key."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    elif not isinstance(keys, pa.Array):
+        keys = pa.array(keys, pa.string())
+    body = pc.utf8_replace_slice(keys, 0, 1, "")
+    home = pc.if_else(
+        pc.starts_with(keys, "B"),
+        pc.binary_join_element_wise("_:", body, ""),
+        pc.if_else(pc.starts_with(keys, "L"), keys, body),
+    )
+    return stable_bucket_array(home, nbuckets)
+
+
+class _LocalKeys:
+    """Whether a node key's home is bucket ``me``, memoized for one round
+    (``_Bucket.run_round``): value nodes repeat across focus pairs, and a
+    scalar ``node_key_bucket`` costs ~50 µs. ``fill`` answers many keys
+    in one ``node_key_bucket_array`` call. Literals have no outgoing
+    arcs, so without inverse constraints (``lit_local``) any bucket
+    evaluates them (term-local fast path); WITH inverse constraints a
+    literal focus must run in its home bucket, where its reversed copies
+    live."""
+
+    def __init__(self, nbuckets: int, me: int, lit_local: bool):
+        self.nbuckets, self.me, self.lit_local = nbuckets, me, lit_local
+        self.memo: dict[str, bool] = {}
+
+    def _anywhere(self, nk: str) -> bool:
+        return self.lit_local and nk.startswith("L")
+
+    def __call__(self, nk: str) -> bool:
+        v = self.memo.get(nk)
+        if v is None:
+            v = self.memo[nk] = (
+                self._anywhere(nk)
+                or node_key_bucket(nk, self.nbuckets) == self.me
+            )
+        return v
+
+    def fill(self, keys) -> None:
+        new = [k for k in keys if k not in self.memo and not self._anywhere(k)]
+        if new:
+            home = node_key_bucket_array(new, self.nbuckets) == self.me
+            self.memo.update(zip(new, home.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # inline-shape registry (deterministic walk → same keys on driver & workers)
 
@@ -761,6 +811,7 @@ class _Probe(NamedTuple):
     shape: str
     component: str | None
     answer: Callable
+    routed: bool = False  # ``answer`` asks ``is_local_key`` of the value
 
 
 def _class_answer(cls_key, vk, graph, is_local_key, is_instance_fn):
@@ -840,7 +891,7 @@ def _shacl_entries(psh: dict | None, pk: str) -> list | None:
         elif kind == "class":
             entry["probes"].append(
                 _Probe("class:" + params["cls"], component,
-                       partial(_class_answer, params["cls"]))
+                       partial(_class_answer, params["cls"]), routed=True)
             )
         else:
             return None
@@ -1272,6 +1323,8 @@ def flat_eval_kernel(
     rule turns it into verdicts and report rows. Returns ``(conforms:
     bool[n], report rows as PosRows, partial)``; a node with pending
     probes has no verdict yet — it resumes through ``flat_resume``.
+    An ``is_local_key`` with a ``fill(keys)`` method (``_LocalKeys``)
+    learns a routed probe's distinct values in one call first.
     Semantics are pinned to ShaclValidator.validate_shape and
     ShExValidator (fuzzed in tests/test_property.py)."""
     entries = profile.entries
@@ -1285,6 +1338,7 @@ def flat_eval_kernel(
     pending: list[pa.Table] = []
     # (value key, probe shape) -> 1 / 0 / -1 (ask the home bucket)
     answers: dict[tuple[str, str], int] = {}
+    fill = getattr(is_local_key, "fill", None)
 
     for i, e in enumerate(entries):
         # value-level work sees only THIS predicate's arcs of these nodes
@@ -1310,6 +1364,8 @@ def flat_eval_kernel(
         open_ = np.zeros(len(sel), dtype=np.int64)
         for p, probe in enumerate(e["probes"]):
             dvals, dcodes = ea.distinct()
+            if probe.routed and fill is not None:
+                fill(dvals)  # one vectorized hash, not one per value
             st = np.empty(len(dvals), dtype=np.int8)
             for d, v in enumerate(dvals):
                 key = (v, probe.shape)
@@ -1749,28 +1805,9 @@ class _Bucket:
             self.submit(focus, True)
         answered = [] if requests is None else self.submit(requests, False)
 
-        nb = self.nbuckets
-        me = self.bucket_id
         assumptions = self.assumptions
-        # node-key -> is-local memo for this round (the scalar stable-hash
-        # is ~50µs; value nodes repeat heavily across focus pairs)
-        cache: dict[str, bool] = {}
-
-        # literals have no outgoing arcs, so without inverse constraints any
-        # bucket evaluates them correctly (term-local fast path); WITH
-        # inverse constraints a literal focus must run in its home bucket
-        # where its reversed copies live
-        lit_local = not self.schema.get("_has_inverse")
-
-        def is_local_key(nk: str) -> bool:
-            v = cache.get(nk)
-            if v is None:
-                if nk.startswith("L") and lit_local:
-                    v = True
-                else:
-                    v = node_key_bucket(nk, nb) == me
-                cache[nk] = v
-            return v
+        is_local_key = _LocalKeys(self.nbuckets, self.bucket_id,
+                                  not self.schema.get("_has_inverse"))
 
         def is_local_term(t: tuple) -> bool:
             return is_local_key(term_key(t))
@@ -1991,19 +2028,12 @@ def _report_table(rows: pa.Table) -> pa.Table:
 
 
 def _route_tasks(tasks: pa.Table, nbuckets: int) -> dict[int, pa.Table]:
-    """Vectorized (node, shape) routing to buckets by ``node_key_bucket``'s
-    rule: an IRI key hashes without its 'I', a blank node as '_:' + its
-    label, a literal as its whole key."""
+    """Vectorized (node, shape) routing to the nodes' home buckets
+    (``node_key_bucket_array``)."""
     if tasks.num_rows == 0:
         return {}
-    nodes = tasks.column("node").combine_chunks()
-    body = pc.utf8_replace_slice(nodes, 0, 1, "")
-    home = pc.if_else(
-        pc.starts_with(nodes, "B"),
-        pc.binary_join_element_wise("_:", body, ""),
-        pc.if_else(pc.starts_with(nodes, "L"), nodes, body),
-    )
-    parts = partition(tasks, stable_bucket_array(home, nbuckets), nbuckets)
+    home = node_key_bucket_array(tasks.column("node"), nbuckets)
+    parts = partition(tasks, home, nbuckets)
     return {b: part for b, part in enumerate(parts) if part.num_rows}
 
 
@@ -2303,7 +2333,9 @@ def distributed_validate(
     output_dir: str | None = None,
     parquet_path: str | None = None,
 ):
-    """Run the BSP typing fixpoint.
+    """Run the BSP typing fixpoint over ``triples_ds`` (a Dataset of
+    triples, or an ``exchange.Sunk`` of triple blocks) or, when it is
+    None, over the parquet shards under ``parquet_path``.
 
     ``focus_tasks`` is one of three forms, all resolved in the buckets'
     one focus step (``_bsp``): ``"shacl-targets"`` (the schema's SHACL
@@ -2378,11 +2410,11 @@ def distributed_validate(
     schema["_has_inverse"] = has_inv
     include_inverse = include_inverse or has_inv
 
-    # plan the input FIRST (parquet footers and one sampled row group, or
-    # block metadata — cheap), so an auto fleet (nbuckets=None) scales
-    # with the bytes it moves: a small corpus runs as one task, a large
-    # one on the whole cluster. One bucket over parquet shards needs no
-    # plan: its task reads the files itself
+    # plan the input FIRST (parquet footers and one sampled row group,
+    # block metadata, or a Sunk's reported bytes — cheap), so an auto
+    # fleet (nbuckets=None) scales with the bytes it moves: a small corpus
+    # runs as one task, a large one on the whole cluster. One bucket over
+    # parquet shards needs no plan: its task reads the files itself
     if parquet_path is not None:
         import glob as _glob
 
@@ -2392,7 +2424,7 @@ def distributed_validate(
         plan = None if nbuckets == 1 else exchange.plan(files, ARC_COLS)
     else:
         files = None
-        plan = exchange.plan(triples_ds.materialize())
+        plan = exchange.plan(triples_ds.materialize(), ARC_COLS)
     nbuckets = nbuckets or plan.fleet
     distributed_validate.last_nbuckets = nbuckets
 

@@ -478,3 +478,60 @@ def test_concurrent_fleet_calls_match_serial(ray_session, tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert got == serial
+
+
+_HUB_SHAPES_TTL = """
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix ex: <http://ex.org/> .
+ex:HubShape a sh:NodeShape ;
+  sh:targetNode ex:hub ;
+  sh:property [ sh:path ex:p ; sh:class ex:C ] .
+"""
+
+
+def test_flat_probe_hashes_its_values_at_once(monkeypatch):
+    """A hub (one subject, 10^4 ``ex:p`` arcs) under an ``sh:class``
+    probe, whose every value asks its home bucket: at 4 buckets, in
+    process, the flat kernel learns which values are local in batched
+    hashes (``_LocalKeys.fill``), at most one per bucket and round, each
+    value once, and no value goes through the scalar
+    ``node_key_bucket``. Typing and report equal one bucket's."""
+    from shaclex_ray.rdfio import parse_turtle
+    from shaclex_ray.shapes.shacl import compile_shacl
+    from shaclex_ray.terms import RDF_TYPE, iri, triples_to_table
+    from shaclex_ray.validate import dist
+
+    n = 10_000
+    hub, p, cls = iri("http://ex.org/hub"), "http://ex.org/p", iri("http://ex.org/C")
+    values = [iri(f"http://ex.org/v{i}") for i in range(n)]
+    data = triples_to_table(
+        [(hub, p, v) for v in values] + [(v, RDF_TYPE, cls) for v in values[::2]]
+    )
+    scalar, batched = [], []
+    key_bucket, fill = dist.node_key_bucket, dist._LocalKeys.fill
+
+    def counting(nk, nb):
+        scalar.append(nk)
+        return key_bucket(nk, nb)
+
+    def counting_fill(self, keys):
+        known = len(self.memo)
+        fill(self, keys)
+        batched.append(len(self.memo) - known)
+
+    monkeypatch.setattr(dist, "node_key_bucket", counting)
+    monkeypatch.setattr(dist._LocalKeys, "fill", counting_fill)
+
+    def run(nb):
+        schema = compile_shacl(parse_turtle(_HUB_SHAPES_TTL))
+        return _fleet_in_process("shacl", schema, "shacl-targets", nb, data)
+
+    one, _calls, _memo = run(1)
+    scalar.clear(), batched.clear()
+    out, calls, _memo = run(4)
+    rounds = sum(c["run_round"] for c in calls)
+    assert _fleet_rows(out) == _fleet_rows(one)
+    typing = _fleet_rows(out)[0]
+    assert typing == [("Ihttp://ex.org/hub", "Ihttp://ex.org/HubShape", "notConforms", True)]
+    assert scalar == []
+    assert 1 <= len(batched) <= rounds and sum(batched) == n

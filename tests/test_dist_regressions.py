@@ -725,6 +725,15 @@ def test_vectorized_reverse_key_render_matches_scalar(ray_session):
     # forward copies still route by subject, and nothing was lost
     total = sum(p.num_rows for p in parts)
     assert total == 2 * n
+    # the vectorized node-key hash (focus routing, the flat kernel's
+    # is-local fill) agrees with the scalar one on the same terms
+    from shaclex_ray.terms import term_key
+    from shaclex_ray.validate.dist import node_key_bucket_array
+
+    keys = [term_key(r) for r in rows]
+    assert node_key_bucket_array(keys, nbuckets).tolist() == [
+        node_key_bucket(k, nbuckets) for k in keys
+    ]
 
 
 def _kg_graph(n: int = 30):

@@ -30,6 +30,7 @@ import ray
 import ray.data as rd
 
 from shaclex_ray.stages import exchange
+from shaclex_ray.state.checkpoint import read_parts
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "shaclex_ray"
 VOCAB = "the of a graph shape node triple focus path data set value".split()
@@ -376,8 +377,15 @@ def test_sink_writes_the_buckets_with_rows(ray_session, tmp_path, nbuckets):
         f"part-{b:05d}.parquet" for b, n in enumerate(counts) if n
     ]
     assert sum(counts) == pq.read_table(out).num_rows == 2
-    back = exchange.reduce(refs, bkern, bargs, str(tmp_path / "again"))
-    assert _rows(back) == _rows(exchange.reduce(refs, bkern, bargs))
+    again = tmp_path / "again"
+    back = exchange.reduce(refs, bkern, bargs, str(again))
+    assert back.rows == 2 and len(back.refs) == min(nbuckets, 2)
+    blocks = rd.from_arrow_refs(list(back.refs))
+    assert _rows(blocks) == _rows(exchange.reduce(refs, bkern, bargs))
+    assert _rows(blocks) == _rows(read_parts(str(again)))
+    tbl = pa.concat_tables(ray.get(list(back.refs)))
+    assert back.column_bytes == {c: tbl.column(c).nbytes for c in tbl.column_names}
+    assert exchange.plan(back, ["s"]).nbytes == tbl.column("s").nbytes
 
 
 def test_sink_of_nothing_writes_one_typed_empty_part(ray_session, tmp_path):
@@ -389,7 +397,11 @@ def test_sink_of_nothing_writes_one_typed_empty_part(ray_session, tmp_path):
     tbl = pq.read_table(part)
     assert tbl.num_rows == 0 and tbl.column_names == ["k", "s"]
     back = exchange.reduce(refs, bkern, bargs, str(tmp_path / "again"))
-    assert back.count() == 0 and back.schema().names == ["k", "s"]
+    assert back.rows == 0 and back.refs == ()
+    assert sorted(back.column_bytes) == ["k", "s"]
+    assert exchange.plan(back).inputs == ()
+    (part,) = (tmp_path / "again").iterdir()
+    assert pq.read_table(part).column_names == ["k", "s"]
 
 
 # ------------------------------------------------------------ plan

@@ -126,11 +126,12 @@ def test_pipeline_layer_hooks(ray_session, tmp_path, monkeypatch):
 
 
 def test_validation_input_planned_once(ray_session, tmp_path, monkeypatch):
-    """run_kg_pipeline plans the canonical shards once: at one planned
-    bucket the validation task reads the shards itself, so
-    distributed_validate does not plan them a second time on the driver.
-    The pipeline still passes the fleet size as an int ``nbuckets`` (the
-    benchmark's tracer reads that keyword)."""
+    """run_kg_pipeline plans the canonical shards zero times: validation
+    takes the canonical dedup's blocks by reference and its fleet is
+    sized from the bytes the dedup's bucket tasks reported, so the
+    driver reads no shard footer or sample. The pipeline still passes
+    the fleet size as an int ``nbuckets`` (the benchmark's tracer reads
+    that keyword)."""
     from shaclex_ray.pipelines import kg
     from shaclex_ray.stages import exchange
 
@@ -153,13 +154,12 @@ def test_validation_input_planned_once(ray_session, tmp_path, monkeypatch):
     kg.run_kg_pipeline(SF, str(tmp_path), resume=False)
     canonical = [p for p in planned if any("triples_canonical" in f for f in p)]
     assert fleets == [1]
-    assert len(canonical) == 1, planned
+    assert canonical == [], planned
 
 
 def test_outputs_are_read_on_first_access(ray_session, tmp_path, monkeypatch):
-    """A KG run whose outputs nobody reads builds one Ray Data datasource:
-    the canonical dedup's (the benchmark's tracer materializes it).
-    Asking ``in``, ``keys()``, ``len`` or ``get`` of a missing key reads
+    """A KG run whose outputs nobody reads builds no Ray Data datasource:
+    validation takes the canonical blocks by reference. Asking ``in``, ``keys()``, ``len`` or ``get`` of a missing key reads
     nothing; each stage output, on first access and on a resumed rerun,
     equals ``read_parts`` of its stage directory and is cached."""
     import ray.data
@@ -177,11 +177,11 @@ def test_outputs_are_read_on_first_access(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(ray.data, "read_parquet", counting)
     out_dir = str(tmp_path / "kg")
     out = run_kg_pipeline(SF, out_dir, resume=False)
-    assert calls == [f"{out_dir}/triples_canonical"]
+    assert calls == []
     assert "report" in out and "typing" in out and "nope" not in out
     assert sorted(out.keys()) == ["links", "metrics", "report", "triples", "typing"]
     assert len(out) == 5 and out.get("nope") is None
-    assert len(calls) == 1
+    assert calls == []
 
     dirs = {
         "triples": f"{out_dir}/triples_canonical",
@@ -203,3 +203,68 @@ def test_outputs_are_read_on_first_access(ray_session, tmp_path, monkeypatch):
             want = rows(read_parts(path))
             assert want and rows(got) == want, key
 
+
+
+def _stage_rows(path) -> list:
+    import pyarrow.parquet as pq
+
+    tbl = pq.read_table(path)
+    return sorted(zip(*[c.to_pylist() for c in tbl.columns]), key=repr)
+
+
+def test_resumed_canonical_stage_validates_from_its_shards(
+    ray_session, tmp_path, monkeypatch
+):
+    """A fresh run hands the canonical blocks to validation by reference;
+    with the validation stage's manifest and directory deleted, a resumed
+    run reads the checkpointed canonical shards instead, and its typing
+    and report equal the fresh run's."""
+    import shutil
+
+    from shaclex_ray.pipelines import kg
+
+    inputs = []
+    validate = kg.distributed_validate
+
+    def watched(triples, *args, **kwargs):
+        inputs.append((triples is None, kwargs.get("parquet_path")))
+        out = validate(triples, *args, **kwargs)
+        watched.__dict__.update(validate.__dict__)
+        return out
+
+    monkeypatch.setattr(kg, "distributed_validate", watched)
+    out_dir = str(tmp_path / "kg")
+    kg.run_kg_pipeline(SF, out_dir, resume=False)
+    fresh = {t: _stage_rows(f"{out_dir}/validation/{t}") for t in ("typing", "report")}
+    assert fresh["typing"] and fresh["report"]
+
+    shutil.rmtree(f"{out_dir}/validation")
+    out = kg.run_kg_pipeline(SF, out_dir, resume=True)
+    assert out["metrics"]["triples_canonical"].get("resumed")
+    assert not out["metrics"]["validation"].get("resumed")
+    assert inputs == [(False, None), (True, f"{out_dir}/triples_canonical")]
+    for t, want in fresh.items():
+        assert _stage_rows(f"{out_dir}/validation/{t}") == want, t
+
+
+def test_empty_corpus_through_the_handoff(ray_session, tmp_path):
+    """A corpus with no documents: the canonical stage hands an empty
+    table to validation, which writes one typed empty part each for
+    typing and report."""
+    import pyarrow.parquet as pq
+
+    from shaclex_ray.pipelines.kg import run_kg_pipeline
+    from shaclex_ray.validate.dist import REPORT_SCHEMA, TYPING_SCHEMA
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    pq.write_table(docs.schema.empty_table(), sf / "documents.parquet")
+    out_dir = tmp_path / "kg"
+    out = run_kg_pipeline(str(sf), str(out_dir), resume=False)
+    assert out["metrics"]["triples_canonical"]["rows"] == 0
+    for name, schema in (("typing", TYPING_SCHEMA), ("report", REPORT_SCHEMA)):
+        (part,) = (out_dir / "validation" / name).iterdir()
+        tbl = pq.read_table(part)
+        assert tbl.num_rows == 0 and tbl.schema.names == schema.names, name
+        assert out[name].count() == 0
